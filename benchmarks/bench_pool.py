@@ -8,8 +8,10 @@ Two entry points, mirroring ``bench_simulator.py``:
   between the serial and pooled paths.
 * ``python benchmarks/bench_pool.py [--quick] [--best-of N]
   [--output FILE]`` — script mode for CI smoke: measures the same rows
-  (best-of-N wall clock to shave scheduler noise) and writes the
-  ``BENCH_pool.json`` artifact for ``repro-bench compare``.
+  (best-of-N wall clock to shave scheduler noise), writes the
+  ``BENCH_pool.json`` artifact for ``repro-bench compare``, and exits 1
+  unless every row keeps parity and a measured ``jobs=2`` row is at
+  least as fast as serial (``JOBS2_FLOOR``).
 
 Row catalogue:
 
@@ -67,6 +69,11 @@ def _workload(quick):
     mapping = random_mapping(config.node_count, seed=SEED)
     seeds = default_seeds(config.seed, 4 if quick else 8)
     return config, mapping, programs, seeds
+
+
+#: Script-mode floor for the jobs=2 row: two warm workers must not lose
+#: to the serial path.
+JOBS2_FLOOR = 1.0
 
 
 def _best_of(count, fn):
@@ -213,12 +220,25 @@ def main(argv=None) -> int:
             f"pooled {row['wall_s']}s vs serial {row['serial_wall_s']}s -> "
             f"{row['speedup_vs_reference']}x (parity: {row['parity']})"
         )
-    parity = all(row["parity"] for row in rows)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(rows, handle, indent=2)
         print(f"report written to {args.output}")
-    return 0 if parity else 1
+    problems = [
+        f"{row['bench']} ({row['config']}): summaries differ from serial"
+        for row in rows
+        if not row["parity"]
+    ]
+    for row in rows:
+        if row["bench"] == "pool_scaling" and row["jobs"] == 2:
+            print("jobs=2 speedup", row["speedup_vs_reference"])
+            if row["speedup_vs_reference"] < JOBS2_FLOOR:
+                problems.append(
+                    f"2-worker replication slower than serial: {row}"
+                )
+    for problem in problems:
+        print(f"check failed: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -6,26 +6,23 @@ Two entry points, mirroring ``bench_pool.py``:
   rows, every row asserting byte-identical per-seed summaries between
   the serial and batched ``run_replications`` paths.
 * ``python benchmarks/bench_replication.py [--quick] [--best-of N]
-  [--output FILE]`` — script mode for CI smoke: measures the same rows
-  (best-of-N wall clock to shave scheduler noise) and writes the
-  ``BENCH_replication.json`` artifact for ``repro-bench compare``.
+  [--output FILE]`` — script mode for CI smoke: measures the same row
+  (best-of-N wall clock to shave scheduler noise), writes the
+  ``BENCH_replication.json`` artifact for ``repro-bench compare``, and
+  exits 1 unless the row keeps parity.
 
-Row catalogue:
+The ``replication_batch`` row is serial wall over batched wall for the
+same seed list on one core (``batch=R``, ``jobs=1``): the claim that
+batching on the compiled core divides the fixed per-cycle interpreter
+cost by R.  The ``>= 2.5x`` floor only asserts under
+``REPRO_BENCH_STRICT=1`` (noisy shared runners); everywhere else the
+committed baseline plus the ``repro-bench compare`` >20%-drop gate
+watches the number.  ``engine`` records whether the batch ran on the
+core (``"c"``) or, with the core unavailable, as serial machines
+(``"serial"``).
 
-* ``replication_batch`` — serial wall over batched wall for the same
-  seed list on one core (``batch=R``, ``jobs=1``): the tentpole claim
-  that batching divides the fixed per-cycle interpreter cost by R.
-  The ``>= 2.5x`` floor only asserts under ``REPRO_BENCH_STRICT=1``
-  (noisy shared runners); everywhere else the committed baseline plus
-  the ``repro-bench compare`` >20%-drop gate watches the number.
-* ``replication_batch_py`` — the same measurement with
-  ``REPRO_BATCH_ENGINE=py`` forced, pinning the pure-Python batch
-  engine (the compiled core's executable spec) to parity and keeping
-  its wall clock on the record.  No floor: the Python engine's job is
-  correctness, not speed.
-
-Parity is asserted on every row, always: batching must return exactly
-the summaries the serial path produces, whatever the timing.  Unlike
+Parity is asserted always: batching must return exactly the summaries
+the serial path produces, whatever the timing.  Unlike
 ``bench_pool``'s jobs scaling, the batch speedup is a single-core
 property, so the floor is meaningful even on one-CPU containers.
 """
@@ -39,7 +36,7 @@ import sys
 import time
 
 from repro.mapping.strategies import random_mapping
-from repro.sim.batch import BatchMachine
+from repro.sim import batchcore
 from repro.sim.config import SimulationConfig
 from repro.sim.replicate import default_seeds, run_replications
 from repro.topology.graphs import torus_neighbor_graph
@@ -80,11 +77,6 @@ def _best_of(count, fn):
     return best, result
 
 
-def _engine_for(config, mapping, programs, seeds):
-    """Which engine a batch of this shape selects ("c" or "py")."""
-    return BatchMachine(config, mapping, programs, seeds[:1]).engine
-
-
 def measure_batch_throughput(quick=False, best_of=1):
     """Serial vs lockstep-batched wall clock on one core, parity-gated."""
     config, mapping, programs, seeds = _workload(quick)
@@ -93,45 +85,25 @@ def measure_batch_throughput(quick=False, best_of=1):
         best_of,
         lambda: run_replications(config, mapping, programs, seeds, jobs=1),
     )
-    expected = [s.as_dict() for s in serial.summaries]
-    rows = []
-    for engine_mode, bench in (
-        (None, "replication_batch"),
-        ("py", "replication_batch_py"),
-    ):
-        previous = os.environ.get("REPRO_BATCH_ENGINE")
-        if engine_mode is not None:
-            os.environ["REPRO_BATCH_ENGINE"] = engine_mode
-        try:
-            engine = _engine_for(config, mapping, programs, seeds)
-            batched_seconds, batched = _best_of(
-                best_of,
-                lambda: run_replications(
-                    config, mapping, programs, seeds, batch=batch
-                ),
-            )
-        finally:
-            if engine_mode is not None:
-                if previous is None:
-                    del os.environ["REPRO_BATCH_ENGINE"]
-                else:
-                    os.environ["REPRO_BATCH_ENGINE"] = previous
-        rows.append(
-            {
-                "bench": bench,
-                "config": f"{len(seeds)} seeds, serial vs batch={batch}",
-                "wall_s": round(batched_seconds, 4),
-                "serial_wall_s": round(serial_seconds, 4),
-                "speedup_vs_reference": round(
-                    serial_seconds / batched_seconds, 2
-                ),
-                "parity": [s.as_dict() for s in batched.summaries]
-                == expected,
-                "engine": engine,
-                "batch": batch,
-            }
-        )
-    return rows
+    batched_seconds, batched = _best_of(
+        best_of,
+        lambda: run_replications(
+            config, mapping, programs, seeds, batch=batch
+        ),
+    )
+    return [
+        {
+            "bench": "replication_batch",
+            "config": f"{len(seeds)} seeds, serial vs batch={batch}",
+            "wall_s": round(batched_seconds, 4),
+            "serial_wall_s": round(serial_seconds, 4),
+            "speedup_vs_reference": round(serial_seconds / batched_seconds, 2),
+            "parity": [s.as_dict() for s in batched.summaries]
+            == [s.as_dict() for s in serial.summaries],
+            "engine": "c" if batchcore.load() is not None else "serial",
+            "batch": batch,
+        }
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,9 @@ Two entry points, mirroring ``bench_mapping.py``:
   :class:`repro.sim.reference.ReferenceTorusFabric`.
 * ``python benchmarks/bench_simulator.py [--quick] [--output FILE]
   [--workload NAME]`` — script mode for CI smoke: runs the workload
-  suite (or just ``NAME``), checks parity, and writes a JSON artifact
-  with ``{bench, config, wall_s, speedup_vs_reference}`` rows.
+  suite (or just ``NAME`` plus its telemetry-overhead row), writes a
+  JSON artifact with ``{bench, config, wall_s, speedup_vs_reference}``
+  rows, and exits 1 when a check in :func:`script_checks` fails.
 
 The telemetry-overhead row drives the kernel twice over the same
 schedule — telemetry detached vs attached — and records ``on/off`` wall
@@ -68,6 +69,12 @@ from repro.workload.synthetic import build_programs
 
 SEED = 1992
 STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
+
+#: Script-mode floor: the event-calendar engine vs the per-cycle loop
+#: on light uniform traffic, radix-8, full windows.
+MACHINE_ENGINE_FLOOR = 5.0
+#: Script-mode budget for the attached-telemetry cost, in percent.
+TELEMETRY_OVERHEAD_BUDGET_PCT = 15
 
 #: Fabric workload suite: injection rate is mean messages per cycle
 #: machine-wide; ``hot`` is the fraction of traffic aimed at the
@@ -478,6 +485,59 @@ def test_replication_jobs_invariance(bench_record):
 # ----------------------------------------------------------------------
 
 
+def script_checks(rows, single_workload):
+    """Script-mode gates; returns the failures (empty when all pass).
+
+    Every row must keep parity.  A single-workload run (the telemetry
+    overhead guard) also bounds the attached-telemetry cost below
+    ``TELEMETRY_OVERHEAD_BUDGET_PCT``.  A full-suite run checks the
+    light-traffic kernel rows and the four machine rows, then re-measures
+    ``machine_uniform`` at radix-8 with full windows against
+    ``MACHINE_ENGINE_FLOOR``.
+    """
+    problems = [
+        f"{row['bench']} ({row['config']}): parity lost"
+        for row in rows
+        if not row["parity"]
+    ]
+    by_bench = {row["bench"]: row for row in rows}
+    if single_workload:
+        for row in rows:
+            if not row["bench"].endswith("_telemetry"):
+                continue
+            print(
+                "telemetry on/off ratio", row["speedup_vs_reference"],
+                "- overhead", row["overhead_pct"], "%",
+            )
+            if row["overhead_pct"] >= TELEMETRY_OVERHEAD_BUDGET_PCT:
+                problems.append(
+                    f"attached telemetry overhead above budget: {row}"
+                )
+        return problems
+    light = [by_bench.get(bench) for bench in ("uniform", "saturated")]
+    if None in light or not all(r["speedup_vs_reference"] > 0 for r in light):
+        problems.append(f"light-traffic kernel rows missing or empty: {light}")
+    else:
+        print({r["bench"]: r["speedup_vs_reference"] for r in light})
+    machine = [r for r in rows if r["bench"].startswith("machine_")]
+    if len(machine) != 4:
+        problems.append(f"expected 4 machine rows, got {len(machine)}")
+    print({r["bench"]: r["speedup_vs_reference"] for r in machine})
+    floor_row = measure_machine_run("machine_uniform", 8)
+    print(
+        "machine engine speedup (uniform radix-8)",
+        floor_row["speedup_vs_reference"],
+    )
+    if not floor_row["parity"]:
+        problems.append(f"machine_uniform radix-8 parity lost: {floor_row}")
+    if floor_row["speedup_vs_reference"] < MACHINE_ENGINE_FLOOR:
+        problems.append(
+            f"machine engine below {MACHINE_ENGINE_FLOOR}x on uniform "
+            f"radix-8: {floor_row}"
+        )
+    return problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="fabric kernel speedup measurement (script mode)"
@@ -527,12 +587,14 @@ def main(argv=None) -> int:
             f"{row['speedup_vs_reference']}x "
             f"(parity: {row['parity']})"
         )
-    parity = all(row["parity"] for row in rows)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(rows, handle, indent=2)
         print(f"report written to {args.output}")
-    return 0 if parity else 1
+    problems = script_checks(rows, single_workload=bool(args.workload))
+    for problem in problems:
+        print(f"check failed: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

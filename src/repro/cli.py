@@ -258,24 +258,23 @@ def _command_all(quick: bool, jobs: int = 1, verbose: bool = False) -> int:
 
 
 def _command_diagnose(identifier: str, quick: bool, threshold: float) -> int:
-    from repro import perf
     from repro.obs.diagnostics import render_diagnosis
 
     obs.enable()
-    before = perf.snapshot()
     try:
-        run_experiment(identifier, quick=quick)
+        perf_delta = run_experiment(identifier, quick=quick).perf
     except Exception as exc:
         # Still render whatever convergence records were collected; a
         # saturated/non-convergent solve raising is exactly the case the
         # diagnostics exist for.
         print(f"experiment {identifier} raised: {exc}", file=sys.stderr)
+        perf_delta = getattr(exc, "partial_perf", None)
     print(
         render_diagnosis(
             obs.diagnostics(),
             identifier,
             utilization_threshold=threshold,
-            perf_delta=perf.delta(before),
+            perf_delta=perf_delta,
         )
     )
     return 0
@@ -478,10 +477,6 @@ def build_sim_parser() -> argparse.ArgumentParser:
         help="queue depth at which a channel counts as saturated "
         "(default: 8)",
     )
-    probe.add_argument(
-        "--fabric", choices=("kernel", "reference"), default="kernel",
-        help="fabric implementation to instrument (default: kernel)",
-    )
     probe.add_argument("--seed", type=int, default=1992)
     probe.add_argument(
         "--output", metavar="DIR", default=None,
@@ -677,7 +672,6 @@ def _command_probe(args) -> int:
             dimensions=args.dimensions,
             cycles=args.cycles,
             telemetry=config,
-            fabric=args.fabric,
             seed=args.seed,
         )
     except ReproError as exc:
@@ -688,7 +682,7 @@ def _command_probe(args) -> int:
     nodes = args.radix**args.dimensions
     print(
         f"{args.workload} probe on the {nodes}-node radix-{args.radix} "
-        f"{args.dimensions}-D torus ({args.fabric} fabric): "
+        f"{args.dimensions}-D torus: "
         f"{result.injected} worms injected over {result.scheduled_cycles} "
         f"cycles, {result.delivered} delivered, drained at cycle "
         f"{result.total_cycles} ({summary.epochs} epochs of "
@@ -738,7 +732,6 @@ def _command_probe(args) -> int:
                     "workload": args.workload,
                     "radix": args.radix,
                     "dimensions": args.dimensions,
-                    "fabric": args.fabric,
                     "injected": result.injected,
                     "delivered": result.delivered,
                     "total_cycles": result.total_cycles,
@@ -766,7 +759,6 @@ def _command_probe(args) -> int:
                 "radix": args.radix,
                 "dimensions": args.dimensions,
                 "cycles": args.cycles,
-                "fabric": args.fabric,
                 "seed": args.seed,
                 "telemetry": config.as_dict(),
             },

@@ -31,12 +31,13 @@ conversion helper for the processor time base.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs, perf
+from repro import obs
 from repro.core.network import TorusNetworkModel
 from repro.core.node import NodeModel
 from repro.errors import ConvergenceError, ParameterError, SaturationError
@@ -53,6 +54,29 @@ __all__ = [
     "solve_with_floor",
     "open_loop",
 ]
+
+# Solver work counters.  Diagnostics, not results: experiment outputs
+# never depend on them, so parallel runs (one registry per worker
+# process) stay byte-identical to serial ones.  The runner reports them
+# per experiment under their names without the ``perf.`` prefix.
+_SOLVE_CALLS = obs.REGISTRY.counter(
+    "perf.solve_calls",
+    help="scalar combined-model solves (bisection or closed form)",
+)
+_CACHE_HITS = obs.REGISTRY.counter(
+    "perf.cache_hits",
+    help="solve_cached lookups answered from the memoized cache",
+)
+_CACHE_MISSES = obs.REGISTRY.counter(
+    "perf.cache_misses",
+    help="solve_cached lookups that had to run the solver",
+)
+_BATCH_SOLVES = obs.REGISTRY.counter(
+    "perf.batch_solves", help="solve_batch invocations"
+)
+_BATCH_POINTS = obs.REGISTRY.counter(
+    "perf.batch_points", help="total operating points produced by solve_batch"
+)
 
 #: Relative width at which bisection declares convergence.
 _RELATIVE_TOLERANCE = 1e-13
@@ -158,7 +182,7 @@ def solve(
     """
     if not distance > 0:
         raise ParameterError(f"distance d must be positive, got {distance!r}")
-    perf.COUNTERS.solve_calls += 1
+    _SOLVE_CALLS.inc()
     if not obs.is_enabled():
         return _solve_impl(node, network, distance, None)
     with obs.span("solver.solve", distance=float(distance)):
@@ -363,8 +387,8 @@ def solve_batch(
             f"latency sensitivity s must be positive, got {bad!r}"
         )
 
-    perf.COUNTERS.batch_solves += 1
-    perf.COUNTERS.batch_points += d.size
+    _BATCH_SOLVES.inc()
+    _BATCH_POINTS.inc(d.size)
     if d.size == 0:
         empty = np.empty(0, dtype=float)
         return BatchOperatingPoints(*([empty] * 9))
@@ -567,9 +591,9 @@ def solve_cached(
     info = _solve_lru.cache_info()
     point = _solve_lru(node, network, distance)
     if _solve_lru.cache_info().hits > info.hits:
-        perf.COUNTERS.cache_hits += 1
+        _CACHE_HITS.inc()
     else:
-        perf.COUNTERS.cache_misses += 1
+        _CACHE_MISSES.inc()
     return point
 
 
@@ -667,9 +691,20 @@ def _physical_root(
     if discriminant < 0.0:
         return None, "complex"
     sqrt_disc = discriminant**0.5
+    # Cancellation-free form: (-B -+ sqrt)/2A subtracts nearly equal
+    # numbers when |A C| << B**2 (e.g. a vanishing A), so take the
+    # root without cancellation as q / A and its partner as C / q
+    # (the roots multiply to C / A).
+    q = -0.5 * (quad_b + math.copysign(sqrt_disc, quad_b))
+    if q == 0.0:
+        return None, "degenerate"
+    if quad_b >= 0.0:
+        root_plus, root_minus = quad_c / q, q / quad_a
+    else:
+        root_plus, root_minus = q / quad_a, quad_c / q
     for candidate, branch in (
-        ((-quad_b + sqrt_disc) / (2.0 * quad_a), "root+"),
-        ((-quad_b - sqrt_disc) / (2.0 * quad_a), "root-"),
+        (root_plus, "root+"),
+        (root_minus, "root-"),
     ):
         if 0.0 < candidate < saturation:
             return candidate, branch

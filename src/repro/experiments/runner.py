@@ -28,7 +28,7 @@ import os
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro import obs, perf
+from repro import obs
 from repro.core.pool import FALLBACK_ERRORS, WorkerPool, get_pool, note_fallback
 from repro.errors import ParameterError
 from repro.experiments import (
@@ -117,6 +117,24 @@ def resolve_experiment_id(identifier: str) -> str:
     return aliases.get(_normalize(identifier), identifier)
 
 
+def _perf_counters() -> Dict[str, int]:
+    """The solver's ``perf.*`` registry counters, keyed without the
+    prefix (the names ``ExperimentResult.perf`` reports them under)."""
+    return {
+        name[len("perf."):]: metric["value"]
+        for name, metric in obs.REGISTRY.snapshot().items()
+        if name.startswith("perf.")
+    }
+
+
+def _perf_delta(before: Dict[str, int]) -> Dict[str, int]:
+    """Counter increments since ``before`` (a prior :func:`_perf_counters`)."""
+    return {
+        name: value - before.get(name, 0)
+        for name, value in _perf_counters().items()
+    }
+
+
 def run_experiment(
     identifier: str, quick: bool = False, telemetry: bool = False
 ) -> ExperimentResult:
@@ -145,7 +163,7 @@ def run_experiment(
         )
     collecting = obs.is_enabled()
     mark = obs.trace_mark() if collecting else 0
-    before = perf.snapshot()
+    before = _perf_counters()
     started = time.perf_counter()
     result: Optional[ExperimentResult] = None
     try:
@@ -157,11 +175,11 @@ def run_experiment(
     except BaseException as exc:
         elapsed = time.perf_counter() - started
         exc.partial_perf = dict(
-            perf.delta(before), wall_seconds=elapsed, failed=True
+            _perf_delta(before), wall_seconds=elapsed, failed=True
         )
         raise
     elapsed = time.perf_counter() - started
-    result.perf = dict(perf.delta(before), wall_seconds=elapsed)
+    result.perf = dict(_perf_delta(before), wall_seconds=elapsed)
     if collecting:
         obs.REGISTRY.histogram(
             "experiment.wall_seconds",
@@ -210,14 +228,17 @@ def _merge_worker_observability(results: Sequence[ExperimentResult]) -> None:
     """Fold pool workers' spans and counters into this process's state."""
     own_pid = os.getpid()
     obs.ingest_worker_payloads(result.obs for result in results)
+    names = _perf_counters()
     for result in results:
         if not result.obs or result.obs.get("pid") == own_pid:
             continue
-        for name, value in result.perf.items():
-            if name in perf.snapshot() and value:
-                setattr(
-                    perf.COUNTERS, name, getattr(perf.COUNTERS, name) + value
-                )
+        obs.REGISTRY.merge_counters(
+            {
+                f"perf.{name}": value
+                for name, value in result.perf.items()
+                if name in names
+            }
+        )
 
 
 def run_all(

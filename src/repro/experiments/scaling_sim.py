@@ -48,7 +48,6 @@ def run(
     quick: bool = False,
     telemetry: bool = False,
     radices=None,
-    batch: bool = True,
 ) -> ExperimentResult:
     """Sweep machine radix; measure d, rho, T_m; compare to the model.
 
@@ -61,10 +60,10 @@ def run(
     on the event-calendar engine, radix-16 and radix-32 2-D tori
     (256/1024 nodes) are practical sweep points — the CI smoke runs
     ``radices=(16,)`` — where the per-cycle loop made anything past
-    radix-12 a batch job.  ``batch`` (default on) runs each point's
-    replications through the lockstep batch engine in one pass;
-    per-seed summaries are bit-identical either way, so this is purely
-    a wall-clock lever for the CI series.
+    radix-12 a batch job.  Each point's replications run as one
+    ``run_replications(batch=R)`` call — in lockstep on the compiled
+    core where it applies — with per-seed summaries bit-identical to
+    one machine per seed.
     """
     if radices is None:
         radices = (4, 8) if quick else (4, 6, 8, 12)
@@ -103,7 +102,7 @@ def run(
             config, mapping, programs,
             seeds=default_seeds(config.seed, replications),
             telemetry=telemetry_config,
-            batch=replications if batch else 1,
+            batch=replications,
         )
         # Point estimates come from the first seed (the old single-seed
         # run); the replications contribute only the spread.

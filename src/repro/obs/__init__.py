@@ -9,7 +9,7 @@ and which exact inputs produced this figure?*  Four pieces:
   Perfetto) and JSONL;
 * **metrics** (:mod:`repro.obs.metrics`) — the process-global counter /
   gauge / histogram registry (:data:`~repro.obs.metrics.REGISTRY`),
-  which also backs the legacy :mod:`repro.perf` shim;
+  which also holds the solver's ``perf.*`` work counters;
 * **solver diagnostics** (:mod:`repro.obs.diagnostics`) — per-solve
   convergence records behind ``repro-locality diagnose``;
 * **manifests** (:mod:`repro.obs.manifest`) — run provenance (git SHA,

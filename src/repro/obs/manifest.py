@@ -114,13 +114,14 @@ def build_manifest(
 
     ``parameters`` should hold every input that selects what the run
     computed (experiment ids, quick flag, job count, sweep overrides);
-    the manifest stores both the mapping and its canonical hash.  The
-    counter snapshot comes from :mod:`repro.perf`, the full metric
-    snapshot from the :data:`repro.obs.metrics.REGISTRY`.
+    the manifest stores both the mapping and its canonical hash.
+    ``counters`` holds the solver's ``perf.*`` counters keyed without
+    the prefix; ``metrics`` the full :data:`repro.obs.metrics.REGISTRY`
+    snapshot.
     """
-    from repro import perf  # local import: perf imports obs.metrics
     from repro.obs.metrics import REGISTRY
 
+    metrics = REGISTRY.snapshot()
     parameters = dict(parameters or {})
     parameters.setdefault("experiments", list(experiments))
     seeds = dict(rng_seeds or {})
@@ -135,8 +136,12 @@ def build_manifest(
         python_version=sys.version.split()[0],
         platform=platform.platform(),
         rng_seeds=seeds,
-        counters=perf.snapshot(),
-        metrics=REGISTRY.snapshot(),
+        counters={
+            name[len("perf."):]: metric["value"]
+            for name, metric in metrics.items()
+            if name.startswith("perf.")
+        },
+        metrics=metrics,
         wall_seconds=float(wall_seconds),
         cpu_seconds=float(cpu_seconds),
         created=datetime.now(timezone.utc).isoformat(),

@@ -1,12 +1,10 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
-The registry is the single home for quantitative diagnostics.  It absorbs
-the ad-hoc process-global counters that used to live on the
-:mod:`repro.perf` singleton (that module remains as a thin shim over
-``REGISTRY``) and adds gauges and histograms with *fixed* bucket
-boundaries, so distributions — solver iteration counts, experiment wall
-times — can be merged across processes and compared across runs without
-re-bucketing.
+The registry is the single home for quantitative diagnostics: counters
+(the solver's ``perf.*`` work counters among them), gauges, and
+histograms with *fixed* bucket boundaries, so distributions — solver
+iteration counts, experiment wall times — can be merged across processes
+and compared across runs without re-bucketing.
 
 Metrics are always live: incrementing a counter is a plain integer add,
 cheap enough that nothing needs to be gated on the observability switch.

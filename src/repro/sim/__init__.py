@@ -2,18 +2,19 @@
 
 Reconstructs the machine the paper simulates in Section 3: multithreaded
 processors, a full-map invalidate directory protocol behind a single
-per-node controller, and a flit-level wormhole-routed torus network whose
-switches run twice as fast as the processors.
+per-node controller, and a flit-level torus network — buffered
+cut-through (:mod:`repro.sim.cut_through`, the default) or rigid-worm
+wormhole (:mod:`repro.sim.kernel`) — whose switches run twice as fast as
+the processors.
 
-The wormhole fabric's hot path is the array kernel
-(:mod:`repro.sim.kernel`, exported here as ``TorusFabric``); the
-object-based implementation it replaced survives as
-:class:`repro.sim.reference.ReferenceTorusFabric`, the executable
-specification the parity suite pins the kernel to cycle for cycle.
-Multi-seed replication with error bars lives in
-:mod:`repro.sim.replicate`; :mod:`repro.sim.batch` runs many seeds of
-one config in lockstep (one engine pass, bit-identical per-seed
-summaries), behind ``run_replications(..., batch=R)``.
+Each layer has one fast path and one named oracle (docs/simulator.md):
+the event-calendar engine vs ``Machine(engine=False)``,
+:class:`FabricKernel` vs :class:`ReferenceTorusFabric`, and the compiled
+batch core vs the serial :class:`Machine`.  Multi-seed replication with
+error bars lives in :mod:`repro.sim.replicate`; ``run_replications(...,
+batch=R)`` runs cut-through seeds in lockstep on the compiled core
+(:mod:`repro.sim.batch`) and every other batch as serial machines, with
+bit-identical per-seed summaries either way.
 """
 
 from repro.sim.batch import BatchMachine, run_batch
@@ -22,7 +23,6 @@ from repro.sim.config import SimulationConfig
 from repro.sim.kernel import FabricKernel
 from repro.sim.machine import Machine
 from repro.sim.message import CONTROL_FLITS, DATA_FLITS, Message, MessageKind
-from repro.sim.network import TorusFabric, Worm
 from repro.sim.processor import ContextState, HardwareContext, Processor
 from repro.sim.reference import ReferenceTorusFabric, ReferenceWorm
 from repro.sim.replicate import (
@@ -51,8 +51,6 @@ __all__ = [
     "Machine",
     "MeasurementSummary",
     "MachineStats",
-    "TorusFabric",
-    "Worm",
     "FabricKernel",
     "ReferenceTorusFabric",
     "ReferenceWorm",

@@ -1,12 +1,14 @@
-/* Batched replication core: C transliteration of repro.sim.batch's
- * coherence controller + cut-through fabric + per-cycle advance loop.
+/* Batched replication core: C port of the serial machine's coherence
+ * controller + cut-through fabric + per-cycle advance loop.
  *
- * The pure-Python BatchController/BatchFabric in batch.py is the
- * behavioral spec (itself parity-pinned against the serial machine);
- * this file ports it line for line so every replication's
- * MeasurementSummary stays bit-identical to the serial run.  Python
- * keeps the processors (unmodified RNG draw order) and drives this
- * core between processor boundaries via bc_advance().
+ * The serial repro.sim.coherence.CoherenceController and
+ * repro.sim.cut_through.CutThroughFabric (driven by
+ * repro.sim.engine.MachineEngine) are the behavioral spec; this file
+ * ports them so every replication's MeasurementSummary stays
+ * bit-identical to the serial run, which the parity suites pin.
+ * Python (repro.sim.batch) keeps the processors (unmodified RNG draw
+ * order) and drives this core between processor boundaries via
+ * bc_advance().
  *
  * Compiled on demand by repro.sim.batchcore with the system C
  * compiler; no Python.h dependency (pure ABI, loaded via cffi).
@@ -191,8 +193,8 @@ enum {
 };
 
 /* DATA_REPLY and WRITEBACK carry data (24 flits); the rest are
- * control (8).  Guarded at load time by batchcore.py against
- * repro.sim.message._FLITS_BY_KIND. */
+ * control (8).  tests/sim/test_batch.py pins
+ * repro.sim.message._FLITS_BY_KIND to this table. */
 static const int FLITS_OF[8] = {8, 8, 24, 8, 8, 8, 8, 24};
 
 enum { CS_INVALID = 0, CS_SHARED = 1, CS_MODIFIED = 2 };
@@ -234,7 +236,7 @@ typedef struct {
     int next_free;
 } Req;
 
-/* Engine event (one opcode tuple of the Python port). */
+/* Engine event (one scheduled protocol step of the controller). */
 typedef struct {
     int cost, op, b0, a0, a1;
     i64 a2;
@@ -679,7 +681,7 @@ static void comp_push(Rep *rep, i64 handle, i64 cycle) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Shared e-cube routes (port of Torus.route_hops + FabricGeometry).   */
+/* Shared e-cube routes (port of Torus.route_hops + channel ids).      */
 /* Channel ids: inj(s)=s, ej(d)=N+d, link(node,dim,step) =             */
 /* 2N + (node*dims + dim)*2 + (step==+1 ? 0 : 1).                      */
 /* ------------------------------------------------------------------ */
@@ -742,7 +744,7 @@ static int route_get(Batch *b, int src, int dst, int *len_out) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Fabric (port of BatchFabric).                                       */
+/* Fabric (port of CutThroughFabric).                                  */
 /* ------------------------------------------------------------------ */
 
 static void qe_push(Queue *q, i64 elig, int transit) {
@@ -835,7 +837,7 @@ static i64 fab_next(Batch *b, Rep *rep, i64 cycle) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Controller engine + protocol handlers (port of BatchController).    */
+/* Controller engine + protocol handlers (port of CoherenceController).*/
 /* ------------------------------------------------------------------ */
 
 static void ctrl_execute(Batch *b, Rep *rep, int r, int node, Ev *ev,
@@ -1320,7 +1322,7 @@ static void ctrl_execute(Batch *b, Rep *rep, int r, int node, Ev *ev,
 }
 
 /* ------------------------------------------------------------------ */
-/* Fabric tick (port of BatchFabric.tick; telemetry-free path).        */
+/* Fabric tick (port of CutThroughFabric.tick; telemetry-free path).  */
 /* ------------------------------------------------------------------ */
 
 static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {

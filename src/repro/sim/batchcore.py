@@ -3,15 +3,11 @@
 Compiles :mod:`repro.sim` ``_batchcore.c`` with the system C compiler
 the first time it is needed (cached under the user cache directory,
 keyed by source hash) and loads it through :mod:`cffi` in ABI mode —
-no setuptools build step, no Python.h dependency.  Everything degrades
-gracefully: if a compiler or cffi is unavailable, ``load()`` returns
-``None`` and :mod:`repro.sim.batch` falls back to its pure-Python
-engine, which is the behavioral spec for this core.
-
-The ``REPRO_BATCH_ENGINE`` environment variable gates selection:
-``auto`` (default) uses the core when available and applicable, ``py``
-forces the pure-Python engine, and ``c`` requires the core (raising if
-it cannot be built).
+no setuptools build step, no Python.h dependency.  If a compiler or
+cffi is unavailable, ``load()`` returns ``None`` and
+:func:`repro.sim.batch.run_batch` runs its batches as serial machines,
+loudly; the serial ``CoherenceController`` and ``CutThroughFabric`` are
+the behavioral spec this core ports.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from typing import Optional
 
 from repro.errors import ProtocolError, SimulationError
 
-__all__ = ["engine_mode", "load", "raise_error", "CDEF"]
+__all__ = ["fits", "load", "load_failure", "raise_error", "CDEF"]
 
 _SOURCE = Path(__file__).with_name("_batchcore.c")
 
@@ -65,14 +61,14 @@ _cached = None
 _failure: Optional[str] = None
 
 
-def engine_mode() -> str:
-    """Requested engine: ``auto`` (default), ``c``, or ``py``."""
-    mode = os.environ.get("REPRO_BATCH_ENGINE", "auto").strip().lower()
-    if mode not in ("auto", "c", "py"):
-        raise SimulationError(
-            f"REPRO_BATCH_ENGINE must be auto, c, or py; got {mode!r}"
-        )
-    return mode
+def fits(dimensions: int, radix: int) -> bool:
+    """Whether ``bc_create`` accepts a torus of this shape: the same
+    limits it checks (route buffer, node-id width)."""
+    return (
+        dimensions <= 8
+        and dimensions * radix <= 62
+        and radix**dimensions < 1 << 20
+    )
 
 
 def _cache_dir() -> Path:
@@ -126,8 +122,8 @@ def load():
     """Return ``(ffi, lib)`` for the compiled core, or ``None``.
 
     The first failure (missing cffi, missing compiler, build error) is
-    remembered so later calls stay cheap; ``REPRO_BATCH_ENGINE=c``
-    callers can read the reason from :func:`load_failure`.
+    remembered so later calls stay cheap; :func:`load_failure` returns
+    the reason.
     """
     global _cached, _failure
     if _cached is not None:
@@ -152,6 +148,7 @@ def load():
 
 
 def load_failure() -> Optional[str]:
+    """Why :func:`load` returned ``None``, or ``None`` if it has not."""
     return _failure
 
 

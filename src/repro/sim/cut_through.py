@@ -14,7 +14,7 @@ cycles (one injection hop, ``d`` switch hops, ejection + drain), matching
 the analytical model's ``d * T_h + B`` to within a cycle, and channel
 queueing matches the model's contention term far better than the rigid
 worm does — which is precisely why it is the default for the Section 3
-validation runs.  The rigid-worm fabric (:mod:`repro.sim.network`)
+validation runs.  The rigid-worm fabric (:mod:`repro.sim.kernel`)
 remains available via ``SimulationConfig(switching="wormhole")`` and is
 compared against this one in the buffering ablation benchmark.
 

@@ -35,27 +35,17 @@ tracer samples; the parity suite pins all of it):
   :meth:`~repro.sim.trace.Tracer.on_skip` against the same frozen
   counters.
 
-The step loop is retained verbatim (``REPRO_SIM_ENGINE=0`` or
-``Machine(engine=False)`` routes ``run`` through it) as the parity
-oracle, the same pattern as the fabric kernel vs the reference fabric.
+The step loop is retained verbatim (``Machine(engine=False)`` routes
+``run`` through it) as the parity oracle, the same pattern as the fabric
+kernel vs the reference fabric.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import List, Optional
 
-__all__ = ["MachineEngine", "engine_enabled_default"]
-
-
-def engine_enabled_default() -> bool:
-    """Whether ``Machine.run`` uses the event-calendar engine by default.
-
-    On unless ``REPRO_SIM_ENGINE=0`` — the escape hatch for debugging
-    and for timing the retained per-cycle loop.
-    """
-    return os.environ.get("REPRO_SIM_ENGINE", "1") != "0"
+__all__ = ["MachineEngine"]
 
 
 class MachineEngine:

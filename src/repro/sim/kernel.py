@@ -1,10 +1,44 @@
-"""Array-backed wormhole fabric kernel.
+"""Flit-level wormhole-routed torus fabric (array kernel).
 
-The hot-path replacement for :class:`repro.sim.reference.ReferenceTorusFabric`:
-the same rigid-worm semantics — e-cube routing with dateline virtual
-channels, FCFS arbitration in deterministic order, one movement per worm
-per cycle — computed over flat state instead of per-worm Python objects
-and per-channel deque scans.
+Implements the network of Section 3.1: a k-ary n-dimensional torus with a
+pair of unidirectional channels between neighbors (one per direction),
+e-cube (dimension-order) routing, single-cycle switch delay, and a pair
+of injection/ejection channels connecting each node to its switch.
+:class:`FabricKernel` is the fabric ``SimulationConfig(switching=
+"wormhole")`` machines run on; :class:`DeliveredWorm` is the delivery
+record passed to ``on_delivery`` (``message`` / ``hops`` /
+``source_wait``).
+
+**Worm model.**  A message of ``B`` flits is simulated as a rigid worm:
+all of its flits advance in lockstep on each *movement cycle* (the head
+acquiring the next channel, or — once the head has arrived — the
+destination consuming one flit).  With single-flit switch buffers this is
+exact: when the head stalls, every flit behind it stalls.  A channel is
+held from the movement cycle its first flit crosses until all ``B`` flits
+have crossed (``B`` movement cycles later), which reproduces the
+``T_m = d * T_h + B`` structure of the analytical model: an unloaded
+``d``-hop message takes ``d + 2`` cycles of head travel (the +2 being the
+node's injection and ejection channels) plus ``B - 1`` cycles of drain.
+
+**Deadlock freedom.**  E-cube routing alone deadlocks on torus *rings*
+(cyclic channel dependencies around the wraparound), so each physical
+channel carries two virtual channels with the standard dateline scheme:
+a route uses VC 0 within a dimension until it crosses the ring's zero
+boundary, VC 1 after.  VCs are modeled as independent channel resources;
+the bandwidth this adds on dateline links is visible to the measured
+utilization statistics (which count flits per *physical* link), keeping
+comparisons against the analytical model honest.  Arbitration is
+first-come-first-served per channel, with ties between channels resolved
+in a fixed order — the simulator is fully deterministic given its
+inputs.
+
+**Oracle.**  :class:`repro.sim.reference.ReferenceTorusFabric` is the
+object-based implementation this kernel replaced, kept as its executable
+specification: the parity suite (``tests/sim/test_kernel_parity.py``)
+pins the kernel to it cycle for cycle, and the seeded golden fixture
+does the same against recorded history.  The kernel computes the same
+semantics over flat state instead of per-worm Python objects and
+per-channel deque scans.
 
 **State layout.**  Worms live in a structure-of-arrays pool indexed by a
 slot id: flit counts, CSR route extents, head index, movement count,

@@ -27,9 +27,9 @@ from repro.mapping.base import Mapping
 from repro.sim.coherence import Block, CoherenceController
 from repro.sim.config import SimulationConfig
 from repro.sim.cut_through import CutThroughFabric
-from repro.sim.engine import MachineEngine, engine_enabled_default
+from repro.sim.engine import MachineEngine
+from repro.sim.kernel import FabricKernel
 from repro.sim.message import Message
-from repro.sim.network import TorusFabric
 from repro.sim.processor import Processor
 from repro.sim.stats import MachineStats, MeasurementSummary
 from repro.topology.torus import Torus
@@ -145,7 +145,7 @@ class Machine:
     engine:
         Whether :meth:`run` uses the event-calendar engine
         (:mod:`repro.sim.engine`) instead of stepping every cycle.
-        Defaults to on; ``REPRO_SIM_ENGINE=0`` flips the default.  The
+        Defaults to on.  ``engine=False`` is the engine's oracle: the
         two paths are bit-identical (pinned by the parity suite) — the
         engine is purely a performance feature.
     """
@@ -156,7 +156,7 @@ class Machine:
         mapping: Mapping,
         programs: Sequence[Sequence[ThreadProgram]],
         fabric_factory: Optional[Callable] = None,
-        engine: Optional[bool] = None,
+        engine: bool = True,
     ):
         self.config = config
         self.torus = Torus(radix=config.radix, dimensions=config.dimensions)
@@ -168,15 +168,13 @@ class Machine:
         if fabric_factory is not None:
             self.fabric = fabric_factory(self.torus, on_delivery=self._deliver)
         elif config.switching == "wormhole":
-            self.fabric = TorusFabric(self.torus, on_delivery=self._deliver)
+            self.fabric = FabricKernel(self.torus, on_delivery=self._deliver)
         else:
             self.fabric = CutThroughFabric(self.torus, on_delivery=self._deliver)
         self._cycle = 0
         self.tracer = None
         self.telemetry = None
-        self.engine_enabled = (
-            engine_enabled_default() if engine is None else bool(engine)
-        )
+        self.engine_enabled = bool(engine)
 
         # Event-driven engine scheduling: controllers whose engine went
         # from idle to busy this cycle land on ``_engine_ready`` (via the
@@ -243,7 +241,7 @@ class Machine:
         self.fabric.inject(message, self._cycle)
 
     def _deliver(self, transit) -> None:
-        """Fabric delivery callback (Worm or Transit: same interface)."""
+        """Fabric delivery callback (DeliveredWorm or Transit: same interface)."""
         message = transit.message
         self.stats.message_delivered(
             message, transit.hops, transit.source_wait, self._cycle

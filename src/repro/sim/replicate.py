@@ -3,9 +3,9 @@
 Every simulated figure used to rest on a single seed.  This module runs
 the same (config, mapping, programs) machine under a list of root seeds
 — serially, fanned out over the persistent warm worker pool
-(:mod:`repro.core.pool`), and/or packed into lockstep batches
-(``batch=R`` routes contiguous seed chunks through
-:func:`repro.sim.batch.run_batch`, one engine pass per chunk) — and
+(:mod:`repro.core.pool`), and/or packed into batches (``batch=R``
+routes contiguous seed chunks through :func:`repro.sim.batch.run_batch`,
+one lockstep pass per chunk where the compiled core applies) — and
 aggregates each
 :class:`~repro.sim.stats.MeasurementSummary` metric into mean / sample
 standard deviation / 95% confidence interval, so model-vs-sim
@@ -243,7 +243,7 @@ def _pool_run_single(payload, task):
 def _run_batch_chunk(
     arguments,
 ) -> Tuple[List[MeasurementSummary], Optional[Dict]]:
-    """One lockstep batch of seeds through :func:`repro.sim.batch.run_batch`.
+    """One chunk of seeds through :func:`repro.sim.batch.run_batch`.
 
     The batched counterpart of :func:`_run_single`: same argument-tuple
     convention, same worker obs bootstrap, but one call runs every seed
@@ -291,12 +291,12 @@ def _run_batch_chunk(
 
 
 def _pool_run_batch(payload, task):
-    """Warm-pool task: one seed chunk through the lockstep batch engine.
+    """Warm-pool task: one seed chunk through :func:`run_batch`.
 
     Mirrors :func:`_pool_run_single`'s isolation contract: the broadcast
     ``(config, mapping, programs)`` payload is shared across tasks on
-    this worker, so mapping/programs are deep-copied per task before the
-    batch machine takes its own per-replication copies.
+    this worker, so mapping/programs are deep-copied per task before
+    ``run_batch`` takes its own per-replication copies.
     """
     config, mapping, programs = payload
     chunk, warmup, measure, collect_obs, telemetry = task
@@ -351,13 +351,13 @@ def run_replications(
     jobs-invariant registry merge.
 
     ``batch > 1`` packs the seeds into contiguous chunks of at most
-    ``batch`` and runs each chunk through the lockstep batch engine
-    (:func:`repro.sim.batch.run_batch`) instead of one machine per
-    seed — dividing the fixed per-cycle interpreter cost across the
-    chunk.  Per-seed summaries (and telemetry snapshots) are
-    bit-identical to the ``batch=1`` path, so batching composes freely
-    with ``jobs``: each chunk is one pool task, multiplying the batch
-    speedup by the pool's scaling.
+    ``batch`` and hands each chunk to :func:`repro.sim.batch.run_batch`,
+    which runs cut-through chunks without telemetry in lockstep on the
+    compiled core and every other chunk as one machine per seed.
+    Per-seed summaries (and telemetry snapshots) are bit-identical to
+    the ``batch=1`` path, so batching composes freely with ``jobs``:
+    each chunk is one pool task, multiplying the batch speedup by the
+    pool's scaling.
     """
     seeds = tuple(int(seed) for seed in seeds)
     if not seeds:

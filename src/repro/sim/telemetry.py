@@ -691,7 +691,6 @@ class ProbeResult:
     workload: str
     radix: int
     dimensions: int
-    fabric: str
     scheduled_cycles: int
     total_cycles: int
     injected: int
@@ -713,7 +712,6 @@ def run_probe(
     dimensions: int = 2,
     cycles: int = 600,
     telemetry: Optional[TelemetryConfig] = None,
-    fabric: str = "kernel",
     seed: int = 1992,
 ) -> ProbeResult:
     """Drive one fabric-level workload under telemetry and report.
@@ -725,25 +723,14 @@ def run_probe(
     """
     from repro.sim.kernel import FabricKernel
     from repro.sim.message import Message
-    from repro.sim.reference import ReferenceTorusFabric
     from repro.topology.torus import Torus
 
-    fabric_classes = {
-        "kernel": FabricKernel,
-        "reference": ReferenceTorusFabric,
-    }
-    fabric_cls = fabric_classes.get(fabric)
-    if fabric_cls is None:
-        raise ParameterError(
-            f"unknown fabric {fabric!r}; known: "
-            f"{', '.join(sorted(fabric_classes))}"
-        )
     if telemetry is None:
         telemetry = TelemetryConfig()
     plan = probe_schedule(radix, dimensions, cycles, workload, seed=seed)
     torus = Torus(radix=radix, dimensions=dimensions)
     delivered: List = []
-    instance = fabric_cls(torus, on_delivery=delivered.append)
+    instance = FabricKernel(torus, on_delivery=delivered.append)
     channels = instance.attach_telemetry(telemetry)
     injected = 0
     cycle = 0
@@ -769,7 +756,6 @@ def run_probe(
         workload=workload,
         radix=radix,
         dimensions=dimensions,
-        fabric=fabric,
         scheduled_cycles=cycles,
         total_cycles=total_cycles,
         injected=injected,

@@ -4,15 +4,22 @@ it afterwards (other suites assume observability is off by default)."""
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
+
+
+def reset_perf_counters():
+    """Zero the solver's ``perf.*`` registry counters."""
+    for name in obs.REGISTRY.names():
+        if name.startswith("perf."):
+            obs.REGISTRY.get(name).reset()
 
 
 @pytest.fixture(autouse=True)
 def clean_obs_state():
     obs.disable()
     obs.reset()
-    perf.reset()
+    reset_perf_counters()
     yield
     obs.disable()
     obs.reset()
-    perf.reset()
+    reset_perf_counters()

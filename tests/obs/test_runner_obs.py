@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.cli import main
 from repro.core.combined import clear_solve_cache, solve
 from repro.core.network import TorusNetworkModel
@@ -19,6 +19,7 @@ from repro.experiments.runner import (
     run_all,
     run_experiment,
 )
+from tests.obs.conftest import reset_perf_counters
 
 
 class TestAliases:
@@ -120,25 +121,33 @@ def _span_multiset():
     return Counter(span["name"] for span in obs.trace().spans)
 
 
+def _perf_snapshot():
+    return {
+        name: metric
+        for name, metric in obs.REGISTRY.snapshot().items()
+        if name.startswith("perf.")
+    }
+
+
 class TestParallelTraceMerge:
     def test_jobs2_trace_matches_serial(self):
         experiments = ["table-1", "figure-7"]
 
         obs.enable(fresh=True)
-        perf.reset()
+        reset_perf_counters()
         clear_solve_cache()
         serial_results = run_all(quick=True, experiments=experiments)
         serial_spans = _span_multiset()
-        serial_perf = perf.snapshot()
+        serial_perf = _perf_snapshot()
 
         obs.reset()
-        perf.reset()
+        reset_perf_counters()
         clear_solve_cache()
         parallel_results = run_all(
             quick=True, jobs=2, experiments=experiments
         )
         parallel_spans = _span_multiset()
-        parallel_perf = perf.snapshot()
+        parallel_perf = _perf_snapshot()
 
         # One merged trace whose per-experiment span set equals the
         # serial run's, and identical merged solver counters.
@@ -151,7 +160,7 @@ class TestParallelTraceMerge:
 
     def test_jobs2_writes_one_merged_artifact_set(self, tmp_path):
         obs.enable(fresh=True)
-        perf.reset()
+        reset_perf_counters()
         clear_solve_cache()
         run_all(quick=True, jobs=2, experiments=["table-1", "figure-7"])
         paths = obs.write_outputs(

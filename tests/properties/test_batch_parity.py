@@ -3,9 +3,9 @@
 The directed batch tests (tests/sim/test_batch.py) pin canned shapes;
 these sample machine shapes — {1,2,3}-D tori, identity and collocated
 mappings, both fabrics, ``network_speedup ∈ {1, 2}`` — and require the
-lockstep batch engine to reproduce each seed's solo ``Machine`` run bit
-for bit, whichever engine (compiled core or pure Python) the batch
-machine selected for the shape.
+batched path to reproduce each seed's solo ``Machine`` run bit for bit,
+whether ``run_batch`` ran the shape on the compiled core or as serial
+machines.
 """
 
 import copy

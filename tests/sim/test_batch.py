@@ -1,26 +1,37 @@
-"""Tests for the lockstep batched replication engine.
+"""Tests for batched replication (``run_batch`` / ``BatchMachine``).
 
 The serial ``Machine`` is the bit-exactness oracle: every per-seed
-summary (and telemetry snapshot) out of :class:`BatchMachine` must be
-identical to the solo run for the same seed, in seed order.
+summary (and telemetry snapshot) out of :func:`run_batch` must be
+identical to the solo run for the same seed, in seed order, whether the
+batch ran on the compiled core or as serial machines.
 """
 
 import copy
 
 import pytest
 
+from repro import obs
 from repro.errors import ParameterError, SimulationError
 from repro.mapping.strategies import (
     block_collocation_mapping,
     identity_mapping,
     random_mapping,
 )
-from repro.sim.batch import BatchMachine, run_batch
+from repro.sim import batchcore
+from repro.sim.batch import BatchFallbackWarning, BatchMachine, run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
+from repro.sim.message import _FLITS_BY_KIND, MessageKind
 from repro.sim.telemetry import TelemetryConfig
 from repro.topology.graphs import ring_graph, torus_neighbor_graph
 from repro.workload.synthetic import build_programs
+
+
+#: Tests that construct a BatchMachine need the compiled core.
+needs_core = pytest.mark.skipif(
+    batchcore.load() is None,
+    reason=f"batch core unavailable: {batchcore.load_failure()}",
+)
 
 
 def small_setup(radix=4, dimensions=2, contexts=2, switching="cut_through",
@@ -145,39 +156,115 @@ class TestBatchParity:
         ]
 
 
+def count_batch_machines(monkeypatch):
+    """Record every BatchMachine construction; returns the list."""
+    built = []
+    init = BatchMachine.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchMachine, "__init__", counting)
+    return built
+
+
 class TestEngineSelection:
+    @needs_core
     def test_engine_attribute_is_reported(self):
         config, mapping, programs = small_setup()
         machine = BatchMachine(config, mapping, programs, (config.seed,))
-        assert machine.engine in ("c", "py")
+        assert machine.engine == "c"
 
-    def test_forced_python_engine_matches_default(self, monkeypatch):
+    def test_wormhole_uses_python_path(self, monkeypatch):
+        # Wormhole batches run as serial (Python) machines, never on the
+        # core, and return the serial summaries.
+        config, mapping, programs = small_setup(switching="wormhole")
+        seeds = (config.seed, config.seed + 1)
+        built = count_batch_machines(monkeypatch)
+        batched = run_batch(config, mapping, programs, seeds)
+        assert built == []
+        assert_parity(
+            batched, serial_summaries(config, mapping, programs, seeds)
+        )
+
+    def test_telemetry_uses_python_path(self, monkeypatch):
+        # Telemetry-attached batches run as serial (Python) machines too.
         config, mapping, programs = small_setup()
         seeds = (config.seed, config.seed + 1)
-        default = run_batch(config, mapping, programs, seeds)
-        monkeypatch.setenv("REPRO_BATCH_ENGINE", "py")
-        machine = BatchMachine(config, mapping, programs, seeds)
-        assert machine.engine == "py"
-        assert_parity(machine.run(), default)
-
-    def test_wormhole_uses_python_path(self):
-        config, mapping, programs = small_setup(switching="wormhole")
-        machine = BatchMachine(config, mapping, programs, (config.seed,))
-        assert machine.engine == "py"
-
-    def test_telemetry_uses_python_path(self):
-        config, mapping, programs = small_setup()
-        machine = BatchMachine(
-            config, mapping, programs, (config.seed,),
-            telemetry=TelemetryConfig(epoch_cycles=128),
+        telemetry = TelemetryConfig(epoch_cycles=128)
+        built = count_batch_machines(monkeypatch)
+        batched = run_batch(
+            config, mapping, programs, seeds, telemetry=telemetry
         )
-        assert machine.engine == "py"
+        assert built == []
+        serial = serial_summaries(
+            config, mapping, programs, seeds, telemetry=telemetry
+        )
+        assert_parity(batched, serial)
+        assert [s.telemetry for s in batched] == [s.telemetry for s in serial]
 
-    def test_invalid_engine_mode_rejected(self, monkeypatch):
-        config, mapping, programs = small_setup()
-        monkeypatch.setenv("REPRO_BATCH_ENGINE", "cuda")
-        with pytest.raises(SimulationError):
+    def test_torus_too_large_for_core_runs_serial(self, monkeypatch):
+        # A 64-node ring exceeds the core's route buffer (dims * radix
+        # <= 62): run_batch goes serial, BatchMachine refuses it.
+        config = SimulationConfig(
+            radix=64, dimensions=1, contexts=1,
+            warmup_network_cycles=100, measure_network_cycles=300,
+        )
+        programs = build_programs(
+            torus_neighbor_graph(64, 1), 1,
+            config.compute_cycles, config.compute_jitter,
+        )
+        mapping = identity_mapping(64)
+        seeds = (config.seed,)
+        assert not batchcore.fits(1, 64)
+        built = count_batch_machines(monkeypatch)
+        batched = run_batch(config, mapping, programs, seeds)
+        assert built == []
+        assert_parity(
+            batched, serial_summaries(config, mapping, programs, seeds)
+        )
+        if batchcore.load() is not None:
+            with pytest.raises(SimulationError, match="cannot hold"):
+                BatchMachine(config, mapping, programs, seeds)
+
+    def test_batch_machine_rejects_wormhole(self):
+        config, mapping, programs = small_setup(switching="wormhole")
+        with pytest.raises(SimulationError, match="cut_through"):
             BatchMachine(config, mapping, programs, (config.seed,))
+
+
+class TestCoreUnavailable:
+    """A core that fails to load is the one loud fallback."""
+
+    def test_falls_back_to_serial_loudly(self, monkeypatch):
+        monkeypatch.setattr(batchcore, "load", lambda: None)
+        config, mapping, programs = small_setup()
+        seeds = (config.seed, config.seed + 1)
+        counter = obs.REGISTRY.counter("batch.fallback")
+        before = counter.value
+        with pytest.warns(BatchFallbackWarning, match="running the batch"):
+            batched = run_batch(config, mapping, programs, seeds)
+        assert counter.value == before + 1
+        assert_parity(
+            batched, serial_summaries(config, mapping, programs, seeds)
+        )
+
+    def test_batch_machine_raises_without_core(self, monkeypatch):
+        monkeypatch.setattr(batchcore, "load", lambda: None)
+        config, mapping, programs = small_setup()
+        with pytest.raises(SimulationError, match="unavailable"):
+            BatchMachine(config, mapping, programs, (config.seed,))
+
+
+def test_message_flits_match_the_core():
+    # _batchcore.c hard-codes FLITS_OF in MessageKind declaration order:
+    # 8 flits for control messages, 24 for DATA_REPLY and WRITEBACK.
+    assert [_FLITS_BY_KIND[kind] for kind in MessageKind] == [
+        8, 8, 24, 8, 8, 8, 8, 24
+    ]
+    assert list(MessageKind)[2] is MessageKind.DATA_REPLY
+    assert list(MessageKind)[7] is MessageKind.WRITEBACK
 
 
 class TestValidation:
@@ -186,6 +273,7 @@ class TestValidation:
         with pytest.raises(ParameterError):
             BatchMachine(config, mapping, programs, ())
 
+    @needs_core
     def test_run_is_single_use(self):
         config, mapping, programs = small_setup()
         machine = BatchMachine(config, mapping, programs, (config.seed,))

@@ -1,6 +1,6 @@
 """Cycle-exact parity: the array kernel vs the reference fabric.
 
-``repro.sim.network.TorusFabric`` *is* the kernel
+The wormhole fabric is the kernel
 (:class:`repro.sim.kernel.FabricKernel`); the object-based implementation
 it replaced survives as :class:`repro.sim.reference.ReferenceTorusFabric`
 — the executable specification.  These tests pin the kernel to the

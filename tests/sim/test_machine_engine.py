@@ -17,10 +17,10 @@ from repro.mapping.strategies import (
 )
 from repro.sim.config import SimulationConfig
 from repro.sim.cut_through import CutThroughFabric
-from repro.sim.engine import MachineEngine, engine_enabled_default
+from repro.sim.engine import MachineEngine
+from repro.sim.kernel import FabricKernel
 from repro.sim.machine import Machine
 from repro.sim.message import Message, MessageKind
-from repro.sim.network import TorusFabric
 from repro.sim.reference import ReferenceTorusFabric
 from repro.sim.telemetry import TelemetryConfig
 from repro.sim.trace import Tracer
@@ -218,7 +218,7 @@ class TestFabricHorizons:
             assert fabric.next_event_cycle(cycle) == min(fabric._deliveries)
 
     @pytest.mark.parametrize(
-        "fabric_cls", [TorusFabric, ReferenceTorusFabric]
+        "fabric_cls", [FabricKernel, ReferenceTorusFabric]
     )
     def test_wormhole_horizon_is_busy_or_none(self, fabric_cls):
         fabric = fabric_cls(Torus(4, 2), on_delivery=lambda t: None)
@@ -256,17 +256,6 @@ class TestTracerOnSkip:
 
 
 class TestEngineWiring:
-    def test_default_follows_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert engine_enabled_default() is True
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "0")
-        assert engine_enabled_default() is False
-        assert make_machine(None).engine_enabled is False
-
-    def test_explicit_flag_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "0")
-        assert make_machine(True).engine_enabled is True
-
     def test_step_works_after_engine_run(self):
         machine = make_machine(True)
         machine.run(warmup=100, measure=400)

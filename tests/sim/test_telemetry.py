@@ -153,6 +153,29 @@ class TestAccounting:
         assert sum(per_link.values()) == pytest.approx(expected)
 
 
+def reference_probe(workload, radix, cycles, telemetry):
+    """run_probe's drive loop on the reference fabric: the oracle side of
+    the telemetry parity test.  Returns (snapshot, delivered count)."""
+    torus = Torus(radix=radix, dimensions=2)
+    delivered = []
+    fabric = ReferenceTorusFabric(torus, on_delivery=delivered.append)
+    channels = fabric.attach_telemetry(telemetry)
+    cycle = 0
+    for cycle, injections in enumerate(
+        probe_schedule(radix, 2, cycles, workload)
+    ):
+        for kind, source, destination, tag in injections:
+            fabric.inject(
+                Message(kind, source, destination, (0, 0), tag), cycle
+            )
+        fabric.tick(cycle)
+    while not fabric.quiescent():
+        cycle += 1
+        fabric.tick(cycle)
+    channels.finalize(cycle + 1)
+    return channels.snapshot(), len(delivered)
+
+
 class TestParity:
     """Kernel and reference must produce identical telemetry."""
 
@@ -160,25 +183,24 @@ class TestParity:
     def test_kernel_matches_reference_bit_for_bit(self, workload):
         kernel = run_probe(
             workload, radix=4, cycles=200,
-            telemetry=TelemetryConfig(epoch_cycles=32), fabric="kernel",
+            telemetry=TelemetryConfig(epoch_cycles=32),
         )
-        reference = run_probe(
-            workload, radix=4, cycles=200,
-            telemetry=TelemetryConfig(epoch_cycles=32), fabric="reference",
+        reference, delivered = reference_probe(
+            workload, 4, 200, TelemetryConfig(epoch_cycles=32)
         )
         for field in (
             "busy", "depth", "latency", "epoch_starts", "epoch_lengths",
             "epoch_delivered", "delivered", "total_cycles", "channels",
             "link_of", "link_keys",
         ):
-            assert kernel.snapshot[field] == reference.snapshot[field], field
-        assert kernel.delivered == reference.delivered
+            assert kernel.snapshot[field] == reference[field], field
+        assert kernel.delivered == delivered
         assert kernel.snapshot["label"] == "kernel"
-        assert reference.snapshot["label"] == "reference"
+        assert reference["label"] == "reference"
 
     def test_telemetry_does_not_change_results(self):
         # The instrumentation observes; it must never perturb.
-        bare = run_probe("hotspot50", radix=4, cycles=200, fabric="kernel")
+        bare = run_probe("hotspot50", radix=4, cycles=200)
         kernel = FabricKernel(
             Torus(radix=4, dimensions=2), on_delivery=lambda worm: None
         )
@@ -516,10 +538,6 @@ class TestProbe:
         assert probe_schedule(4, 2, 50, "hotspot50", seed=3) == probe_schedule(
             4, 2, 50, "hotspot50", seed=3
         )
-
-    def test_run_probe_rejects_unknown_fabric(self):
-        with pytest.raises(ParameterError, match="unknown fabric"):
-            run_probe("uniform", radix=4, cycles=10, fabric="quantum")
 
     def test_probe_result_carries_traffic_parameters(self):
         result = run_probe(
