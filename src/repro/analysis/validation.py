@@ -26,8 +26,8 @@ from repro.core.combined import OperatingPoint, solve
 from repro.core.network import TorusNetworkModel
 from repro.errors import ParameterError
 from repro.mapping.families import NamedMapping, paper_mapping_suite
+from repro.sim.batch import run_batch
 from repro.sim.config import SimulationConfig
-from repro.sim.machine import Machine
 from repro.sim.stats import MeasurementSummary
 from repro.topology.graphs import torus_neighbor_graph
 from repro.topology.torus import Torus
@@ -101,24 +101,33 @@ def simulate_mapping_suite(
     config: SimulationConfig,
     mappings: Optional[Sequence[NamedMapping]] = None,
 ) -> List[SimulatedPoint]:
-    """Simulate the synthetic application under each mapping."""
+    """Simulate the synthetic application under each mapping.
+
+    Each mapping runs as one ``config.seed`` replication through
+    :func:`~repro.sim.batch.run_batch`: the compiled core for
+    cut-through machines without telemetry, serial machines otherwise.
+    Either way the summary is bit-identical to
+    ``Machine(config, mapping, programs).run()``.
+    """
     torus = Torus(radix=config.radix, dimensions=config.dimensions)
     if mappings is None:
         mappings = paper_mapping_suite(torus)
     graph = torus_neighbor_graph(config.radix, config.dimensions)
-    points = []
-    for named in mappings:
-        programs = build_programs(
-            graph, config.contexts, config.compute_cycles, config.compute_jitter
+    # run_batch deep-copies the (stateful) programs per replication, so
+    # one pristine set serves every mapping.
+    programs = build_programs(
+        graph, config.contexts, config.compute_cycles, config.compute_jitter
+    )
+    return [
+        SimulatedPoint(
+            name=named.name,
+            distance=named.distance,
+            summary=run_batch(
+                config, named.mapping, programs, [config.seed]
+            )[0],
         )
-        machine = Machine(config, named.mapping, programs)
-        summary = machine.run()
-        points.append(
-            SimulatedPoint(
-                name=named.name, distance=named.distance, summary=summary
-            )
-        )
-    return points
+        for named in mappings
+    ]
 
 
 def run_validation(

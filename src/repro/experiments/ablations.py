@@ -25,8 +25,8 @@ from repro.experiments.alewife import alewife_system, alewife_validation_system
 from repro.experiments.result import ExperimentResult
 from repro.mapping.families import paper_mapping_suite
 from repro.mapping.strategies import identity_mapping, random_mapping
+from repro.sim.batch import run_batch
 from repro.sim.config import SimulationConfig
-from repro.sim.machine import Machine
 from repro.topology.graphs import torus_neighbor_graph
 from repro.topology.torus import Torus
 from repro.workload.generators import uniform_random_graph_programs
@@ -203,18 +203,24 @@ def run_buffering(quick: bool = False) -> ExperimentResult:
         measure_network_cycles=4000 if quick else 8000,
     )
 
+    configs = [
+        SimulationConfig(contexts=2, switching=switching, **windows)
+        for switching in ("cut_through", "wormhole")
+    ]
+    # run_batch deep-copies the programs per run, so one set serves all.
+    programs = build_programs(
+        graph, 2, configs[0].compute_cycles, configs[0].compute_jitter
+    )
+
     rows = []
     for named in picks:
         results = {}
-        for switching in ("cut_through", "wormhole"):
-            config = SimulationConfig(
-                contexts=2, switching=switching, **windows
+        for config in configs:
+            # Cut-through runs on the compiled core; run_batch runs the
+            # wormhole fabric as a serial machine.
+            (results[config.switching],) = run_batch(
+                config, named.mapping, programs, [config.seed]
             )
-            programs = build_programs(
-                graph, config.contexts, config.compute_cycles,
-                config.compute_jitter,
-            )
-            results[switching] = Machine(config, named.mapping, programs).run()
         rows.append(
             (
                 named.name,
@@ -272,27 +278,24 @@ def run_uniformity(quick: bool = False) -> ExperimentResult:
     uniform_programs = uniform_random_graph_programs(
         graph, config.contexts, config.compute_cycles, config.compute_jitter
     )
-    uniform_summary = Machine(
-        config, identity_mapping(64), uniform_programs
-    ).run()
+    (uniform_summary,) = run_batch(
+        config, identity_mapping(64), uniform_programs, [config.seed]
+    )
 
     permuted_mapping = random_mapping(64, seed=11)
     neighbor_programs = build_programs(
         graph, config.contexts, config.compute_cycles, config.compute_jitter
     )
-    permuted_summary = Machine(
-        config, permuted_mapping, neighbor_programs
-    ).run()
+    (permuted_summary,) = run_batch(
+        config, permuted_mapping, neighbor_programs, [config.seed]
+    )
 
     # Model each run with a node curve fitted from two anchor points
     # (ideal-mapping run + the run itself), matching the validation
     # pipeline's procedure in miniature.
-    ideal_summary = Machine(
-        config, identity_mapping(64), build_programs(
-            graph, config.contexts, config.compute_cycles,
-            config.compute_jitter,
-        )
-    ).run()
+    (ideal_summary,) = run_batch(
+        config, identity_mapping(64), neighbor_programs, [config.seed]
+    )
 
     rows = []
     data = {}

@@ -3,6 +3,9 @@
 Replication campaigns (:func:`repro.sim.replicate.run_replications`) run
 the same machine configuration under many root seeds, and every seed
 pays the full per-event Python interpreter cost of the serial engine.
+Single simulations pay it too; the validation suite and the simulated
+ablations run each of theirs as a one-seed batch,
+``run_batch(config, mapping, programs, [config.seed])[0]``.
 :class:`BatchMachine` runs ``R`` independent replications *together*:
 one driver loop owns a merged event calendar over all replications, the
 coherence controllers and cut-through fabric of every replication run
@@ -398,6 +401,11 @@ class BatchMachine:
             for rep in reps:
                 rep.stats.stop_measuring(self._cycle)
                 self._merge_core_stats(rep)
+        if obs.is_enabled():
+            # Machine.run's counter, booked once per replication.
+            obs.REGISTRY.counter(
+                "sim.cycles", help="network cycles simulated per machine"
+            ).inc(len(reps) * (warmup + measure))
         physical_links = self.torus.node_count * 2 * self.torus.dimensions
         summaries = []
         for rep in reps:

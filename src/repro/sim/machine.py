@@ -378,7 +378,7 @@ class Machine:
             self.telemetry.finalize(self._cycle)
         if obs.is_enabled():
             obs.REGISTRY.counter(
-                "sim.cycles", help="network cycles stepped by Machine.run"
+                "sim.cycles", help="network cycles simulated per machine"
             ).inc(warmup + measure)
         self.stats.idle_cycles = sum(
             p.idle_cycles - before

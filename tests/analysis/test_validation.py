@@ -1,12 +1,20 @@
 """Tests for the Section 3.3 validation pipeline (quick windows)."""
 
+import copy
+
 import pytest
 
+from repro import obs
 from repro.analysis.validation import run_validation, simulate_mapping_suite
 from repro.mapping.families import NamedMapping, paper_mapping_suite
 from repro.mapping.strategies import identity_mapping, random_mapping
+from repro.sim import batchcore
+from repro.sim.batch import BatchFallbackWarning
 from repro.sim.config import SimulationConfig
+from repro.sim.machine import Machine
+from repro.topology.graphs import torus_neighbor_graph
 from repro.topology.torus import Torus
+from repro.workload.synthetic import build_programs
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +52,67 @@ class TestSimulateMappingSuite:
             assert point.summary.mean_message_hops == pytest.approx(
                 named.distance, abs=0.35
             )
+
+
+def serial_points(config, mappings):
+    """The oracle: one solo Machine per mapping, as summary dicts."""
+    graph = torus_neighbor_graph(config.radix, config.dimensions)
+    programs = build_programs(
+        graph, config.contexts, config.compute_cycles, config.compute_jitter
+    )
+    return [
+        Machine(config, named.mapping, copy.deepcopy(programs))
+        .run()
+        .as_dict()
+        for named in mappings
+    ]
+
+
+class TestSuiteParity:
+    """simulate_mapping_suite runs on the compiled core (or, without it,
+    serial machines); the solo Machine is the oracle either way."""
+
+    def test_points_match_serial_machines(
+        self, quick_config, small_mappings
+    ):
+        points = simulate_mapping_suite(quick_config, small_mappings)
+        assert [p.name for p in points] == [m.name for m in small_mappings]
+        assert [p.summary.as_dict() for p in points] == serial_points(
+            quick_config, small_mappings
+        )
+
+    def test_core_unavailable_falls_back_loudly(
+        self, monkeypatch, quick_config, small_mappings
+    ):
+        monkeypatch.setattr(batchcore, "load", lambda: None)
+        counter = obs.REGISTRY.counter("batch.fallback")
+        before = counter.value
+        with pytest.warns(BatchFallbackWarning) as caught:
+            points = simulate_mapping_suite(quick_config, small_mappings[:1])
+        assert len(caught) == 1
+        assert counter.value == before + 1
+        assert [p.summary.as_dict() for p in points] == serial_points(
+            quick_config, small_mappings[:1]
+        )
+
+    def test_books_simulated_cycles_when_observed(
+        self, quick_config, small_mappings
+    ):
+        counter = obs.REGISTRY.counter("sim.cycles")
+        was_enabled = obs.is_enabled()
+        obs.enable()
+        try:
+            before = counter.value
+            simulate_mapping_suite(quick_config, small_mappings)
+            booked = counter.value - before
+        finally:
+            if not was_enabled:
+                obs.disable()
+        window = (
+            quick_config.warmup_network_cycles
+            + quick_config.measure_network_cycles
+        )
+        assert booked == len(small_mappings) * window
 
 
 class TestRunValidation:

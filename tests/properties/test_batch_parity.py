@@ -1,8 +1,9 @@
 """Property tests: batched-vs-serial bit-equality over the config space.
 
 The directed batch tests (tests/sim/test_batch.py) pin canned shapes;
-these sample machine shapes — {1,2,3}-D tori, identity and collocated
-mappings, both fabrics, ``network_speedup ∈ {1, 2}`` — and require the
+these sample machine shapes — {1,2,3}-D tori, identity, seeded random
+and collocated mappings, neighbor or uniform-random programs, both
+fabrics, ``network_speedup ∈ {1, 2}`` — and require the
 batched path to reproduce each seed's solo ``Machine`` run bit for bit,
 whether ``run_batch`` ran the shape on the compiled core or as serial
 machines.
@@ -16,11 +17,13 @@ from hypothesis import strategies as st
 from repro.mapping.strategies import (
     block_collocation_mapping,
     identity_mapping,
+    random_mapping,
 )
 from repro.sim.batch import run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
 from repro.topology.graphs import ring_graph, torus_neighbor_graph
+from repro.workload.generators import uniform_random_graph_programs
 from repro.workload.synthetic import build_programs
 
 
@@ -41,6 +44,12 @@ def machine_cases(draw):
         "speedup": draw(st.sampled_from([1, 2])),
         "seed": draw(st.integers(0, 2**16)),
         "collocated": contexts == 2 and draw(st.booleans()),
+        # Program family and mapping for the non-collocated shapes: the
+        # validation suite's neighbor traffic or the uniformity
+        # ablation's uniform-random traffic, under the identity or a
+        # seeded random mapping (None).
+        "uniform": draw(st.booleans()),
+        "mapping_seed": draw(st.one_of(st.none(), st.integers(0, 2**16))),
     }
 
 
@@ -63,10 +72,17 @@ def build_setup(case):
         mapping = block_collocation_mapping(nodes * config.contexts, nodes)
     else:
         graph = torus_neighbor_graph(case["radix"], case["dimensions"])
-        programs = build_programs(
+        family = (
+            uniform_random_graph_programs if case["uniform"] else build_programs
+        )
+        programs = family(
             graph, config.contexts, case["compute"], config.compute_jitter
         )
-        mapping = identity_mapping(nodes)
+        mapping = (
+            identity_mapping(nodes)
+            if case["mapping_seed"] is None
+            else random_mapping(nodes, seed=case["mapping_seed"])
+        )
     return config, mapping, programs
 
 
