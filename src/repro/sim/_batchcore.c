@@ -25,162 +25,33 @@ typedef unsigned long long u64;
 #define NEVER (1LL << 62)
 
 /* ------------------------------------------------------------------ */
-/* CPython set-order emulation.                                        */
+/* Directory sharer lists.                                             */
 /*                                                                     */
-/* Directory sharer fan-out iterates a Python set in the serial        */
-/* engine, and message emission order feeds fabric arbitration, so     */
-/* bit-exactness requires reproducing CPython 3.11 setobject.c slot    */
-/* order exactly: same probe sequence (LINEAR_PROBES=9, perturb>>=5,   */
-/* i = i*5+1+perturb), same resize points (fill*5 >= mask*3 -> grow    */
-/* to used*4), same insert_clean rebuild.  Keys here are node ids      */
-/* (small non-negative ints, hash(x) == x), so a slot holds the key    */
-/* itself with -2 = empty, -1 = dummy.                                 */
+/* Model rule: a home sends INVALIDATEs to its remote sharers in       */
+/* ascending node id.  Each directory entry keeps its sharers as a     */
+/* sorted array of node ids, so the fan-out emits in array order.      */
 /* ------------------------------------------------------------------ */
 
-#define SET_EMPTY (-2LL)
-#define SET_DUMMY (-1LL)
-
 typedef struct {
-    i64 *t;
-    i64 mask;
-    i64 fill;  /* active + dummy */
-    i64 used;  /* active */
+    int *ids;
+    int used, cap;
 } Set;
 
-static void set_init(Set *s) {
-    s->t = (i64 *)malloc(8 * sizeof(i64));
-    for (int i = 0; i < 8; i++) s->t[i] = SET_EMPTY;
-    s->mask = 7;
-    s->fill = 0;
-    s->used = 0;
-}
+/* Rebind to an empty set (Python: entry.sharers = set() / {...}). */
+static void set_reset(Set *s) { s->used = 0; }
 
-static void set_free(Set *s) {
-    free(s->t);
-    s->t = NULL;
-}
-
-/* Rebind to a fresh empty set (Python: entry.sharers = set() / {...}). */
-static void set_reset(Set *s) {
-    if (s->mask == 7 && s->fill == 0) return;
-    free(s->t);
-    set_init(s);
-}
-
-static void set_insert_clean(i64 *table, i64 mask, i64 key) {
-    u64 perturb = (u64)key;
-    i64 i = key & mask;
-    for (;;) {
-        i64 *entry = &table[i];
-        i64 probes = (i + 9 <= mask) ? 10 : 1;
-        do {
-            if (*entry == SET_EMPTY) { *entry = key; return; }
-            entry++;
-        } while (--probes);
-        perturb >>= 5;
-        i = (i * 5 + 1 + (i64)perturb) & mask;
+/* Sorted insert; a node already present is left alone. */
+static void set_add(Set *s, int node) {
+    int i = s->used;
+    while (i > 0 && s->ids[i - 1] > node) i--;
+    if (i > 0 && s->ids[i - 1] == node) return;
+    if (s->used == s->cap) {
+        s->cap = s->cap ? s->cap * 2 : 4;
+        s->ids = (int *)realloc(s->ids, (size_t)s->cap * sizeof(int));
     }
-}
-
-static void set_resize(Set *s, i64 minused) {
-    i64 newsize = 8;
-    while (newsize <= minused) newsize <<= 1;
-    i64 *old = s->t;
-    i64 oldmask = s->mask;
-    s->t = (i64 *)malloc((size_t)newsize * sizeof(i64));
-    for (i64 i = 0; i < newsize; i++) s->t[i] = SET_EMPTY;
-    s->mask = newsize - 1;
-    s->fill = s->used;
-    for (i64 i = 0; i <= oldmask; i++)
-        if (old[i] >= 0) set_insert_clean(s->t, s->mask, old[i]);
-    free(old);
-}
-
-static void set_add(Set *s, i64 key) {
-    i64 mask = s->mask;
-    u64 perturb = (u64)key;
-    i64 i = key & mask;
-    i64 *freeslot = NULL;
-    for (;;) {
-        i64 *entry = &s->t[i];
-        i64 probes = (i + 9 <= mask) ? 10 : 1;
-        do {
-            i64 h = *entry;
-            if (h == SET_EMPTY) {
-                if (freeslot != NULL) {
-                    *freeslot = key;
-                    s->used++;
-                    return;
-                }
-                *entry = key;
-                s->fill++;
-                s->used++;
-                if ((u64)s->fill * 5 < (u64)mask * 3) return;
-                set_resize(s, s->used > 50000 ? s->used * 2 : s->used * 4);
-                return;
-            }
-            if (h == key) return;
-            if (h == SET_DUMMY) freeslot = entry;  /* last dummy wins */
-            entry++;
-        } while (--probes);
-        perturb >>= 5;
-        i = (i * 5 + 1 + (i64)perturb) & mask;
-    }
-}
-
-static i64 *set_find(Set *s, i64 key) {
-    i64 mask = s->mask;
-    u64 perturb = (u64)key;
-    i64 i = key & mask;
-    for (;;) {
-        i64 *entry = &s->t[i];
-        i64 probes = (i + 9 <= mask) ? 10 : 1;
-        do {
-            if (*entry == key) return entry;
-            if (*entry == SET_EMPTY) return NULL;
-            entry++;
-        } while (--probes);
-        perturb >>= 5;
-        i = (i * 5 + 1 + (i64)perturb) & mask;
-    }
-}
-
-static int set_contains(Set *s, i64 key) {
-    return set_find(s, key) != NULL;
-}
-
-static void set_discard(Set *s, i64 key) {
-    i64 *entry = set_find(s, key);
-    if (entry != NULL) {
-        *entry = SET_DUMMY;
-        s->used--;
-    }
-}
-
-/* -- standalone test API (fuzzed against real interpreter sets) ----- */
-
-void *ts_new(void) {
-    Set *s = (Set *)malloc(sizeof(Set));
-    set_init(s);
-    return s;
-}
-
-void ts_free(void *p) {
-    set_free((Set *)p);
-    free(p);
-}
-
-void ts_add(void *p, i64 key) { set_add((Set *)p, key); }
-void ts_discard(void *p, i64 key) { set_discard((Set *)p, key); }
-int ts_contains(void *p, i64 key) { return set_contains((Set *)p, key); }
-i64 ts_len(void *p) { return ((Set *)p)->used; }
-
-i64 ts_items(void *p, i64 *out) {
-    Set *s = (Set *)p;
-    i64 n = 0;
-    for (i64 i = 0; i <= s->mask; i++)
-        if (s->t[i] >= 0) out[n++] = s->t[i];
-    return n;
+    memmove(&s->ids[i + 1], &s->ids[i], (size_t)(s->used - i) * sizeof(int));
+    s->ids[i] = node;
+    s->used++;
 }
 
 /* ------------------------------------------------------------------ */
@@ -582,7 +453,7 @@ static Dir *dir_entry(Batch *b, int r, int block) {
         d->busy = 0;
         d->txn_active = 0;
         d->owner = -1;
-        set_init(&d->sharers);
+        d->sharers = (Set){NULL, 0, 0};
         d->ditems = NULL;
         d->dhead = 0;
         d->dcount = 0;
@@ -1009,34 +880,30 @@ static void do_home_write(Batch *b, Rep *rep, int r, int node, int block,
         do_emit(b, rep, r, node, K_FETCHINV, d->owner, block, txn);
         return;
     }
-    /* remote_sharers = {s for s in entry.sharers if s != requester} */
-    Set rs;
-    set_init(&rs);
-    for (i64 i = 0; i <= d->sharers.mask; i++) {
-        i64 s = d->sharers.t[i];
-        if (s >= 0 && s != requester) set_add(&rs, s);
+    /* Remote sharers are all but the requester; the home's own copy
+     * invalidates without a message.  INVALIDATEs go out in ascending
+     * node id, the sharer list's order. */
+    int pending = 0;
+    for (int i = 0; i < d->sharers.used; i++) {
+        int s = d->sharers.ids[i];
+        if (s == node && node != requester) cache_pop(b, r, node, block);
+        else if (s != requester) pending++;
     }
-    if (set_contains(&rs, node)) {
-        cache_pop(b, r, node, block);
-        set_discard(&rs, node);
-    }
-    if (rs.used) {
+    if (pending) {
         d->busy = 1;
         d->txn_active = 1;
         d->txn_requester = requester;
         d->txn_is_write = 1;
         d->txn_uid = txn;
-        d->txn_pending = (int)rs.used;
+        d->txn_pending = pending;
         d->txn_wb = 0;
-        for (i64 i = 0; i <= rs.mask; i++) {
-            i64 s = rs.t[i];
-            if (s >= 0)
-                do_emit(b, rep, r, node, K_INV, (int)s, block, txn);
+        for (int i = 0; i < d->sharers.used; i++) {
+            int s = d->sharers.ids[i];
+            if (s != requester && s != node)
+                do_emit(b, rep, r, node, K_INV, s, block, txn);
         }
-        set_free(&rs);
         return;
     }
-    set_free(&rs);
     do_grant_write(b, rep, r, node, block, requester, txn);
 }
 
@@ -1538,7 +1405,7 @@ void bc_destroy(Batch *b) {
     free(b->reps);
     for (int i = 0; i < b->nblocks * b->R; i++) {
         if (b->dir[i].init) {
-            set_free(&b->dir[i].sharers);
+            free(b->dir[i].sharers.ids);
             free(b->dir[i].ditems);
         }
     }

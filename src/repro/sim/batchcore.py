@@ -48,13 +48,6 @@ void bc_get_per_node_sent(Batch *b, int r, long long *out);
 long long bc_in_flight(Batch *b, int r);
 int bc_errcode(Batch *b);
 const char *bc_errmsg(Batch *b);
-void *ts_new(void);
-void ts_free(void *p);
-void ts_add(void *p, long long key);
-void ts_discard(void *p, long long key);
-int ts_contains(void *p, long long key);
-long long ts_len(void *p);
-long long ts_items(void *p, long long *out);
 """
 
 _cached = None

@@ -496,7 +496,8 @@ class CoherenceController:
                 transaction_uid=transaction, pending_acks=len(remote_sharers),
             )
             self._home_transactions[block] = home_txn
-            for sharer in remote_sharers:
+            # Model rule: INVALIDATEs fan out in ascending node id.
+            for sharer in sorted(remote_sharers):
                 self._emit(MessageKind.INVALIDATE, sharer, block, transaction)
             return
         self._grant_write(block, entry, requester, transaction)

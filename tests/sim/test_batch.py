@@ -7,6 +7,7 @@ batch ran on the compiled core or as serial machines.
 """
 
 import copy
+import re
 
 import pytest
 
@@ -265,6 +266,18 @@ def test_message_flits_match_the_core():
     ]
     assert list(MessageKind)[2] is MessageKind.DATA_REPLY
     assert list(MessageKind)[7] is MessageKind.WRITEBACK
+
+
+@needs_core
+def test_every_declared_function_resolves_in_the_core():
+    # cffi's ABI mode resolves a CDEF symbol only when it is first used,
+    # so a declaration left behind by a deletion in _batchcore.c would
+    # otherwise go unnoticed until someone calls it.
+    _, lib = batchcore.load()
+    names = re.findall(r"(\w+)\s*\(", batchcore.CDEF)
+    assert "bc_advance" in names
+    for name in names:
+        assert callable(getattr(lib, name)), name
 
 
 class TestValidation:

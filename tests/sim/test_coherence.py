@@ -11,6 +11,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.sim.coherence import CacheState, CoherenceController, DirectoryState
 from repro.sim.config import SimulationConfig
+from repro.sim.message import MessageKind
 from repro.sim.stats import MachineStats
 
 
@@ -24,6 +25,7 @@ class Harness:
         self.stats = MachineStats(nodes=nodes)
         self.stats.measuring = True
         self.queue = []
+        self.delivered = []
         self.controllers = [
             CoherenceController(
                 node=node,
@@ -53,6 +55,7 @@ class Harness:
             for message in pending:
                 message.injected_at = self.cycle
                 message.delivered_at = self.cycle
+                self.delivered.append(message)
                 self.controllers[message.destination].deliver(message)
             self.cycle += 1
             for controller in self.controllers:
@@ -130,15 +133,29 @@ class TestWrites:
 
     def test_owner_write_invalidates_all_sharers(self):
         # The paper's steady-state write: 2 messages per remote sharer.
-        h = Harness()
-        for reader in (0, 2, 3):
-            h.read(reader, BLOCK)
-        h.stats.messages_sent = 0
-        h.write(1, BLOCK)
-        assert h.stats.messages_sent == 6  # 3 invalidates + 3 acks
-        for reader in (0, 2, 3):
-            assert h.controllers[reader].cache_state(BLOCK) is CacheState.INVALID
-        assert h.controllers[1].cache_state(BLOCK) is CacheState.MODIFIED
+        # The home sends the INVALIDATEs in ascending node id, whatever
+        # order the sharers joined in.
+        for nodes, home, readers in ((4, 1, (0, 2, 3)), (16, 0, (9, 3, 1))):
+            h = Harness(nodes=nodes)
+            block = (0, home)
+            for reader in readers:
+                h.read(reader, block)
+            h.stats.messages_sent = 0
+            h.delivered.clear()
+            h.write(home, block)
+            # invalidates + acks
+            assert h.stats.messages_sent == 2 * len(readers)
+            invalidated = [
+                m.destination for m in h.delivered
+                if m.kind is MessageKind.INVALIDATE
+            ]
+            assert invalidated == sorted(readers)
+            for reader in readers:
+                assert (
+                    h.controllers[reader].cache_state(block)
+                    is CacheState.INVALID
+                )
+            assert h.controllers[home].cache_state(block) is CacheState.MODIFIED
 
     def test_remote_write_takes_ownership(self):
         h = Harness()
