@@ -1,14 +1,17 @@
-/* Batched replication core: C port of the serial machine's coherence
- * controller + cut-through fabric + per-cycle advance loop.
+/* Batched replication core: C port of the serial machine's processors,
+ * coherence controllers, cut-through fabric and event-calendar loop.
  *
- * The serial repro.sim.coherence.CoherenceController and
+ * The serial repro.sim.processor.Processor,
+ * repro.sim.coherence.CoherenceController and
  * repro.sim.cut_through.CutThroughFabric (driven by
  * repro.sim.engine.MachineEngine) are the behavioral spec; this file
  * ports them so every replication's MeasurementSummary stays
- * bit-identical to the serial run, which the parity suites pin.
- * Python (repro.sim.batch) keeps the processors (unmodified RNG draw
- * order) and drives this core between processor boundaries via
- * bc_advance().
+ * bit-identical to the serial run, which the parity suites pin.  The
+ * workload stream and run-length jitter are model rules
+ * (repro.workload.base), so the processors draw the same values here.
+ * Python (repro.sim.batch) describes the programs as records, seeds the
+ * streams, and runs each measurement window with one bc_advance() call
+ * per replication.
  *
  * Compiled on demand by repro.sim.batchcore with the system C
  * compiler; no Python.h dependency (pure ABI, loaded via cffi).
@@ -172,27 +175,66 @@ typedef struct {
     i64 in_flight;
 } Fab;
 
+/* Min-heap of (time << 20) | node keys. */
+typedef struct {
+    u64 *a;
+    int n, cap;
+} Heap;
+
+/* Thread programs as data (see bc_set_programs).  PK_READS reads a
+ * fixed list of blocks, then writes its own (neighbor exchange,
+ * permutation); PK_UNIFORM reads a uniformly random other thread's
+ * block `reads` times, then writes its own. */
+enum { PK_READS = 0, PK_UNIFORM = 1 };
+#define PROG_FIELDS 9
+
+typedef struct {
+    int kind, own, reads, tab, threads, thread, base, spread, position;
+} Prog;
+
+enum { CX_READY = 0, CX_COMPUTING = 1, CX_BLOCKED = 2 };
+
+/* One hardware context: port of processor.HardwareContext plus its
+ * program's cursor. */
+typedef struct {
+    int state, position;
+    i64 remaining;
+} Cx;
+
+/* One processor (port of processor.Processor); active and
+ * switch_target are -1 for None. */
+typedef struct {
+    u64 rng;
+    int active, switch_left, switch_target, ready, woken;
+    i64 last_tick;
+} Proc;
+
 typedef struct {
     i64 cycle;
     Ctrl *ctrl;
     int *ready;
     int ready_count;
-    u64 *wake;  /* heap of (done_at << 20) | node */
-    int wcount, wcap;
+    Heap wake;  /* controller occupancy ends: (done_at << 20) | node */
     Fab fab;
+    Proc *proc;
+    Cx *cx;      /* [node * contexts + k], also the completion handle */
+    Heap pheap;  /* processor calendar: (tick << 20) | node */
+    int *woken;  /* idle processors woken since the last boundary */
+    int nwoken;
+    i64 issued, completed, comp_last;
     int measuring;
     i64 sent, flits_sum, flits_sq, delivered, lat_total, hops_total;
     i64 hopl_count, started, rcompleted, lcompleted, txn_lat, evictions;
+    i64 hits, idle, switches;
     double hopl_total;
     i64 *per_node_sent;
-    i64 *comp;  /* pairs (handle, cycle) */
-    int comp_count, comp_cap;
-    int *batch;  /* ctrl-phase scratch */
+    int *batch;  /* ctrl- and processor-phase scratch */
 } Rep;
 
 typedef struct Batch {
     int R, N, dims, radix, capacity, channels, links;
     int req_cost, recv_cost, send_cost, mem_cost;
+    int contexts, speedup, hit_cycles, switch_cycles;
     i64 RN;
     int errcode;
     char errmsg[256];
@@ -203,6 +245,8 @@ typedef struct Batch {
     int *cache_seq;       /* same layout */
     int *outstanding;     /* same layout; -1 or Req index */
     Dir *dir;             /* [block*R + rep] */
+    Prog *progs;          /* [node * contexts + k], shared by all reps */
+    int *ptab;            /* block-id tables the programs index */
     CacheLog *clog;       /* [rep*N + node] */
     /* pools */
     Msg *msgs;
@@ -410,18 +454,12 @@ static void cache_put(Batch *b, int r, int node, int block, int state) {
 }
 
 /* record_access: pop + reinsert (touch). */
-void bc_record_access(Batch *b, int r, int node, int block) {
+static void cache_touch(Batch *b, int r, int node, int block) {
     if (CSTATE(b, block, r, node) == CS_INVALID) return;
     CacheLog *cl = &b->clog[(size_t)r * b->N + node];
     int seq = ++cl->seq;
     CSEQ(b, block, r, node) = seq;
     clog_append(b, cl, r, node, block, seq);
-}
-
-int bc_is_hit(Batch *b, int r, int node, int block, int is_write) {
-    int st = CSTATE(b, block, r, node);
-    if (is_write) return st == CS_MODIFIED;
-    return st != CS_INVALID;
 }
 
 /* First live entry in LRU order that is neither `block` nor
@@ -506,14 +544,13 @@ static Ev ev_pop(Ctrl *c) {
     return ev;
 }
 
-static void wheap_push(Rep *rep, u64 key) {
-    if (rep->wcount >= rep->wcap) {
-        rep->wcap = rep->wcap ? rep->wcap * 2 : 16;
-        rep->wake = (u64 *)realloc(rep->wake,
-                                   (size_t)rep->wcap * sizeof(u64));
+static void heap_push(Heap *hp, u64 key) {
+    if (hp->n >= hp->cap) {
+        hp->cap = hp->cap ? hp->cap * 2 : 16;
+        hp->a = (u64 *)realloc(hp->a, (size_t)hp->cap * sizeof(u64));
     }
-    int i = rep->wcount++;
-    u64 *h = rep->wake;
+    int i = hp->n++;
+    u64 *h = hp->a;
     while (i > 0) {
         int p = (i - 1) >> 1;
         if (h[p] <= key) break;
@@ -523,11 +560,11 @@ static void wheap_push(Rep *rep, u64 key) {
     h[i] = key;
 }
 
-static u64 wheap_pop(Rep *rep) {
-    u64 *h = rep->wake;
+static u64 heap_pop(Heap *hp) {
+    u64 *h = hp->a;
     u64 top = h[0];
-    u64 last = h[--rep->wcount];
-    int n = rep->wcount, i = 0;
+    u64 last = h[--hp->n];
+    int n = hp->n, i = 0;
     for (;;) {
         int l = 2 * i + 1;
         if (l >= n) break;
@@ -540,16 +577,11 @@ static u64 wheap_pop(Rep *rep) {
     return top;
 }
 
-static void comp_push(Rep *rep, i64 handle, i64 cycle) {
-    if (rep->comp_count * 2 + 2 > rep->comp_cap) {
-        rep->comp_cap = rep->comp_cap ? rep->comp_cap * 2 : 64;
-        rep->comp = (i64 *)realloc(rep->comp,
-                                   (size_t)rep->comp_cap * sizeof(i64));
-    }
-    rep->comp[2 * rep->comp_count] = handle;
-    rep->comp[2 * rep->comp_count + 1] = cycle;
-    rep->comp_count++;
-}
+#define HEAP_TIME(hp) ((i64)((hp).a[0] >> 20))
+
+/* Completion of the access issued under `handle` (a context index):
+ * forward decl of the processor port below. */
+static void proc_complete(Batch *b, Rep *rep, i64 handle);
 
 /* ------------------------------------------------------------------ */
 /* Shared e-cube routes (port of Torus.route_hops + channel ids).      */
@@ -1015,7 +1047,7 @@ static void do_complete_remote_miss(Batch *b, Rep *rep, int r, int node,
         rep->rcompleted++;
         rep->txn_lat += cycle - req->issued_at;
     }
-    comp_push(rep, req->handle, cycle);
+    proc_complete(b, rep, req->handle);
     int whead = req->whead;
     req->whead = -1;
     req->wtail = -1;
@@ -1045,7 +1077,7 @@ static void do_finish_local(Batch *b, Rep *rep, int r, int node, int block,
             rep->lcompleted++;
         }
     }
-    comp_push(rep, req->handle, cycle);
+    proc_complete(b, rep, req->handle);
     int whead = req->whead;
     req->whead = -1;
     req->wtail = -1;
@@ -1062,7 +1094,7 @@ static void do_release_waiters(Batch *b, Rep *rep, int r, int node,
         if (wt.is_write && state != CS_MODIFIED)
             request_internal(b, rep, r, node, block, 1, cycle, wt.handle);
         else
-            comp_push(rep, wt.handle, cycle);
+            proc_complete(b, rep, wt.handle);
         int nxt = wt.next;
         b->waiters[w].next = b->waiter_free;
         b->waiter_free = w;
@@ -1265,21 +1297,244 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Advance loop (ctrl phase + fabric phase + quiescence jump).         */
-/* Processes cycles in [rep->cycle, stop); returns early with          */
-/* cycle + 1 as soon as a cycle produced completions so Python can     */
-/* run the callbacks and recompute the next processor boundary.        */
+/* Model stream (port of repro.workload.base.NodeStream).              */
+/* ------------------------------------------------------------------ */
+
+static u64 stream_next(u64 *state) {
+    u64 z = (*state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* Lemire's multiply-shift with rejection; the records only carry
+ * bounds 1 <= n <= 2^32. */
+static i64 stream_range(u64 *state, u64 n) {
+    u64 m = (stream_next(state) >> 32) * n;
+    u64 low = m & 0xFFFFFFFFULL;
+    if (low < n) {
+        u64 t = ((1ULL << 32) - n) % n;
+        while (low < t) {
+            m = (stream_next(state) >> 32) * n;
+            low = m & 0xFFFFFFFFULL;
+        }
+    }
+    return (i64)(m >> 32);
+}
+
+/* ------------------------------------------------------------------ */
+/* Programs (ports of NeighborExchangeProgram, PermutationProgram and  */
+/* UniformRandomProgram; jitter as workload.base.jittered_cycles).     */
+/* ------------------------------------------------------------------ */
+
+static i64 prog_compute(const Prog *pg, u64 *rng) {
+    i64 v = pg->base;
+    if (pg->spread)
+        v += stream_range(rng, 2 * (u64)pg->spread + 1) - pg->spread;
+    return v > 1 ? v : 1;
+}
+
+static int prog_access(const Batch *b, const Prog *pg, Cx *c, u64 *rng,
+                       int *is_write) {
+    int pos = c->position;
+    c->position = (pos + 1) % (pg->reads + 1);
+    *is_write = pos >= pg->reads;
+    if (*is_write) return pg->own;
+    if (pg->kind == PK_READS) return b->ptab[pg->tab + pos];
+    int target = (int)stream_range(rng, (u64)pg->threads - 1);
+    if (target >= pg->thread) target++;
+    return b->ptab[pg->tab + target];
+}
+
+/* ------------------------------------------------------------------ */
+/* Processor (port of repro.sim.processor.Processor).                  */
+/* ------------------------------------------------------------------ */
+
+/* Round-robin scan for a READY context after the active one. */
+static int proc_find_ready(const Batch *b, const Proc *p, const Cx *cx) {
+    int start = p->active >= 0 ? p->active + 1 : 0;
+    for (int off = 0; off < b->contexts; off++) {
+        int k = (start + off) % b->contexts;
+        if (cx[k].state == CX_READY) return k;
+    }
+    return -1;
+}
+
+/* After a miss: switch to another runnable context or idle. */
+static void proc_leave(Batch *b, Rep *rep, Proc *p, Cx *cx, int index) {
+    int target = p->ready ? proc_find_ready(b, p, cx) : -1;
+    if (target < 0 || target == index) {
+        p->active = -1;
+        return;
+    }
+    cx[target].state = CX_COMPUTING;
+    p->ready--;
+    if (b->switch_cycles == 0) {
+        p->active = target;
+        return;
+    }
+    if (rep->measuring) rep->switches++;
+    p->switch_left = b->switch_cycles;
+    p->switch_target = target;
+    p->active = -1;
+}
+
+static void proc_tick(Batch *b, Rep *rep, int r, int node, i64 cycle) {
+    Proc *p = &rep->proc[node];
+    Cx *cx = &rep->cx[(size_t)node * b->contexts];
+    if (p->switch_left > 0) {
+        if (--p->switch_left == 0) {
+            p->active = p->switch_target;
+            p->switch_target = -1;
+        }
+        return;
+    }
+    if (p->active < 0) {
+        if (!p->ready) {
+            if (rep->measuring) rep->idle++;
+            return;
+        }
+        /* Waking from idle is free (see Processor.tick). */
+        int k = proc_find_ready(b, p, cx);
+        p->active = k;
+        cx[k].state = CX_COMPUTING;
+        p->ready--;
+    }
+    int k = p->active;
+    Cx *c = &cx[k];
+    if (c->state == CX_READY) {
+        c->state = CX_COMPUTING;
+        p->ready--;
+    }
+    if (c->state != CX_COMPUTING) {
+        fail(b, 1, "active context is not computing");
+        return;
+    }
+    if (c->remaining > 0) {
+        c->remaining--;
+        return;
+    }
+    i64 handle = (i64)node * b->contexts + k;
+    const Prog *pg = &b->progs[handle];
+    int is_write;
+    int block = prog_access(b, pg, c, &p->rng, &is_write);
+    int st = CSTATE(b, block, r, node);
+    if (is_write ? st == CS_MODIFIED : st != CS_INVALID) {
+        if (rep->measuring) rep->hits++;
+        cache_touch(b, r, node, block);
+        c->remaining = b->hit_cycles + prog_compute(pg, &p->rng);
+        return;
+    }
+    c->state = CX_BLOCKED;
+    rep->issued++;
+    request_internal(b, rep, r, node, block, is_write, cycle, handle);
+    proc_leave(b, rep, p, cx, k);
+}
+
+static void proc_complete(Batch *b, Rep *rep, i64 handle) {
+    Cx *c = &rep->cx[handle];
+    if (c->state != CX_BLOCKED) {
+        fail(b, 2, "transaction completed for a context that is not blocked");
+        return;
+    }
+    int node = (int)(handle / b->contexts);
+    Proc *p = &rep->proc[node];
+    c->state = CX_READY;
+    c->remaining = prog_compute(&b->progs[handle], &p->rng);
+    p->ready++;
+    rep->completed++;
+    rep->comp_last++;
+    /* Re-calendar an idle processor (MachineEngine._on_wake). */
+    if (p->active < 0 && p->switch_left == 0 && !p->woken) {
+        p->woken = 1;
+        rep->woken[rep->nwoken++] = node;
+    }
+}
+
+/* Processor ticks until the next tick that is not a countdown; -1 when
+ * idle until a completion (Processor.next_event_ticks). */
+static i64 proc_next_event(const Proc *p, const Cx *cx) {
+    if (p->switch_left > 0)
+        return p->switch_left + cx[p->switch_target].remaining + 1;
+    if (p->active >= 0) return cx[p->active].remaining + 1;
+    return -1;
+}
+
+/* `ticks` consecutive countdown ticks in one step (Processor.skip_ticks). */
+static void proc_skip(Rep *rep, Proc *p, Cx *cx, i64 ticks) {
+    if (ticks <= 0) return;
+    if (p->switch_left > 0) {
+        i64 take = ticks < p->switch_left ? ticks : p->switch_left;
+        p->switch_left -= (int)take;
+        ticks -= take;
+        if (p->switch_left == 0) {
+            p->active = p->switch_target;
+            p->switch_target = -1;
+        }
+        if (ticks == 0) return;
+    }
+    if (p->active >= 0) cx[p->active].remaining -= ticks;
+    else if (rep->measuring) rep->idle += ticks;
+}
+
+/* Processor boundary `tick`: visit the due and woken processors in
+ * ascending node order (MachineEngine.run_window's processor phase). */
+static void proc_phase(Batch *b, Rep *rep, int r, i64 tick, i64 cycle) {
+    int *batch = rep->batch;
+    int n = 0;
+    while (rep->pheap.n && HEAP_TIME(rep->pheap) == tick)
+        batch[n++] = (int)(heap_pop(&rep->pheap) & 0xFFFFF);
+    if (rep->nwoken) {
+        /* Woken processors are idle, so they have no calendar entry. */
+        for (int i = 0; i < rep->nwoken; i++) {
+            int node = rep->woken[i];
+            rep->proc[node].woken = 0;
+            int j = n++;
+            while (j > 0 && batch[j - 1] > node) {
+                batch[j] = batch[j - 1];
+                j--;
+            }
+            batch[j] = node;
+        }
+        rep->nwoken = 0;
+    }
+    for (int i = 0; i < n; i++) {
+        int node = batch[i];
+        Proc *p = &rep->proc[node];
+        Cx *cx = &rep->cx[(size_t)node * b->contexts];
+        proc_skip(rep, p, cx, tick - p->last_tick - 1);
+        proc_tick(b, rep, r, node, cycle);
+        if (b->errcode) return;
+        p->last_tick = tick;
+        i64 distance = proc_next_event(p, cx);
+        if (distance >= 0)
+            heap_push(&rep->pheap, ((u64)(tick + distance) << 20) | (u64)node);
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Advance loop: one measurement window of one replication.            */
+/* Each cycle runs the processor phase (on processor boundaries), the  */
+/* controller phase and the fabric phase, then jumps over cycles on    */
+/* which nothing can happen, with MachineEngine's guards.              */
 /* ------------------------------------------------------------------ */
 
 i64 bc_advance(Batch *b, int r, i64 stop) {
     Rep *rep = &b->reps[r];
     i64 cycle = rep->cycle;
+    int speedup = b->speedup;
+    rep->comp_last = 0;
+    if (cycle >= stop) return stop;
     while (cycle < stop) {
+        if (cycle % speedup == 0) {
+            proc_phase(b, rep, r, cycle / speedup, cycle);
+            if (b->errcode) return -1;
+        }
         /* ctrl phase: wake-heap dues + ready list, ascending node */
         int bn = 0;
         int *batch = rep->batch;
-        while (rep->wcount && (i64)(rep->wake[0] >> 20) == cycle)
-            batch[bn++] = (int)(wheap_pop(rep) & 0xFFFFF);
+        while (rep->wake.n && HEAP_TIME(rep->wake) == cycle)
+            batch[bn++] = (int)(heap_pop(&rep->wake) & 0xFFFFF);
         if (rep->ready_count) {
             memcpy(batch + bn, rep->ready,
                    (size_t)rep->ready_count * sizeof(int));
@@ -1304,23 +1559,23 @@ i64 bc_advance(Batch *b, int r, i64 stop) {
                 ctrl_tick(b, rep, r, node, cycle);
                 if (b->errcode) return -1;
                 if (c->has_cur)
-                    wheap_push(rep, ((u64)c->done_at << 20) | (u64)node);
+                    heap_push(&rep->wake, ((u64)c->done_at << 20) | (u64)node);
             }
         }
         fab_tick(b, rep, r, cycle);
         if (b->errcode) return -1;
-        if (rep->comp_count) {
-            rep->cycle = cycle + 1;
-            return cycle + 1;
-        }
         i64 nxt = cycle + 1;
         if (!rep->ready_count) {
             i64 horizon = fab_next(b, rep, nxt);
             if (horizon < 0 || horizon > nxt) {
                 i64 target = stop;
-                if (rep->wcount) {
-                    i64 wt = (i64)(rep->wake[0] >> 20);
-                    if (wt < target) target = wt;
+                if (rep->wake.n && HEAP_TIME(rep->wake) < target)
+                    target = HEAP_TIME(rep->wake);
+                if (rep->pheap.n && HEAP_TIME(rep->pheap) * speedup < target)
+                    target = HEAP_TIME(rep->pheap) * speedup;
+                if (rep->nwoken) {
+                    i64 boundary = (nxt + speedup - 1) / speedup * speedup;
+                    if (boundary < target) target = boundary;
                 }
                 if (horizon >= 0 && horizon < target) target = horizon;
                 if (target > nxt) nxt = target;
@@ -1329,6 +1584,26 @@ i64 bc_advance(Batch *b, int r, i64 stop) {
         cycle = nxt;
     }
     rep->cycle = stop;
+    /* Bring every processor current through the window's last
+     * boundary (MachineEngine._flush). */
+    i64 tick = (stop - 1) / speedup;
+    int blocked = 0;
+    for (int node = 0; node < b->N; node++) {
+        Proc *p = &rep->proc[node];
+        Cx *cx = &rep->cx[(size_t)node * b->contexts];
+        if (tick > p->last_tick) {
+            proc_skip(rep, p, cx, tick - p->last_tick);
+            p->last_tick = tick;
+        }
+        for (int k = 0; k < b->contexts; k++)
+            blocked += cx[k].state == CX_BLOCKED;
+    }
+    /* Every issued transaction has completed or is still in flight. */
+    if (rep->issued - rep->completed != blocked) {
+        fail(b, 2, "issued minus completed transactions does not match "
+                   "the blocked contexts");
+        return -1;
+    }
     return stop;
 }
 
@@ -1337,7 +1612,9 @@ i64 bc_advance(Batch *b, int r, i64 stop) {
 /* ------------------------------------------------------------------ */
 
 Batch *bc_create(int R, int N, int dims, int radix, int capacity,
-                 int req_cost, int recv_cost, int send_cost, int mem_cost) {
+                 int req_cost, int recv_cost, int send_cost, int mem_cost,
+                 int contexts, int speedup, int hit_cycles,
+                 int switch_cycles) {
     if (N >= (1 << 20) || dims > 8 || dims * radix > 62) return NULL;
     Batch *b = (Batch *)calloc(1, sizeof(Batch));
     b->R = R;
@@ -1349,6 +1626,10 @@ Batch *bc_create(int R, int N, int dims, int radix, int capacity,
     b->recv_cost = recv_cost;
     b->send_cost = send_cost;
     b->mem_cost = mem_cost;
+    b->contexts = contexts;
+    b->speedup = speedup;
+    b->hit_cycles = hit_cycles;
+    b->switch_cycles = switch_cycles;
     b->RN = (i64)R * N;
     b->channels = 2 * N + 2 * N * dims;
     b->links = 2 * N * dims;
@@ -1361,6 +1642,7 @@ Batch *bc_create(int R, int N, int dims, int radix, int capacity,
     int p = 1;
     for (int d = 0; d < dims; d++) { b->pow_radix[d] = p; p *= radix; }
     b->clog = (CacheLog *)calloc((size_t)R * N, sizeof(CacheLog));
+    b->progs = (Prog *)calloc((size_t)N * contexts, sizeof(Prog));
     b->reps = (Rep *)calloc((size_t)R, sizeof(Rep));
     for (int r = 0; r < R; r++) {
         Rep *rep = &b->reps[r];
@@ -1369,6 +1651,9 @@ Batch *bc_create(int R, int N, int dims, int radix, int capacity,
         rep->ready = (int *)malloc((size_t)N * sizeof(int));
         rep->batch = (int *)malloc((size_t)2 * N * sizeof(int));
         rep->per_node_sent = (i64 *)calloc((size_t)N, sizeof(i64));
+        rep->proc = (Proc *)calloc((size_t)N, sizeof(Proc));
+        rep->cx = (Cx *)calloc((size_t)N * contexts, sizeof(Cx));
+        rep->woken = (int *)malloc((size_t)N * sizeof(int));
         Fab *f = &rep->fab;
         f->free_at = (i64 *)calloc((size_t)b->channels, sizeof(i64));
         f->head_elig = (i64 *)malloc((size_t)b->channels * sizeof(i64));
@@ -1390,8 +1675,11 @@ void bc_destroy(Batch *b) {
         free(rep->ready);
         free(rep->batch);
         free(rep->per_node_sent);
-        free(rep->wake);
-        free(rep->comp);
+        free(rep->wake.a);
+        free(rep->proc);
+        free(rep->cx);
+        free(rep->pheap.a);
+        free(rep->woken);
         Fab *f = &rep->fab;
         for (int c = 0; c < b->channels; c++) free(f->queues[c].q);
         free(f->queues);
@@ -1420,6 +1708,8 @@ void bc_destroy(Batch *b) {
     free(b->cache_state);
     free(b->cache_seq);
     free(b->outstanding);
+    free(b->progs);
+    free(b->ptab);
     free(b->msgs);
     free(b->transits);
     free(b->reqs);
@@ -1427,43 +1717,75 @@ void bc_destroy(Batch *b) {
     free(b);
 }
 
-int bc_add_block(Batch *b, int home) {
-    if (b->nblocks >= b->blocks_cap) {
-        int old = b->blocks_cap;
-        b->blocks_cap = old ? old * 2 : 64;
-        b->block_home = (int *)realloc(
-            b->block_home, (size_t)b->blocks_cap * sizeof(int));
-        b->cache_state = (int8_t *)realloc(
-            b->cache_state, (size_t)b->blocks_cap * b->RN);
-        b->cache_seq = (int *)realloc(
-            b->cache_seq, (size_t)b->blocks_cap * b->RN * sizeof(int));
-        b->outstanding = (int *)realloc(
-            b->outstanding, (size_t)b->blocks_cap * b->RN * sizeof(int));
-        b->dir = (Dir *)realloc(
-            b->dir, (size_t)b->blocks_cap * b->R * sizeof(Dir));
+/* Register every block up front, block i homed at homes[i]. */
+int bc_add_blocks(Batch *b, int n, const int *homes) {
+    if (b->nblocks || n <= 0) return -1;
+    size_t cells = (size_t)n * b->RN;
+    b->nblocks = n;
+    b->block_home = (int *)malloc((size_t)n * sizeof(int));
+    memcpy(b->block_home, homes, (size_t)n * sizeof(int));
+    b->cache_state = (int8_t *)calloc(cells, 1);
+    b->cache_seq = (int *)calloc(cells, sizeof(int));
+    b->outstanding = (int *)malloc(cells * sizeof(int));
+    for (size_t i = 0; i < cells; i++) b->outstanding[i] = -1;
+    b->dir = (Dir *)calloc((size_t)n * b->R, sizeof(Dir));
+    return 0;
+}
+
+/* Program records, node-major then context: PROG_FIELDS ints each in
+ * Prog field order (kind, own, reads, tab, threads, thread, base,
+ * spread, position); `tab` indexes the block-id table `table`.
+ * Returns -1 if a record names a block or bound the core cannot run. */
+int bc_set_programs(Batch *b, const int *records, int ntable,
+                    const int *table) {
+    for (int i = 0; i < ntable; i++)
+        if (table[i] < 0 || table[i] >= b->nblocks) return -1;
+    int count = b->N * b->contexts;
+    for (int i = 0; i < count; i++) {
+        const int *f = &records[(size_t)i * PROG_FIELDS];
+        Prog *pg = &b->progs[i];
+        *pg = (Prog){f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7], f[8]};
+        int span = pg->kind == PK_READS ? pg->reads : pg->threads;
+        if ((pg->kind != PK_READS && pg->kind != PK_UNIFORM) ||
+            pg->own < 0 || pg->own >= b->nblocks || pg->reads < 1 ||
+            pg->spread < 0 || pg->tab < 0 || pg->tab + span > ntable ||
+            (pg->kind == PK_UNIFORM && pg->threads < 2))
+            return -1;
     }
-    int blk = b->nblocks++;
-    b->block_home[blk] = home;
-    memset(b->cache_state + (size_t)blk * b->RN, 0, (size_t)b->RN);
-    memset(b->cache_seq + (size_t)blk * b->RN, 0,
-           (size_t)b->RN * sizeof(int));
-    for (i64 i = 0; i < b->RN; i++)
-        b->outstanding[(size_t)blk * b->RN + i] = -1;
-    memset(b->dir + (size_t)blk * b->R, 0, (size_t)b->R * sizeof(Dir));
-    return blk;
+    b->ptab = (int *)malloc((size_t)(ntable ? ntable : 1) * sizeof(int));
+    memcpy(b->ptab, table, (size_t)ntable * sizeof(int));
+    return 0;
 }
 
-void bc_request(Batch *b, int r, int node, int block, int is_write,
-                i64 cycle, i64 handle) {
-    request_internal(b, &b->reps[r], r, node, block, is_write, cycle,
-                     handle);
+/* Seed replication r's processors from their stream states, in node
+ * order: every context draws its first run length in index order,
+ * context 0 starts computing, and each processor lands on the
+ * calendar (Processor.__init__ + MachineEngine.__init__ at cycle 0). */
+void bc_seed(Batch *b, int r, const unsigned long long *states) {
+    Rep *rep = &b->reps[r];
+    for (int node = 0; node < b->N; node++) {
+        Proc *p = &rep->proc[node];
+        Cx *cx = &rep->cx[(size_t)node * b->contexts];
+        const Prog *pg = &b->progs[(size_t)node * b->contexts];
+        p->rng = states[node];
+        for (int k = 0; k < b->contexts; k++) {
+            cx[k].state = CX_READY;
+            cx[k].position = pg[k].position;
+            cx[k].remaining = prog_compute(&pg[k], &p->rng);
+        }
+        cx[0].state = CX_COMPUTING;
+        p->active = 0;
+        p->switch_left = 0;
+        p->switch_target = -1;
+        p->ready = b->contexts - 1;
+        p->woken = 0;
+        p->last_tick = -1;
+        heap_push(&rep->pheap, ((u64)cx[0].remaining << 20) | (u64)node);
+    }
 }
 
-i64 bc_cycle(Batch *b, int r) { return b->reps[r].cycle; }
-
-int bc_comp_count(Batch *b, int r) { return b->reps[r].comp_count; }
-i64 *bc_comp_ptr(Batch *b, int r) { return b->reps[r].comp; }
-void bc_comp_clear(Batch *b, int r) { b->reps[r].comp_count = 0; }
+/* Transactions completed during the last bc_advance on replication r. */
+int bc_comp_count(Batch *b, int r) { return (int)b->reps[r].comp_last; }
 
 void bc_start_measuring(Batch *b, int r) {
     Rep *rep = &b->reps[r];
@@ -1472,6 +1794,7 @@ void bc_start_measuring(Batch *b, int r) {
     rep->delivered = rep->lat_total = rep->hops_total = 0;
     rep->hopl_count = rep->started = 0;
     rep->rcompleted = rep->lcompleted = rep->txn_lat = rep->evictions = 0;
+    rep->hits = rep->idle = rep->switches = 0;
     rep->hopl_total = 0.0;
     memset(rep->per_node_sent, 0, (size_t)b->N * sizeof(i64));
 }
@@ -1490,6 +1813,9 @@ void bc_get_counters(Batch *b, int r, i64 *out_i, double *out_d) {
     out_i[9] = rep->lcompleted;
     out_i[10] = rep->txn_lat;
     out_i[11] = rep->evictions;
+    out_i[12] = rep->hits;
+    out_i[13] = rep->idle;
+    out_i[14] = rep->switches;
     out_d[0] = rep->hopl_total;
 }
 
@@ -1501,8 +1827,6 @@ void bc_get_link_flits(Batch *b, int r, i64 *out) {
 void bc_get_per_node_sent(Batch *b, int r, i64 *out) {
     memcpy(out, b->reps[r].per_node_sent, (size_t)b->N * sizeof(i64));
 }
-
-i64 bc_in_flight(Batch *b, int r) { return b->reps[r].fab.in_flight; }
 
 int bc_errcode(Batch *b) { return b->errcode; }
 const char *bc_errmsg(Batch *b) { return b->errmsg; }

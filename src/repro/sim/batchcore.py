@@ -6,8 +6,8 @@ keyed by source hash) and loads it through :mod:`cffi` in ABI mode —
 no setuptools build step, no Python.h dependency.  If a compiler or
 cffi is unavailable, ``load()`` returns ``None`` and
 :func:`repro.sim.batch.run_batch` runs its batches as serial machines,
-loudly; the serial ``CoherenceController`` and ``CutThroughFabric`` are
-the behavioral spec this core ports.
+loudly; the serial ``Processor``, ``CoherenceController`` and
+``CutThroughFabric`` are the behavioral spec this core ports.
 """
 
 from __future__ import annotations
@@ -29,23 +29,20 @@ _SOURCE = Path(__file__).with_name("_batchcore.c")
 CDEF = """
 typedef struct Batch Batch;
 Batch *bc_create(int R, int N, int dims, int radix, int capacity,
-                 int req_cost, int recv_cost, int send_cost, int mem_cost);
+                 int req_cost, int recv_cost, int send_cost, int mem_cost,
+                 int contexts, int speedup, int hit_cycles,
+                 int switch_cycles);
 void bc_destroy(Batch *b);
-int bc_add_block(Batch *b, int home);
-int bc_is_hit(Batch *b, int r, int node, int block, int is_write);
-void bc_record_access(Batch *b, int r, int node, int block);
-void bc_request(Batch *b, int r, int node, int block, int is_write,
-                long long cycle, long long handle);
+int bc_add_blocks(Batch *b, int n, const int *homes);
+int bc_set_programs(Batch *b, const int *records, int ntable,
+                    const int *table);
+void bc_seed(Batch *b, int r, const unsigned long long *states);
 long long bc_advance(Batch *b, int r, long long stop);
-long long bc_cycle(Batch *b, int r);
 int bc_comp_count(Batch *b, int r);
-long long *bc_comp_ptr(Batch *b, int r);
-void bc_comp_clear(Batch *b, int r);
 void bc_start_measuring(Batch *b, int r);
 void bc_get_counters(Batch *b, int r, long long *out_i, double *out_d);
 void bc_get_link_flits(Batch *b, int r, long long *out);
 void bc_get_per_node_sent(Batch *b, int r, long long *out);
-long long bc_in_flight(Batch *b, int r);
 int bc_errcode(Batch *b);
 const char *bc_errmsg(Batch *b);
 """

@@ -17,16 +17,18 @@ The processor ticks once per *processor* cycle; the machine driver calls
 seed via ``numpy.random.SeedSequence(root_seed).spawn(...)`` — the
 machine spawns one child sequence per node and hands it to that node's
 processor, so a replication's entire stream family is reproducible from
-(and recorded as) the root seed alone.  A standalone processor without a
-machine derives the identical stream from
-``SeedSequence(config.seed, spawn_key=(node,))``, which is by
+(and recorded as) the root seed alone.  The child keys the model stream,
+a :class:`~repro.workload.base.NodeStream` (SplitMix64 seeded with the
+child's first 64-bit state word); the stream and the run-length jitter
+rule are model rules, so the compiled batch core draws the same values.
+A standalone processor without a machine derives the identical stream
+from ``SeedSequence(config.seed, spawn_key=(node,))``, which is by
 construction the same child ``spawn`` would have produced.
 """
 
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -35,7 +37,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.sim.coherence import CoherenceController
 from repro.sim.config import SimulationConfig
-from repro.workload.base import ThreadProgram
+from repro.workload.base import NodeStream, ThreadProgram
 
 __all__ = ["ContextState", "HardwareContext", "Processor"]
 
@@ -85,17 +87,11 @@ class Processor:
         self.controller = controller
         self.stats = stats
         # Deterministic per-node stream, spawned from the root seed (see
-        # module docstring).  The child sequence's first 128 bits seed a
-        # ``random.Random`` so the program interface stays the stdlib
-        # generator.
+        # module docstring).
         if seed_seq is None:
             seed_seq = np.random.SeedSequence(config.seed, spawn_key=(node,))
         self.seed_seq = seed_seq
-        self.rng = random.Random(
-            int.from_bytes(
-                seed_seq.generate_state(4, np.uint32).tobytes(), "little"
-            )
-        )
+        self.rng = NodeStream.from_seed_sequence(seed_seq)
         self.contexts = [
             HardwareContext(index=i, program=program)
             for i, program in enumerate(programs)

@@ -1,6 +1,12 @@
 """Workloads: thread programs that drive the simulator."""
 
-from repro.workload.base import Block, ThreadProgram, jittered_cycles
+from repro.workload.base import (
+    Block,
+    NodeStream,
+    ThreadProgram,
+    jitter_spread,
+    jittered_cycles,
+)
 from repro.workload.generators import (
     HotSpotProgram,
     PermutationProgram,
@@ -15,6 +21,8 @@ from repro.workload.synthetic import NeighborExchangeProgram, build_programs
 __all__ = [
     "ThreadProgram",
     "Block",
+    "NodeStream",
+    "jitter_spread",
     "jittered_cycles",
     "NeighborExchangeProgram",
     "build_programs",

@@ -2,8 +2,10 @@
 
 The directed batch tests (tests/sim/test_batch.py) pin canned shapes;
 these sample machine shapes — {1,2,3}-D tori, identity, seeded random
-and collocated mappings, neighbor or uniform-random programs, both
-fabrics, ``network_speedup ∈ {1, 2}`` — and require the
+and collocated mappings, neighbor, uniform-random or permutation
+programs, 1, 2 or 4 contexts with free or default-cost context switches,
+unbounded or two-line caches (which evict), both fabrics,
+``network_speedup ∈ {1, 2}`` — and require the
 batched path to reproduce each seed's solo ``Machine`` run bit for bit,
 whether ``run_batch`` ran the shape on the compiled core or as serial
 machines.
@@ -23,7 +25,10 @@ from repro.sim.batch import run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
 from repro.topology.graphs import ring_graph, torus_neighbor_graph
-from repro.workload.generators import uniform_random_graph_programs
+from repro.workload.generators import (
+    PermutationProgram,
+    uniform_random_graph_programs,
+)
 from repro.workload.synthetic import build_programs
 
 
@@ -34,7 +39,7 @@ SHAPES = [(1, 4), (1, 8), (2, 3), (2, 4), (3, 2), (3, 3)]
 @st.composite
 def machine_cases(draw):
     dimensions, radix = draw(st.sampled_from(SHAPES))
-    contexts = draw(st.integers(1, 2))
+    contexts = draw(st.sampled_from([1, 2, 4]))
     return {
         "dimensions": dimensions,
         "radix": radix,
@@ -43,17 +48,43 @@ def machine_cases(draw):
         "switching": draw(st.sampled_from(["cut_through", "wormhole"])),
         "speedup": draw(st.sampled_from([1, 2])),
         "seed": draw(st.integers(0, 2**16)),
-        "collocated": contexts == 2 and draw(st.booleans()),
+        "collocated": contexts > 1 and draw(st.booleans()),
+        # None keeps the config default.
+        "switch_cycles": draw(st.sampled_from([0, None])),
+        "cache_lines": draw(st.sampled_from([0, 2])),
         # Program family and mapping for the non-collocated shapes: the
-        # validation suite's neighbor traffic or the uniformity
-        # ablation's uniform-random traffic, under the identity or a
-        # seeded random mapping (None).
-        "uniform": draw(st.booleans()),
+        # validation suite's neighbor traffic, the uniformity ablation's
+        # uniform-random traffic, or permutation traffic to the thread
+        # ``shift`` places on, under the identity or a seeded random
+        # mapping (None).
+        "family": draw(st.sampled_from(["neighbor", "uniform", "permutation"])),
+        "shift": draw(st.integers(1, 2**16)),
         "mapping_seed": draw(st.one_of(st.none(), st.integers(0, 2**16))),
     }
 
 
+def permutation_programs(threads, shift, instances, compute, jitter):
+    """Every thread exchanges with the thread ``shift`` places on."""
+    shift = 1 + (shift - 1) % (threads - 1)
+    return [
+        [
+            PermutationProgram(
+                instance=instance,
+                thread=thread,
+                partner=(thread + shift) % threads,
+                compute_cycles_mean=compute,
+                compute_jitter=jitter,
+            )
+            for thread in range(threads)
+        ]
+        for instance in range(instances)
+    ]
+
+
 def build_setup(case):
+    extra = {}
+    if case["switch_cycles"] is not None:
+        extra["switch_cycles"] = case["switch_cycles"]
     config = SimulationConfig(
         radix=case["radix"],
         dimensions=case["dimensions"],
@@ -62,6 +93,8 @@ def build_setup(case):
         switching=case["switching"],
         network_speedup=case["speedup"],
         seed=case["seed"],
+        cache_lines=case["cache_lines"],
+        **extra,
     )
     nodes = config.node_count
     if case["collocated"]:
@@ -72,12 +105,20 @@ def build_setup(case):
         mapping = block_collocation_mapping(nodes * config.contexts, nodes)
     else:
         graph = torus_neighbor_graph(case["radix"], case["dimensions"])
-        family = (
-            uniform_random_graph_programs if case["uniform"] else build_programs
-        )
-        programs = family(
-            graph, config.contexts, case["compute"], config.compute_jitter
-        )
+        if case["family"] == "permutation":
+            programs = permutation_programs(
+                nodes, case["shift"], config.contexts, case["compute"],
+                config.compute_jitter,
+            )
+        else:
+            family = (
+                uniform_random_graph_programs
+                if case["family"] == "uniform"
+                else build_programs
+            )
+            programs = family(
+                graph, config.contexts, case["compute"], config.compute_jitter
+            )
         mapping = (
             identity_mapping(nodes)
             if case["mapping_seed"] is None

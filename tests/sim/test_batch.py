@@ -8,6 +8,7 @@ batch ran on the compiled core or as serial machines.
 
 import copy
 import re
+import warnings
 
 import pytest
 
@@ -25,7 +26,13 @@ from repro.sim.machine import Machine
 from repro.sim.message import _FLITS_BY_KIND, MessageKind
 from repro.sim.telemetry import TelemetryConfig
 from repro.topology.graphs import ring_graph, torus_neighbor_graph
-from repro.workload.synthetic import build_programs
+from repro.workload.generators import (
+    HotSpotProgram,
+    PermutationProgram,
+    uniform_random_graph_programs,
+)
+from repro.workload.scripted import ScriptedProgram
+from repro.workload.synthetic import NeighborExchangeProgram, build_programs
 
 
 #: Tests that construct a BatchMachine need the compiled core.
@@ -232,6 +239,110 @@ class TestEngineSelection:
     def test_batch_machine_rejects_wormhole(self):
         config, mapping, programs = small_setup(switching="wormhole")
         with pytest.raises(SimulationError, match="cut_through"):
+            BatchMachine(config, mapping, programs, (config.seed,))
+
+
+class _NeighborSubclass(NeighborExchangeProgram):
+    """A trivial subclass: the core matches program types exactly."""
+
+
+def _program_family(kind, threads, contexts, compute, jitter):
+    """``programs[instance][thread]`` of one traffic family."""
+    if kind == "uniform":
+        return uniform_random_graph_programs(
+            ring_graph(threads), contexts, compute, jitter
+        )
+    if kind in ("neighbor", "subclass"):
+        programs = build_programs(
+            ring_graph(threads), contexts, compute, jitter
+        )
+        if kind == "subclass":
+            programs = [
+                [
+                    _NeighborSubclass(
+                        instance=p.instance, thread=p.thread,
+                        neighbors=p.neighbors,
+                        compute_cycles_mean=p.compute_cycles_mean,
+                        compute_jitter=p.compute_jitter,
+                    )
+                    for p in row
+                ]
+                for row in programs
+            ]
+        return programs
+
+    def make(instance, thread):
+        if kind == "permutation":
+            return PermutationProgram(
+                instance=instance, thread=thread,
+                partner=(thread + threads // 2) % threads,
+                compute_cycles_mean=compute, compute_jitter=jitter,
+            )
+        if kind == "hotspot":
+            return HotSpotProgram(
+                instance=instance, thread=thread, threads=threads,
+                hot_thread=0, hot_fraction=0.3,
+                compute_cycles_mean=compute, compute_jitter=jitter,
+            )
+        return ScriptedProgram.random_script(
+            instance=instance, thread=thread, threads=threads, length=12,
+            seed=5,
+        )
+
+    return [
+        [make(instance, thread) for thread in range(threads)]
+        for instance in range(contexts)
+    ]
+
+
+class TestProgramSelection:
+    """The core runs neighbor, permutation and uniform-random programs
+    (matched by exact type); every other program runs serially, quietly."""
+
+    @pytest.mark.parametrize("kind", ["hotspot", "scripted", "subclass"])
+    def test_other_programs_run_serially_and_quietly(self, kind, monkeypatch):
+        config, mapping, _ = small_setup()
+        programs = _program_family(
+            kind, config.node_count, config.contexts,
+            config.compute_cycles, config.compute_jitter,
+        )
+        seeds = (config.seed, config.seed + 1)
+        built = count_batch_machines(monkeypatch)
+        counter = obs.REGISTRY.counter("batch.fallback")
+        before = counter.value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BatchFallbackWarning)
+            batched = run_batch(config, mapping, programs, seeds)
+        assert built == []
+        assert counter.value == before
+        assert_parity(
+            batched, serial_summaries(config, mapping, programs, seeds)
+        )
+
+    @needs_core
+    @pytest.mark.parametrize("kind", ["neighbor", "permutation", "uniform"])
+    def test_core_programs_build_a_batch_machine(self, kind, monkeypatch):
+        config, mapping, _ = small_setup()
+        programs = _program_family(
+            kind, config.node_count, config.contexts,
+            config.compute_cycles, config.compute_jitter,
+        )
+        seeds = (config.seed, config.seed + 1)
+        built = count_batch_machines(monkeypatch)
+        batched = run_batch(config, mapping, programs, seeds)
+        assert len(built) == 1
+        assert_parity(
+            batched, serial_summaries(config, mapping, programs, seeds)
+        )
+
+    @needs_core
+    def test_batch_machine_rejects_other_programs(self):
+        config, mapping, _ = small_setup()
+        programs = _program_family(
+            "hotspot", config.node_count, config.contexts,
+            config.compute_cycles, config.compute_jitter,
+        )
+        with pytest.raises(SimulationError, match="programs only"):
             BatchMachine(config, mapping, programs, (config.seed,))
 
 

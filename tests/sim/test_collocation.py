@@ -8,8 +8,10 @@ from repro.mapping.strategies import (
     block_collocation_mapping,
     identity_mapping,
 )
+from repro.sim.batch import run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
+from repro.sim.replicate import default_seeds
 from repro.topology.graphs import ring_graph
 from repro.workload.synthetic import build_programs
 
@@ -78,12 +80,25 @@ class TestCollocationLocality:
     def test_good_collocation_cuts_network_traffic(self):
         # Blocked collocation puts ring neighbors together: half of each
         # thread's communication becomes node-local.  A shuffled
-        # collocation keeps everything remote.  (The 0.85 bound holds
-        # with >10% margin across measurement windows for the recorded
-        # root-seed streams.)
-        good = ring_machine(block_collocation_mapping(32, 16)).run()
-        bad = ring_machine(shuffled_collocation(32, 16)).run()
-        assert good.messages_sent < 0.85 * bad.messages_sent
+        # collocation keeps everything remote.  One seed's short window
+        # scatters the traffic ratio across 0.81-0.89, so the bound is
+        # checked on traffic pooled over eight seeds of full-length
+        # windows (ratio about 0.8).
+        config = SimulationConfig(
+            radix=4, dimensions=2, contexts=2,
+            warmup_network_cycles=3000, measure_network_cycles=15000,
+        )
+        programs = build_programs(
+            ring_graph(32), 1, config.compute_cycles, 0.5
+        )
+        seeds = default_seeds(config.seed, 8)
+        good = run_batch(
+            config, block_collocation_mapping(32, 16), programs, seeds
+        )
+        bad = run_batch(config, shuffled_collocation(32, 16), programs, seeds)
+        assert sum(s.messages_sent for s in good) < 0.85 * sum(
+            s.messages_sent for s in bad
+        )
 
     def test_good_collocation_improves_throughput(self):
         # Collocated communicating threads share the node's cache, so
