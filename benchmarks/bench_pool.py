@@ -1,11 +1,11 @@
-"""Benchmarks: the persistent warm worker pool vs serial execution.
+"""Benchmarks: ``--jobs N`` replication vs serial execution.
 
 Two entry points, mirroring ``bench_simulator.py``:
 
 * ``pytest benchmarks/bench_pool.py`` — the jobs-scaling rows on the
-  replication workload that used to run at 0.57x serial, plus a
-  dispatch-overhead row, every row asserting byte-identical summaries
-  between the serial and pooled paths.
+  replication workload that once ran at 0.57x serial, every row
+  asserting byte-identical summaries between the serial and parallel
+  paths.
 * ``python benchmarks/bench_pool.py [--quick] [--best-of N]
   [--output FILE]`` — script mode for CI smoke: measures the same rows
   (best-of-N wall clock to shave scheduler noise), writes the
@@ -15,22 +15,20 @@ Two entry points, mirroring ``bench_simulator.py``:
 
 Row catalogue:
 
-* ``pool_scaling`` (one row per jobs level) — serial wall over pooled
-  wall for the same seed list through a pre-warmed pool.  The tentpole
+* ``pool_scaling`` (one row per jobs level) — serial wall over
+  ``run_replications(jobs=N)`` wall for the same seed list, each
+  parallel call paying its own worker start, as a CLI run does.  The
   floors — ``jobs=2 >= 1.3x`` and ``jobs=4 >= 2x`` — only assert under
-  ``REPRO_BENCH_STRICT=1``: they need real cores, and the single-CPU
+  ``REPRO_BENCH_STRICT=1``: they need real cores, and the shared
   containers this repo develops on cannot express them (there we verify
   determinism and record the honest number).  On multi-core machines
   the committed baseline plus the ``repro-bench compare`` >20%-drop
   gate catches the 0.57x regression class.
-* ``pool_dispatch`` — serial wall over a jobs=1 warm pool's wall for
-  the same replications.  No parallelism at all, so the ratio isolates
-  pure dispatch cost (task messages + result ship-back) and is
-  meaningful even on one core: per-task payload pickling creeping back
-  in craters this row on any machine.
 
-Parity is asserted on every row, always: the pool must return exactly
-the summaries the serial path produces, whatever the timing.
+Parity is asserted on every row, always: the workers must return
+exactly the summaries the serial path produces, whatever the timing.
+That the payload is pickled once per worker rather than once per task
+is pinned by the pickle-count tests in ``tests/core/test_pool.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ import os
 import sys
 import time
 
-from repro.core.pool import WorkerPool
 from repro.mapping.strategies import random_mapping
 from repro.sim.config import SimulationConfig
 from repro.sim.replicate import default_seeds, run_replications
@@ -71,8 +68,8 @@ def _workload(quick):
     return config, mapping, programs, seeds
 
 
-#: Script-mode floor for the jobs=2 row: two warm workers must not lose
-#: to the serial path.
+#: Script-mode floor for the jobs=2 row: two worker processes must not
+#: lose to the serial path.
 JOBS2_FLOOR = 1.0
 
 
@@ -88,7 +85,7 @@ def _best_of(count, fn):
 
 
 def measure_pool_scaling(quick=False, jobs_levels=(2, 4), best_of=1):
-    """Serial vs warmed-pool wall clock, one row per jobs level."""
+    """Serial vs ``jobs=N`` wall clock, one row per jobs level."""
     config, mapping, programs, seeds = _workload(quick)
     serial_seconds, serial = _best_of(
         best_of,
@@ -97,14 +94,12 @@ def measure_pool_scaling(quick=False, jobs_levels=(2, 4), best_of=1):
     expected = [s.as_dict() for s in serial.summaries]
     rows = []
     for jobs in jobs_levels:
-        with WorkerPool(jobs) as pool:
-            pool.warm()
-            pooled_seconds, pooled = _best_of(
-                best_of,
-                lambda: run_replications(
-                    config, mapping, programs, seeds, jobs=jobs, pool=pool
-                ),
-            )
+        pooled_seconds, pooled = _best_of(
+            best_of,
+            lambda: run_replications(
+                config, mapping, programs, seeds, jobs=jobs
+            ),
+        )
         rows.append(
             {
                 "bench": "pool_scaling",
@@ -122,40 +117,13 @@ def measure_pool_scaling(quick=False, jobs_levels=(2, 4), best_of=1):
     return rows
 
 
-def measure_pool_dispatch(quick=False, best_of=1):
-    """Pure dispatch overhead: a jobs=1 warm pool against plain serial."""
-    config, mapping, programs, seeds = _workload(quick)
-    serial_seconds, serial = _best_of(
-        best_of,
-        lambda: run_replications(config, mapping, programs, seeds, jobs=1),
-    )
-    with WorkerPool(1) as pool:
-        pool.warm()
-        pooled_seconds, pooled = _best_of(
-            best_of,
-            lambda: run_replications(
-                config, mapping, programs, seeds, jobs=1, pool=pool
-            ),
-        )
-    return {
-        "bench": "pool_dispatch",
-        "config": f"{len(seeds)} seeds, jobs=1 pool vs serial",
-        "wall_s": round(pooled_seconds, 4),
-        "serial_wall_s": round(serial_seconds, 4),
-        "speedup_vs_reference": round(serial_seconds / pooled_seconds, 2),
-        "parity": [s.as_dict() for s in pooled.summaries]
-        == [s.as_dict() for s in serial.summaries],
-        "jobs": 1,
-    }
-
-
 # ----------------------------------------------------------------------
 # pytest benchmarks.
 # ----------------------------------------------------------------------
 
 
 def test_pool_scaling_speedup(bench_record):
-    """The tentpole floors: jobs=2 >= 1.3x, jobs=4 >= 2x serial.
+    """The scaling floors: jobs=2 >= 1.3x, jobs=4 >= 2x serial.
 
     Parity is asserted on every row; the timing floors only fire under
     ``REPRO_BENCH_STRICT=1`` (they need physical cores).
@@ -174,16 +142,6 @@ def test_pool_scaling_speedup(bench_record):
                 assert row["speedup_vs_reference"] >= floor, row
 
 
-def test_pool_dispatch_overhead(bench_record):
-    """A jobs=1 warm pool must track serial — dispatch cost, not spawn."""
-    row = measure_pool_dispatch(quick=not STRICT, best_of=2 if STRICT else 1)
-    assert row["parity"], f"pooled replication diverged: {row}"
-    bench_record(
-        row["bench"], row["config"], row["wall_s"],
-        row["speedup_vs_reference"],
-    )
-
-
 # ----------------------------------------------------------------------
 # Script mode (CI smoke).
 # ----------------------------------------------------------------------
@@ -191,7 +149,7 @@ def test_pool_dispatch_overhead(bench_record):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="warm worker-pool scaling measurement (script mode)"
+        description="--jobs replication scaling measurement (script mode)"
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -213,7 +171,6 @@ def main(argv=None) -> int:
     rows = measure_pool_scaling(
         quick=args.quick, jobs_levels=tuple(args.jobs), best_of=args.best_of
     )
-    rows.append(measure_pool_dispatch(quick=args.quick, best_of=args.best_of))
     for row in rows:
         print(
             f"{row['bench']:<16} {row['config']:<34} "

@@ -4,8 +4,8 @@ Subcommands:
 
 * ``list`` — show the reproducible experiments;
 * ``run <id> [--quick]`` — run one experiment and print its report;
-* ``run --all [--jobs N]`` — run every experiment, optionally across a
-  process pool (reports are identical to a serial run);
+* ``run --all [--jobs N]`` — run every experiment, optionally across
+  worker processes (reports are identical to a serial run);
 * ``all [--quick] [--jobs N]`` — same as ``run --all``;
 * ``diagnose <id>`` — run one experiment with solver convergence
   diagnostics on and report per-solve iteration counts, branch
@@ -31,7 +31,7 @@ A second console script, ``repro-sim`` (:func:`sim_main`), fronts the
 cycle-level simulator directly:
 
 * ``replicate`` — run one machine configuration under several root
-  seeds (optionally across a process pool with ``--jobs``, and/or
+  seeds (optionally across worker processes with ``--jobs``, and/or
   packed into lockstep batches with ``--batch``, which shares one
   engine pass across seeds with bit-identical per-seed results) and
   print mean / std / 95% CI for every measured metric; ``--json FILE``
@@ -72,6 +72,14 @@ from repro.experiments.runner import (
 __all__ = ["main", "build_parser", "sim_main", "build_sim_parser"]
 
 
+def _jobs(text: str) -> int:
+    """argparse type for ``--jobs``: a worker-process count >= 1."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The repro-locality argument parser (exposed for testing/docs)."""
     parser = argparse.ArgumentParser(
@@ -101,9 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="shorter simulation windows / coarser sweeps",
     )
     run_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="warm pool workers for --all (default: 1, serial; workers "
-        "persist across the campaign)",
+        "--jobs", type=_jobs, default=1, metavar="N",
+        help="worker processes for --all (default: 1, serial)",
     )
     run_parser.add_argument(
         "--verbose", action="store_true",
@@ -122,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     all_parser = subparsers.add_parser("all", help="run every experiment")
     all_parser.add_argument("--quick", action="store_true")
     all_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="warm pool workers (default: 1, serial)",
+        "--jobs", type=_jobs, default=1, metavar="N",
+        help="worker processes (default: 1, serial)",
     )
     all_parser.add_argument("--verbose", action="store_true")
     all_parser.add_argument(
@@ -185,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="geometric cooling factor in (0, 1) (default: 0.999)",
     )
     anneal_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="warm pool workers for the chains (default: 1, batched "
+        "--jobs", type=_jobs, default=1, metavar="N",
+        help="worker processes for the chains (default: 1, batched "
         "lockstep in-process)",
     )
 
@@ -408,15 +415,15 @@ def build_sim_parser() -> argparse.ArgumentParser:
         help="first replication seed (default: the config default, 1992)",
     )
     replicate.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="warm pool workers for the replications (default: 1, serial; "
-        "the machine payload is broadcast to the pool once)",
+        "--jobs", type=_jobs, default=1, metavar="N",
+        help="worker processes for the replications (default: 1, serial; "
+        "each worker receives the machine payload once)",
     )
     replicate.add_argument(
         "--batch", type=int, default=1, metavar="R",
         help="seeds per lockstep batch (default: 1, one machine per "
         "seed; R seeds share one batched engine pass, bit-identical "
-        "per-seed results, and each batch is one pool task under "
+        "per-seed results, and each batch is one worker task under "
         "--jobs)",
     )
     replicate.add_argument(

@@ -70,20 +70,18 @@ class ProtocolError(SimulationError):
 
 
 class PoolError(ReproError):
-    """The persistent worker pool failed as *infrastructure*.
+    """Worker-process fan-out failed as *infrastructure*.
 
-    Raised for pool-level problems — a start method that cannot spawn
-    processes, dispatch to a closed pool, a nested pool requested inside
-    a pool worker.  Distinct from exceptions a *task function* raises,
-    which propagate to the caller unchanged; callers that can run the
-    work serially catch :data:`repro.core.pool.FALLBACK_ERRORS` (which
-    includes this class) and fall back.
+    Distinct from exceptions a *task function* raises, which propagate
+    to the caller unchanged; callers that can run the work serially
+    catch :data:`repro.core.pool.FALLBACK_ERRORS` (which includes this
+    class) and fall back.
     """
 
 
 class WorkerCrashError(PoolError):
-    """A pool worker process died mid-task (signal, ``os._exit``, OOM).
+    """A worker process died mid-task (signal, ``os._exit``, OOM).
 
-    The pool replaces the dead worker and stays usable; only the tasks
-    that were in flight on the crashed worker fail with this error.
+    The call that lost the worker raises this error; the next call
+    starts fresh workers.
     """

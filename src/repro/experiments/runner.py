@@ -7,17 +7,16 @@ reproducible artifacts lives in exactly one place.  Compact aliases
 (``fig3``, ``table1``) resolve to their canonical ids via
 :func:`resolve_experiment_id`.
 
-``run_all`` can fan experiments out over the persistent warm worker
-pool (``repro-locality run --all --jobs N``; :mod:`repro.core.pool`) —
-the same pool the replication sweep and multi-chain annealer share, so
-a campaign pays worker start-up once.  Each experiment is pure —
-drivers take only the ``quick`` flag and share no mutable state — so
-per-process isolation changes nothing about the results, and the runner
-reassembles them in registry order regardless of completion order.
+``run_all`` can fan experiments out over worker processes
+(``repro-locality run --all --jobs N``; :mod:`repro.core.pool`).  Each
+experiment is pure — drivers take only the ``quick`` flag and share no
+mutable state — so per-process isolation changes nothing about the
+results, and the runner reassembles them in registry order regardless
+of completion order.
 
 With observability on (:mod:`repro.obs`), every experiment runs inside
 an ``experiment`` span and ships its span records back on
-``result.obs`` — including from pool workers, whose spans and solver
+``result.obs`` — including from worker processes, whose spans and solver
 counters the parent merges so a ``--jobs N`` run yields one combined
 trace and manifest equivalent to the serial run's.
 """
@@ -29,7 +28,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.core.pool import FALLBACK_ERRORS, WorkerPool, get_pool, note_fallback
+from repro.core.pool import FALLBACK_ERRORS, note_fallback, process_map
 from repro.errors import ParameterError
 from repro.experiments import (
     ablations,
@@ -190,42 +189,32 @@ def run_experiment(
     return result
 
 
-def _run_one(arguments) -> ExperimentResult:
-    """Pool worker: run one experiment in an isolated process.
+def _run_one(quick: bool, task) -> ExperimentResult:
+    """Worker task: run one experiment in a worker process.
 
-    Module-level so it pickles; takes a single tuple so it maps cleanly.
     ``collect_obs`` mirrors the parent's observability switch into the
     worker, so span records ride back on the result for merging.
     """
-    identifier, quick, collect_obs = arguments
+    identifier, collect_obs = task
     if collect_obs:
         # Fork-started workers inherit the parent's trace buffer —
         # including its pid stamp and any spans recorded before the
-        # fork; warm workers additionally carry spans from earlier
-        # tasks.  Start from a fresh buffer so this worker's spans carry
-        # its own pid and nothing is shipped back twice.  The solver
-        # cache is cleared too: warm workers keep their caches across
-        # tasks (that is the point of the pool), but an instrumented run
-        # must record the same solver spans the serial path would, not
-        # whatever a previous task happened to leave cached.
+        # fork — and a worker runs several experiments.  Start from a
+        # fresh buffer so this worker's spans carry its own pid and
+        # nothing is shipped back twice.  The solver cache is cleared
+        # too: an instrumented run must record the same solver spans
+        # the serial path would, not whatever the parent or a previous
+        # task happened to leave cached.
         from repro.core.combined import clear_solve_cache
 
         clear_solve_cache()
         obs.enable()
         obs.reset()
-    elif obs.is_enabled():
-        obs.disable()
-        obs.reset()
     return run_experiment(identifier, quick)
 
 
-def _pool_run_one(payload, task) -> ExperimentResult:
-    """Warm-pool task adapter: experiments carry no broadcast payload."""
-    return _run_one(task)
-
-
 def _merge_worker_observability(results: Sequence[ExperimentResult]) -> None:
-    """Fold pool workers' spans and counters into this process's state."""
+    """Fold worker processes' spans and counters into this process's state."""
     own_pid = os.getpid()
     obs.ingest_worker_payloads(result.obs for result in results)
     names = _perf_counters()
@@ -245,20 +234,18 @@ def run_all(
     quick: bool = False,
     jobs: int = 1,
     experiments: Optional[Sequence[str]] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> List[ExperimentResult]:
     """Run every registered experiment (or the ``experiments`` subset).
 
     Results come back in registry order.  With ``jobs > 1`` the
-    experiments run across the process-global warm worker pool, one
-    experiment per task (one chunk per worker dispatch keeps the big
-    experiments load-balanced); results are identical to a serial run
-    (each driver depends only on its arguments), and when observability
-    is on the workers' spans and counters are merged into the parent so
-    traces and manifests cover the whole campaign.  Falls back to the
-    serial path — recorded on the ``pool.fallback`` counter and warned —
-    when the platform cannot start a pool.  Pass ``pool`` to use a
-    specific pool instead of the global one.
+    experiments run across that many worker processes, one experiment
+    per task; results are identical to a serial run (each driver
+    depends only on its arguments), and when observability is on the
+    workers' spans and counters are merged into the parent so traces
+    and manifests cover the whole campaign.  Falls back to the serial
+    path — recorded on the ``pool.fallback`` counter and warned — when
+    the platform cannot start worker processes.  ``jobs < 1`` raises
+    :class:`~repro.errors.ParameterError`.
     """
     if experiments is None:
         identifiers = experiment_ids()
@@ -269,19 +256,19 @@ def run_all(
             raise ParameterError(
                 f"unknown experiments {unknown}; known: {experiment_ids()}"
             )
-    if jobs > 1 or pool is not None:
+    if jobs != 1:
+        collect_obs = obs.is_enabled()
         try:
-            worker_pool = pool if pool is not None else get_pool(jobs)
-            work = [
-                (identifier, quick, obs.is_enabled())
-                for identifier in identifiers
-            ]
-            # Experiments vary widely in cost; chunk_size=1 lets fast
-            # ones drain while a slow one occupies its worker.
-            results = worker_pool.map(_pool_run_one, work, chunk_size=1)
-            if obs.is_enabled():
-                _merge_worker_observability(results)
-            return results
+            results = process_map(
+                _run_one,
+                quick,
+                [(identifier, collect_obs) for identifier in identifiers],
+                jobs,
+            )
         except FALLBACK_ERRORS as error:
             note_fallback("experiments.run_all", error)
+        else:
+            if collect_obs:
+                _merge_worker_observability(results)
+            return results
     return [run_experiment(identifier, quick) for identifier in identifiers]

@@ -16,14 +16,13 @@ Two execution strategies, identical results:
   Per-chain random streams are private, so lockstep interleaving cannot
   perturb them: chain ``i`` is bit-identical to a standalone
   ``anneal_mapping(..., seed=seed + i)`` run.
-* **process fan-out** (``jobs > 1``) — chains are distributed over the
-  persistent warm worker pool (:mod:`repro.core.pool`), the same pool
-  the replication sweep and the experiment campaign runner share; the
-  ``(graph, torus, initial)`` payload — and, on spawn platforms, the
-  dense torus distance table through shared memory — is broadcast once,
-  and each task carries only its chain seed and schedule.  Falls back to
-  the batched path (loudly: ``pool.fallback`` counter plus a
-  :class:`~repro.core.pool.PoolFallbackWarning`) if no pool can start.
+* **process fan-out** (``jobs > 1``) — chains are distributed over
+  worker processes (:func:`repro.core.pool.process_map`); the
+  ``(graph, torus, initial)`` payload reaches each worker once, each
+  task carries only its chain seed and schedule, and each worker builds
+  its own distance table.  Falls back to the batched path (loudly:
+  ``pool.fallback`` counter plus a
+  :class:`~repro.core.pool.PoolFallbackWarning`) if no worker can start.
 
 Either way the chain results — and therefore the selected winner — are
 deterministic functions of ``(seed, chains)`` alone.
@@ -39,9 +38,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.pool import FALLBACK_ERRORS, WorkerPool, get_pool, note_fallback
+from repro.core.pool import FALLBACK_ERRORS, note_fallback, process_map
 from repro.errors import MappingError
-from repro.mapping.anneal import AnnealResult, _check_schedule
+from repro.mapping.anneal import AnnealResult, _check_schedule, anneal_mapping
 from repro.mapping.base import Mapping
 from repro.mapping.engine import SwapEngine, check_sizes
 from repro.mapping.evaluate import average_distance
@@ -87,11 +86,10 @@ def _select_best(results: Tuple[AnnealResult, ...]) -> int:
     return best_index
 
 
-def _chain_worker(arguments) -> AnnealResult:
-    """One standalone chain (module-level so it pickles)."""
-    from repro.mapping.anneal import anneal_mapping
-
-    graph, torus, initial, steps, seed, temperature, cooling = arguments
+def _run_chain(payload, task) -> AnnealResult:
+    """Worker task: one standalone chain against the shared problem."""
+    graph, torus, initial = payload
+    seed, steps, temperature, cooling = task
     return anneal_mapping(
         graph,
         torus,
@@ -100,24 +98,6 @@ def _chain_worker(arguments) -> AnnealResult:
         seed=seed,
         initial_temperature=temperature,
         cooling=cooling,
-    )
-
-
-def _pool_chain_worker(payload, task) -> AnnealResult:
-    """Warm-pool task: one chain against the broadcast problem.
-
-    ``payload`` holds the immutable problem — and, on spawn pools, the
-    parent's dense distance table (a shared-memory view), which is
-    installed in the module cache so the chain skips the O(N^2) rebuild.
-    """
-    graph, torus, initial, table = payload
-    if table is not None:
-        from repro.topology.torus import seed_distance_table
-
-        seed_distance_table(torus.radix, torus.dimensions, table)
-    seed, steps, temperature, cooling = task
-    return _chain_worker(
-        (graph, torus, initial, steps, seed, temperature, cooling)
     )
 
 
@@ -241,18 +221,16 @@ def anneal_chains(
     initial_temperature: float = 2.0,
     cooling: float = 0.999,
     jobs: int = 1,
-    pool: Optional[WorkerPool] = None,
 ) -> MultiChainResult:
     """Run ``chains`` independent annealing restarts and keep them all.
 
     Chain ``i`` is seeded ``seed + i`` and is bit-identical to a
     standalone ``anneal_mapping(..., seed=seed + i)`` call; results do
-    not depend on ``jobs`` or on pool reuse.  With ``jobs > 1`` chains
-    fan out over the process-global warm worker pool (one chain per
-    task, problem broadcast once); otherwise all chains advance in
-    lockstep with their swap deltas priced in one batched gather per
-    step over the shared distance table.  Pass ``pool`` to use a
-    specific pool instead of the global one.
+    not depend on ``jobs``.  With ``jobs > 1`` chains fan out over that
+    many worker processes (one chain per task, the problem handed to
+    each worker once); otherwise all chains advance in lockstep with
+    their swap deltas priced in one batched gather per step over the
+    shared distance table.
     """
     check_sizes(graph, torus, initial, steps)
     _check_schedule(initial_temperature, cooling)
@@ -273,31 +251,21 @@ def anneal_chains(
         seed=seed,
         jobs=jobs,
     ):
-        if jobs > 1 or pool is not None:
+        if jobs > 1:
             try:
-                worker_pool = pool if pool is not None else get_pool(jobs)
-                # On spawn pools ship the dense distance table along (it
-                # rides shared memory, one copy machine-wide); fork
-                # workers inherit the parent's table cache for free.
-                table = (
-                    torus.distance_table()
-                    if worker_pool.uses_shared_memory
-                    else None
-                )
-                worker_pool.broadcast(
-                    "mapping.chains", (graph, torus, initial, table)
-                )
-                tasks = [
-                    (s, steps, initial_temperature, cooling) for s in seeds
-                ]
                 results = tuple(
-                    worker_pool.map(
-                        _pool_chain_worker, tasks, key="mapping.chains"
+                    process_map(
+                        _run_chain,
+                        (graph, torus, initial),
+                        [
+                            (s, steps, initial_temperature, cooling)
+                            for s in seeds
+                        ],
+                        jobs,
                     )
                 )
             except FALLBACK_ERRORS as error:
                 note_fallback("mapping.chains", error)
-                results = None  # no usable pool; fall through to batched
         if results is None:
             engine = SwapEngine(graph, torus)
             results = _anneal_chains_batched(

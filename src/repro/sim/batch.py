@@ -54,7 +54,6 @@ load is the one loud fallback (``batch.fallback`` counter plus a
 
 from __future__ import annotations
 
-import copy
 import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -403,20 +402,12 @@ def run_batch(
             return machine.run(warmup=warmup, measure=measure)
         _note_core_unavailable()
     # Deferred: repro.sim.replicate imports this module.
-    from repro.sim.replicate import _run_single
+    from repro.sim.replicate import _run_seed
 
     return [
-        _run_single(
-            (
-                config,
-                copy.deepcopy(mapping),
-                copy.deepcopy(programs),
-                int(seed),
-                warmup,
-                measure,
-                False,
-                telemetry,
-            )
+        _run_seed(
+            (config, mapping, programs),
+            (int(seed), warmup, measure, False, telemetry),
         )[0]
         for seed in seeds
     ]

@@ -2,24 +2,22 @@
 
 Every simulated figure used to rest on a single seed.  This module runs
 the same (config, mapping, programs) machine under a list of root seeds
-— serially, fanned out over the persistent warm worker pool
-(:mod:`repro.core.pool`), and/or packed into batches (``batch=R``
-routes contiguous seed chunks through :func:`repro.sim.batch.run_batch`,
-one lockstep pass per chunk where the compiled core applies) — and
-aggregates each
+— serially, fanned out over worker processes
+(:func:`repro.core.pool.process_map`), and/or packed into batches
+(``batch=R`` routes contiguous seed chunks through
+:func:`repro.sim.batch.run_batch`, one lockstep pass per chunk where the
+compiled core applies) — and aggregates each
 :class:`~repro.sim.stats.MeasurementSummary` metric into mean / sample
 standard deviation / 95% confidence interval, so model-vs-sim
 comparisons carry error bars instead of point estimates.
 
 Determinism contract: for a fixed seed list the aggregates (and the
-per-seed summaries) are identical regardless of ``jobs`` and of pool
-reuse.  Each replication is an isolated machine built from
-``config.with_seed(seed)`` with its own deep copy of the programs (both
-the serial path and the pool worker copy explicitly — warm workers
-reuse the broadcast payload across tasks, so nothing may mutate it),
-results are reassembled in seed order whatever the completion order,
-and the statistics are computed with plain float arithmetic over that
-order.
+per-seed summaries) are identical regardless of ``jobs``.  Each
+replication is an isolated machine built from ``config.with_seed(seed)``
+with its own deep copy of the mapping and programs (a worker serves
+several tasks from one payload, so nothing may mutate it), results are
+reassembled in seed order whatever the completion order, and the
+statistics are computed with plain float arithmetic over that order.
 
 Seed policy: :func:`default_seeds` enumerates ``root, root+1, ...`` so
 the first replication of a campaign is exactly the old single-seed run —
@@ -29,8 +27,8 @@ seed via ``numpy.random.SeedSequence`` (see :mod:`repro.sim.processor`),
 and the RNG provenance rides on the result for run manifests.
 
 With observability enabled the whole sweep runs under a ``replicate``
-span, each replication inside a ``replication`` span; pool workers ship
-their span records back on the result tuple and the parent merges them
+span, each replication inside a ``replication`` span; worker processes
+ship their span records back on the result tuple and the parent merges them
 (:func:`repro.obs.ingest_worker_payloads`), so a ``jobs=N`` trace is
 equivalent to the serial one.
 """
@@ -46,10 +44,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.pool import (
     FALLBACK_ERRORS,
-    WorkerPool,
     chunk_tasks,
-    get_pool,
     note_fallback,
+    process_map,
 )
 from repro.errors import ParameterError
 from repro.mapping.base import Mapping
@@ -165,156 +162,79 @@ def aggregate_summaries(
     return aggregates
 
 
-def _run_single(arguments) -> Tuple[MeasurementSummary, Optional[Dict]]:
-    """One seeded machine run.
+def _worker_obs_start(collect_obs: bool) -> int:
+    """Give a worker process a fresh trace buffer; returns its mark.
 
-    Module-level so it pickles; takes one tuple so it maps cleanly.
-    Callers must hand this their own copy of mapping and programs
-    (programs carry mutable per-run state): the serial path deep-copies,
-    and :func:`_pool_run_single` deep-copies the broadcast payload
-    before delegating here.
+    Fork-started workers inherit the parent's trace buffer and metrics
+    registry, and a worker runs several tasks; starting fresh per task
+    makes this task's spans carry the worker's pid and its histograms
+    ship back exactly once.
     """
-    (
-        config,
-        mapping,
-        programs,
-        seed,
-        warmup,
-        measure,
-        collect_obs,
-        telemetry,
-    ) = arguments
-    if collect_obs:
-        # Fork-started workers inherit the parent's trace buffer; start
-        # fresh so this worker's spans carry its own pid exactly once.
-        # The metrics registry is reset for the same reason: histograms
-        # accumulated here ship back on the payload, and inherited (or
-        # previous-task) state must not ride along twice.
-        obs.enable()
-        obs.reset()
-        obs.REGISTRY.reset()
-    mark = obs.trace_mark() if collect_obs else 0
-    with obs.span("replication", seed=seed):
-        machine = Machine(config.with_seed(seed), mapping, programs)
-        if telemetry is not None:
-            machine.attach_telemetry(telemetry)
-        summary = machine.run(warmup=warmup, measure=measure)
-    payload = (
-        {
-            "pid": os.getpid(),
-            "spans": obs.spans_since(mark),
-            "histograms": obs.REGISTRY.snapshot_histograms(),
-        }
-        if collect_obs
-        else None
-    )
-    return summary, payload
+    if not collect_obs:
+        return 0
+    obs.enable()
+    obs.reset()
+    obs.REGISTRY.reset()
+    return obs.trace_mark()
 
 
-def _pool_run_single(payload, task):
-    """Warm-pool task: rebuild per-task isolation, then run one seed.
+def _worker_obs_payload(collect_obs: bool, mark: int) -> Optional[Dict]:
+    """This task's spans and histograms, for the parent to merge."""
+    if not collect_obs:
+        return None
+    return {
+        "pid": os.getpid(),
+        "spans": obs.spans_since(mark),
+        "histograms": obs.REGISTRY.snapshot_histograms(),
+    }
 
-    ``payload`` is the broadcast ``(config, mapping, programs)`` shared
-    by every task on this worker; programs are stateful across a run, so
-    each task takes a deep copy — the isolation per-task pickling used
-    to provide, now paid per task-copy instead of per task-transfer.
+
+def _run_seed(payload, task) -> Tuple[MeasurementSummary, Optional[Dict]]:
+    """One seeded machine run against the shared ``payload``.
+
+    ``payload`` is ``(config, mapping, programs)``; programs carry
+    mutable per-run state, so every run takes its own deep copies.
+    ``collect_obs`` is set only for tasks that run in a worker process.
     """
     config, mapping, programs = payload
     seed, warmup, measure, collect_obs, telemetry = task
-    if not collect_obs and obs.is_enabled():
-        # A warm worker may carry obs state enabled by an earlier task
-        # (or inherited over fork); this run must not record into it.
-        obs.disable()
-        obs.reset()
-    return _run_single(
-        (
-            config,
+    mark = _worker_obs_start(collect_obs)
+    with obs.span("replication", seed=seed):
+        machine = Machine(
+            config.with_seed(seed),
             copy.deepcopy(mapping),
             copy.deepcopy(programs),
-            seed,
-            warmup,
-            measure,
-            collect_obs,
-            telemetry,
         )
-    )
+        if telemetry is not None:
+            machine.attach_telemetry(telemetry)
+        summary = machine.run(warmup=warmup, measure=measure)
+    return summary, _worker_obs_payload(collect_obs, mark)
 
 
-def _run_batch_chunk(
-    arguments,
+def _run_chunk(
+    payload, task
 ) -> Tuple[List[MeasurementSummary], Optional[Dict]]:
     """One chunk of seeds through :func:`repro.sim.batch.run_batch`.
 
-    The batched counterpart of :func:`_run_single`: same argument-tuple
-    convention, same worker obs bootstrap, but one call runs every seed
-    in the chunk and returns the summaries in chunk order (each
-    bit-identical to its solo run, telemetry snapshot included).
+    The batched counterpart of :func:`_run_seed`: same payload and task
+    convention, but one call runs every seed in the chunk and returns
+    the summaries in chunk order (each bit-identical to its solo run,
+    telemetry snapshot included).
     """
-    (
-        config,
-        mapping,
-        programs,
-        chunk,
-        warmup,
-        measure,
-        collect_obs,
-        telemetry,
-    ) = arguments
-    if collect_obs:
-        # Same worker bootstrap as _run_single: fresh trace buffer and
-        # metrics registry so this task's spans/histograms ship exactly
-        # once.
-        obs.enable()
-        obs.reset()
-        obs.REGISTRY.reset()
-    mark = obs.trace_mark() if collect_obs else 0
+    config, mapping, programs = payload
+    chunk, warmup, measure, collect_obs, telemetry = task
+    mark = _worker_obs_start(collect_obs)
     with obs.span("replication.batch", seeds=len(chunk)):
         summaries = run_batch(
             config,
-            mapping,
-            programs,
+            copy.deepcopy(mapping),
+            copy.deepcopy(programs),
             chunk,
             warmup=warmup,
             measure=measure,
             telemetry=telemetry,
         )
-    payload = (
-        {
-            "pid": os.getpid(),
-            "spans": obs.spans_since(mark),
-            "histograms": obs.REGISTRY.snapshot_histograms(),
-        }
-        if collect_obs
-        else None
-    )
-    return summaries, payload
-
-
-def _pool_run_batch(payload, task):
-    """Warm-pool task: one seed chunk through :func:`run_batch`.
-
-    Mirrors :func:`_pool_run_single`'s isolation contract: the broadcast
-    ``(config, mapping, programs)`` payload is shared across tasks on
-    this worker, so mapping/programs are deep-copied per task before
-    ``run_batch`` takes its own per-replication copies.
-    """
-    config, mapping, programs = payload
-    chunk, warmup, measure, collect_obs, telemetry = task
-    if not collect_obs and obs.is_enabled():
-        obs.disable()
-        obs.reset()
-    return _run_batch_chunk(
-        (
-            config,
-            copy.deepcopy(mapping),
-            copy.deepcopy(programs),
-            chunk,
-            warmup,
-            measure,
-            collect_obs,
-            telemetry,
-        )
-    )
+    return summaries, _worker_obs_payload(collect_obs, mark)
 
 
 def run_replications(
@@ -326,29 +246,27 @@ def run_replications(
     warmup: Optional[int] = None,
     measure: Optional[int] = None,
     telemetry: Optional[TelemetryConfig] = None,
-    pool: Optional[WorkerPool] = None,
     batch: int = 1,
 ) -> ReplicationResult:
     """Run one machine configuration under each seed and aggregate.
 
-    ``jobs > 1`` fans the replications over the process-global warm
-    worker pool (:func:`repro.core.pool.get_pool`): the
-    ``(config, mapping, programs)`` payload is broadcast to the workers
-    once and each task ships only its seed and window overrides, so N
-    replications pickle the machine description once, not N times.
-    When no pool can run here the sweep falls back to the serial path —
+    ``jobs > 1`` fans the replications over that many worker processes
+    (:func:`repro.core.pool.process_map`): the
+    ``(config, mapping, programs)`` payload reaches each worker once and
+    each task carries only its seed and window overrides.  When no
+    worker can run here the sweep falls back to the serial path —
     loudly, via the ``pool.fallback`` counter and a
     :class:`~repro.core.pool.PoolFallbackWarning` — and results and
-    aggregates are identical either way.  Pass ``pool`` to use a
-    specific (e.g. spawn-start-method) pool instead of the global one.
+    aggregates are identical either way.  ``jobs < 1`` raises
+    :class:`~repro.errors.ParameterError`.
 
     ``warmup`` / ``measure`` override the config's windows, as with
     :meth:`Machine.run`.  With a ``telemetry`` config each replication's
     machine runs instrumented and its snapshot rides on the per-seed
     summary (merge across seeds with
     :meth:`ReplicationResult.merged_telemetry`); with observability on,
-    pool workers additionally ship their histogram state back for the
-    jobs-invariant registry merge.
+    worker processes additionally ship their histogram state back for
+    the jobs-invariant registry merge.
 
     ``batch > 1`` packs the seeds into contiguous chunks of at most
     ``batch`` and hands each chunk to :func:`repro.sim.batch.run_batch`,
@@ -356,8 +274,8 @@ def run_replications(
     compiled core and every other chunk as one machine per seed.
     Per-seed summaries (and telemetry snapshots) are bit-identical to
     the ``batch=1`` path, so batching composes freely with ``jobs``:
-    each chunk is one pool task, multiplying the batch speedup by the
-    pool's scaling.
+    each chunk is one worker task, multiplying the batch speedup by the
+    jobs scaling.
     """
     seeds = tuple(int(seed) for seed in seeds)
     if not seeds:
@@ -371,94 +289,37 @@ def run_replications(
             f"({len(seeds)}); pass batch <= len(seeds)"
         )
     collect_obs = obs.is_enabled()
-    outcomes: Optional[List[Tuple[MeasurementSummary, Optional[Dict]]]] = None
+    if batch > 1:
+        run, units = _run_chunk, chunk_tasks(seeds, batch)
+    else:
+        run, units = _run_seed, seeds
+
+    def fan_out(workers: int) -> List:
+        tasks = [
+            (unit, warmup, measure, collect_obs and workers > 1, telemetry)
+            for unit in units
+        ]
+        return process_map(run, (config, mapping, programs), tasks, workers)
+
+    outcomes = None
     with obs.span("replicate", seeds=len(seeds), jobs=jobs, batch=batch):
-        if batch > 1:
-            chunks = chunk_tasks(seeds, batch)
-            chunk_outcomes = None
-            if jobs > 1 or pool is not None:
-                try:
-                    worker_pool = pool if pool is not None else get_pool(jobs)
-                    worker_pool.broadcast(
-                        "sim.replicate", (config, mapping, programs)
-                    )
-                    tasks = [
-                        (chunk, warmup, measure, collect_obs, telemetry)
-                        for chunk in chunks
-                    ]
-                    chunk_outcomes = worker_pool.map(
-                        _pool_run_batch, tasks, key="sim.replicate"
-                    )
-                    if collect_obs:
-                        obs.ingest_worker_payloads(
-                            payload for _, payload in chunk_outcomes
-                        )
-                except FALLBACK_ERRORS as error:
-                    note_fallback("sim.replicate", error)
-                    chunk_outcomes = None  # run the chunks serially below
-            if chunk_outcomes is None:
-                chunk_outcomes = [
-                    _run_batch_chunk(
-                        (
-                            config,
-                            copy.deepcopy(mapping),
-                            copy.deepcopy(programs),
-                            chunk,
-                            warmup,
-                            measure,
-                            False,
-                            telemetry,
-                        )
-                    )
-                    for chunk in chunks
-                ]
-            # Chunks are contiguous slices of the seed tuple, so plain
-            # concatenation restores seed order.
-            outcomes = [
-                (summary, None)
-                for chunk_summaries, _ in chunk_outcomes
-                for summary in chunk_summaries
-            ]
-        elif jobs > 1 or pool is not None:
+        if jobs != 1:
             try:
-                worker_pool = pool if pool is not None else get_pool(jobs)
-                worker_pool.broadcast(
-                    "sim.replicate", (config, mapping, programs)
-                )
-                tasks = [
-                    (seed, warmup, measure, collect_obs, telemetry)
-                    for seed in seeds
-                ]
-                outcomes = worker_pool.map(
-                    _pool_run_single, tasks, key="sim.replicate"
-                )
-                if collect_obs:
-                    obs.ingest_worker_payloads(
-                        payload for _, payload in outcomes
-                    )
+                outcomes = fan_out(jobs)
             except FALLBACK_ERRORS as error:
                 note_fallback("sim.replicate", error)
-                outcomes = None  # no usable pool; run serially below
         if outcomes is None:
-            # Serial path: deep-copy mapping/programs per run for the
-            # same isolation pool pickling provides (programs may carry
-            # mutable per-run state).
-            outcomes = [
-                _run_single(
-                    (
-                        config,
-                        copy.deepcopy(mapping),
-                        copy.deepcopy(programs),
-                        seed,
-                        warmup,
-                        measure,
-                        False,
-                        telemetry,
-                    )
-                )
-                for seed in seeds
-            ]
-    summaries = [summary for summary, _ in outcomes]
+            outcomes = fan_out(1)
+    if collect_obs:
+        obs.ingest_worker_payloads(payload for _, payload in outcomes)
+    if batch > 1:
+        # Chunks are contiguous slices of the seed tuple, so plain
+        # concatenation restores seed order.
+        summaries = [
+            summary for chunk, _ in outcomes for summary in chunk
+        ]
+    else:
+        summaries = [summary for summary, _ in outcomes]
     return ReplicationResult(
         seeds=seeds,
         summaries=summaries,

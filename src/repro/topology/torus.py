@@ -33,7 +33,6 @@ __all__ = [
     "DeltaBackend",
     "DigitBackend",
     "distance_backend",
-    "seed_distance_table",
 ]
 
 #: Largest torus (in nodes) for which :meth:`Torus.distance_table` will
@@ -80,43 +79,9 @@ def _ring_distance_row(radix: int) -> np.ndarray:
     return row
 
 
-#: Pre-seeded dense distance tables, keyed ``(radix, dimensions)``.
-#: Worker-pool workers on spawn platforms install the parent's table
-#: here (a read-only view over shared memory) via
-#: :func:`seed_distance_table`, so attaching one shared segment replaces
-#: an O(N^2) per-worker rebuild.  Checked before the lru-cached builder.
-_SEEDED_TABLES: dict = {}
-
-
-def seed_distance_table(
-    radix: int, dimensions: int, table: np.ndarray
-) -> None:
-    """Install ``table`` as the dense distance table for this torus shape.
-
-    The table must be the same array :func:`_distance_table` would
-    build (shape ``(k**n, k**n)``); callers that ship tables between
-    processes are responsible for that fidelity.  Pass-through views
-    over shared memory are the intended use.
-    """
-    count = radix**dimensions
-    if table.shape != (count, count):
-        raise TopologyError(
-            f"seeded distance table for radix={radix} dims={dimensions} "
-            f"must have shape {(count, count)}, got {table.shape}"
-        )
-    _SEEDED_TABLES[(radix, dimensions)] = table
-
-
-def _distance_table(radix: int, dimensions: int) -> np.ndarray:
-    """Full N x N torus hop-distance table, seeded or locally built."""
-    seeded = _SEEDED_TABLES.get((radix, dimensions))
-    if seeded is not None:
-        return seeded
-    return _build_distance_table(radix, dimensions)
-
-
 @functools.lru_cache(maxsize=4)
-def _build_distance_table(radix: int, dimensions: int) -> np.ndarray:
+def _distance_table(radix: int, dimensions: int) -> np.ndarray:
+    """Full N x N torus hop-distance table (int16, read-only)."""
     coords = _coordinate_array(radix, dimensions)
     count = radix**dimensions
     table = np.zeros((count, count), dtype=np.int16)

@@ -1,30 +1,34 @@
-"""The persistent warm worker pool: dispatch, broadcast, and recovery.
+"""Worker-process fan-out: order, failures, fallback and payload transport.
 
-Start-method coverage: the cheap contract tests run on a fork pool
-(fork is the platform default everywhere these tests run); the
-shared-memory and determinism-critical ones run on spawn pools too,
-because spawn is the path real macOS/Windows users take and the one
-where broadcast transport actually pickles.
+Start-method coverage: ``process_map`` picks fork where the platform
+has it; tests that need a given method replace the module's context
+choice with a fake (:func:`use_start_method`), since spawn is the path
+macOS/Windows users take and the one where the payload is pickled.
 """
 
+import multiprocessing
 import os
-import warnings
 
-import numpy as np
 import pytest
 
 from repro import obs
+from repro.core import pool
 from repro.core.pool import (
     FALLBACK_ERRORS,
-    SHARED_MEMORY_MIN_BYTES,
     PoolFallbackWarning,
-    WorkerPool,
-    default_start_method,
-    get_pool,
     note_fallback,
-    shutdown_global_pool,
+    process_map,
 )
-from repro.errors import ParameterError, PoolError, WorkerCrashError
+from repro.errors import MappingError, ParameterError, WorkerCrashError
+
+
+def use_start_method(monkeypatch, method):
+    """Make ``process_map`` start its workers with ``method``."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} on this platform")
+    monkeypatch.setattr(
+        pool, "_context", lambda: multiprocessing.get_context(method)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -32,13 +36,8 @@ from repro.errors import ParameterError, PoolError, WorkerCrashError
 # ----------------------------------------------------------------------
 
 
-def _square(payload, item):
-    return item * item
-
-
-def _payload_sum(payload, item):
-    base, array = payload
-    return base + int(array[item])
+def _offset_square(payload, item):
+    return payload + item * item
 
 
 def _boom_on_three(payload, item):
@@ -70,191 +69,71 @@ class _PickleCounter:
         pass
 
 
-def _ignore(payload, item):
-    return item
-
-
 class TestConstruction:
     def test_rejects_nonpositive_jobs(self):
-        with pytest.raises(ParameterError):
-            WorkerPool(0)
-
-    def test_rejects_unknown_start_method(self):
-        with pytest.raises(PoolError):
-            WorkerPool(1, start_method="teleport")
+        for jobs in (0, -3):
+            with pytest.raises(ParameterError, match="jobs must be >= 1"):
+                process_map(_offset_square, 0, [1], jobs)
 
     def test_default_start_method_is_available(self):
-        import multiprocessing
-
-        assert default_start_method() in (
+        assert pool._context().get_start_method() in (
             multiprocessing.get_all_start_methods()
         )
-
-    def test_workers_start_lazily(self):
-        with WorkerPool(2) as pool:
-            assert not pool.started
-            pool.warm()
-            assert pool.started
 
 
 class TestDispatch:
     def test_map_preserves_item_order(self):
-        with WorkerPool(2) as pool:
-            assert pool.map(_square, range(20)) == [
-                i * i for i in range(20)
-            ]
-
-    def test_map_with_explicit_chunk_size(self):
-        with WorkerPool(2) as pool:
-            assert pool.map(_square, range(7), chunk_size=1) == [
-                i * i for i in range(7)
-            ]
+        assert process_map(_offset_square, 100, range(20), 2) == [
+            100 + i * i for i in range(20)
+        ]
 
     def test_empty_items(self):
-        with WorkerPool(1) as pool:
-            assert pool.map(_square, []) == []
-
-    def test_missing_broadcast_key_raises(self):
-        with WorkerPool(1) as pool:
-            with pytest.raises(PoolError, match="no broadcast"):
-                pool.map(_payload_sum, [1], key="never-registered")
-
-    def test_closed_pool_raises_a_fallback_error(self):
-        pool = WorkerPool(1)
-        pool.close()
-        with pytest.raises(FALLBACK_ERRORS):
-            pool.map(_square, [1])
+        assert process_map(_offset_square, 0, [], 2) == []
 
     def test_tasks_spread_across_workers(self):
-        with WorkerPool(2) as pool:
-            pool.warm()
-            pids = set(pool.map(_worker_pid, range(16), chunk_size=1))
+        pids = set(process_map(_worker_pid, None, range(16), 2))
         assert os.getpid() not in pids
 
 
 class TestBroadcast:
+    """The payload reaches each worker once, never once per task."""
+
     def test_payload_reaches_tasks(self):
-        array = np.arange(10, dtype=np.int64)
-        with WorkerPool(2) as pool:
-            pool.broadcast("k", (100, array))
-            assert pool.map(_payload_sum, [0, 5, 9], key="k") == [
-                100, 105, 109,
-            ]
+        assert process_map(_offset_square, 100, [0, 5, 9], 2) == [
+            100, 125, 181,
+        ]
 
-    def test_identical_payload_is_not_rebroadcast(self):
-        array = np.arange(10, dtype=np.int64)
-        payload = (100, array)
-        with WorkerPool(1) as pool:
-            first = pool.broadcast("k", payload)
-            again = pool.broadcast("k", (100, array))  # same objects
-            assert first == again
-
-    def test_changed_payload_replaces_the_old_one(self):
-        array = np.arange(10, dtype=np.int64)
-        with WorkerPool(1) as pool:
-            first = pool.broadcast("k", (100, array))
-            second = pool.broadcast("k", (200, array))
-            assert second != first
-            assert pool.map(_payload_sum, [1], key="k") == [201]
-
-    def test_fork_staged_broadcast_is_never_pickled(self):
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("no fork on this platform")
+    def test_fork_staged_broadcast_is_never_pickled(self, monkeypatch):
+        use_start_method(monkeypatch, "fork")
         _PickleCounter.pickles = 0
-        with WorkerPool(2, start_method="fork") as pool:
-            pool.broadcast("k", (_PickleCounter(), np.zeros(4)))
-            pool.map(_ignore, range(8), key="k")
-            assert _PickleCounter.pickles == 0
+        process_map(_worker_pid, _PickleCounter(), range(8), 2)
+        assert _PickleCounter.pickles == 0
 
-    def test_spawn_broadcast_pickles_once_per_worker_not_per_task(self):
+    def test_spawn_broadcast_pickles_once_per_worker_not_per_task(
+        self, monkeypatch
+    ):
+        use_start_method(monkeypatch, "spawn")
+        # All 12 tasks are queued before either worker is up, so both
+        # workers start, and the payload is pickled once for each.
         _PickleCounter.pickles = 0
-        with WorkerPool(2, start_method="spawn") as pool:
-            pool.warm()
-            pool.broadcast("k", (_PickleCounter(), np.zeros(4)))
-            baseline = _PickleCounter.pickles
-            assert baseline == pool.jobs
-            pool.map(_ignore, range(12), key="k")
-            assert _PickleCounter.pickles == baseline
-
-
-class TestSharedMemory:
-    def test_spawn_pool_ships_large_arrays_out_of_band(self):
-        length = SHARED_MEMORY_MIN_BYTES  # int64 -> 8x the threshold
-        array = np.arange(length, dtype=np.int64)
-        with WorkerPool(1, start_method="spawn") as pool:
-            assert pool.uses_shared_memory
-            pool.broadcast("k", (7, array))
-            assert pool._segments["k"], "large array should use shm"
-            assert pool.map(
-                _payload_sum, [0, length - 1], key="k"
-            ) == [7, 7 + length - 1]
-
-    def test_small_arrays_stay_in_the_pickle_stream(self):
-        array = np.arange(8, dtype=np.int64)
-        with WorkerPool(1, start_method="spawn") as pool:
-            pool.broadcast("k", (7, array))
-            assert "k" not in pool._segments
-            assert pool.map(_payload_sum, [3], key="k") == [10]
-
-    def test_fork_pool_never_exports_segments(self):
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("no fork on this platform")
-        array = np.arange(SHARED_MEMORY_MIN_BYTES, dtype=np.int64)
-        with WorkerPool(1, start_method="fork") as pool:
-            assert not pool.uses_shared_memory
-            pool.broadcast("k", (7, array))
-            assert not pool._segments
+        process_map(_worker_pid, _PickleCounter(), range(12), 2)
+        assert _PickleCounter.pickles == 2
 
 
 class TestFailureContainment:
     def test_poisoned_task_fails_only_itself(self):
-        with WorkerPool(2) as pool:
-            with pytest.raises(ValueError, match="boom-3"):
-                pool.map(_boom_on_three, range(6), chunk_size=1)
-            # The pool survives the task failure.
-            assert pool.map(_square, range(4)) == [0, 1, 4, 9]
+        with pytest.raises(ValueError, match="boom-3"):
+            process_map(_boom_on_three, None, range(6), 2)
+        # The next call is unaffected.
+        assert process_map(_offset_square, 0, range(4), 2) == [0, 1, 4, 9]
 
-    def test_worker_crash_fails_chunk_and_respawns(self):
-        with WorkerPool(2) as pool:
-            with pytest.raises(WorkerCrashError):
-                pool.map(_die_on_two, range(6), chunk_size=1)
-            assert len(pool._workers) == pool.jobs
-            assert pool.map(_square, range(4)) == [0, 1, 4, 9]
-
-    def test_crashed_spawn_worker_recovers_its_broadcasts(self):
-        array = np.arange(SHARED_MEMORY_MIN_BYTES, dtype=np.int64)
-        with WorkerPool(1, start_method="spawn") as pool:
-            pool.broadcast("k", (7, array))
-            with pytest.raises(WorkerCrashError):
-                pool.map(_die_on_two, [2])
-            # The replacement worker received the broadcast replay.
-            assert pool.map(_payload_sum, [5], key="k") == [12]
+    def test_worker_crash_raises_and_next_call_works(self):
+        with pytest.raises(WorkerCrashError):
+            process_map(_die_on_two, None, range(6), 2)
+        assert process_map(_offset_square, 0, range(4), 2) == [0, 1, 4, 9]
 
     def test_crash_error_is_a_fallback_error(self):
         assert issubclass(WorkerCrashError, FALLBACK_ERRORS)
-
-
-class TestGlobalPool:
-    def test_get_pool_reuses_and_grows(self):
-        shutdown_global_pool()
-        try:
-            pool = get_pool(1)
-            assert get_pool(1) is pool
-            assert get_pool(3) is pool
-            assert pool.jobs == 3
-        finally:
-            shutdown_global_pool()
-
-    def test_shutdown_then_get_makes_a_fresh_pool(self):
-        first = get_pool(1)
-        shutdown_global_pool()
-        assert first.closed
-        second = get_pool(1)
-        try:
-            assert second is not first
-            assert not second.closed
-        finally:
-            shutdown_global_pool()
 
 
 class TestFallbackVisibility:
@@ -267,3 +146,56 @@ class TestFallbackVisibility:
         with pytest.warns(PoolFallbackWarning, match="sim.replicate"):
             note_fallback("sim.replicate", OSError("no forking today"))
         assert counter.value == before + 1
+
+
+def _run_all(jobs):
+    from repro.experiments.runner import run_all
+
+    run_all(quick=True, jobs=jobs, experiments=["table-1"])
+
+
+def _run_replications(jobs):
+    from repro.mapping.strategies import identity_mapping
+    from repro.sim.config import SimulationConfig
+    from repro.sim.replicate import run_replications
+    from repro.topology.graphs import torus_neighbor_graph
+    from repro.workload.synthetic import build_programs
+
+    config = SimulationConfig(
+        radix=4, contexts=1,
+        warmup_network_cycles=50, measure_network_cycles=100,
+    )
+    programs = build_programs(
+        torus_neighbor_graph(4, 2), 1,
+        config.compute_cycles, config.compute_jitter,
+    )
+    run_replications(
+        config, identity_mapping(16), programs, [1], jobs=jobs
+    )
+
+
+def _anneal_chains(jobs):
+    from repro.mapping.chains import anneal_chains
+    from repro.mapping.strategies import random_mapping
+    from repro.topology.graphs import torus_neighbor_graph
+    from repro.topology.torus import Torus
+
+    anneal_chains(
+        torus_neighbor_graph(4, 2), Torus(radix=4, dimensions=2),
+        random_mapping(16, seed=3), chains=2, steps=10, jobs=jobs,
+    )
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize(
+    "site, error",
+    [
+        (_run_all, ParameterError),
+        (_run_replications, ParameterError),
+        (_anneal_chains, MappingError),
+    ],
+    ids=["run_all", "run_replications", "anneal_chains"],
+)
+def test_every_jobs_site_rejects_jobs_below_one(site, error, jobs):
+    with pytest.raises(error, match="jobs must be >= 1"):
+        site(jobs)

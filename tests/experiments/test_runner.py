@@ -142,12 +142,13 @@ class TestParallelRunner:
             assert s.render() == p.render()
 
     def test_jobs_one_never_spawns_a_pool(self, small_registry, monkeypatch):
+        from repro.core import pool
         from repro.experiments import runner
 
-        def boom(*args, **kwargs):
-            raise AssertionError("jobs=1 must not create a worker pool")
+        def no_processes(*args, **kwargs):
+            raise AssertionError("jobs=1 must not start a process")
 
-        monkeypatch.setattr(runner, "get_pool", boom)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", no_processes)
         results = runner.run_all(quick=True, jobs=1)
         assert [r.experiment for r in results] == small_registry
 
@@ -156,13 +157,14 @@ class TestParallelRunner:
         # pool.fallback counter moves and a PoolFallbackWarning fires —
         # and the results still come back via the serial path.
         from repro import obs
+        from repro.core import pool
         from repro.core.pool import PoolFallbackWarning
         from repro.experiments import runner
 
-        def no_pool(*args, **kwargs):
+        def no_processes(*args, **kwargs):
             raise OSError("process creation disabled")
 
-        monkeypatch.setattr(runner, "get_pool", no_pool)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", no_processes)
         counter = obs.REGISTRY.counter(
             "pool.fallback",
             help="parallel runs degraded to the serial path",

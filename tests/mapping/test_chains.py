@@ -53,25 +53,28 @@ class TestChainParity:
         b = anneal_chains(graph, torus, start, chains=2, steps=500, seed=9)
         assert a == b
 
-    def test_spawn_pool_with_seeded_table_matches_batched(
-        self, torus, graph, start
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_workers_match_batched(
+        self, method, monkeypatch, torus, graph, start
     ):
-        # Spawn workers receive the parent's dense distance table over
-        # shared memory and install it via seed_distance_table; the
-        # chains must still be bit-identical to the batched path.
-        from repro.core.pool import WorkerPool
+        # Each worker builds its own distance table; the chains must
+        # still be bit-identical to the batched path.
+        import multiprocessing
 
+        from repro.core import pool
+
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} on this platform")
+        monkeypatch.setattr(
+            pool, "_context", lambda: multiprocessing.get_context(method)
+        )
         batched = anneal_chains(
             graph, torus, start, chains=2, steps=400, seed=5, jobs=1
         )
-        with WorkerPool(2, start_method="spawn") as pool:
-            pooled = anneal_chains(
-                graph, torus, start, chains=2, steps=400, seed=5, pool=pool
-            )
-            reused = anneal_chains(
-                graph, torus, start, chains=2, steps=400, seed=5, pool=pool
-            )
-        assert batched.results == pooled.results == reused.results
+        pooled = anneal_chains(
+            graph, torus, start, chains=2, steps=400, seed=5, jobs=2
+        )
+        assert batched.results == pooled.results
         assert batched.best_index == pooled.best_index
 
 

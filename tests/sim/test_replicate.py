@@ -206,16 +206,12 @@ class TestBatchedReplication:
         assert batched.rng == serial.rng
 
     def test_batch_composes_with_pool_jobs(self):
-        from repro.core.pool import WorkerPool
-
         config, mapping, programs = small_setup()
         seeds = default_seeds(config.seed, 4)
         serial = run_replications(config, mapping, programs, seeds)
-        with WorkerPool(2) as pool:
-            batched = run_replications(
-                config, mapping, programs, seeds,
-                jobs=2, pool=pool, batch=2,
-            )
+        batched = run_replications(
+            config, mapping, programs, seeds, jobs=2, batch=2
+        )
         assert [s.as_dict() for s in batched.summaries] == [
             s.as_dict() for s in serial.summaries
         ]
@@ -260,52 +256,46 @@ class TestBatchedReplication:
         ]
 
 
-class TestWarmPoolDeterminism:
-    """Reusing a warm pool must be invisible in the results.
+class TestCrossProcessDeterminism:
+    """Worker processes must be invisible in the results.
 
-    The tentpole contract: same seeds through a *reused* warm pool ==
-    a fresh pool == the serial path, bit for bit, under both start
-    methods.  Warm workers recycle the broadcast payload across tasks,
+    Same seeds through fork workers == spawn workers == the serial
+    path, bit for bit.  A worker serves several tasks from one payload,
     so any leaked per-run state (the programs' cursors, a stale obs
-    buffer) would show up here as a second-pass divergence.
+    buffer) would show up here as a divergence.
     """
 
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_reused_pool_matches_fresh_pool_and_serial(self, start_method):
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_workers_match_serial(self, method, monkeypatch):
         import multiprocessing
 
-        from repro.core.pool import WorkerPool
+        from repro.core import pool
 
-        if start_method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"no {start_method} on this platform")
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} on this platform")
+        monkeypatch.setattr(
+            pool, "_context", lambda: multiprocessing.get_context(method)
+        )
         config, mapping, programs = small_setup()
         seeds = default_seeds(config.seed, 3)
         serial = run_replications(config, mapping, programs, seeds, jobs=1)
-        with WorkerPool(2, start_method=start_method) as pool:
-            first = run_replications(
-                config, mapping, programs, seeds, jobs=2, pool=pool
-            )
-            again = run_replications(
-                config, mapping, programs, seeds, jobs=2, pool=pool
-            )
-        expected = [s.as_dict() for s in serial.summaries]
-        assert [s.as_dict() for s in first.summaries] == expected
-        assert [s.as_dict() for s in again.summaries] == expected
-        assert serial.aggregates == first.aggregates == again.aggregates
+        pooled = run_replications(config, mapping, programs, seeds, jobs=2)
+        assert [s.as_dict() for s in pooled.summaries] == [
+            s.as_dict() for s in serial.summaries
+        ]
+        assert serial.aggregates == pooled.aggregates
 
-    def test_explicit_pool_short_circuits_jobs_one(self):
-        # Passing a pool routes the sweep through it even at jobs=1 —
-        # the injection hook the spawn-parity tests rely on.
-        from repro.core.pool import WorkerPool
+    def test_jobs_one_never_starts_a_process(self, monkeypatch):
+        from repro.core import pool
 
+        def no_processes(*args, **kwargs):
+            raise AssertionError("jobs=1 must not start a process")
+
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", no_processes)
         config, mapping, programs = small_setup()
         seeds = default_seeds(config.seed, 2)
-        serial = run_replications(config, mapping, programs, seeds, jobs=1)
-        with WorkerPool(1) as pool:
-            pooled = run_replications(
-                config, mapping, programs, seeds, jobs=1, pool=pool
+        for batch in (1, 2):
+            result = run_replications(
+                config, mapping, programs, seeds, jobs=1, batch=batch
             )
-            assert pool.started
-        assert [s.as_dict() for s in serial.summaries] == [
-            s.as_dict() for s in pooled.summaries
-        ]
+            assert len(result.summaries) == 2

@@ -81,6 +81,25 @@ class TestRunFlags:
         assert args.run_all is True
         assert args.jobs == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table-1", "--jobs", "0"],
+            ["run", "--all", "--jobs", "-3"],
+            ["all", "--jobs", "0"],
+            ["anneal", "--jobs", "0"],
+        ],
+    )
+    def test_jobs_below_one_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
+    def test_replicate_jobs_below_one_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exit_info:
+            sim_main(["replicate", "--jobs", "0"])
+        assert exit_info.value.code == 2
+
     def test_run_verbose_prints_perf_counters(self, capsys):
         assert main(["run", "figure-6", "--quick", "--verbose"]) == 0
         out = capsys.readouterr().out
