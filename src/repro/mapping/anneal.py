@@ -6,9 +6,14 @@ swaps with probability ``exp(-delta / T)`` under a geometric cooling
 schedule.  Deterministic for a given seed, like everything else in the
 mapping package.
 
-Swap deltas are priced by the vectorized :class:`repro.mapping.engine.SwapEngine`
-(distance-table gathers over precomputed per-thread adjacency arrays)
-instead of per-neighbor ``torus.distance`` calls; for integer edge
+One loop, :func:`anneal_lockstep`, anneals any number of chains in
+lockstep: :func:`anneal_mapping` runs it with one chain and
+:func:`repro.mapping.chains.anneal_chains` with ``R``.  Each step's
+swaps, one per chain, are priced in one call to
+:meth:`repro.mapping.engine.SwapEngine.swap_delta` (one distance-backend
+gather over every lane).  The best state is journaled, not copied:
+accepted swaps are logged, each new best records the log length, and
+the swaps after the last best are undone at the end.  For integer edge
 weights — every built-in graph — accept/reject decisions, the best
 assignment, and all counters are bit-identical to the loop-based
 reference implementation (:mod:`repro.mapping.reference`), which the
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -33,7 +39,6 @@ from repro import obs
 from repro.errors import MappingError
 from repro.mapping.base import Mapping
 from repro.mapping.engine import SwapEngine, check_sizes
-from repro.mapping.evaluate import average_distance
 from repro.topology.graphs import CommunicationGraph
 from repro.topology.torus import Torus
 
@@ -94,65 +99,118 @@ def anneal_mapping(
     if graph.total_weight == 0.0:
         raise MappingError("communication graph has no edges")
 
-    engine = SwapEngine(graph, torus)
-    position = np.array(initial.assignment, dtype=np.intp)
-    generator = random.Random(seed)
+    with obs.span(
+        "mapping.anneal", steps=steps, threads=graph.threads, seed=seed
+    ):
+        results = anneal_lockstep(
+            SwapEngine(graph, torus),
+            initial,
+            (seed,),
+            steps,
+            initial_temperature,
+            cooling,
+        )
+    count_moves(results)
+    return results[0]
 
-    current_sum = engine.weighted_hop_sum(position)
-    best_sum = current_sum
-    best_position = position.copy()
+
+def anneal_lockstep(
+    engine: SwapEngine,
+    initial: Mapping,
+    seeds: Tuple[int, ...],
+    steps: int,
+    initial_temperature: float,
+    cooling: float,
+) -> Tuple[AnnealResult, ...]:
+    """Anneal one chain per seed, all advancing in lockstep.
+
+    Each step draws every chain's swap from that chain's private random
+    stream and prices all of them in one :meth:`SwapEngine.swap_delta`
+    call, so chain ``i`` is bit-identical to a run with ``seeds[i]``
+    alone.  Accepted swaps are journaled; instead of copying a chain's
+    position at each new best, the journal length is recorded, and the
+    swaps after the last best are undone at the end.
+    """
+    chains = len(seeds)
+    threads = engine.graph.threads
+    generators = [random.Random(seed) for seed in seeds]
+    start = np.fromiter(initial.assignment, dtype=np.intp, count=threads)
+    start_sum, initial_distance = engine.objective(start)
+
+    position = np.tile(start, (chains, 1))
+    current_sum = [start_sum] * chains
+    best_sum = [start_sum] * chains
+    journals = [[] for _ in range(chains)]
+    best_length = [0] * chains
+    accepted = [0] * chains
+    attempted = [0] * chains
 
     temperature = initial_temperature
-    accepted = 0
-    attempted = 0
-    threads = graph.threads
-    with obs.span(
-        "mapping.anneal", steps=steps, threads=threads, seed=seed
-    ):
-        for _ in range(steps):
-            temperature *= cooling
+    for _ in range(steps):
+        temperature *= cooling
+        lanes = []
+        for chain, generator in enumerate(generators):
             thread_a = generator.randrange(threads)
             thread_b = generator.randrange(threads)
             if thread_a == thread_b:
                 continue
-            attempted += 1
-            delta = engine.swap_delta(position, thread_a, thread_b)
+            attempted[chain] += 1
+            lanes.append((chain, thread_a, thread_b))
+        if not lanes:
+            continue
+        rows, a_ids, b_ids = zip(*lanes)
+        deltas = engine.swap_delta(position, a_ids, b_ids, rows).tolist()
+        draw_probability = temperature > 1e-12
+        for (chain, thread_a, thread_b), delta in zip(lanes, deltas):
             accept = delta < 0 or (
-                temperature > 1e-12
-                and generator.random() < math.exp(-delta / temperature)
+                draw_probability
+                and generators[chain].random() < math.exp(-delta / temperature)
             )
-            if accept:
-                accepted += 1
-                current_sum += delta
-                position[thread_a], position[thread_b] = (
-                    position[thread_b],
-                    position[thread_a],
-                )
-                if current_sum < best_sum:
-                    best_sum = current_sum
-                    best_position = position.copy()
+            if not accept:
+                continue
+            row = position[chain]
+            row[thread_a], row[thread_b] = row[thread_b], row[thread_a]
+            journal = journals[chain]
+            journal.append((thread_a, thread_b))
+            accepted[chain] += 1
+            current_sum[chain] += delta
+            if current_sum[chain] < best_sum[chain]:
+                best_sum[chain] = current_sum[chain]
+                best_length[chain] = len(journal)
 
-    if obs.is_enabled():
-        obs.REGISTRY.counter(
-            "anneal.attempted_moves", help="annealing swap attempts"
-        ).inc(attempted)
-        obs.REGISTRY.counter(
-            "anneal.skipped_moves", help="same-thread draws discarded"
-        ).inc(steps - attempted)
-        obs.REGISTRY.counter(
-            "anneal.accepted_moves", help="annealing swaps accepted"
-        ).inc(accepted)
+    results = []
+    for chain in range(chains):
+        row = position[chain]
+        for thread_a, thread_b in reversed(journals[chain][best_length[chain]:]):
+            row[thread_a], row[thread_b] = row[thread_b], row[thread_a]
+        distance = best_sum[chain] / engine.total_weight
+        results.append(
+            AnnealResult(
+                mapping=Mapping(
+                    assignment=tuple(row.tolist()),
+                    processors=initial.processors,
+                ),
+                distance=distance,
+                initial_distance=initial_distance,
+                best_distance=distance,
+                accepted_moves=accepted[chain],
+                attempted_moves=attempted[chain],
+                skipped_moves=steps - attempted[chain],
+            )
+        )
+    return tuple(results)
 
-    final = Mapping(
-        assignment=tuple(int(p) for p in best_position),
-        processors=initial.processors,
-    )
-    return AnnealResult(
-        mapping=final,
-        distance=float(best_sum) / engine.total_weight,
-        initial_distance=average_distance(graph, initial, torus),
-        best_distance=float(best_sum) / engine.total_weight,
-        accepted_moves=accepted,
-        attempted_moves=attempted,
-        skipped_moves=steps - attempted,
-    )
+
+def count_moves(results: Tuple[AnnealResult, ...]) -> None:
+    """Book the chains' move counts to the obs registry, once each."""
+    if not obs.is_enabled():
+        return
+    obs.REGISTRY.counter(
+        "anneal.attempted_moves", help="annealing swap attempts"
+    ).inc(sum(result.attempted_moves for result in results))
+    obs.REGISTRY.counter(
+        "anneal.skipped_moves", help="same-thread draws discarded"
+    ).inc(sum(result.skipped_moves for result in results))
+    obs.REGISTRY.counter(
+        "anneal.accepted_moves", help="annealing swaps accepted"
+    ).inc(sum(result.accepted_moves for result in results))

@@ -41,6 +41,9 @@ class Mapping:
             )
         if not self.assignment:
             raise MappingError("assignment must map at least one thread")
+        # One min/max pass; the per-element walk only names the culprit.
+        if 0 <= min(self.assignment) and max(self.assignment) < self.processors:
+            return
         for thread, processor in enumerate(self.assignment):
             if not 0 <= processor < self.processors:
                 raise MappingError(

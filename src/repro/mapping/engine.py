@@ -1,28 +1,28 @@
-"""Array-backed swap-pricing engine shared by the mapping optimizers.
+"""Array-backed swap pricing shared by the mapping optimizers.
 
-The hill climber, the annealer, and the multi-chain annealer all iterate
+The hill climber, the annealer and the multi-chain annealer all iterate
 the same move: *swap the processors of two threads and price the change
-in weighted hop-sum*.  This module precomputes everything that pricing
-needs once per (graph, torus) pair —
+in weighted hop-sum*.  :meth:`SwapEngine.swap_delta` is the one pricer
+they share.  This module precomputes everything it needs once per
+(graph, torus) pair —
 
 * the torus distance backend (:func:`repro.topology.torus.distance_backend`:
   the dense table at small N, the delta-compressed ring-row engine
-  above the memory guard, the digit walk beyond that),
-* CSR-style per-thread incident adjacency
-  (:meth:`CommunicationGraph.incident_csr`), sliced on demand so no
-  per-thread python structures are materialized even at 10**6 threads,
-  and
-* a zero-padded ``(threads, max_degree)`` adjacency matrix for pricing
-  many chains' swaps in one batched gather.
+  above the memory guard, the digit walk beyond that), and
+* the per-thread incident edges (:meth:`CommunicationGraph.incident_csr`),
+  read as a zero-copy ``(threads, degree)`` view when every thread has
+  the same incident count (every torus-neighbor graph) and as per-call
+  zero-padded CSR windows otherwise.
 
-A swap's delta is then two vectorized gathers per endpoint: neighbor
-positions -> distance rows, dotted with edge weights.  Edges *between*
-the two swapped threads are invariant under the swap (both endpoints
-move) and are masked out, mirroring the loop implementation's
-``neighbor == other`` skip.  For integer edge weights every reduction
-here is exact, so deltas — and therefore accept/reject decisions — are
-bit-identical to the per-edge loops in :mod:`repro.mapping.reference`,
-whichever distance backend is active.
+A batch of swaps ("lanes", one per chain) is priced with one distance
+call: every endpoint's neighbor positions against its processor after
+the swap and before it.  Edges *between* the two swapped threads are
+invariant under the swap (both endpoints move) and are masked out,
+mirroring the loop implementation's ``neighbor == other`` skip.  For
+integer edge weights every reduction here is exact, so deltas — and
+therefore accept/reject decisions — are bit-identical to the per-edge
+loops in :mod:`repro.mapping.reference`, whichever distance backend is
+active.
 """
 
 from __future__ import annotations
@@ -65,94 +65,92 @@ class SwapEngine:
         self.graph = graph
         self.torus = torus
         self.backend = distance_backend(torus)
-        self.table = self.backend.table
         self.total_weight = graph.total_weight
-        self._indptr, self._neighbors, self._weights = graph.incident_csr()
-        self._padded: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._csr = graph.incident_csr()
+        indptr, neighbors, weights = self._csr
+        degrees = np.diff(indptr)
+        self._regular: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if degrees.min() == degrees.max():
+            shape = (graph.threads, int(degrees[0]))
+            self._regular = (neighbors.reshape(shape), weights.reshape(shape))
 
-    # ------------------------------------------------------------------
-    # Adjacency access (CSR slices, zero-copy views).
-    # ------------------------------------------------------------------
+    def regular_adjacency(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(threads, degree)`` neighbor/weight views, or ``None``.
 
-    def incident(self, thread: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(neighbors, weights)`` of the edges touching ``thread``."""
-        start = self._indptr[thread]
-        end = self._indptr[thread + 1]
-        return self._neighbors[start:end], self._weights[start:end]
+        When every thread has the same incident count (every
+        torus-neighbor graph) these are read-only reshape views of the
+        :meth:`CommunicationGraph.incident_csr` arrays — no copy.
+        """
+        return self._regular
 
-    # ------------------------------------------------------------------
-    # Distance access (dense gather, delta gather, or digit walk).
-    # ------------------------------------------------------------------
+    def incident_rows(self, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Neighbors and weights of each thread in ``ends``, one row each.
 
-    def distances(self, processor: int, others: np.ndarray) -> np.ndarray:
-        """Hops from one processor to an array of processors."""
-        return self.backend.pairwise(processor, others)
+        Rows of a regular graph come from :meth:`regular_adjacency`.
+        Otherwise each call gathers a window of the CSR arrays as wide as
+        its largest row; entries past a row's end get weight 0 (and a
+        valid neighbor id), so they add exactly ``0.0`` to every sum.
+        Nothing of size ``threads x max_degree`` is ever built, so a hub
+        of degree N costs O(N) only when it is drawn.
+        """
+        if self._regular is not None:
+            neighbors, weights = self._regular
+            return neighbors.take(ends, axis=0), weights.take(ends, axis=0)
+        indptr, neighbors, weights = self._csr
+        begin = indptr[ends]
+        count = indptr[ends + 1] - begin
+        column = np.arange(count.max())
+        inside = column < count[..., None]
+        index = np.where(inside, begin[..., None] + column, 0)
+        return neighbors[index], weights[index] * inside
 
-    def distances_2d(self, processors: np.ndarray, others: np.ndarray) -> np.ndarray:
-        """Hops between broadcastable arrays of processors (chain batch)."""
-        return self.backend.pairwise(processors, others)
+    def objective(self, position: np.ndarray) -> Tuple[float, float]:
+        """``(weighted hop-sum, average distance)`` of one assignment.
 
-    # ------------------------------------------------------------------
-    # Whole-mapping and per-swap costs.
-    # ------------------------------------------------------------------
-
-    def weighted_hop_sum(self, position: np.ndarray) -> float:
-        """Total weighted hops of a mapping (the optimizers' objective)."""
+        One gather over every edge; the same expressions as
+        :func:`repro.mapping.evaluate.average_distance`, so the average
+        is identical to it.
+        """
         src, dst, weight = self.graph.edge_arrays()
-        hops = self.backend.pairwise(position[src], position[dst])
-        return float(weight @ hops)
+        total = float(weight @ self.backend.pairwise(position[src], position[dst]))
+        return total, total / float(weight.sum())
 
-    def swap_delta(self, position: np.ndarray, thread_a: int, thread_b: int) -> float:
-        """Change in weighted hop-sum if the two threads swap processors.
+    def swap_delta(self, position, thread_a, thread_b, rows=None):
+        """Change in weighted hop-sum if each lane's two threads swap.
 
-        Two gathers per endpoint (its neighbors' positions against its
-        old and new processor); edges between the pair are masked out as
-        swap-invariant.  ``position`` is not modified.  For integer
-        weights the grouping ``w @ (after - before)`` is exact, so the
-        result matches the loop reference bit for bit.
+        Scalar form: ``position`` is one chain's ``(threads,)``
+        assignment and ``thread_a``/``thread_b`` are ints; returns one
+        delta.  Lane form: ``position`` is ``(chains, threads)`` and
+        ``rows``, ``thread_a``, ``thread_b`` are equal-length integer
+        sequences, one entry per lane (a lane's two threads differ);
+        returns an array of one delta per lane.  ``position`` is not
+        modified.
+
+        One backend call prices every lane: each endpoint's neighbors
+        against its processor after the swap (the partner's) and before
+        it.  Differences are taken in int64; for integer weights the
+        weighted sums are exact, so the result matches the loop
+        reference bit for bit.
         """
-        here_a = position[thread_a]
-        here_b = position[thread_b]
-        nbr_a, weight_a = self.incident(thread_a)
-        nbr_b, weight_b = self.incident(thread_b)
-        if thread_b in nbr_a:
-            weight_a = weight_a * (nbr_a != thread_b)
-            weight_b = weight_b * (nbr_b != thread_a)
-        pos_a = position[nbr_a]
-        pos_b = position[nbr_b]
-        pairwise = self.backend.pairwise
-        gain_a = pairwise(here_b, pos_a).astype(np.int64) - pairwise(here_a, pos_a)
-        gain_b = pairwise(here_a, pos_b).astype(np.int64) - pairwise(here_b, pos_b)
-        return weight_a @ gain_a + weight_b @ gain_b
-
-    # ------------------------------------------------------------------
-    # Padded adjacency for batched multi-chain pricing.
-    # ------------------------------------------------------------------
-
-    def padded_adjacency(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(threads, max_degree)`` neighbor/weight matrices, zero-padded.
-
-        Padding entries have weight 0 and neighbor id 0, so they gather a
-        valid (ignored) distance and contribute exactly ``0.0`` to every
-        dot product — keeping batched sums equal to the unpadded ones for
-        integer weights.  Built by one vectorized scatter from the CSR
-        arrays.
-        """
-        if self._padded is None:
-            threads = self.graph.threads
-            indptr = self._indptr
-            degrees = np.diff(indptr)
-            max_degree = int(degrees.max()) if degrees.size else 0
-            nbr = np.zeros((threads, max(max_degree, 1)), dtype=np.intp)
-            wgt = np.zeros((threads, max(max_degree, 1)), dtype=np.float64)
-            if self._neighbors.size:
-                rows = np.repeat(np.arange(threads, dtype=np.intp), degrees)
-                cols = np.arange(self._neighbors.size, dtype=np.intp) - np.repeat(
-                    indptr[:-1], degrees
-                )
-                nbr[rows, cols] = self._neighbors
-                wgt[rows, cols] = self._weights
-            nbr.setflags(write=False)
-            wgt.setflags(write=False)
-            self._padded = (nbr, wgt)
-        return self._padded
+        # order[1] holds each lane's endpoints (a, b), order[0] their
+        # partners (b, a), whose processors the endpoints take.
+        order = np.array(
+            (thread_b, thread_a, thread_a, thread_b), dtype=np.intp
+        ).reshape(2, 2, -1)
+        ends, partners = order[1], order[0]
+        neighbors, weights = self.incident_rows(ends)
+        # Flat 1-D gathers (much cheaper than 2-D fancy indexing); a lone
+        # chain needs no row offsets.
+        flat = position.reshape(-1)
+        if rows is None or position.shape[0] == 1:
+            sources = flat.take(order)
+            around = flat.take(neighbors)
+        else:
+            offset = np.asarray(rows, dtype=np.intp) * position.shape[1]
+            sources = flat.take(order + offset)
+            around = flat.take(neighbors + offset[:, None])
+        hops = self.backend.pairwise(sources[..., None], around)
+        gain = np.subtract(hops[0], hops[1], dtype=np.int64)
+        weight = weights * (neighbors != partners[..., None])
+        deltas = np.einsum("ijk,ijk->j", weight, gain)
+        return deltas if rows is not None else deltas[0]

@@ -13,12 +13,11 @@ mapping's average communication distance in either direction:
 
 The climber is deterministic given its seed: swap candidates come from a
 :class:`random.Random` stream and a swap is kept only if it strictly
-improves the objective, so results are reproducible across runs.  Swap
-deltas are priced by the vectorized :class:`repro.mapping.engine.SwapEngine`
-(distance-table gathers over precomputed per-thread adjacency arrays);
-for integer edge weights the accepted swaps and final mapping are
-bit-identical to the loop-based reference in
-:mod:`repro.mapping.reference`.
+improves the objective, so results are reproducible across runs.  Each
+swap is priced by :meth:`repro.mapping.engine.SwapEngine.swap_delta`,
+the same pricer the annealers use, with one lane; for integer edge
+weights the accepted swaps and final mapping are bit-identical to the
+loop-based reference in :mod:`repro.mapping.reference`.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import MappingError
 from repro.mapping.base import Mapping
 from repro.mapping.engine import SwapEngine, check_sizes
-from repro.mapping.evaluate import average_distance
 from repro.topology.graphs import CommunicationGraph
 from repro.topology.torus import Torus
 
@@ -63,14 +62,16 @@ def optimize_mapping(
     bijective mappings (swapping is only well-defined there).
     """
     check_sizes(graph, torus, initial, steps)
+    if graph.total_weight == 0.0:
+        raise MappingError("communication graph has no edges")
 
     engine = SwapEngine(graph, torus)
-    position = np.array(initial.assignment, dtype=np.intp)
+    threads = graph.threads
+    position = np.fromiter(initial.assignment, dtype=np.intp, count=threads)
     generator = random.Random(seed)
-    current_sum = engine.weighted_hop_sum(position)
+    current_sum, initial_distance = engine.objective(position)
 
     accepted = 0
-    threads = graph.threads
     for _ in range(steps):
         thread_a = generator.randrange(threads)
         thread_b = generator.randrange(threads)
@@ -87,13 +88,12 @@ def optimize_mapping(
             )
 
     final = Mapping(
-        assignment=tuple(int(p) for p in position),
-        processors=initial.processors,
+        assignment=tuple(position.tolist()), processors=initial.processors
     )
     return OptimizationResult(
         mapping=final,
         distance=float(current_sum) / engine.total_weight,
-        initial_distance=average_distance(graph, initial, torus),
+        initial_distance=initial_distance,
         accepted_swaps=accepted,
         attempted_swaps=steps,
     )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import MappingError
 from repro.mapping.anneal import anneal_mapping
+from repro.mapping.chains import anneal_chains
 from repro.mapping.evaluate import average_distance
 from repro.mapping.optimize import minimize_distance
 from repro.mapping.strategies import identity_mapping, random_mapping
@@ -37,11 +38,41 @@ class TestAnnealing:
         )
 
     def test_returns_best_not_final(self, torus, graph):
-        # best_distance is the reported distance by construction.
-        result = anneal_mapping(
-            graph, torus, random_mapping(16, seed=7), steps=2000, seed=1
-        )
-        assert result.distance == result.best_distance
+        # A hot schedule accepts nearly every move, so the walk keeps
+        # worsening long after its best state (from the identity start
+        # the best is the start itself).  The returned mapping must be
+        # the best one: re-evaluating it gives best_distance exactly.
+        hot = dict(steps=2000, initial_temperature=50.0, cooling=0.9999)
+        for start in (identity_mapping(16), random_mapping(16, seed=7)):
+            result = anneal_mapping(graph, torus, start, seed=1, **hot)
+            assert result.accepted_moves > 0.9 * result.attempted_moves
+            assert average_distance(graph, result.mapping, torus) == result.best_distance
+            search = anneal_chains(graph, torus, start, chains=3, seed=1, **hot)
+            for chain in search.results:
+                assert average_distance(graph, chain.mapping, torus) == chain.best_distance
+
+    def test_chain_moves_are_counted_once(self, torus, graph):
+        from repro import obs
+
+        names = ("anneal.attempted_moves", "anneal.accepted_moves")
+
+        def counts():
+            return [getattr(obs.REGISTRY.get(name), "value", 0) for name in names]
+
+        enabled = obs.is_enabled()
+        obs.enable()
+        try:
+            before = counts()
+            search = anneal_chains(
+                graph, torus, random_mapping(16, seed=7), chains=3, steps=500, seed=1
+            )
+            after = counts()
+        finally:
+            if not enabled:
+                obs.disable()
+                obs.reset()
+        assert after[0] - before[0] == sum(r.attempted_moves for r in search.results)
+        assert after[1] - before[1] == sum(r.accepted_moves for r in search.results)
 
     def test_deterministic(self, torus, graph):
         a = anneal_mapping(

@@ -15,6 +15,18 @@ class TestConstruction:
         with pytest.raises(MappingError):
             Mapping(assignment=(0, 4), processors=4)
 
+    @pytest.mark.parametrize("bad", [-1, 100_000])
+    def test_large_assignment_names_the_first_bad_thread(self, bad):
+        # The range check is one min/max pass; the message must still
+        # name the offending thread, not just report a failure.
+        assignment = list(range(100_000))
+        assignment[73_419] = bad
+        with pytest.raises(MappingError) as caught:
+            Mapping(assignment=tuple(assignment), processors=100_000)
+        assert str(caught.value) == (
+            f"thread 73419 mapped to processor {bad}, outside 0..99999"
+        )
+
     def test_rejects_bad_processor_count(self):
         with pytest.raises(MappingError):
             Mapping(assignment=(0,), processors=0)

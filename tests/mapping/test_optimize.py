@@ -105,6 +105,14 @@ class TestDeterminismAndValidation:
                 steps=10, seed=1,
             )
 
+    def test_rejects_edgeless_graph(self, torus):
+        # Used to surface as a ZeroDivisionError after the whole climb.
+        from repro.topology.graphs import CommunicationGraph
+
+        edgeless = CommunicationGraph(threads=16, weights={})
+        with pytest.raises(MappingError, match="no edges"):
+            optimize_mapping(edgeless, torus, identity_mapping(16), steps=10)
+
     def test_swap_accounting(self, torus, graph):
         result = optimize_mapping(
             graph, torus, random_mapping(16, seed=7), steps=300, seed=3
