@@ -3,9 +3,12 @@
 Two entry points:
 
 * ``pytest benchmarks/bench_mapping.py --benchmark-only`` — timed runs of
-  the evaluation kernels, single-chain annealing, and the batched
-  multi-chain sweep, each asserting bit-identical parity with the
-  loop-based implementations in :mod:`repro.mapping.reference`.
+  the evaluation kernels and the batched multi-chain sweep, each
+  asserting bit-identical parity with the loop-based implementations
+  in :mod:`repro.mapping.reference` (or, for the batched chains, with
+  one ``anneal_mapping`` per chain).  The single-chain anneal is
+  measured by ``perfbench/``'s ``anneal_large`` workload and pinned to
+  the reference by ``tests/mapping/test_anneal.py``.
 * ``python benchmarks/bench_mapping.py [--quick] [--output FILE]`` —
   script mode for CI smoke: measures the annealing-sweep speedup
   directly, checks parity, and writes a small JSON artifact with the
@@ -60,16 +63,6 @@ def test_distance_histogram_kernel(benchmark):
     torus, graph, start = _setup()
     histogram = benchmark(distance_histogram, graph, start, torus)
     assert histogram == reference_distance_histogram(graph, start, torus)
-
-
-def test_anneal_single_chain(benchmark):
-    torus, graph, start = _setup()
-    result = benchmark(
-        anneal_mapping, graph, torus, start, steps=3000, seed=SEED
-    )
-    assert result == reference_anneal_mapping(
-        graph, torus, start, steps=3000, seed=SEED
-    )
 
 
 def test_anneal_multi_chain_batched(benchmark):

@@ -53,7 +53,7 @@ SCALING_FLOORS = {2: 1.3, 4: 2.0}
 
 
 def _workload(quick):
-    """The replication-scaling workload from ``bench_simulator``."""
+    """The replication workload: neighbor exchange on a random mapping."""
     config = SimulationConfig(
         radix=4 if quick else 8, contexts=2,
         warmup_network_cycles=300,

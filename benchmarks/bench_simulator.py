@@ -3,8 +3,7 @@
 Two entry points, mirroring ``bench_mapping.py``:
 
 * ``pytest benchmarks/bench_simulator.py --benchmark-only`` — timed runs
-  of the machine-level simulator (both switch architectures), the
-  Section 3.3 validation pipeline, and the fabric workload suite, each
+  of the wormhole machine and of the fabric workload suite, the latter
   asserting cycle-exact parity between
   :class:`repro.sim.kernel.FabricKernel` and
   :class:`repro.sim.reference.ReferenceTorusFabric`.
@@ -22,14 +21,11 @@ guarded branch per tick and per grant when detached).  Parity between
 the two runs is always asserted: telemetry must never perturb
 simulation results.
 
-The machine rows (``machine_uniform_radix{8,16}``,
-``machine_saturated_radix{8,16}``) time whole ``Machine.run`` calls —
-processors, controllers, and fabric together — with the event-calendar
-engine on vs the retained per-cycle loop, asserting bit-exact summary
-parity.  The light-traffic uniform rows are the engine's headline
-(>= 5x at radix-8 under ``REPRO_BENCH_STRICT=1``); the saturated rows
-are reported for honesty — a fabric busy every cycle leaves nothing to
-skip.
+Cut-through machines, the Section 3.3 validation pipeline and the
+event-calendar engine are measured by ``perfbench/`` (``validation`` and
+``light_scaling``); the engine's parity with the per-cycle loop is
+pinned by ``tests/sim/test_machine_engine.py`` and
+``tests/properties/test_engine_parity.py``.
 
 The headline row is ``tree_saturation``: every message targets a few
 hot ejection ports, so blocked-channel trees grow across the fabric and
@@ -53,15 +49,12 @@ import random
 import sys
 import time
 
-from repro.analysis.validation import run_validation
-from repro.mapping.families import paper_mapping_suite
-from repro.mapping.strategies import identity_mapping, random_mapping
+from repro.mapping.strategies import identity_mapping
 from repro.sim.config import SimulationConfig
 from repro.sim.kernel import FabricKernel
 from repro.sim.machine import Machine
 from repro.sim.message import Message, MessageKind
 from repro.sim.reference import ReferenceTorusFabric
-from repro.sim.replicate import default_seeds, run_replications
 from repro.sim.telemetry import TelemetryConfig
 from repro.topology.graphs import torus_neighbor_graph
 from repro.topology.torus import Torus
@@ -70,9 +63,6 @@ from repro.workload.synthetic import build_programs
 SEED = 1992
 STRICT = os.environ.get("REPRO_BENCH_STRICT") == "1"
 
-#: Script-mode floor: the event-calendar engine vs the per-cycle loop
-#: on light uniform traffic, radix-8, full windows.
-MACHINE_ENGINE_FLOOR = 5.0
 #: Script-mode budget for the attached-telemetry cost, in percent.
 TELEMETRY_OVERHEAD_BUDGET_PCT = 15
 
@@ -248,168 +238,30 @@ def measure_telemetry_overhead(quick=False, workload="uniform"):
     }
 
 
-#: End-to-end machine operating points for the engine on/off rows.
-#: ``machine_uniform`` is the paper's light-traffic regime — long
-#: compute runs between accesses, the fabric quiescent most cycles —
-#: which is exactly what the event-calendar engine exists for;
-#: ``machine_saturated`` is the short-run default where the fabric is
-#: busy nearly every cycle and the engine can only win the per-cycle
-#: processor scan.
-MACHINE_WORKLOADS = {
-    "machine_uniform": dict(compute=1000, contexts=1),
-    "machine_saturated": dict(compute=8, contexts=2),
-}
-
-
-def _whole_machine(radix, compute, contexts, engine):
-    config = SimulationConfig(
-        radix=radix,
-        contexts=contexts,
-        compute_cycles=compute,
-        seed=SEED,
-    )
-    graph = torus_neighbor_graph(radix, 2)
-    programs = build_programs(graph, contexts, compute, config.compute_jitter)
-    return Machine(
-        config, identity_mapping(radix * radix), programs, engine=engine
-    )
-
-
-def measure_machine_run(name, radix, quick=False):
-    """One ``Machine.run`` row: per-cycle loop vs event-calendar engine.
-
-    ``speedup_vs_reference`` is ``off_wall / on_wall`` — the retained
-    per-cycle loop standing in for the reference — and ``parity``
-    asserts the two summaries are bit-identical, the engine's whole
-    contract.  Best-of-2 per side: the light-traffic engine runs are
-    milliseconds, which single shots cannot time reliably.
-    """
-    spec = MACHINE_WORKLOADS[name]
-    warmup, measure = (300, 1500) if quick else (500, 4000)
-
-    def run(engine):
-        machine = _whole_machine(
-            radix, spec["compute"], spec["contexts"], engine
-        )
-        began = time.perf_counter()
-        summary = machine.run(warmup=warmup, measure=measure)
-        return time.perf_counter() - began, summary.as_dict()
-
-    off_seconds, off_summary = run(False)
-    on_seconds, on_summary = run(True)
-    off_seconds = min(off_seconds, run(False)[0])
-    on_seconds = min(on_seconds, run(True)[0])
-    return {
-        "bench": f"{name}_radix{radix}",
-        "config": (
-            f"radix-{radix} 2-D torus, contexts={spec['contexts']}, "
-            f"compute={spec['compute']}, {warmup}+{measure} cycles, "
-            "loop vs engine"
-        ),
-        "wall_s": round(on_seconds, 4),
-        "loop_wall_s": round(off_seconds, 4),
-        "speedup_vs_reference": round(off_seconds / on_seconds, 2),
-        "parity": on_summary == off_summary,
-        "messages": off_summary["messages_sent"],
-    }
-
-
-def measure_machine_suite(quick=False):
-    """Engine on/off rows at radix-8 and radix-16, both operating points."""
-    return [
-        measure_machine_run(name, radix, quick=quick)
-        for name in MACHINE_WORKLOADS
-        for radix in (8, 16)
-    ]
-
-
-def measure_replication_scaling(quick=False):
-    """Wall-clock for the same replication set, serial vs pooled."""
-    config = SimulationConfig(
-        radix=4 if quick else 8, contexts=2,
-        warmup_network_cycles=300,
-        measure_network_cycles=1500 if quick else 6000,
-    )
-    graph = torus_neighbor_graph(config.radix, 2)
-    programs = build_programs(
-        graph, 2, config.compute_cycles, config.compute_jitter
-    )
-    mapping = random_mapping(config.node_count, seed=SEED)
-    seeds = default_seeds(config.seed, 2 if quick else 4)
-
-    began = time.perf_counter()
-    serial = run_replications(config, mapping, programs, seeds, jobs=1)
-    serial_seconds = time.perf_counter() - began
-    began = time.perf_counter()
-    pooled = run_replications(
-        config, mapping, programs, seeds, jobs=len(seeds)
-    )
-    pooled_seconds = time.perf_counter() - began
-    return {
-        "bench": "replication_scaling",
-        "config": f"{len(seeds)} seeds, jobs=1 vs jobs={len(seeds)}",
-        "wall_s": round(pooled_seconds, 4),
-        "serial_wall_s": round(serial_seconds, 4),
-        "speedup_vs_reference": round(serial_seconds / pooled_seconds, 2),
-        "parity": [s.as_dict() for s in serial.summaries]
-        == [s.as_dict() for s in pooled.summaries],
-        "messages": None,
-    }
-
-
 # ----------------------------------------------------------------------
 # pytest benchmarks.
 # ----------------------------------------------------------------------
 
 
-def _machine(switching: str, contexts: int = 2) -> Machine:
+def test_wormhole_simulator_throughput(benchmark):
+    """Network cycles per second, 64-node machine, rigid worms."""
     config = SimulationConfig(
-        contexts=contexts,
-        switching=switching,
+        contexts=2,
+        switching="wormhole",
         warmup_network_cycles=0,
         measure_network_cycles=4000,
     )
     graph = torus_neighbor_graph(8, 2)
-    programs = build_programs(
-        graph, contexts, config.compute_cycles, config.compute_jitter
-    )
-    return Machine(config, identity_mapping(64), programs)
-
-
-def test_cut_through_simulator_throughput(benchmark):
-    """Network cycles per second, 64-node machine, buffered switches."""
 
     def run():
-        machine = _machine("cut_through")
+        programs = build_programs(
+            graph, 2, config.compute_cycles, config.compute_jitter
+        )
+        machine = Machine(config, identity_mapping(64), programs)
         return machine.run(warmup=500, measure=4000)
 
     summary = benchmark(run)
     assert summary.messages_sent > 0
-
-
-def test_wormhole_simulator_throughput(benchmark):
-    """Network cycles per second, 64-node machine, rigid worms."""
-
-    def run():
-        machine = _machine("wormhole")
-        return machine.run(warmup=500, measure=4000)
-
-    summary = benchmark(run)
-    assert summary.messages_sent > 0
-
-
-def test_validation_pipeline_single_context(benchmark):
-    """End-to-end Section 3.3 validation at p = 1 (quick windows)."""
-    torus = Torus(radix=8, dimensions=2)
-    mappings = paper_mapping_suite(torus, adversarial_steps=1500)
-    config = SimulationConfig(
-        contexts=1, warmup_network_cycles=1000, measure_network_cycles=4000
-    )
-
-    report = benchmark.pedantic(
-        run_validation, args=(config, mappings), rounds=1, iterations=1
-    )
-    assert report.mean_rate_error < 0.15
 
 
 def test_fabric_kernel_speedup(bench_record):
@@ -448,38 +300,6 @@ def test_telemetry_overhead(bench_record):
     )
 
 
-def test_machine_engine_speedup(bench_record):
-    """End-to-end ``Machine.run``: event-calendar engine vs step loop.
-
-    Always checks bit-exact summary parity on every row; the >= 5x
-    floor on the light-traffic radix-8 row only fires under
-    ``REPRO_BENCH_STRICT=1`` (shared runners are too noisy for
-    unconditional wall-clock asserts).
-    """
-    rows = measure_machine_suite(quick=not STRICT)
-    for row in rows:
-        assert row["parity"], f"engine diverged from step loop: {row}"
-        bench_record(
-            row["bench"], row["config"], row["wall_s"],
-            row["speedup_vs_reference"],
-        )
-    if STRICT:
-        headline = next(
-            r for r in rows if r["bench"] == "machine_uniform_radix8"
-        )
-        assert headline["speedup_vs_reference"] >= 5.0, headline
-
-
-def test_replication_jobs_invariance(bench_record):
-    """Pooled replication returns byte-identical summaries to serial."""
-    row = measure_replication_scaling(quick=not STRICT)
-    assert row["parity"], "pooled replication diverged from serial"
-    bench_record(
-        row["bench"], row["config"], row["wall_s"],
-        row["speedup_vs_reference"],
-    )
-
-
 # ----------------------------------------------------------------------
 # Script mode (CI smoke).
 # ----------------------------------------------------------------------
@@ -490,10 +310,8 @@ def script_checks(rows, single_workload):
 
     Every row must keep parity.  A single-workload run (the telemetry
     overhead guard) also bounds the attached-telemetry cost below
-    ``TELEMETRY_OVERHEAD_BUDGET_PCT``.  A full-suite run checks the
-    light-traffic kernel rows and the four machine rows, then re-measures
-    ``machine_uniform`` at radix-8 with full windows against
-    ``MACHINE_ENGINE_FLOOR``.
+    ``TELEMETRY_OVERHEAD_BUDGET_PCT``.  A full-suite run checks that
+    the light-traffic kernel rows are present and measured.
     """
     problems = [
         f"{row['bench']} ({row['config']}): parity lost"
@@ -519,22 +337,6 @@ def script_checks(rows, single_workload):
         problems.append(f"light-traffic kernel rows missing or empty: {light}")
     else:
         print({r["bench"]: r["speedup_vs_reference"] for r in light})
-    machine = [r for r in rows if r["bench"].startswith("machine_")]
-    if len(machine) != 4:
-        problems.append(f"expected 4 machine rows, got {len(machine)}")
-    print({r["bench"]: r["speedup_vs_reference"] for r in machine})
-    floor_row = measure_machine_run("machine_uniform", 8)
-    print(
-        "machine engine speedup (uniform radix-8)",
-        floor_row["speedup_vs_reference"],
-    )
-    if not floor_row["parity"]:
-        problems.append(f"machine_uniform radix-8 parity lost: {floor_row}")
-    if floor_row["speedup_vs_reference"] < MACHINE_ENGINE_FLOOR:
-        problems.append(
-            f"machine engine below {MACHINE_ENGINE_FLOOR}x on uniform "
-            f"radix-8: {floor_row}"
-        )
     return problems
 
 
@@ -578,8 +380,6 @@ def main(argv=None) -> int:
     else:
         rows = measure_suite(quick=args.quick, best_of=args.best_of)
         rows.append(measure_telemetry_overhead(quick=args.quick))
-        rows.extend(measure_machine_suite(quick=args.quick))
-        rows.append(measure_replication_scaling(quick=args.quick))
     for row in rows:
         print(
             f"{row['bench']:<20} {row['config']:<38} "

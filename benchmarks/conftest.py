@@ -1,11 +1,14 @@
-"""Shared helpers for the reproduction benchmarks.
+"""Shared helpers for the measuring benchmarks.
 
-Every benchmark regenerates one paper artifact (figure series, table
-rows) and prints the same rows/series the paper reports, so `pytest
-benchmarks/ --benchmark-only -s` doubles as a full reproduction run.
-Simulation-backed experiments run in quick mode to keep the whole suite
-in the minutes range; the full-length versions are available through the
-CLI (`repro-locality run <id>`).
+These benchmarks time what no other harness measures: the wormhole
+fabric kernel suite and its telemetry overhead, wormhole machine
+throughput, pool dispatch, the solvers and the mapping kernels.  The
+paper's artifacts are not regenerated here: run them with
+``repro-locality run <id>`` (``repro-locality list`` names every id);
+the tier-1 tests assert the claims each one makes
+(``tests/experiments/`` for the figures, tables and ablations).  The
+repository benchmark, ``perfbench/``, owns the validation pipeline,
+light-traffic scaling, batched replication and the large anneal.
 
 Besides pytest-benchmark's own reports, the session leaves machine-
 readable breadcrumbs at the repo root: one ``BENCH_<module>.json`` per
@@ -32,22 +35,6 @@ _ROWS = defaultdict(list)
 def _module_tag(request) -> str:
     name = request.module.__name__
     return name[len("bench_"):] if name.startswith("bench_") else name
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run an experiment exactly once under timing and print its report."""
-
-    def runner(fn, *args, **kwargs):
-        result = benchmark.pedantic(
-            fn, args=args, kwargs=kwargs, rounds=1, iterations=1
-        )
-        if hasattr(result, "render"):
-            print()
-            print(result.render())
-        return result
-
-    return runner
 
 
 @pytest.fixture

@@ -248,7 +248,7 @@ def run_buffering(quick: bool = False) -> ExperimentResult:
             "trees; the Alewife switches' 'moderate buffering' motivates "
             "the cut-through default used for the validation runs.",
         ],
-        data={},
+        data={"rows": rows},
     )
 
 

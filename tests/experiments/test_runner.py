@@ -57,6 +57,13 @@ class TestFigure6:
         for base, coarse in zip(result.data["base"], result.data["coarse"]):
             assert base >= coarse - 1e-9
 
+    def test_both_grains_reach_the_limit(self):
+        result = fig6.run(quick=True)
+        # The base grain is within 5% of the limit at the largest size;
+        # the coarse grain starts below it and approaches more slowly.
+        assert result.data["base"][-1] > 0.95 * result.data["limit"]
+        assert result.data["coarse"][0] < result.data["base"][0]
+
     def test_render_contains_table(self):
         text = fig6.run(quick=True).render()
         assert "Per-hop latency vs machine size" in text
@@ -75,6 +82,18 @@ class TestFigure7:
         for p in (1, 2, 4):
             series = result.data["gains"][p]
             assert all(b >= a for a, b in zip(series, series[1:]))
+
+    def test_curves_are_similar_near_a_thousand(self):
+        # Full sweep: quick mode's size nearest 1,000 is 464.
+        result = fig7.run()
+        gains = result.data["gains"]
+        for p in (1, 2, 4):
+            assert 38 < gains[p][-1] < 57  # paper: 40-55 at a million
+        # The paper's "strikingly similar" curves at N ~ 1,000.
+        sizes = result.data["sizes"]
+        nearest = min(range(len(sizes)), key=lambda i: abs(sizes[i] - 1000))
+        at_thousand = [gains[p][nearest] for p in (1, 2, 4)]
+        assert max(at_thousand) / min(at_thousand) < 1.15
 
 
 class TestFigure8:

@@ -1,4 +1,5 @@
-"""Quick-mode tests for the simulation-backed experiments (Figures 3-5).
+"""Quick-mode tests for the simulation-backed experiments (Figures 3-5
+and the switch-buffering ablation).
 
 These exercise the full pipeline — mapping suite, 64-node simulations,
 curve fits, model comparison — with shortened measurement windows.  The
@@ -9,6 +10,7 @@ expensive simulations run once per context count for this whole module.
 import pytest
 
 from repro.experiments import fig3, fig4, fig5
+from repro.experiments.ablations import run_buffering
 from repro.experiments.validation_data import (
     clear_cache,
     validation_config,
@@ -65,8 +67,12 @@ class TestFigure4:
 
     def test_rates_fall_with_distance(self):
         reports = fig4.run(quick=True).data["reports"]
-        rows = reports[1].rows
-        assert rows[0].simulated.message_rate > rows[-1].simulated.message_rate
+        for report in reports.values():
+            rows = report.rows
+            assert (
+                rows[0].simulated.message_rate
+                > rows[-1].simulated.message_rate
+            )
 
 
 class TestFigure5:
@@ -76,12 +82,25 @@ class TestFigure5:
 
     def test_latencies_grow_with_distance(self):
         reports = fig5.run(quick=True).data["reports"]
-        rows = reports[1].rows
-        assert (
-            rows[-1].simulated.mean_message_latency
-            > rows[0].simulated.mean_message_latency
-        )
+        for report in reports.values():
+            rows = report.rows
+            assert (
+                rows[-1].simulated.mean_message_latency
+                > rows[0].simulated.mean_message_latency
+            )
 
     def test_render_mentions_both_series(self):
         text = fig5.run(quick=True).render()
         assert "sim T_m" in text and "model T_m" in text
+
+
+class TestBufferingAblation:
+    def test_wormhole_latency_grows_with_distance(self):
+        rows = run_buffering(quick=True).data["rows"]
+        # Rows run from the ideal to the adversarial mapping; each is
+        # (mapping, d, T_m cut-through, T_m wormhole, wormhole/cut-through).
+        assert [row[1] for row in rows] == sorted(row[1] for row in rows)
+        for _, _, cut_through, wormhole, _ in rows:
+            assert wormhole >= cut_through
+        ratios = [row[4] for row in rows]
+        assert all(b > a for a, b in zip(ratios, ratios[1:]))

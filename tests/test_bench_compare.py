@@ -151,3 +151,29 @@ class TestSnapshotManifest:
                 "--baseline-dir", str(baselines),
             ]
         ) == 0
+
+
+def test_committed_manifest_matches_the_baselines():
+    """The committed manifest describes exactly the committed rows."""
+    from repro.obs.manifest import parameter_hash
+
+    directory = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "benchmarks",
+        "baselines",
+    )
+    with open(os.path.join(directory, BASELINE_MANIFEST), "rb") as handle:
+        manifest = json.load(handle)
+    digests = manifest["parameters"]["files"]
+    committed = {
+        name
+        for name in os.listdir(directory)
+        if name.startswith("BENCH_") and name.endswith(".json")
+    }
+    assert set(digests) == committed
+    for name, digest in digests.items():
+        with open(os.path.join(directory, name), "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() == digest, name
+    assert manifest["parameter_hash"] == parameter_hash(
+        manifest["parameters"]
+    )

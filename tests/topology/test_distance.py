@@ -31,7 +31,9 @@ class TestEq17:
         assert random_traffic_distance(1000, 2) == pytest.approx(500.0, rel=1e-3)
 
     def test_matches_exact_enumeration_even_radix(self):
-        for radix, dims in [(2, 2), (4, 2), (8, 2), (4, 3), (2, 4)]:
+        for radix, dims in [
+            (2, 2), (4, 2), (8, 2), (16, 2), (32, 2), (4, 3), (2, 4),
+        ]:
             assert random_traffic_distance(radix, dims) == pytest.approx(
                 random_traffic_distance_exact(radix, dims)
             )

@@ -118,6 +118,18 @@ class TestEcubeRouting:
             route = alewife_torus.ecube_route(a, b)
             assert len(route) == alewife_torus.distance(a, b) + 1
 
+    def test_all_pairs_route_total_matches_eq17(self, alewife_torus):
+        # Total hops over every ordered pair = N * (N - 1) * the Eq 17
+        # mean distance (1024/252 at 64 nodes, footnote 2).
+        nodes = list(alewife_torus.nodes())
+        hops = sum(
+            len(alewife_torus.ecube_route(a, b)) - 1
+            for a in nodes
+            for b in nodes
+            if a != b
+        )
+        assert hops == round(64 * 63 * (1024 / 252))
+
     def test_route_steps_are_single_hops(self, alewife_torus):
         route = alewife_torus.ecube_route(0, 45)
         for here, there in zip(route, route[1:]):
