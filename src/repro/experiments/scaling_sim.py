@@ -56,14 +56,13 @@ def run(
     model fitted on the 64-node validation suite applies unchanged at
     every radix here.  ``telemetry`` instruments every replication's
     fabric and appends the model-vs-measured contention table.
-    ``radices`` overrides the swept radix tuple: with ``Machine.run``
-    on the event-calendar engine, radix-16 and radix-32 2-D tori
-    (256/1024 nodes) are practical sweep points — the CI smoke runs
-    ``radices=(16,)`` — where the per-cycle loop made anything past
-    radix-12 a batch job.  Each point's replications run as one
+    ``radices`` overrides the swept radix tuple; radix-32 and radix-64
+    2-D tori (1,024/4,096 nodes) are practical sweep points — the CI
+    smoke runs ``radices=(32,)`` and checks that no simulation of it ran
+    as a serial machine.  Each point's replications run as one
     ``run_replications(batch=R)`` call — in lockstep on the compiled
-    core where it applies — with per-seed summaries bit-identical to
-    one machine per seed.
+    core, which holds any torus below 2**20 nodes — with per-seed
+    summaries bit-identical to one machine per seed.
     """
     if radices is None:
         radices = (4, 8) if quick else (4, 6, 8, 12)

@@ -91,8 +91,12 @@ typedef struct {
     int next_free;
 } Msg;
 
+/* A message's walk along its e-cube route (see route_next): the node
+ * its head is at, the dimension being corrected, hops left in it and
+ * their direction (back: 0 for +1, 1 for -1), and the link hops taken
+ * so far. */
 typedef struct {
-    int msg, route_off, route_len, hop;
+    int msg, node, dim, left, back, hops;
     i64 wait;
     int next_free;
 } Transit;
@@ -257,11 +261,10 @@ typedef struct Batch {
     int reqs_cap, req_free;
     Waiter *waiters;
     int waiters_cap, waiter_free;
-    /* shared e-cube routes */
-    int **route_rows;  /* [N] -> [N] arena offsets or -1 */
-    int *arena;        /* [len, ch...] records */
-    int arena_len, arena_cap;
-    int *pow_radix;    /* [dims] */
+    /* torus geometry for route walks */
+    int *coords;       /* [node*dims + dim] */
+    int *link_to;      /* [link id] -> the node the link leads to; a
+                          table read per hop instead of a wrap test */
     Rep *reps;
 } Batch;
 
@@ -301,7 +304,7 @@ static void msg_del(Batch *b, int idx) {
     b->msg_free = idx;
 }
 
-static int transit_new(Batch *b, int msg, int route_off, int route_len) {
+static int transit_new(Batch *b, int msg, int source) {
     int idx = b->transit_free;
     if (idx < 0) {
         int old = b->transits_cap;
@@ -315,9 +318,11 @@ static int transit_new(Batch *b, int msg, int route_off, int route_len) {
     Transit *t = &b->transits[idx];
     b->transit_free = t->next_free;
     t->msg = msg;
-    t->route_off = route_off;
-    t->route_len = route_len;
-    t->hop = 0;
+    t->node = source;
+    t->dim = 0;
+    t->left = 0;
+    t->back = 0;
+    t->hops = 0;
     t->wait = 0;
     return idx;
 }
@@ -584,66 +589,35 @@ static u64 heap_pop(Heap *hp) {
 static void proc_complete(Batch *b, Rep *rep, i64 handle);
 
 /* ------------------------------------------------------------------ */
-/* Shared e-cube routes (port of Torus.route_hops + channel ids).      */
-/* Channel ids: inj(s)=s, ej(d)=N+d, link(node,dim,step) =             */
-/* 2N + (node*dims + dim)*2 + (step==+1 ? 0 : 1).                      */
+/* E-cube routes, walked a channel at a time (port of                  */
+/* CutThroughFabric._route_ids).  Channel ids: inj(s)=s, ej(d)=N+d,    */
+/* link(node,dim,step) = 2N + (node*dims + dim)*2 + (step==+1 ? 0 : 1). */
 /* ------------------------------------------------------------------ */
 
-static int route_get(Batch *b, int src, int dst, int *len_out) {
-    int *row = b->route_rows[src];
-    if (row == NULL) {
-        row = (int *)malloc((size_t)b->N * sizeof(int));
-        for (int i = 0; i < b->N; i++) row[i] = -1;
-        b->route_rows[src] = row;
-    }
-    int off = row[dst];
-    if (off >= 0) {
-        *len_out = b->arena[off];
-        return off + 1;
-    }
-    /* build */
-    int chans[2 + 64];  /* dims * radix hops max; guarded in bc_create */
-    int len = 0;
-    chans[len++] = src;  /* injection channel */
-    int node = src;
-    int ca[8], cb[8];
-    int tmp = src;
-    for (int d = 0; d < b->dims; d++) { ca[d] = tmp % b->radix; tmp /= b->radix; }
-    tmp = dst;
-    for (int d = 0; d < b->dims; d++) { cb[d] = tmp % b->radix; tmp /= b->radix; }
-    for (int d = 0; d < b->dims; d++) {
-        int forward = cb[d] - ca[d];
-        if (forward < 0) forward += b->radix;
-        if (forward == 0) continue;
-        int backward = b->radix - forward;
-        int step, n;
-        if (forward <= backward) { step = 1; n = forward; }
-        else { step = -1; n = backward; }
-        for (int i = 0; i < n; i++) {
-            chans[len++] = 2 * b->N + (node * b->dims + d) * 2 +
-                           (step == 1 ? 0 : 1);
-            int oldc = ca[d];
-            int newc = oldc + step;
-            if (newc < 0) newc += b->radix;
-            if (newc >= b->radix) newc -= b->radix;
-            node += (newc - oldc) * b->pow_radix[d];
-            ca[d] = newc;
+/* The channel `t` queues for after a grant on its injection or a link
+ * channel: its next link hop, or the ejection channel once every
+ * dimension matches `dest`. */
+static int route_next(const Batch *b, Transit *t, int dest) {
+    int dims = b->dims, radix = b->radix;
+    const int *at = b->coords + (size_t)t->node * dims;
+    if (!t->left) {
+        /* Dimensions below t->dim already match dest. */
+        const int *to = b->coords + (size_t)dest * dims;
+        int d = t->dim, forward = 0;
+        for (; d < dims; d++) {
+            forward = to[d] - at[d];
+            if (forward < 0) forward += radix;
+            if (forward) break;
         }
+        if (d == dims) return b->N + dest;
+        t->dim = d;
+        t->back = forward > radix - forward;  /* ties at k/2 go positive */
+        t->left = t->back ? radix - forward : forward;
     }
-    chans[len++] = b->N + dst;  /* ejection channel */
-    if (b->arena_len + len + 1 > b->arena_cap) {
-        b->arena_cap = b->arena_cap ? b->arena_cap * 2 : 4096;
-        while (b->arena_len + len + 1 > b->arena_cap) b->arena_cap *= 2;
-        b->arena = (int *)realloc(b->arena,
-                                  (size_t)b->arena_cap * sizeof(int));
-    }
-    off = b->arena_len;
-    b->arena[off] = len;
-    memcpy(b->arena + off + 1, chans, (size_t)len * sizeof(int));
-    b->arena_len += len + 1;
-    row[dst] = off;
-    *len_out = len;
-    return off + 1;
+    int link = (t->node * dims + t->dim) * 2 + t->back;
+    t->node = b->link_to[link];
+    t->left--;
+    return 2 * b->N + link;
 }
 
 /* ------------------------------------------------------------------ */
@@ -712,10 +686,8 @@ static void fab_inject(Batch *b, Rep *rep, int midx, i64 cycle) {
     Fab *f = &rep->fab;
     Msg *m = &b->msgs[midx];
     m->injected_at = cycle;
-    int rlen;
-    int roff = route_get(b, m->source, m->dest, &rlen);
-    int tidx = transit_new(b, midx, roff, rlen);
-    int ch = b->arena[roff];
+    int tidx = transit_new(b, midx, m->source);
+    int ch = m->source;  /* injection channel */
     Queue *q = &f->queues[ch];
     if (!q->count) {
         f->pending[f->pcount++] = ch;
@@ -1237,7 +1209,7 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
         if (rep->measuring) {
             rep->delivered++;
             rep->lat_total += latency;
-            int hops = t->route_len - 2;
+            int hops = t->hops;
             rep->hops_total += hops;
             if (hops > 0) {
                 i64 head = latency - m->flits - t->wait;
@@ -1268,20 +1240,19 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
         int flits = m->flits;
         i64 until = cycle + flits;
         f->free_at[ch] = until;
-        int hop = t->hop;
-        if (hop == 0) {
-            t->wait = cycle - m->injected_at;
-        } else {
-            int link = ch - 2 * b->N;
-            if (link >= 0) f->link_flits[link] += flits;
-        }
-        hop++;
-        t->hop = hop;
-        if (hop >= t->route_len) {
+        int link = ch - 2 * b->N;
+        if (link < 0 && ch >= b->N) {
+            /* Ejection granted: the tail arrives after all flits. */
             dheap_push(f, ((u64)until << 32) | (f->dseq++ & 0xffffffffULL),
                        tidx);
         } else {
-            int nxt = b->arena[t->route_off + hop];
+            if (link >= 0) {
+                f->link_flits[link] += flits;
+                t->hops++;
+            } else {
+                t->wait = cycle - m->injected_at;
+            }
+            int nxt = route_next(b, t, m->dest);
             Queue *nq = &f->queues[nxt];
             if (!nq->count) {
                 newp[nn++] = nxt;
@@ -1615,7 +1586,7 @@ Batch *bc_create(int R, int N, int dims, int radix, int capacity,
                  int req_cost, int recv_cost, int send_cost, int mem_cost,
                  int contexts, int speedup, int hit_cycles,
                  int switch_cycles) {
-    if (N >= (1 << 20) || dims > 8 || dims * radix > 62) return NULL;
+    if (N >= (1 << 20) || dims > 8) return NULL;
     Batch *b = (Batch *)calloc(1, sizeof(Batch));
     b->R = R;
     b->N = N;
@@ -1637,10 +1608,17 @@ Batch *bc_create(int R, int N, int dims, int radix, int capacity,
     b->transit_free = -1;
     b->req_free = -1;
     b->waiter_free = -1;
-    b->route_rows = (int **)calloc((size_t)N, sizeof(int *));
-    b->pow_radix = (int *)malloc((size_t)dims * sizeof(int));
-    int p = 1;
-    for (int d = 0; d < dims; d++) { b->pow_radix[d] = p; p *= radix; }
+    b->coords = (int *)malloc((size_t)N * dims * sizeof(int));
+    b->link_to = (int *)malloc((size_t)b->links * sizeof(int));
+    for (int i = 0; i < N; i++) {
+        for (int d = 0, rem = i, stride = 1; d < dims;
+             d++, rem /= radix, stride *= radix) {
+            int c = rem % radix, *to = b->link_to + (i * dims + d) * 2;
+            b->coords[i * dims + d] = c;
+            to[0] = c == radix - 1 ? i - c * stride : i + stride;
+            to[1] = c == 0 ? i + (radix - 1) * stride : i - stride;
+        }
+    }
     b->clog = (CacheLog *)calloc((size_t)R * N, sizeof(CacheLog));
     b->progs = (Prog *)calloc((size_t)N * contexts, sizeof(Prog));
     b->reps = (Rep *)calloc((size_t)R, sizeof(Rep));
@@ -1700,10 +1678,8 @@ void bc_destroy(Batch *b) {
     free(b->dir);
     for (int i = 0; i < b->R * b->N; i++) free(b->clog[i].items);
     free(b->clog);
-    for (int i = 0; i < b->N; i++) free(b->route_rows[i]);
-    free(b->route_rows);
-    free(b->arena);
-    free(b->pow_radix);
+    free(b->coords);
+    free(b->link_to);
     free(b->block_home);
     free(b->cache_state);
     free(b->cache_seq);

@@ -42,8 +42,9 @@ ingredients:
   the serial cut-through fabric.
 
 :func:`run_batch` is the entry point.  It uses the core when it applies
-— cut-through fabric, no telemetry, a torus the core can hold, programs
-the core runs, and :func:`repro.sim.batchcore.load` succeeds — and
+— cut-through fabric, no telemetry, a torus the core can hold (fewer
+than 2**20 nodes in at most eight dimensions, any radix), programs the
+core runs, and :func:`repro.sim.batchcore.load` succeeds — and
 otherwise runs the seeds as serial machines through the per-seed runner
 of :mod:`repro.sim.replicate`, which returns the same summaries by the
 contract above.  Wormhole, telemetry-attached and other-program batches
@@ -64,6 +65,7 @@ from repro.errors import ParameterError, SimulationError
 from repro.mapping.base import Mapping
 from repro.sim import batchcore
 from repro.sim.config import SimulationConfig
+from repro.sim.cut_through import link_keys
 from repro.sim.machine import place_programs
 from repro.sim.stats import MachineStats, MeasurementSummary
 from repro.sim.telemetry import TelemetryConfig
@@ -110,21 +112,6 @@ def _note_core_unavailable() -> None:
         BatchFallbackWarning,
         stacklevel=3,
     )
-
-
-def _link_keys(torus: Torus) -> List[Tuple[int, int, int]]:
-    """Physical links in the core's link-counter order.
-
-    Node-major, then dimension, then the ``+1`` direction before ``-1``
-    — :class:`~repro.sim.cut_through.CutThroughFabric`'s channel order,
-    so batched ``link_flits`` keys align with serial ones.
-    """
-    return [
-        (node, dim, step)
-        for node in torus.nodes()
-        for dim in range(torus.dimensions)
-        for step in (1, -1)
-    ]
 
 
 def _program_records(
@@ -194,8 +181,8 @@ class BatchMachine:
 
     Construction mirrors ``Machine(config.with_seed(seed), mapping,
     programs)`` per seed — the programs placed once as shared records,
-    per-node streams spawned from each seed — with the route cache,
-    program records and thread-home table shared across replications
+    per-node streams spawned from each seed — with the program records,
+    thread-home table and torus coordinates shared across replications
     inside the core.  :meth:`run` is single-use and returns per-seed
     summaries in seed order, each bit-identical to the serial machine's.
     Only cut-through machines without telemetry, running programs the
@@ -219,6 +206,11 @@ class BatchMachine:
                 f"got switching={config.switching!r} (run_batch runs it as "
                 "serial machines)"
             )
+        if not batchcore.fits(config.dimensions, config.radix):
+            raise SimulationError(
+                f"the compiled batch core cannot hold a {config.radix}-ary "
+                f"{config.dimensions}-D torus"
+            )
         self.config = config
         self.seeds = seeds
         self.torus = Torus(radix=config.radix, dimensions=config.dimensions)
@@ -236,7 +228,7 @@ class BatchMachine:
                 "programs as serial machines)"
             )
         homes, records, table = described
-        self._link_keys = _link_keys(self.torus)
+        self._link_keys = link_keys(self.torus)
         loaded = batchcore.load()
         if loaded is None:
             raise SimulationError(
@@ -255,10 +247,7 @@ class BatchMachine:
             config.switch_cycles,
         )
         if core == ffi.NULL:
-            raise SimulationError(
-                f"the compiled batch core cannot hold a {config.radix}-ary "
-                f"{config.dimensions}-D torus"
-            )
+            raise SimulationError("the compiled batch core refused the torus")
         self._ffi = ffi
         self._lib = lib
         self._core = ffi.gc(core, lib.bc_destroy)

@@ -52,13 +52,10 @@ _failure: Optional[str] = None
 
 
 def fits(dimensions: int, radix: int) -> bool:
-    """Whether ``bc_create`` accepts a torus of this shape: the same
-    limits it checks (route buffer, node-id width)."""
-    return (
-        dimensions <= 8
-        and dimensions * radix <= 62
-        and radix**dimensions < 1 << 20
-    )
+    """Whether ``bc_create`` accepts a torus of this shape, by the same
+    limits it checks: at most eight dimensions, and fewer than 2**20
+    nodes (the node-id field of its packed heap keys)."""
+    return dimensions <= 8 and radix**dimensions < 1 << 20
 
 
 def _cache_dir() -> Path:

@@ -24,10 +24,13 @@ the next switch's buffer — channel holds are time-bounded, so the torus
 ring cycle cannot deadlock.
 
 **Implementation.**  The channel population is fixed by the torus
-geometry, so channels are enumerated up front and identified by dense
-integer ids; per-channel state (busy-until cycle, head-of-queue
-eligibility, link flit totals) lives in flat int lists indexed by
-channel id, replacing the reference implementation's tuple-keyed dicts.
+geometry, so channel ids are arithmetic: injection ``s``, ejection
+``N + d``, and link ``2N + 2 * (node * n + dim) + (step == -1)``.
+Routes are computed from node ids in that form (:meth:`_route_ids`,
+pinned to the key form of :meth:`build_route`) and cached per endpoint
+pair.  Per-channel state (busy-until cycle, head-of-queue eligibility,
+link flit totals) lives in flat int lists indexed by channel id,
+replacing the reference implementation's tuple-keyed dicts.
 Channel grants are order-independent within a cycle *as decisions* — a
 channel grants iff it is free and its FIFO head is eligible, and
 in-cycle enqueues carry ``cycle + 1`` eligibility — but the order grants
@@ -35,29 +38,25 @@ in-cycle enqueues carry ``cycle + 1`` eligibility — but the order grants
 walks the ordered pending list, where each channel's grant condition is
 two list reads and two int compares (measured faster at this channel
 count than gathering the grantable set with vectorized numpy compares,
-which this fabric went through an iteration of).  The seeded
+which this fabric went through an iteration of) and a grant moves the
+transit to its next channel inline.  The seeded
 golden-parity tests pin this to the reference implementation cycle for
 cycle.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.message import Message
 from repro.sim.telemetry import FabricTelemetry, TelemetryConfig
 from repro.topology.torus import Torus
 
-__all__ = ["Transit", "CutThroughFabric"]
+__all__ = ["Transit", "CutThroughFabric", "link_keys"]
 
 ChannelKey = Tuple
-
-#: Head-eligibility sentinel for a channel with an empty queue; any
-#: real cycle compares below it, keeping the hot compare all-int.
-_NEVER = 1 << 62
 
 
 @dataclass(slots=True)
@@ -86,49 +85,52 @@ class Transit:
         return self.message.flits
 
 
+def link_keys(torus: Torus) -> List[Tuple[int, int, int]]:
+    """Every physical link as ``(node, dimension, step)``, by link id.
+
+    Node-major, then dimension, then the ``+1`` direction before ``-1``:
+    link id ``i`` is channel ``2N + i``.
+    """
+    return [
+        (node, dim, step)
+        for node in torus.nodes()
+        for dim in range(torus.dimensions)
+        for step in (1, -1)
+    ]
+
+
 class CutThroughFabric:
     """Cycle-driven cut-through network with per-channel FIFO queueing."""
 
-    def __init__(
-        self,
-        torus: Torus,
-        on_delivery: Callable[[Transit], None],
-        stall_limit: int = 10000,  # accepted for interface parity; unused
-    ):
+    def __init__(self, torus: Torus, on_delivery: Callable[[Transit], None]):
         self.torus = torus
         self.on_delivery = on_delivery
 
-        # Enumerate every channel the geometry admits: one injection and
-        # one ejection channel per node, one link channel per (node,
-        # dimension, direction).
-        self._channel_index: Dict[ChannelKey, int] = {}
-        self._link_keys: List[Tuple[int, int, int]] = []
-        link_of: List[int] = []
-        for node in torus.nodes():
-            self._channel_index[("inj", node)] = len(link_of)
-            link_of.append(-1)
-        for node in torus.nodes():
-            self._channel_index[("ej", node)] = len(link_of)
-            link_of.append(-1)
-        for node in torus.nodes():
-            for dim in range(torus.dimensions):
-                for step in (1, -1):
-                    self._channel_index[("link", node, dim, step)] = len(link_of)
-                    link_of.append(len(self._link_keys))
-                    self._link_keys.append((node, dim, step))
-        count = len(link_of)
-        self._link_of = link_of
+        nodes = torus.node_count
+        #: First link channel id; injection ids lie below ``N``, ejection
+        #: ids in ``[N, 2N)``.
+        self._link_base = 2 * nodes
+        count = self._link_base + 2 * nodes * torus.dimensions
+        #: One shared int object per channel id, so cached routes index
+        #: into it instead of each holding its own copies.
+        self._channel_ids = list(range(count))
         #: Cycle each channel is busy until (exclusive).
         self._free_at = [0] * count
-        #: Eligibility cycle of each channel's FIFO head (_NEVER = empty).
-        self._head_eligible = [_NEVER] * count
-        self._queues: List[Deque[Tuple[int, Transit]]] = [
-            deque() for _ in range(count)
-        ]
+        #: Eligibility cycle of the transit that last found the channel's
+        #: FIFO empty; later heads need none of their own.  A transit
+        #: queued behind another joined no later than the cycle its
+        #: predecessor is granted, so it is eligible at most one cycle
+        #: after that grant, which holds the channel for at least one
+        #: cycle (every message has a flit): once the channel is free,
+        #: its new head is eligible.
+        self._head_eligible = [0] * count
+        #: Per-channel FIFO of waiting transits; ``None`` while empty, so
+        #: an idle channel costs no list.
+        self._queues: List[Optional[List[Transit]]] = [None] * count
         #: Flits pushed across each physical link, by link id (a plain
         #: list: the counter is bumped one scalar at a time on grants,
         #: where list indexing beats numpy scalar indexing).
-        self._link_flit_counts = [0] * len(self._link_keys)
+        self._link_flit_counts = [0] * (count - self._link_base)
 
         self._route_cache: Dict[Tuple[int, int], List[int]] = {}
         #: Channels with queued traffic, in activation order.
@@ -159,19 +161,62 @@ class CutThroughFabric:
         return route
 
     def _route_ids(self, source: int, destination: int) -> List[int]:
-        """The channel-id route, memoized per (source, destination).
+        """Channel ids of the e-cube route, memoized per endpoint pair.
 
-        E-cube routes are a pure function of the endpoint pair and
-        transits never mutate them, so the cached list is shared.
+        Computed arithmetically, channel for channel what
+        :meth:`build_route` spells as keys: it walks node ids
+        incrementally (``+/- stride``, or the ``(k - 1) * stride`` jump
+        at the wraparound) without coordinate tuples or key lookups.
+        Routes are a pure function of the pair and transits never
+        mutate them, so the cached list is shared.
         """
         pair = (source, destination)
         route = self._route_cache.get(pair)
-        if route is None:
-            index = self._channel_index
-            route = [
-                index[key] for key in self.build_route(source, destination)
-            ]
-            self._route_cache[pair] = route
+        if route is not None:
+            return route
+        if source == destination:
+            raise SimulationError(
+                f"messages to self must not enter the network (node {source})"
+            )
+        radix = self.torus.radix
+        dims = self.torus.dimensions
+        link_base = self._link_base
+        ids = self._channel_ids
+        route = [ids[source]]
+        append = route.append
+        node = source
+        src_rem = source
+        dst_rem = destination
+        stride = 1
+        for dim in range(dims):
+            coord = src_rem % radix
+            forward = (dst_rem % radix - coord) % radix
+            src_rem //= radix
+            dst_rem //= radix
+            if forward:
+                backward = radix - forward
+                if forward <= backward:
+                    # Positive direction (ties at half-way go positive).
+                    for _ in range(forward):
+                        append(ids[link_base + 2 * (node * dims + dim)])
+                        if coord == radix - 1:
+                            node -= (radix - 1) * stride
+                            coord = 0
+                        else:
+                            node += stride
+                            coord += 1
+                else:
+                    for _ in range(backward):
+                        append(ids[link_base + 2 * (node * dims + dim) + 1])
+                        if coord == 0:
+                            node += (radix - 1) * stride
+                            coord = radix - 1
+                        else:
+                            node -= stride
+                            coord -= 1
+            stride *= radix
+        append(ids[self.torus.node_count + destination])
+        self._route_cache[pair] = route
         return route
 
     # ------------------------------------------------------------------
@@ -179,21 +224,22 @@ class CutThroughFabric:
     # ------------------------------------------------------------------
 
     def inject(self, message: Message, cycle: int) -> None:
+        """Queue ``message`` at its source's injection channel; ``cycle``
+        is the current cycle (injection never runs ahead of the ticks)."""
         message.injected_at = cycle
         transit = Transit(
             message=message,
             route=self._route_ids(message.source, message.destination),
         )
         self._in_flight += 1
-        self._enqueue(transit, cycle)
-
-    def _enqueue(self, transit: Transit, eligible_from: int) -> None:
-        channel = transit.route[transit.next_hop]
+        channel = message.source
         queue = self._queues[channel]
-        if not queue:
+        if queue:
+            queue.append(transit)
+        else:
+            self._queues[channel] = [transit]
             self._pending.append(channel)
-            self._head_eligible[channel] = eligible_from
-        queue.append((eligible_from, transit))
+            self._head_eligible[channel] = cycle
 
     # ------------------------------------------------------------------
     # Per-cycle advance.
@@ -203,11 +249,12 @@ class CutThroughFabric:
         """Attach per-channel instrumentation (see :mod:`..telemetry`)."""
         if self._telemetry is not None:
             raise SimulationError("telemetry already attached to this fabric")
+        links = len(self._link_flit_counts)
         self._telemetry = FabricTelemetry(
             config=config,
             channels=len(self._free_at),
-            link_of=self._link_of,
-            link_keys=self._link_keys,
+            link_of=[-1] * self._link_base + list(range(links)),
+            link_keys=link_keys(self.torus),
             depth_probe=self._queue_depths,
             label="cut_through",
         )
@@ -215,7 +262,7 @@ class CutThroughFabric:
 
     def _queue_depths(self) -> List[int]:
         """Waiting messages per channel FIFO (telemetry epoch sampling)."""
-        return [len(queue) for queue in self._queues]
+        return [len(queue) if queue else 0 for queue in self._queues]
 
     def tick(self, cycle: int) -> None:
         # Telemetry epoch roll first (before deliveries and the empty-
@@ -255,6 +302,10 @@ class CutThroughFabric:
         free_at = self._free_at
         head_eligible = self._head_eligible
         queues = self._queues
+        link_flit_counts = self._link_flit_counts
+        link_base = self._link_base
+        channel_flits = None if telemetry is None else telemetry.channel_flits
+        next_eligible = cycle + 1
         new_pending: List[int] = []
         append = new_pending.append
         self._pending = new_pending
@@ -263,36 +314,42 @@ class CutThroughFabric:
                 append(channel)
                 continue
             queue = queues[channel]
-            _, transit = queue.popleft()
-            head_eligible[channel] = queue[0][0] if queue else _NEVER
-            self._grant(transit, channel, cycle)
+            transit = queue.pop(0)
+            flits = transit.message.flits
+            free_at[channel] = cycle + flits
+            if channel_flits is not None:
+                # Busy flit-cycles at grant time, every channel (the
+                # service occupancy just booked into _free_at).
+                channel_flits[channel] += flits
+            hop = transit.next_hop
+            if hop:
+                link = channel - link_base
+                if link >= 0:
+                    link_flit_counts[link] += flits
+            else:
+                transit.source_wait = cycle - transit.message.injected_at
+            hop += 1
+            transit.next_hop = hop
+            route = transit.route
+            if hop < len(route):
+                # The head reaches the next switch one cycle later.
+                after = route[hop]
+                after_queue = queues[after]
+                if after_queue:
+                    after_queue.append(transit)
+                else:
+                    queues[after] = [transit]
+                    append(after)
+                    head_eligible[after] = next_eligible
+            else:
+                # Ejection granted at ``cycle``: the tail arrives after
+                # all flits cross the ejection channel.
+                self._deliveries.setdefault(cycle + flits, []).append(transit)
+                self._delivery_count += 1
             if queue:
                 append(channel)
-
-    def _grant(self, transit: Transit, channel: int, cycle: int) -> None:
-        flits = transit.message.flits
-        self._free_at[channel] = cycle + flits
-        if self._telemetry is not None:
-            # Busy flit-cycles at grant time, every channel (the service
-            # occupancy just booked into _free_at).
-            self._telemetry.channel_flits[channel] += flits
-        hop = transit.next_hop
-        if hop == 0:
-            transit.source_wait = cycle - transit.message.injected_at
-        else:
-            link = self._link_of[channel]
-            if link >= 0:
-                self._link_flit_counts[link] += flits
-        transit.next_hop = hop + 1
-        if hop + 1 >= len(transit.route):
-            # Ejection granted at ``cycle``: the tail arrives after all
-            # flits cross the ejection channel.
-            when = cycle + flits
-            self._deliveries.setdefault(when, []).append(transit)
-            self._delivery_count += 1
-        else:
-            # The head reaches the next switch one cycle later.
-            self._enqueue(transit, cycle + 1)
+            else:
+                queues[channel] = None
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -301,7 +358,7 @@ class CutThroughFabric:
     @property
     def link_flits(self) -> Dict[Tuple[int, int, int], int]:
         """Flits crossed per physical link (links with traffic only)."""
-        keys = self._link_keys
+        keys = link_keys(self.torus)
         return {
             keys[i]: count
             for i, count in enumerate(self._link_flit_counts)

@@ -212,29 +212,52 @@ class TestEngineSelection:
         assert_parity(batched, serial)
         assert [s.telemetry for s in batched] == [s.telemetry for s in serial]
 
-    def test_torus_too_large_for_core_runs_serial(self, monkeypatch):
-        # A 64-node ring exceeds the core's route buffer (dims * radix
-        # <= 62): run_batch goes serial, BatchMachine refuses it.
+    @needs_core
+    @pytest.mark.parametrize("radix,dimensions", [(64, 1), (32, 2)])
+    def test_large_radix_runs_on_core(self, monkeypatch, radix, dimensions):
+        # Shapes with dimensions * radix > 62: routes are walked hop by
+        # hop, so no route length bounds what the core holds.
         config = SimulationConfig(
-            radix=64, dimensions=1, contexts=1,
+            radix=radix, dimensions=dimensions, contexts=1,
             warmup_network_cycles=100, measure_network_cycles=300,
         )
         programs = build_programs(
-            torus_neighbor_graph(64, 1), 1,
+            torus_neighbor_graph(radix, dimensions), 1,
             config.compute_cycles, config.compute_jitter,
         )
-        mapping = identity_mapping(64)
+        mapping = random_mapping(config.node_count, seed=radix)
         seeds = (config.seed,)
-        assert not batchcore.fits(1, 64)
+        assert batchcore.fits(dimensions, radix)
         built = count_batch_machines(monkeypatch)
         batched = run_batch(config, mapping, programs, seeds)
-        assert built == []
+        assert len(built) == 1
         assert_parity(
             batched, serial_summaries(config, mapping, programs, seeds)
         )
-        if batchcore.load() is not None:
-            with pytest.raises(SimulationError, match="cannot hold"):
-                BatchMachine(config, mapping, programs, seeds)
+
+    @needs_core
+    def test_fits_agrees_with_core(self):
+        ffi, lib = batchcore.load()
+        # Shapes that fit stay small except the one just under 2**20
+        # nodes (about 120 MB, freed at once); refused ones allocate
+        # nothing.
+        shapes = [
+            (1, 2), (1, 64), (1, 4096), (1, (1 << 20) - 1), (1, 1 << 20),
+            (2, 32), (2, 64), (2, 1024), (3, 16), (3, 102), (4, 32),
+            (8, 2), (8, 6), (9, 2),
+        ]
+        for dimensions, radix in shapes:
+            core = lib.bc_create(
+                1, radix**dimensions, dimensions, radix, 4,
+                1, 1, 1, 1, 1, 1, 1, 1,
+            )
+            assert (core != ffi.NULL) == batchcore.fits(dimensions, radix), (
+                dimensions, radix,
+            )
+            lib.bc_destroy(core)
+        config = SimulationConfig(radix=1 << 20, dimensions=1, contexts=1)
+        with pytest.raises(SimulationError, match="cannot hold"):
+            BatchMachine(config, identity_mapping(4), [], (config.seed,))
 
     def test_batch_machine_rejects_wormhole(self):
         config, mapping, programs = small_setup(switching="wormhole")

@@ -1,8 +1,8 @@
-"""The kernel's arithmetic route fast path and quiescent fast-forward.
+"""The fabrics' arithmetic route fast paths and quiescent fast-forward.
 
-``FabricKernel._route_ids`` computes channel ids directly from node
-arithmetic (the light-traffic optimization); ``build_route`` — key
-tuples resolved through the channel index — stays alive as its
+``FabricKernel._route_ids`` and ``CutThroughFabric._route_ids`` compute
+channel ids directly from node arithmetic (the light-traffic
+optimization); ``build_route`` — key tuples — stays alive as their
 executable specification.  These tests pin the two channel-for-channel
 across shapes, directions, datelines, and ties, and check the
 quiescent early-exit changes nothing observable.
@@ -11,6 +11,7 @@ quiescent early-exit changes nothing observable.
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.cut_through import CutThroughFabric
 from repro.sim.kernel import FabricKernel
 from repro.sim.message import Message, MessageKind
 from repro.topology.torus import Torus
@@ -58,6 +59,45 @@ class TestRouteIdParity:
             index[("link", 0, 0, 1, 1)],
             index[("ej", 1)],
         ]
+
+
+def _cut_through_channel_id(key, nodes, dimensions):
+    """The cut-through fabric's documented channel-id enumeration."""
+    if key[0] == "inj":
+        return key[1]
+    if key[0] == "ej":
+        return nodes + key[1]
+    _, node, dim, step = key
+    return 2 * nodes + 2 * (node * dimensions + dim) + (step == -1)
+
+
+#: 1-, 2- and 3-D tori, odd and even radix (even radix has half-way ties).
+CUT_THROUGH_SHAPES = [(5, 1), (6, 1), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3)]
+
+
+class TestCutThroughRouteIdParity:
+    @pytest.mark.parametrize("radix,dimensions", CUT_THROUGH_SHAPES)
+    def test_all_pairs_match_key_built_routes(self, radix, dimensions):
+        fabric = CutThroughFabric(
+            Torus(radix=radix, dimensions=dimensions),
+            on_delivery=lambda t: None,
+        )
+        nodes = fabric.torus.node_count
+        for source in range(nodes):
+            for destination in range(nodes):
+                if source == destination:
+                    continue
+                expected = [
+                    _cut_through_channel_id(key, nodes, dimensions)
+                    for key in fabric.build_route(source, destination)
+                ]
+                assert fabric._route_ids(source, destination) == expected
+
+    def test_self_route_rejected(self):
+        fabric = CutThroughFabric(Torus(radix=4, dimensions=2),
+                                  on_delivery=lambda t: None)
+        with pytest.raises(SimulationError):
+            fabric._route_ids(3, 3)
 
 
 class TestQuiescentFastForward:
