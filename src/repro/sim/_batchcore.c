@@ -25,8 +25,6 @@
 typedef long long i64;
 typedef unsigned long long u64;
 
-#define NEVER (1LL << 62)
-
 /* ------------------------------------------------------------------ */
 /* Directory sharer lists.                                             */
 /*                                                                     */
@@ -151,13 +149,10 @@ typedef struct {
     int live, seq;
 } CacheLog;
 
+/* Per-channel FIFO of waiting transit ids: a ring whose capacity is
+ * a power of two. */
 typedef struct {
-    i64 elig;
-    int transit;
-} QEnt;
-
-typedef struct {
-    QEnt *q;
+    int *q;
     int head, count, cap;
 } Queue;
 
@@ -168,6 +163,10 @@ typedef struct {
 
 typedef struct {
     i64 *free_at;
+    /* Eligibility cycle of the transit that last found the channel's
+     * FIFO empty.  Later heads need none of their own: each joined no
+     * later than its predecessor's grant, which holds the channel for
+     * at least one cycle, so it is eligible once the channel frees. */
     i64 *head_elig;
     Queue *queues;
     int *pending, *pend2;
@@ -231,7 +230,6 @@ typedef struct {
     i64 hopl_count, started, rcompleted, lcompleted, txn_lat, evictions;
     i64 hits, idle, switches;
     double hopl_total;
-    i64 *per_node_sent;
     int *batch;  /* ctrl- and processor-phase scratch */
 } Rep;
 
@@ -624,27 +622,26 @@ static int route_next(const Batch *b, Transit *t, int dest) {
 /* Fabric (port of CutThroughFabric).                                  */
 /* ------------------------------------------------------------------ */
 
-static void qe_push(Queue *q, i64 elig, int transit) {
+static void qe_push(Queue *q, int transit) {
     if (q->count >= q->cap) {
         int old = q->cap;
         q->cap = old ? old * 2 : 4;
-        QEnt *nq = (QEnt *)malloc((size_t)q->cap * sizeof(QEnt));
+        int *nq = (int *)malloc((size_t)q->cap * sizeof(int));
         for (int i = 0; i < q->count; i++)
-            nq[i] = q->q[(q->head + i) % (old ? old : 1)];
+            nq[i] = q->q[(q->head + i) & (old - 1)];
         free(q->q);
         q->q = nq;
         q->head = 0;
     }
-    q->q[(q->head + q->count) % q->cap].elig = elig;
-    q->q[(q->head + q->count) % q->cap].transit = transit;
+    q->q[(q->head + q->count) & (q->cap - 1)] = transit;
     q->count++;
 }
 
-static QEnt qe_pop(Queue *q) {
-    QEnt e = q->q[q->head];
-    q->head = (q->head + 1) % q->cap;
+static int qe_pop(Queue *q) {
+    int transit = q->q[q->head];
+    q->head = (q->head + 1) & (q->cap - 1);
     q->count--;
-    return e;
+    return transit;
 }
 
 static void dheap_push(Fab *f, u64 key, int transit) {
@@ -693,7 +690,7 @@ static void fab_inject(Batch *b, Rep *rep, int midx, i64 cycle) {
         f->pending[f->pcount++] = ch;
         f->head_elig[ch] = cycle;
     }
-    qe_push(q, cycle, tidx);
+    qe_push(q, tidx);
     f->in_flight++;
 }
 
@@ -1099,7 +1096,6 @@ static void do_launch(Batch *b, Rep *rep, int r, int node, int midx,
         rep->sent++;
         rep->flits_sum += m->flits;
         rep->flits_sq += (i64)m->flits * m->flits;
-        rep->per_node_sent[node]++;
     }
     if (m->dest == node) {
         fail(b, 1, "self-addressed message; local transactions must "
@@ -1233,8 +1229,7 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
             continue;
         }
         Queue *q = &f->queues[ch];
-        int tidx = qe_pop(q).transit;
-        f->head_elig[ch] = q->count ? q->q[q->head].elig : NEVER;
+        int tidx = qe_pop(q);
         Transit *t = &b->transits[tidx];
         Msg *m = &b->msgs[t->msg];
         int flits = m->flits;
@@ -1258,7 +1253,7 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
                 newp[nn++] = nxt;
                 f->head_elig[nxt] = cycle + 1;
             }
-            qe_push(nq, cycle + 1, tidx);
+            qe_push(nq, tidx);
         }
         if (q->count) newp[nn++] = ch;
     }
@@ -1628,14 +1623,12 @@ Batch *bc_create(int R, int N, int dims, int radix, int capacity,
         for (int i = 0; i < N; i++) rep->ctrl[i].next_uid = i;
         rep->ready = (int *)malloc((size_t)N * sizeof(int));
         rep->batch = (int *)malloc((size_t)2 * N * sizeof(int));
-        rep->per_node_sent = (i64 *)calloc((size_t)N, sizeof(i64));
         rep->proc = (Proc *)calloc((size_t)N, sizeof(Proc));
         rep->cx = (Cx *)calloc((size_t)N * contexts, sizeof(Cx));
         rep->woken = (int *)malloc((size_t)N * sizeof(int));
         Fab *f = &rep->fab;
         f->free_at = (i64 *)calloc((size_t)b->channels, sizeof(i64));
-        f->head_elig = (i64 *)malloc((size_t)b->channels * sizeof(i64));
-        for (int c = 0; c < b->channels; c++) f->head_elig[c] = NEVER;
+        f->head_elig = (i64 *)calloc((size_t)b->channels, sizeof(i64));
         f->queues = (Queue *)calloc((size_t)b->channels, sizeof(Queue));
         f->pending = (int *)malloc((size_t)b->channels * sizeof(int));
         f->pend2 = (int *)malloc((size_t)b->channels * sizeof(int));
@@ -1652,7 +1645,6 @@ void bc_destroy(Batch *b) {
         free(rep->ctrl);
         free(rep->ready);
         free(rep->batch);
-        free(rep->per_node_sent);
         free(rep->wake.a);
         free(rep->proc);
         free(rep->cx);
@@ -1772,7 +1764,6 @@ void bc_start_measuring(Batch *b, int r) {
     rep->rcompleted = rep->lcompleted = rep->txn_lat = rep->evictions = 0;
     rep->hits = rep->idle = rep->switches = 0;
     rep->hopl_total = 0.0;
-    memset(rep->per_node_sent, 0, (size_t)b->N * sizeof(i64));
 }
 
 void bc_get_counters(Batch *b, int r, i64 *out_i, double *out_d) {
@@ -1798,10 +1789,6 @@ void bc_get_counters(Batch *b, int r, i64 *out_i, double *out_d) {
 void bc_get_link_flits(Batch *b, int r, i64 *out) {
     memcpy(out, b->reps[r].fab.link_flits,
            (size_t)b->links * sizeof(i64));
-}
-
-void bc_get_per_node_sent(Batch *b, int r, i64 *out) {
-    memcpy(out, b->reps[r].per_node_sent, (size_t)b->N * sizeof(i64));
 }
 
 int bc_errcode(Batch *b) { return b->errcode; }

@@ -18,9 +18,11 @@ every seed, the batched run's :class:`~repro.sim.stats.MeasurementSummary`
 is identical to ``Machine(config.with_seed(seed), ...).run()``.  The
 ingredients:
 
-* **The stream is model-defined.**  Replication ``r`` spawns its
-  per-node streams as ``SeedSequence(seeds[r]).spawn(nodes)`` — exactly
-  what a solo :class:`~repro.sim.machine.Machine` does — and each keys a
+* **The stream is model-defined.**  Replication ``r``'s per-node
+  states are :func:`~repro.workload.base.node_states` ``(seeds[r],
+  nodes)``, the numpy-exact vectorized derivation of
+  ``SeedSequence(seeds[r]).spawn(nodes)``'s first state words — exactly
+  what a solo :class:`~repro.sim.machine.Machine` uses — and each keys a
   :class:`~repro.workload.base.NodeStream`.  The stream (SplitMix64,
   unbiased bounded draws) and the run-length jitter rule are model
   rules, written once in :mod:`repro.workload.base` and ported to the
@@ -56,21 +58,20 @@ load is the one loud fallback (``batch.fallback`` counter plus a
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.errors import ParameterError, SimulationError
+from repro.errors import MappingError, ParameterError, SimulationError
 from repro.mapping.base import Mapping
 from repro.sim import batchcore
 from repro.sim.config import SimulationConfig
-from repro.sim.cut_through import link_keys
 from repro.sim.machine import place_programs
 from repro.sim.stats import MachineStats, MeasurementSummary
 from repro.sim.telemetry import TelemetryConfig
 from repro.topology.torus import Torus
-from repro.workload.base import Block, NodeStream, ThreadProgram, jitter_spread
+from repro.workload.base import ThreadProgram, jitter_spread, node_states
 from repro.workload.generators import PermutationProgram, UniformRandomProgram
 from repro.workload.synthetic import NeighborExchangeProgram
 
@@ -115,64 +116,63 @@ def _note_core_unavailable() -> None:
 
 
 def _program_records(
-    programs_at: Sequence[Sequence[ThreadProgram]],
-    home_of: Callable[[int], int],
-) -> Optional[Tuple[List[int], List[int], List[int]]]:
+    programs_at: Sequence[Sequence[ThreadProgram]], threads: int
+) -> Optional[Tuple[int, List[int], List[int]]]:
     """The placed programs as core records, or ``None`` if any program is
     not one of :data:`_CORE_PROGRAMS`.
 
-    Returns ``(homes, records, table)``.  Every ``(instance, thread)``
-    block the programs can touch gets a dense id, and ``homes[id]`` is
-    its home node.  ``records`` holds nine ints per program, node-major
-    then context, in the core's ``Prog`` field order: kind, own block,
-    reads per write, table offset, threads, thread, base run length,
-    jitter spread and the program's current position.  A fixed-read-list
+    Returns ``(instances, records, table)``.  Block ``(instance, thread)``
+    gets id ``slot * threads + thread``, where ``slot`` numbers the
+    instances in order of first appearance and ``instances`` is how many
+    there are.  ``records`` holds nine ints per program, node-major then
+    context, in the core's ``Prog`` field order: kind, own block, reads
+    per write, table offset, threads, thread, base run length, jitter
+    spread and the program's current position.  A fixed-read-list
     record's table slice is its read blocks in order; a uniform record's
-    is the block of every thread of its instance.
+    is the block of every thread of its instance.  A thread outside
+    ``0 .. threads - 1`` raises :class:`~repro.errors.MappingError`, as
+    the mapping does for a serial machine.
     """
-    ids: Dict[Block, int] = {}
-    homes: List[int] = []
+    slots: Dict[int, int] = {}
     table: List[int] = []
     uniform_tables: Dict[Tuple[int, int], int] = {}
-
-    def block(instance: int, thread: int) -> int:
-        key = (instance, thread)
-        if key not in ids:
-            ids[key] = len(homes)
-            homes.append(home_of(thread))
-        return ids[key]
-
     records: List[int] = []
     for node_programs in programs_at:
         for program in node_programs:
             kind = type(program)
             if kind not in _CORE_PROGRAMS:
                 return None
-            instance = program.instance
-            threads = thread = 0
+            first = slots.setdefault(program.instance, len(slots)) * threads
+            threads_of = thread = 0
             if kind is UniformRandomProgram:
                 code, reads = _UNIFORM, program.reads_per_write
-                threads, thread = program.threads, program.thread
-                offset = uniform_tables.get((instance, threads))
+                threads_of, thread = program.threads, program.thread
+                touched = (0, threads_of - 1, thread)
+                offset = uniform_tables.get((first, threads_of))
                 if offset is None:
-                    offset = uniform_tables[(instance, threads)] = len(table)
-                    table.extend(block(instance, t) for t in range(threads))
+                    offset = uniform_tables[(first, threads_of)] = len(table)
+                    table.extend(range(first, first + threads_of))
             else:
                 targets = (
                     program.neighbors
                     if kind is NeighborExchangeProgram
                     else (program.partner,) * program.reads_per_write
                 )
+                touched = (*targets, program.thread)
                 code, reads, offset = _READS, len(targets), len(table)
-                table.extend(block(instance, t) for t in targets)
+                table.extend(first + t for t in targets)
+            if min(touched) < 0 or max(touched) >= threads:
+                raise MappingError(
+                    f"a program touches a thread outside 0..{threads - 1}"
+                )
             base = program.compute_cycles_mean
             records += (
-                code, block(instance, program.thread), reads, offset,
-                threads, thread, base,
+                code, first + program.thread, reads, offset,
+                threads_of, thread, base,
                 jitter_spread(base, program.compute_jitter),
                 program._position,
             )
-    return homes, records, table
+    return len(slots), records, table
 
 
 class BatchMachine:
@@ -181,10 +181,11 @@ class BatchMachine:
 
     Construction mirrors ``Machine(config.with_seed(seed), mapping,
     programs)`` per seed — the programs placed once as shared records,
-    per-node streams spawned from each seed — with the program records,
-    thread-home table and torus coordinates shared across replications
-    inside the core.  :meth:`run` is single-use and returns per-seed
-    summaries in seed order, each bit-identical to the serial machine's.
+    per-node stream states derived from each seed — with the program
+    records, block-home table and torus coordinates shared across
+    replications inside the core.  :meth:`run` is single-use and returns
+    per-seed summaries in seed order, each bit-identical to the serial
+    machine's.
     Only cut-through machines without telemetry, running programs the
     core runs, are accepted; :func:`run_batch` sends every other batch
     to serial machines.
@@ -197,7 +198,7 @@ class BatchMachine:
         programs: Sequence[Sequence[ThreadProgram]],
         seeds: Sequence[int],
     ):
-        seeds = tuple(int(seed) for seed in seeds)
+        seeds = tuple(seeds)
         if not seeds:
             raise ParameterError("need at least one replication seed")
         if config.switching != "cut_through":
@@ -212,14 +213,17 @@ class BatchMachine:
                 f"{config.dimensions}-D torus"
             )
         self.config = config
-        self.seeds = seeds
         self.torus = Torus(radix=config.radix, dimensions=config.dimensions)
         nodes = self.torus.node_count
+        # Per-node stream states, one row per replication (this also
+        # rejects a seed that is not a non-negative integer).
+        states = [node_states(seed, nodes) for seed in seeds]
+        self.seeds = tuple(int(seed) for seed in seeds)
         # Validate the mapping/programs combination once, with the same
         # errors a solo Machine raises.
         _, programs_at = place_programs(config, mapping, programs, nodes)
         described = _program_records(
-            [programs_at[node] for node in range(nodes)], mapping.processor_of
+            [programs_at[node] for node in range(nodes)], mapping.threads
         )
         if described is None:
             raise SimulationError(
@@ -227,8 +231,9 @@ class BatchMachine:
                 "and uniform-random programs only (run_batch runs other "
                 "programs as serial machines)"
             )
-        homes, records, table = described
-        self._link_keys = link_keys(self.torus)
+        instances, records, table = described
+        # Every instance's blocks live with their threads.
+        homes = np.tile(np.asarray(mapping.assignment, dtype=np.intc), instances)
         loaded = batchcore.load()
         if loaded is None:
             raise SimulationError(
@@ -251,14 +256,20 @@ class BatchMachine:
         self._ffi = ffi
         self._lib = lib
         self._core = ffi.gc(core, lib.bc_destroy)
-        if lib.bc_add_blocks(core, len(homes), homes) or lib.bc_set_programs(
-            core, records, len(table), table
+        records = np.array(records, dtype=np.intc)
+        table = np.array(table, dtype=np.intc)
+        if lib.bc_add_blocks(
+            core, homes.size, ffi.from_buffer("int[]", homes)
+        ) or lib.bc_set_programs(
+            core, ffi.from_buffer("int[]", records), table.size,
+            ffi.from_buffer("int[]", table),
         ):
             raise SimulationError("the compiled batch core rejected the programs")
-        for index, seed in enumerate(seeds):
-            children = np.random.SeedSequence(seed).spawn(nodes)
-            states = [NodeStream.from_seed_sequence(c).state for c in children]
-            lib.bc_seed(core, index, states)
+        for index, state in enumerate(states):
+            lib.bc_seed(core, index, ffi.from_buffer("unsigned long long[]", state))
+        #: Per-link flit counts of one replication, read at window edges.
+        self._flits = np.empty(nodes * 2 * config.dimensions, dtype=np.longlong)
+        self._flits_buffer = ffi.from_buffer("long long[]", self._flits)
         #: The engine this batch runs on; always ``"c"`` (the compiled
         #: core) — other batches never construct a BatchMachine.
         self.engine = "c"
@@ -282,30 +293,26 @@ class BatchMachine:
             completed += lib.bc_comp_count(core, index)
         return completed
 
-    def _link_flits(self, index: int) -> Dict[Tuple[int, int, int], int]:
-        buf = self._ffi.new("long long[]", len(self._link_keys))
-        self._lib.bc_get_link_flits(self._core, index, buf)
-        return {key: buf[i] for i, key in enumerate(self._link_keys) if buf[i]}
+    def _link_flit_total(self, index: int) -> int:
+        """Flits replication ``index``'s links have carried so far."""
+        self._lib.bc_get_link_flits(self._core, index, self._flits_buffer)
+        return int(self._flits.sum())
 
-    def _stats(self, index: int, window_start: int, link_flits: Dict) -> MachineStats:
-        """Replication ``index``'s measured window as :class:`MachineStats`."""
+    def _stats(self, index: int, window_start: int, start_flits: int) -> MachineStats:
+        """Replication ``index``'s measured window as :class:`MachineStats`.
+
+        The summary reads only the links' total, so the window's link
+        flits are booked as one entry."""
         ffi = self._ffi
-        lib = self._lib
-        nodes = self.torus.node_count
         ints = ffi.new("long long[]", len(_COUNTERS))
         dbl = ffi.new("double[1]")
-        lib.bc_get_counters(self._core, index, ints, dbl)
-        stats = MachineStats(nodes=nodes)
-        stats.start_measuring(window_start, link_flits)
+        self._lib.bc_get_counters(self._core, index, ints, dbl)
+        stats = MachineStats(nodes=self.torus.node_count)
+        stats.start_measuring(window_start, {"links": start_flits})
         stats.stop_measuring(self._cycle)
         for name, value in zip(_COUNTERS, ints):
             setattr(stats, name, value)
         stats.hop_latency_total = dbl[0]
-        buf = ffi.new("long long[]", nodes)
-        lib.bc_get_per_node_sent(self._core, index, buf)
-        stats.per_node_messages = {
-            node: buf[node] for node in range(nodes) if buf[node]
-        }
         return stats
 
     # ------------------------------------------------------------------
@@ -337,7 +344,7 @@ class BatchMachine:
         ):
             completed = self._advance(warmup)
             window_start = self._cycle
-            start_flits = [self._link_flits(index) for index in reps]
+            start_flits = [self._link_flit_total(index) for index in reps]
             for index in reps:
                 self._lib.bc_start_measuring(self._core, index)
             completed += self._advance(measure)
@@ -353,7 +360,7 @@ class BatchMachine:
         physical_links = self.torus.node_count * 2 * self.torus.dimensions
         return [
             self._stats(index, window_start, start_flits[index]).summary(
-                link_flits=self._link_flits(index),
+                link_flits={"links": self._link_flit_total(index)},
                 physical_links=physical_links,
                 network_speedup=config.network_speedup,
             )
@@ -396,7 +403,7 @@ def run_batch(
     return [
         _run_seed(
             (config, mapping, programs),
-            (int(seed), warmup, measure, False, telemetry),
+            (seed, warmup, measure, False, telemetry),
         )[0]
         for seed in seeds
     ]

@@ -42,7 +42,6 @@ int bc_comp_count(Batch *b, int r);
 void bc_start_measuring(Batch *b, int r);
 void bc_get_counters(Batch *b, int r, long long *out_i, double *out_d);
 void bc_get_link_flits(Batch *b, int r, long long *out);
-void bc_get_per_node_sent(Batch *b, int r, long long *out);
 int bc_errcode(Batch *b);
 const char *bc_errmsg(Batch *b);
 """

@@ -47,6 +47,7 @@ cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -254,7 +255,7 @@ class CutThroughFabric:
             config=config,
             channels=len(self._free_at),
             link_of=[-1] * self._link_base + list(range(links)),
-            link_keys=link_keys(self.torus),
+            link_keys=self._link_keys,
             depth_probe=self._queue_depths,
             label="cut_through",
         )
@@ -355,10 +356,15 @@ class CutThroughFabric:
     # Introspection.
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _link_keys(self) -> List[Tuple[int, int, int]]:
+        """:func:`link_keys` of this fabric's torus, built on first use."""
+        return link_keys(self.torus)
+
     @property
     def link_flits(self) -> Dict[Tuple[int, int, int], int]:
         """Flits crossed per physical link (links with traffic only)."""
-        keys = link_keys(self.torus)
+        keys = self._link_keys
         return {
             keys[i]: count
             for i, count in enumerate(self._link_flit_counts)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.errors import SimulationError
 from repro.mapping.base import Mapping
@@ -33,7 +31,7 @@ from repro.sim.message import Message
 from repro.sim.processor import Processor
 from repro.sim.stats import MachineStats, MeasurementSummary
 from repro.topology.torus import Torus
-from repro.workload.base import ThreadProgram
+from repro.workload.base import ThreadProgram, node_states
 
 __all__ = ["Machine", "place_programs"]
 
@@ -196,11 +194,10 @@ class Machine:
             for node in self.torus.nodes()
         ]
         self.processors: List[Processor] = []
-        # One child sequence per node from the documented root seed;
-        # processors receive their stream rather than deriving ad-hoc
+        # One stream state per node from the documented root seed;
+        # processors receive their state rather than deriving ad-hoc
         # seeds, and ``rng_info`` records the scheme for run manifests.
-        self.seed_sequence = np.random.SeedSequence(config.seed)
-        node_seeds = self.seed_sequence.spawn(self.torus.node_count)
+        states = node_states(config.seed, self.torus.node_count).tolist()
         for node in self.torus.nodes():
             node_programs = programs_at[node]
             self.processors.append(
@@ -210,7 +207,7 @@ class Machine:
                     controller=self.controllers[node],
                     programs=node_programs,
                     stats=self.stats,
-                    seed_seq=node_seeds[node],
+                    state=states[node],
                 )
             )
 

@@ -14,16 +14,15 @@ The processor ticks once per *processor* cycle; the machine driver calls
 :meth:`tick` only on processor-cycle boundaries of the network clock.
 
 **RNG streams.**  Every per-node stream derives from one documented root
-seed via ``numpy.random.SeedSequence(root_seed).spawn(...)`` — the
-machine spawns one child sequence per node and hands it to that node's
-processor, so a replication's entire stream family is reproducible from
-(and recorded as) the root seed alone.  The child keys the model stream,
-a :class:`~repro.workload.base.NodeStream` (SplitMix64 seeded with the
-child's first 64-bit state word); the stream and the run-length jitter
-rule are model rules, so the compiled batch core draws the same values.
-A standalone processor without a machine derives the identical stream
-from ``SeedSequence(config.seed, spawn_key=(node,))``, which is by
-construction the same child ``spawn`` would have produced.
+seed: node ``i``'s state is the first 64-bit word of
+``numpy.random.SeedSequence(root_seed).spawn(nodes)[i]``, so a
+replication's entire stream family is reproducible from (and recorded
+as) the root seed alone.  :func:`~repro.workload.base.node_states` is the
+numpy-exact derivation of all ``N`` states in one vectorized pass; the
+machine computes them once and hands each processor its state.  The
+state keys the model stream, a :class:`~repro.workload.base.NodeStream`
+(SplitMix64); the stream and the run-length jitter rule are model rules,
+so the compiled batch core draws the same values.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import List, Optional
-
-import numpy as np
 
 from repro.errors import SimulationError
 from repro.sim.coherence import CoherenceController
@@ -75,7 +72,7 @@ class Processor:
         controller: CoherenceController,
         programs: List[ThreadProgram],
         stats,
-        seed_seq: Optional[np.random.SeedSequence] = None,
+        state: int,
     ):
         if len(programs) != config.contexts:
             raise SimulationError(
@@ -86,12 +83,9 @@ class Processor:
         self.config = config
         self.controller = controller
         self.stats = stats
-        # Deterministic per-node stream, spawned from the root seed (see
-        # module docstring).
-        if seed_seq is None:
-            seed_seq = np.random.SeedSequence(config.seed, spawn_key=(node,))
-        self.seed_seq = seed_seq
-        self.rng = NodeStream.from_seed_sequence(seed_seq)
+        # Deterministic per-node stream, keyed by the state the root seed
+        # derives for this node (see module docstring).
+        self.rng = NodeStream(state)
         self.contexts = [
             HardwareContext(index=i, program=program)
             for i, program in enumerate(programs)

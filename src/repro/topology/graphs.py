@@ -92,19 +92,15 @@ class CommunicationGraph:
         return float(self.edge_arrays()[2].sum())
 
     def out_neighbors(self, thread: int) -> Iterator[Tuple[int, float]]:
-        """Destinations and weights of a thread's outgoing edges."""
+        """Destinations and weights of a thread's outgoing edges, in edge
+        order: one row of :meth:`out_csr`."""
         if not 0 <= thread < self.threads:
             raise TopologyError(
                 f"thread {thread!r} outside 0..{self.threads - 1}"
             )
-        if self.weights:
-            for (src, dst), weight in self.weights.items():
-                if src == thread:
-                    yield dst, weight
-            return
-        src, dst, weight = self.edge_arrays()
-        for index in np.nonzero(src == thread)[0]:
-            yield int(dst[index]), float(weight[index])
+        indptr, neighbors, weights = self.out_csr()
+        row = slice(indptr[thread], indptr[thread + 1])
+        return zip(neighbors[row].tolist(), weights[row].tolist())
 
     def degree_out(self, thread: int) -> int:
         """Number of distinct destinations a thread sends to."""
@@ -138,6 +134,21 @@ class CommunicationGraph:
             object.__setattr__(self, "_edge_arrays", cached)
         return cached
 
+    def out_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-thread out-adjacency in CSR form.
+
+        Returns ``(indptr, neighbors, weights)``: thread ``t``'s outgoing
+        edges are ``neighbors[indptr[t]:indptr[t + 1]]`` with matching
+        ``weights``, in edge order.  Built once per graph by a stable
+        sort of :meth:`edge_arrays` on the source thread, so walking
+        every thread's out-edges costs O(edges), not O(threads * edges).
+        """
+        cached = self.__dict__.get("_out_csr")
+        if cached is None:
+            cached = self._rows(*self.edge_arrays())
+            object.__setattr__(self, "_out_csr", cached)
+        return cached
+
     def incident_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Symmetrized per-thread adjacency in CSR form.
 
@@ -160,16 +171,22 @@ class CommunicationGraph:
             owners[0::2], owners[1::2] = src, dst
             others[0::2], others[1::2] = dst, src
             both[0::2], both[1::2] = weight, weight
-            order = np.argsort(owners, kind="stable")
-            neighbors = others[order]
-            weights = both[order]
-            indptr = np.zeros(self.threads + 1, dtype=np.intp)
-            np.cumsum(np.bincount(owners, minlength=self.threads), out=indptr[1:])
-            for array in (indptr, neighbors, weights):
-                array.setflags(write=False)
-            cached = (indptr, neighbors, weights)
+            cached = self._rows(owners, others, both)
             object.__setattr__(self, "_incident_csr", cached)
         return cached
+
+    def _rows(
+        self, owners: np.ndarray, others: np.ndarray, weights: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only CSR ``(indptr, others, weights)`` grouped by owner
+        thread; the stable sort keeps entry order within a row."""
+        order = np.argsort(owners, kind="stable")
+        indptr = np.zeros(self.threads + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owners, minlength=self.threads), out=indptr[1:])
+        rows = (indptr, others[order], weights[order])
+        for array in rows:
+            array.setflags(write=False)
+        return rows
 
     @classmethod
     def from_edges(

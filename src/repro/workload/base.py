@@ -32,12 +32,85 @@ __all__ = [
     "ThreadProgram",
     "Block",
     "NodeStream",
+    "node_states",
     "jitter_spread",
     "jittered_cycles",
 ]
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = 0xFFFFFFFF
 _TWO32 = 1 << 32
+
+# numpy.random.SeedSequence's mixing constants (pool of four 32-bit words).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's ``hashmix``: the hashed word and the advanced hash
+    constant.  ``value`` is a Python int or a uint32 array."""
+    value = value ^ hash_const
+    hash_const = (hash_const * mult) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two words (Python ints or uint32 arrays)."""
+    result = ((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)
+    result &= _MASK32
+    return result ^ (result >> 16)
+
+
+def node_states(seed: int, nodes: int) -> np.ndarray:
+    """Every node's stream state for root ``seed``, as a uint64 array.
+
+    Entry ``i`` equals ``SeedSequence(seed).spawn(nodes)[i]
+    .generate_state(1, np.uint64)[0]``, the numpy derivation that keys
+    node ``i``'s :class:`NodeStream`, computed in one vectorized pass
+    instead of ``nodes`` SeedSequence objects.  It ports numpy's mixing
+    exactly: the root's 32-bit entropy words, little-endian and padded
+    with zeros to the pool size as numpy pads spawned children, are
+    hashed into the four-word pool as Python ints; only the last entropy
+    word, the child's spawn index, varies by node and is mixed as a
+    uint32 array.
+
+    Raises :class:`~repro.errors.ParameterError` for a seed that is not
+    a non-negative integer.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    words += [0] * (_POOL_SIZE - len(words))
+    words.append(np.arange(nodes, dtype=np.uint32))  # the spawn key
+
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        hashed, hash_const = _hashmix(word, hash_const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], hashed)
+
+    # generate_state(1, np.uint64): two 32-bit words, low word first.
+    low, hash_const = _hashmix(pool[0], _INIT_B, _MULT_B)
+    high, _ = _hashmix(pool[1], hash_const, _MULT_B)
+    return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
 
 
 class NodeStream:

@@ -84,24 +84,24 @@ def build_programs(
     """Programs for every (instance, thread) pair of a machine run.
 
     Returns ``programs[instance][thread]``.  The neighbor lists come from
-    the communication graph's out-edges, so any graph — the paper's torus
-    adjacency or otherwise — can drive the same program.
+    the communication graph's out-edges (rows of ``graph.out_csr()``, in
+    edge order), so any graph — the paper's torus adjacency or otherwise —
+    can drive the same program.
     """
     if instances < 1:
         raise ParameterError(f"instances must be >= 1, got {instances!r}")
-    programs: List[List[NeighborExchangeProgram]] = []
-    for instance in range(instances):
-        row = []
-        for thread in range(graph.threads):
-            neighbors = [dst for dst, _ in graph.out_neighbors(thread)]
-            row.append(
-                NeighborExchangeProgram(
-                    instance=instance,
-                    thread=thread,
-                    neighbors=neighbors,
-                    compute_cycles_mean=compute_cycles_mean,
-                    compute_jitter=compute_jitter,
-                )
+    indptr, neighbors, _ = graph.out_csr()
+    bounds, targets = indptr.tolist(), neighbors.tolist()
+    return [
+        [
+            NeighborExchangeProgram(
+                instance=instance,
+                thread=thread,
+                neighbors=targets[bounds[thread]:bounds[thread + 1]],
+                compute_cycles_mean=compute_cycles_mean,
+                compute_jitter=compute_jitter,
             )
-        programs.append(row)
-    return programs
+            for thread in range(graph.threads)
+        ]
+        for instance in range(instances)
+    ]

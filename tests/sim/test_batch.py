@@ -10,10 +10,11 @@ import copy
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from repro import obs
-from repro.errors import ParameterError, SimulationError
+from repro.errors import MappingError, ParameterError, SimulationError
 from repro.mapping.strategies import (
     block_collocation_mapping,
     identity_mapping,
@@ -427,3 +428,42 @@ class TestValidation:
         machine.run()
         with pytest.raises(SimulationError):
             machine.run()
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_bad_seed_is_a_parameter_error(self, seed):
+        config, mapping, programs = small_setup()
+        with pytest.raises(ParameterError, match="non-negative integer"):
+            Machine(config.with_seed(seed), mapping, programs)
+        with pytest.raises(ParameterError, match="non-negative integer"):
+            run_batch(config, mapping, programs, [config.seed, seed])
+
+    def test_bad_seed_is_a_parameter_error_on_serial_batches(self):
+        config, mapping, programs = small_setup(switching="wormhole")
+        with pytest.raises(ParameterError, match="non-negative integer"):
+            run_batch(config, mapping, programs, [-3])
+
+    @needs_core
+    def test_streams_need_no_seed_sequence_spawn(self, monkeypatch):
+        # The per-node states come from node_states' vectorized
+        # derivation; no engine may fall back to numpy's N-child spawn.
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError("SeedSequence.spawn was called")
+
+        config, mapping, programs = small_setup(radix=8)
+        seeds = (config.seed, config.seed + 1)
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        serial = serial_summaries(config, mapping, programs, seeds)
+        batched = BatchMachine(config, mapping, programs, seeds).run()
+        assert_parity(batched, serial)
+
+
+@needs_core
+def test_out_of_range_thread_is_a_mapping_error():
+    config, mapping, programs = small_setup()
+    programs = copy.deepcopy(programs)
+    programs[0][3].neighbors = [1, config.node_count]
+    with pytest.raises(MappingError):
+        BatchMachine(config, mapping, programs, (config.seed,))

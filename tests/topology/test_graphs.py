@@ -1,13 +1,16 @@
 """Tests for communication graphs."""
 
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError
 from repro.topology.graphs import (
     CommunicationGraph,
     all_to_all_graph,
+    butterfly_exchange_graph,
     nearest_neighbor_grid_graph,
     ring_graph,
+    star_graph,
     torus_neighbor_graph,
 )
 
@@ -138,3 +141,55 @@ class TestArrayBackedGraphs:
         assert not fast.weights and slow.weights
         assert list(fast.edges()) == list(slow.edges())
         assert fast.total_weight == slow.total_weight
+
+
+GRAPHS = {
+    "torus": lambda: torus_neighbor_graph(8, 2),
+    "torus-3d": lambda: torus_neighbor_graph(3, 3),
+    "ring": lambda: ring_graph(9),
+    "star": lambda: star_graph(7, center=4),
+    "butterfly": lambda: butterfly_exchange_graph(16),
+    "all-to-all": lambda: all_to_all_graph(10),
+}
+
+
+def edge_order_filter(graph, thread):
+    """A thread's out-edges by scanning every edge, in edge order."""
+    return [(dst, weight) for src, dst, weight in graph.edges() if src == thread]
+
+
+def shuffled_array_graph(graph, seed=0):
+    """The same edges, array-backed and in a scrambled edge order."""
+    src, dst, weight = graph.edge_arrays()
+    order = np.random.default_rng(seed).permutation(src.size)
+    return CommunicationGraph.from_arrays(
+        graph.threads, src[order], dst[order], weight[order]
+    )
+
+
+class TestOutAdjacency:
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_out_neighbors_equal_edge_order_filter(self, name):
+        dict_graph = GRAPHS[name]()
+        for graph in (dict_graph, shuffled_array_graph(dict_graph)):
+            for thread in range(graph.threads):
+                assert list(graph.out_neighbors(thread)) == edge_order_filter(
+                    graph, thread
+                ), (name, thread)
+                assert graph.degree_out(thread) == len(
+                    edge_order_filter(graph, thread)
+                )
+
+    def test_out_csr_layout(self):
+        graph = CommunicationGraph.from_edges(4, [(2, 0), (0, 3), (2, 1), (0, 1)])
+        indptr, neighbors, weights = graph.out_csr()
+        assert indptr.tolist() == [0, 2, 2, 4, 4]
+        assert neighbors.tolist() == [3, 1, 0, 1]
+        assert weights.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert graph.out_csr() is graph.out_csr()
+        assert not neighbors.flags.writeable
+
+    def test_out_neighbors_rejects_bad_thread_eagerly(self):
+        graph = ring_graph(4)
+        with pytest.raises(TopologyError):
+            graph.out_neighbors(-1)

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.workload.base import NodeStream, jitter_spread, jittered_cycles
+from repro.workload.base import (
+    NodeStream,
+    jitter_spread,
+    jittered_cycles,
+    node_states,
+)
 
 
 class CountingStream(NodeStream):
@@ -136,3 +141,41 @@ class TestJitteredCycles:
         stream = NodeStream(4)
         assert jittered_cycles(0, 0.0, stream) == 1
         assert all(jittered_cycles(3, 0.9, stream) >= 1 for _ in range(500))
+
+
+def spawned_states(seed, nodes):
+    """numpy's own derivation, the oracle :func:`node_states` ports."""
+    return np.array(
+        [
+            child.generate_state(1, np.uint64)[0]
+            for child in np.random.SeedSequence(seed).spawn(nodes)
+        ],
+        dtype=np.uint64,
+    )
+
+
+class TestNodeStates:
+    # One- to five-word seeds: numpy pads short entropy with zeros to
+    # its four-word pool before the spawn key, and mixes words past the
+    # pool in afterwards.
+    SEEDS = [0, 1, 1992, 2**32 - 1, 2**32, 2**40 + 5, 2**63 + 11,
+             2**128 + 3, (1 << 97) - 12345]
+
+    @pytest.mark.parametrize("nodes", [1, 64, 1024, 4096])
+    def test_equals_numpy_spawn(self, nodes):
+        for seed in self.SEEDS:
+            states = node_states(seed, nodes)
+            assert states.dtype == np.uint64
+            np.testing.assert_array_equal(
+                states, spawned_states(seed, nodes), err_msg=f"seed {seed}"
+            )
+
+    def test_numpy_integer_seed(self):
+        np.testing.assert_array_equal(
+            node_states(np.uint64(2**64 - 1), 8), spawned_states(2**64 - 1, 8)
+        )
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, 2.5, "7", None, True])
+    def test_bad_seed_is_a_parameter_error(self, seed):
+        with pytest.raises(ParameterError, match="non-negative integer"):
+            node_states(seed, 4)

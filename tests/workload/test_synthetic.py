@@ -5,7 +5,11 @@ import random
 import pytest
 
 from repro.errors import ParameterError
-from repro.topology.graphs import torus_neighbor_graph
+from repro.topology.graphs import (
+    CommunicationGraph,
+    all_to_all_graph,
+    torus_neighbor_graph,
+)
 from repro.workload.base import jittered_cycles
 from repro.workload.synthetic import NeighborExchangeProgram, build_programs
 
@@ -78,6 +82,23 @@ class TestBuildPrograms:
         programs = build_programs(graph, instances=1, compute_cycles_mean=8)
         expected = sorted(dst for dst, _ in graph.out_neighbors(5))
         assert sorted(programs[0][5].neighbors) == expected
+
+    @pytest.mark.parametrize("graph", [
+        torus_neighbor_graph(8, 2),
+        all_to_all_graph(6),
+        CommunicationGraph.from_arrays(
+            5, [3, 0, 2, 3, 1, 0, 4], [1, 2, 3, 0, 0, 4, 2]
+        ),
+    ], ids=["torus", "all-to-all", "array-backed"])
+    def test_neighbor_lists_follow_edge_order(self, graph):
+        programs = build_programs(graph, instances=2, compute_cycles_mean=8)
+        for instance, row in enumerate(programs):
+            for thread, program in enumerate(row):
+                assert (program.instance, program.thread) == (instance, thread)
+                assert program.neighbors == [
+                    dst for src, dst, _ in graph.edges() if src == thread
+                ]
+        assert programs[0][0].neighbors is not programs[1][0].neighbors
 
     def test_rejects_zero_instances(self):
         graph = torus_neighbor_graph(4, 2)
