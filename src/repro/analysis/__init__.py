@@ -14,7 +14,6 @@ from repro.analysis.compare import (
     compare_model_to_replications,
     compare_systems,
 )
-from repro.analysis.export import data_to_json, records_to_csv, rows_to_csv
 from repro.analysis.linkmap import (
     LinkUtilization,
     link_utilization,
@@ -59,9 +58,6 @@ __all__ = [
     "LinkUtilization",
     "link_utilization",
     "render_link_heatmap",
-    "rows_to_csv",
-    "records_to_csv",
-    "data_to_json",
     "ComparisonRow",
     "SystemComparison",
     "compare_systems",

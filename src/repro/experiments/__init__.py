@@ -7,7 +7,6 @@ from repro.experiments.alewife import (
     alewife_transaction,
     alewife_validation_system,
 )
-from repro.experiments.campaign import Campaign, CampaignRecord, run_campaign
 from repro.experiments.result import ExperimentResult
 
 __all__ = [
@@ -17,7 +16,4 @@ __all__ = [
     "alewife_transaction",
     "alewife_network",
     "ExperimentResult",
-    "Campaign",
-    "CampaignRecord",
-    "run_campaign",
 ]

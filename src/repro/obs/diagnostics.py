@@ -77,9 +77,8 @@ class SolveRecord:
 class SolveDiagnostics:
     """Bounded per-process collection of :class:`SolveRecord`.
 
-    Capacity-bounded like the simulator's :class:`~repro.sim.trace.Tracer`
-    ring buffer; once full, further records are counted in ``dropped``
-    rather than silently discarded.
+    Capacity-bounded: once full, further records are counted in
+    ``dropped`` rather than silently discarded.
     """
 
     def __init__(self, capacity: int = 200_000):

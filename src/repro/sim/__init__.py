@@ -44,7 +44,6 @@ from repro.sim.telemetry import (
     run_probe,
     write_telemetry_jsonl,
 )
-from repro.sim.trace import MachineSample, TraceEvent, Tracer
 
 __all__ = [
     "SimulationConfig",
@@ -71,9 +70,6 @@ __all__ = [
     "Processor",
     "HardwareContext",
     "ContextState",
-    "Tracer",
-    "TraceEvent",
-    "MachineSample",
     "TelemetryConfig",
     "FabricTelemetry",
     "TelemetrySummary",

@@ -163,11 +163,6 @@ typedef struct {
 
 typedef struct {
     i64 *free_at;
-    /* Eligibility cycle of the transit that last found the channel's
-     * FIFO empty.  Later heads need none of their own: each joined no
-     * later than its predecessor's grant, which holds the channel for
-     * at least one cycle, so it is eligible once the channel frees. */
-    i64 *head_elig;
     Queue *queues;
     int *pending, *pend2;
     int pcount;
@@ -686,10 +681,7 @@ static void fab_inject(Batch *b, Rep *rep, int midx, i64 cycle) {
     int tidx = transit_new(b, midx, m->source);
     int ch = m->source;  /* injection channel */
     Queue *q = &f->queues[ch];
-    if (!q->count) {
-        f->pending[f->pcount++] = ch;
-        f->head_elig[ch] = cycle;
-    }
+    if (!q->count) f->pending[f->pcount++] = ch;
     qe_push(q, tidx);
     f->in_flight++;
 }
@@ -700,8 +692,6 @@ static i64 fab_next(Batch *b, Rep *rep, i64 cycle) {
     for (int i = 0; i < f->pcount; i++) {
         int ch = f->pending[i];
         i64 at = f->free_at[ch];
-        i64 el = f->head_elig[ch];
-        if (el > at) at = el;
         if (at <= cycle) return cycle;
         if (earliest < 0 || at < earliest) earliest = at;
     }
@@ -1224,7 +1214,7 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
     int nn = 0;
     for (int i = 0; i < n; i++) {
         int ch = pending[i];
-        if (f->free_at[ch] > cycle || f->head_elig[ch] > cycle) {
+        if (f->free_at[ch] > cycle) {
             newp[nn++] = ch;
             continue;
         }
@@ -1249,10 +1239,7 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
             }
             int nxt = route_next(b, t, m->dest);
             Queue *nq = &f->queues[nxt];
-            if (!nq->count) {
-                newp[nn++] = nxt;
-                f->head_elig[nxt] = cycle + 1;
-            }
+            if (!nq->count) newp[nn++] = nxt;
             qe_push(nq, tidx);
         }
         if (q->count) newp[nn++] = ch;
@@ -1628,7 +1615,6 @@ Batch *bc_create(int R, int N, int dims, int radix, int capacity,
         rep->woken = (int *)malloc((size_t)N * sizeof(int));
         Fab *f = &rep->fab;
         f->free_at = (i64 *)calloc((size_t)b->channels, sizeof(i64));
-        f->head_elig = (i64 *)calloc((size_t)b->channels, sizeof(i64));
         f->queues = (Queue *)calloc((size_t)b->channels, sizeof(Queue));
         f->pending = (int *)malloc((size_t)b->channels * sizeof(int));
         f->pend2 = (int *)malloc((size_t)b->channels * sizeof(int));
@@ -1654,7 +1640,6 @@ void bc_destroy(Batch *b) {
         for (int c = 0; c < b->channels; c++) free(f->queues[c].q);
         free(f->queues);
         free(f->free_at);
-        free(f->head_elig);
         free(f->pending);
         free(f->pend2);
         free(f->link_flits);

@@ -267,7 +267,7 @@ class CoherenceController:
     def _evict(self, block: Block) -> None:
         """Drop a line: silently for S, with a writeback home for M."""
         state = self.cache.pop(block)
-        self.stats.cache_eviction(self.node)
+        self.stats.cache_eviction()
         if state is not CacheState.MODIFIED:
             # Clean lines leave silently; the home's stale sharer bit is
             # harmless (a later invalidate to a non-holder is just acked).
@@ -309,7 +309,7 @@ class CoherenceController:
             callback=callback, uid=uid,
         )
         self._outstanding[block] = record
-        self.stats.transaction_started(self.node, cycle)
+        self.stats.transaction_started()
         self._schedule(
             self._request_cost,
             lambda done, r=record: self._begin_transaction(r, done),
@@ -358,17 +358,17 @@ class CoherenceController:
         )
 
         def launch(done: int, m: Message = message) -> None:
-            self._launch(m, done)
+            self._launch(m)
             if on_launch is not None:
                 on_launch()
 
         self._schedule(self._send_cost, launch)
 
-    def _launch(self, message: Message, cycle: int) -> None:
+    def _launch(self, message: Message) -> None:
         record = self._outstanding.get(message.block)
         if record is not None and record.uid == message.transaction:
             record.messages += 1
-        self.stats.message_sent(self.node, message, cycle)
+        self.stats.message_sent(self.node, message)
         self._send_to_fabric(message)
 
     # ------------------------------------------------------------------
@@ -690,9 +690,7 @@ class CoherenceController:
             CacheState.MODIFIED if record.is_write else CacheState.SHARED
         )
         self._install(message.block, state)
-        self.stats.transaction_completed(
-            self.node, record.issued_at, cycle, remote=True
-        )
+        self.stats.transaction_completed(record.issued_at, cycle, remote=True)
         record.callback(cycle)
         self._release_waiters(record, state, cycle, remote=True)
 
@@ -711,7 +709,7 @@ class CoherenceController:
         entry.busy = False
         remote = record.messages > 0
         self.stats.transaction_completed(
-            self.node, record.issued_at, cycle, remote=remote,
+            record.issued_at, cycle, remote=remote
         )
         record.callback(cycle)
         self._run_deferred(entry)

@@ -28,15 +28,15 @@ geometry, so channel ids are arithmetic: injection ``s``, ejection
 ``N + d``, and link ``2N + 2 * (node * n + dim) + (step == -1)``.
 Routes are computed from node ids in that form (:meth:`_route_ids`,
 pinned to the key form of :meth:`build_route`) and cached per endpoint
-pair.  Per-channel state (busy-until cycle, head-of-queue eligibility,
-link flit totals) lives in flat int lists indexed by channel id,
-replacing the reference implementation's tuple-keyed dicts.
+pair.  Per-channel state (busy-until cycle, link flit totals) lives in
+flat int lists indexed by channel id, replacing the reference
+implementation's tuple-keyed dicts.
 Channel grants are order-independent within a cycle *as decisions* — a
-channel grants iff it is free and its FIFO head is eligible, and
-in-cycle enqueues carry ``cycle + 1`` eligibility — but the order grants
-*apply* determines FIFO arrival order on downstream queues, so the tick
+channel grants iff it is free, and a channel a hop enqueues on is first
+examined the next cycle — but the order grants *apply* determines FIFO
+arrival order on downstream queues, so the tick
 walks the ordered pending list, where each channel's grant condition is
-two list reads and two int compares (measured faster at this channel
+one list read and one int compare (measured faster at this channel
 count than gathering the grantable set with vectorized numpy compares,
 which this fabric went through an iteration of) and a grant moves the
 transit to its next channel inline.  The seeded
@@ -117,14 +117,6 @@ class CutThroughFabric:
         self._channel_ids = list(range(count))
         #: Cycle each channel is busy until (exclusive).
         self._free_at = [0] * count
-        #: Eligibility cycle of the transit that last found the channel's
-        #: FIFO empty; later heads need none of their own.  A transit
-        #: queued behind another joined no later than the cycle its
-        #: predecessor is granted, so it is eligible at most one cycle
-        #: after that grant, which holds the channel for at least one
-        #: cycle (every message has a flit): once the channel is free,
-        #: its new head is eligible.
-        self._head_eligible = [0] * count
         #: Per-channel FIFO of waiting transits; ``None`` while empty, so
         #: an idle channel costs no list.
         self._queues: List[Optional[List[Transit]]] = [None] * count
@@ -240,7 +232,6 @@ class CutThroughFabric:
         else:
             self._queues[channel] = [transit]
             self._pending.append(channel)
-            self._head_eligible[channel] = cycle
 
     # ------------------------------------------------------------------
     # Per-cycle advance.
@@ -292,26 +283,26 @@ class CutThroughFabric:
 
         # Grant channels.  Each channel serves one message at a time for
         # ``flits`` cycles; the head moves on after a single cycle.  A
-        # channel grants iff it is free and its FIFO head is eligible;
-        # grants apply in pending order so downstream FIFO arrival order
-        # matches the reference implementation.  The state is dense
-        # int lists indexed by channel id, so each pending channel costs
-        # two list reads and two int compares.
+        # channel grants iff it is free: an injected head is eligible the
+        # cycle it joins, and a hop puts its next channel on the new
+        # pending list, so that channel is first examined a cycle later.
+        # Grants apply in pending order so downstream FIFO arrival order
+        # matches the reference implementation.  The state is dense int
+        # lists indexed by channel id, so each pending channel costs one
+        # list read and one int compare.
         pending = self._pending
         if not pending:
             return
         free_at = self._free_at
-        head_eligible = self._head_eligible
         queues = self._queues
         link_flit_counts = self._link_flit_counts
         link_base = self._link_base
         channel_flits = None if telemetry is None else telemetry.channel_flits
-        next_eligible = cycle + 1
         new_pending: List[int] = []
         append = new_pending.append
         self._pending = new_pending
         for channel in pending:
-            if free_at[channel] > cycle or head_eligible[channel] > cycle:
+            if free_at[channel] > cycle:
                 append(channel)
                 continue
             queue = queues[channel]
@@ -341,7 +332,6 @@ class CutThroughFabric:
                 else:
                     queues[after] = [transit]
                     append(after)
-                    head_eligible[after] = next_eligible
             else:
                 # Ejection granted at ``cycle``: the tail arrives after
                 # all flits cross the ejection channel.
@@ -381,25 +371,20 @@ class CutThroughFabric:
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Quiescence horizon: the earliest cycle a tick could do work.
 
-        A pending channel grants exactly when it is past both its
-        busy-until cycle and its head's eligibility cycle, and both are
-        frozen between grants — so with nothing grantable now, the
-        fabric is provably inert until the earliest of those thresholds
-        or the earliest scheduled delivery.  This is what lets the
-        machine engine jump clean over the ``B``-cycle drain windows of
-        24-flit data replies (and over heads queued behind them) in one
-        step.  ``None`` means empty: ticks are no-ops until an
-        injection.
+        A pending channel grants exactly when it is past its busy-until
+        cycle, which is frozen between grants — so with nothing
+        grantable now, the fabric is provably inert until the earliest
+        of those cycles or the earliest scheduled delivery.  This is
+        what lets the machine engine jump clean over the ``B``-cycle
+        drain windows of 24-flit data replies (and over heads queued
+        behind them) in one step.  ``None`` means empty: ticks are
+        no-ops until an injection.
         """
         earliest = min(self._deliveries) if self._delivery_count else None
         if self._pending:
             free_at = self._free_at
-            head_eligible = self._head_eligible
             for channel in self._pending:
                 at = free_at[channel]
-                eligible = head_eligible[channel]
-                if eligible > at:
-                    at = eligible
                 if at <= cycle:
                     return cycle
                 if earliest is None or at < earliest:

@@ -6,8 +6,8 @@ compute-run and the fabric is quiescent — exactly the light-traffic
 regime the paper cares about.  This module replaces the per-cycle
 per-node dispatch with an event calendar while staying **bit-identical**
 to the step loop (same RNG draw order, same
-:class:`~repro.sim.stats.MeasurementSummary`, same telemetry epochs and
-tracer samples; the parity suite pins all of it):
+:class:`~repro.sim.stats.MeasurementSummary`, same telemetry epochs; the
+parity suite pins all of it):
 
 * **Processor wake calendar.**  Between two "interesting" ticks — a run
   expiring into a memory access, a context switch completing, a wake-up
@@ -20,7 +20,7 @@ tracer samples; the parity suite pins all of it):
   off the calendar — they re-enter through the ``_wake_listener`` hook
   when a transaction completes.  Due and woken processors at a boundary
   are visited in ascending node order, matching the step loop's scan
-  order (stats/tracer event order is part of the parity contract).
+  order.
 
 * **Quiescence fast-forward.**  When no controller has runnable engine
   work, no processor wake-up is pending, and the fabric reports no
@@ -30,10 +30,7 @@ tracer samples; the parity suite pins all of it):
   end.  The engine jumps there in one assignment; telemetry epochs
   ending inside the span are closed before the jump (the frozen state
   samples identical zero busy deltas and unchanged queue depths, but
-  the close must precede the target cycle's injections) and skipped
-  tracer samples are synthesized by
-  :meth:`~repro.sim.trace.Tracer.on_skip` against the same frozen
-  counters.
+  the close must precede the target cycle's injections).
 
 The step loop is retained verbatim (``Machine(engine=False)`` routes
 ``run`` through it) as the parity oracle, the same pattern as the fabric
@@ -110,7 +107,6 @@ class MachineEngine:
         """
         machine = self.machine
         fabric = machine.fabric
-        tracer = machine.tracer
         speedup = self.speedup
         heap = self._heap
         woken = self._woken
@@ -122,7 +118,6 @@ class MachineEngine:
         tick_controllers = machine._tick_controllers
         fabric_tick = fabric.tick
         next_event = getattr(fabric, "next_event_cycle", None)
-        sample_interval = tracer.sample_interval if tracer is not None else 0
         telemetry = machine.telemetry
 
         cycle = machine._cycle
@@ -164,8 +159,6 @@ class MachineEngine:
                             heappush(heap, (tick + distance, node))
             tick_controllers(cycle)
             fabric_tick(cycle)
-            if tracer is not None:
-                tracer.on_cycle(machine, cycle)
             cycle += 1
 
             # Quiescence fast-forward: nothing can happen before the
@@ -190,14 +183,11 @@ class MachineEngine:
             if horizon is not None and horizon < target:
                 target = horizon
             if target > cycle:
-                # Machine state is frozen across [cycle, target): book
-                # the tracer samples those cycles would have taken, and
-                # close any telemetry epochs ending inside the span now
-                # — the step loop closes them at their boundary cycle,
-                # before the target cycle's own injections can move the
-                # sampled queue depths.
-                if sample_interval > 0:
-                    tracer.on_skip(machine, cycle, target)
+                # Machine state is frozen across [cycle, target): close
+                # any telemetry epochs ending inside the span now — the
+                # step loop closes them at their boundary cycle, before
+                # the target cycle's own injections can move the sampled
+                # queue depths.
                 if telemetry is not None and telemetry.epoch_end < target:
                     telemetry.roll_to(target - 1)
                 cycle = target

@@ -170,7 +170,6 @@ class Machine:
         else:
             self.fabric = CutThroughFabric(self.torus, on_delivery=self._deliver)
         self._cycle = 0
-        self.tracer = None
         self.telemetry = None
         self.engine_enabled = bool(engine)
 
@@ -241,18 +240,13 @@ class Machine:
         """Fabric delivery callback (DeliveredWorm or Transit: same interface)."""
         message = transit.message
         self.stats.message_delivered(
-            message, transit.hops, transit.source_wait, self._cycle
+            message, transit.hops, transit.source_wait
         )
         self.controllers[message.destination].deliver(message)
 
     # ------------------------------------------------------------------
     # Run loop.
     # ------------------------------------------------------------------
-
-    def attach_tracer(self, tracer) -> None:
-        """Route all stats events and periodic samples to ``tracer``."""
-        self.tracer = tracer
-        self.stats.listener = tracer
 
     def attach_telemetry(self, config) -> object:
         """Attach per-channel fabric telemetry (see :mod:`.telemetry`).
@@ -283,8 +277,6 @@ class Machine:
                 processor.tick(cycle)
         self._tick_controllers(cycle)
         self.fabric.tick(cycle)
-        if self.tracer is not None:
-            self.tracer.on_cycle(self, cycle)
         self._cycle += 1
 
     def _tick_controllers(self, cycle: int) -> None:

@@ -150,7 +150,7 @@ class Processor:
         # Run length exhausted: perform the next memory access.
         block, is_write = context.program.next_access(self.rng)
         if self.controller.is_hit(block, is_write):
-            self.stats.cache_hit(self.node)
+            self.stats.cache_hit()
             self.controller.record_access(block)
             context.remaining_cycles = (
                 self.config.hit_cycles + context.program.compute_cycles(self.rng)

@@ -82,9 +82,6 @@ class MachineStats:
         self.measuring = False
         self._window_start = 0
         self._window_end: Optional[int] = None
-        #: Optional tracer; receives every event regardless of the
-        #: measurement gate (warmup behavior is often what one debugs).
-        self.listener = None
         self.reset(0)
 
     # ------------------------------------------------------------------
@@ -134,14 +131,7 @@ class MachineStats:
     # Recording hooks (called by controllers/processors/fabric).
     # ------------------------------------------------------------------
 
-    def message_sent(self, node: int, message: Message, cycle: int) -> None:
-        if self.listener is not None:
-            self.listener.record(
-                "message_sent", cycle, node,
-                message_kind=message.kind.value,
-                destination=message.destination,
-                flits=message.flits,
-            )
+    def message_sent(self, node: int, message: Message) -> None:
         if not self.measuring:
             return
         self.messages_sent += 1
@@ -150,14 +140,8 @@ class MachineStats:
         self.per_node_messages[node] = self.per_node_messages.get(node, 0) + 1
 
     def message_delivered(
-        self, message: Message, hops: int, source_wait: int, cycle: int
+        self, message: Message, hops: int, source_wait: int
     ) -> None:
-        if self.listener is not None:
-            self.listener.record(
-                "message_delivered", cycle, message.destination,
-                message_kind=message.kind.value, source=message.source,
-                latency=message.latency, hops=hops,
-            )
         if not self.measuring:
             return
         latency = message.latency
@@ -175,21 +159,14 @@ class MachineStats:
             self.hop_latency_total += head / hops
             self.hop_latency_count += 1
 
-    def transaction_started(self, node: int, cycle: int) -> None:
-        if self.listener is not None:
-            self.listener.record("transaction_started", cycle, node)
+    def transaction_started(self) -> None:
         if not self.measuring:
             return
         self.remote_started += 1
 
     def transaction_completed(
-        self, node: int, issued_at: int, cycle: int, remote: bool
+        self, issued_at: int, cycle: int, remote: bool
     ) -> None:
-        if self.listener is not None:
-            self.listener.record(
-                "transaction_completed", cycle, node,
-                latency=cycle - issued_at, remote=remote,
-            )
         if not self.measuring:
             return
         if remote:
@@ -198,16 +175,12 @@ class MachineStats:
         else:
             self.local_completed += 1
 
-    def cache_hit(self, node: int) -> None:
-        if self.listener is not None:
-            self.listener.record("cache_hit", -1, node)
+    def cache_hit(self) -> None:
         if not self.measuring:
             return
         self.cache_hits_count += 1
 
-    def cache_eviction(self, node: int) -> None:
-        if self.listener is not None:
-            self.listener.record("cache_eviction", -1, node)
+    def cache_eviction(self) -> None:
         if not self.measuring:
             return
         self.cache_evictions_count += 1

@@ -5,7 +5,9 @@ canned workloads; these sample machine shapes — {1,2,3}-D tori,
 replicated and collocated mappings, both fabrics, ``network_speedup ∈
 {1, 2}``, light and saturated loads — and require the event-calendar
 engine to reproduce the per-cycle loop bit for bit: same summary dict,
-same tracer event stream and samples, same telemetry snapshot.
+same end state (every stats counter, each processor's stream state and
+idle/switch counts, the fabric's delivery count), same telemetry
+snapshot.
 """
 
 from hypothesis import given, settings
@@ -18,9 +20,9 @@ from repro.mapping.strategies import (
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
 from repro.sim.telemetry import TelemetryConfig
-from repro.sim.trace import Tracer
 from repro.topology.graphs import ring_graph, torus_neighbor_graph
 from repro.workload.synthetic import build_programs
+from tests.sim.test_machine_engine import end_state
 
 
 #: (dimensions, radix) pairs kept small enough for many examples.
@@ -67,18 +69,16 @@ def build(engine, case):
         )
         mapping = identity_mapping(nodes)
     machine = Machine(config, mapping, programs, engine=engine)
-    tracer = Tracer(sample_interval=64)
-    machine.attach_tracer(tracer)
     telemetry = machine.attach_telemetry(TelemetryConfig(epoch_cycles=100))
-    return machine, tracer, telemetry
+    return machine, telemetry
 
 
 class TestEngineParityProperties:
     @settings(max_examples=20, deadline=None)
     @given(machine_cases())
     def test_engine_is_bit_identical_to_step_loop(self, case):
-        loop, loop_tracer, loop_tel = build(False, case)
-        engine, engine_tracer, engine_tel = build(True, case)
+        loop, loop_tel = build(False, case)
+        engine, engine_tel = build(True, case)
         loop_summary = loop.run(warmup=200, measure=800).as_dict()
         engine_summary = engine.run(warmup=200, measure=800).as_dict()
         assert loop_summary == engine_summary, {
@@ -86,6 +86,5 @@ class TestEngineParityProperties:
             for key in loop_summary
             if loop_summary[key] != engine_summary[key]
         }
-        assert list(loop_tracer.events) == list(engine_tracer.events)
-        assert loop_tracer.samples == engine_tracer.samples
+        assert end_state(loop) == end_state(engine)
         assert loop_tel.snapshot() == engine_tel.snapshot()

@@ -17,9 +17,9 @@ def make_message(kind=MessageKind.READ_REQUEST, injected=0, delivered=20):
 class TestGating:
     def test_nothing_recorded_before_measuring(self):
         stats = MachineStats(nodes=4)
-        stats.message_sent(0, make_message(), 10)
-        stats.transaction_started(0, 10)
-        stats.cache_hit(0)
+        stats.message_sent(0, make_message())
+        stats.transaction_started()
+        stats.cache_hit()
         assert stats.messages_sent == 0
         assert stats.cache_hits_count == 0
 
@@ -43,12 +43,12 @@ class TestReduction:
         stats = MachineStats(nodes=2)
         stats.start_measuring(0, {"l": 0})
         for _ in range(10):
-            stats.message_sent(0, make_message(), 5)
+            stats.message_sent(0, make_message())
         message = make_message(injected=0, delivered=24)
-        stats.message_delivered(message, hops=2, source_wait=0, cycle=24)
-        stats.transaction_started(0, 0)
-        stats.transaction_completed(0, 0, 50, remote=True)
-        stats.transaction_completed(1, 0, 10, remote=False)
+        stats.message_delivered(message, hops=2, source_wait=0)
+        stats.transaction_started()
+        stats.transaction_completed(0, 50, remote=True)
+        stats.transaction_completed(0, 10, remote=False)
         stats.stop_measuring(1000)
         return stats
 
