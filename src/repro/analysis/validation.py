@@ -26,7 +26,7 @@ from repro.core.combined import OperatingPoint, solve
 from repro.core.network import TorusNetworkModel
 from repro.errors import ParameterError
 from repro.mapping.families import NamedMapping, paper_mapping_suite
-from repro.sim.batch import run_batch
+from repro.sim.batch import run_batches
 from repro.sim.config import SimulationConfig
 from repro.sim.stats import MeasurementSummary
 from repro.topology.graphs import torus_neighbor_graph
@@ -104,29 +104,26 @@ def simulate_mapping_suite(
     """Simulate the synthetic application under each mapping.
 
     Each mapping runs as one ``config.seed`` replication through
-    :func:`~repro.sim.batch.run_batch`: the compiled core for
-    cut-through machines without telemetry, serial machines otherwise.
-    Either way the summary is bit-identical to
-    ``Machine(config, mapping, programs).run()``.
+    :func:`~repro.sim.batch.run_batches`: the compiled core for
+    cut-through machines without telemetry, its machines advancing in
+    parallel, serial machines otherwise.  Either way the summary is
+    bit-identical to ``Machine(config, mapping, programs).run()``.
     """
     torus = Torus(radix=config.radix, dimensions=config.dimensions)
     if mappings is None:
         mappings = paper_mapping_suite(torus)
     graph = torus_neighbor_graph(config.radix, config.dimensions)
-    # run_batch deep-copies the (stateful) programs per replication, so
-    # one pristine set serves every mapping.
+    # run_batches never mutates the (stateful) programs, so one pristine
+    # set serves every mapping.
     programs = build_programs(
         graph, config.contexts, config.compute_cycles, config.compute_jitter
     )
+    summaries = run_batches(
+        config, [named.mapping for named in mappings], programs, [config.seed]
+    )
     return [
-        SimulatedPoint(
-            name=named.name,
-            distance=named.distance,
-            summary=run_batch(
-                config, named.mapping, programs, [config.seed]
-            )[0],
-        )
-        for named in mappings
+        SimulatedPoint(name=named.name, distance=named.distance, summary=runs[0])
+        for named, runs in zip(mappings, summaries)
     ]
 
 

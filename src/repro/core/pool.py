@@ -13,15 +13,21 @@ so a degraded ``--jobs`` run is loud, never silent.
 Task functions must be module-level (they are pickled by reference) and
 must treat the payload as read-only: a worker serves several tasks from
 one payload, so anything stateful is deep-copied per task.
+
+In-process thread dispatch (the compiled core's replications, see
+:mod:`repro.sim.batch`) sizes itself with :func:`thread_count`: every
+CPU this process may run on, but one thread inside a
+:func:`process_map` worker, whose fan-out already owns the CPUs.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ParameterError, PoolError, WorkerCrashError
@@ -32,6 +38,7 @@ __all__ = [
     "chunk_tasks",
     "note_fallback",
     "process_map",
+    "thread_count",
 ]
 
 #: Exceptions that mean "no usable worker processes here".  Call sites
@@ -75,13 +82,28 @@ def _context():
 
 
 # The task function and payload of the executor this worker serves,
-# installed once per worker by the executor's initializer.
+# installed once per worker by the executor's initializer, which also
+# pins the worker's thread dispatch to one thread.
 _TASK: Tuple[Any, Any] = (None, None)
+_THREADS: Optional[int] = None
 
 
 def _install(fn: Callable[[Any, Any], Any], payload: Any) -> None:
-    global _TASK
+    global _TASK, _THREADS
     _TASK = (fn, payload)
+    _THREADS = 1
+
+
+def thread_count() -> int:
+    """Threads an in-process dispatch may run: one inside a
+    :func:`process_map` worker, else the CPUs this process may run on
+    (its affinity mask where the platform reports one)."""
+    if _THREADS is not None:
+        return _THREADS
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _run(item: Any) -> Any:

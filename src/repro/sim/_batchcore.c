@@ -226,25 +226,14 @@ typedef struct {
     i64 hits, idle, switches;
     double hopl_total;
     int *batch;  /* ctrl- and processor-phase scratch */
-} Rep;
-
-typedef struct Batch {
-    int R, N, dims, radix, capacity, channels, links;
-    int req_cost, recv_cost, send_cost, mem_cost;
-    int contexts, speedup, hit_cycles, switch_cycles;
-    i64 RN;
-    int errcode;
-    char errmsg[256];
-    /* blocks (block-major so adding a block appends, never relayouts) */
-    int nblocks, blocks_cap;
-    int *block_home;
-    int8_t *cache_state;  /* [block*R*N + rep*N + node] */
-    int *cache_seq;       /* same layout */
-    int *outstanding;     /* same layout; -1 or Req index */
-    Dir *dir;             /* [block*R + rep] */
-    Prog *progs;          /* [node * contexts + k], shared by all reps */
-    int *ptab;            /* block-id tables the programs index */
-    CacheLog *clog;       /* [rep*N + node] */
+    /* Caches and directory: cache_state, cache_seq and outstanding
+     * (-1 or a Req index) are [block * N + node], dir is [block] and
+     * clog is [node]. */
+    int8_t *cache_state;
+    int *cache_seq;
+    int *outstanding;
+    Dir *dir;
+    CacheLog *clog;
     /* pools */
     Msg *msgs;
     int msgs_cap, msg_free;
@@ -254,6 +243,24 @@ typedef struct Batch {
     int reqs_cap, req_free;
     Waiter *waiters;
     int waiters_cap, waiter_free;
+    /* Last: these cold bytes keep this replication's hot fields off
+     * the cache line the next Rep starts on, which another thread may
+     * be writing. */
+    int errcode;
+    char errmsg[256];
+} Rep;
+
+/* Replications share only the read-only tables below; everything a
+ * run mutates lives in its Rep, so bc_advance calls on different
+ * replications may run at the same time on different threads. */
+typedef struct Batch {
+    int R, N, dims, radix, capacity, channels, links;
+    int req_cost, recv_cost, send_cost, mem_cost;
+    int contexts, speedup, hit_cycles, switch_cycles;
+    int nblocks;
+    int *block_home;
+    Prog *progs;          /* [node * contexts + k] */
+    int *ptab;            /* block-id tables the programs index */
     /* torus geometry for route walks */
     int *coords;       /* [node*dims + dim] */
     int *link_to;      /* [link id] -> the node the link leads to; a
@@ -261,27 +268,28 @@ typedef struct Batch {
     Rep *reps;
 } Batch;
 
-static void fail(Batch *b, int code, const char *msg) {
-    if (b->errcode) return;
-    b->errcode = code;
-    snprintf(b->errmsg, sizeof(b->errmsg), "%s", msg);
+static void fail(Rep *rep, int code, const char *msg) {
+    if (rep->errcode) return;
+    rep->errcode = code;
+    snprintf(rep->errmsg, sizeof(rep->errmsg), "%s", msg);
 }
 
 /* -- pool allocators ------------------------------------------------ */
 
-static int msg_new(Batch *b, int kind, int source, int dest, int block,
+static int msg_new(Rep *rep, int kind, int source, int dest, int block,
                    i64 txn) {
-    int idx = b->msg_free;
+    int idx = rep->msg_free;
     if (idx < 0) {
-        int old = b->msgs_cap;
-        b->msgs_cap = old ? old * 2 : 256;
-        b->msgs = (Msg *)realloc(b->msgs, (size_t)b->msgs_cap * sizeof(Msg));
-        for (int i = old; i < b->msgs_cap; i++)
-            b->msgs[i].next_free = (i + 1 < b->msgs_cap) ? i + 1 : -1;
+        int old = rep->msgs_cap;
+        rep->msgs_cap = old ? old * 2 : 256;
+        rep->msgs = (Msg *)realloc(rep->msgs,
+                                   (size_t)rep->msgs_cap * sizeof(Msg));
+        for (int i = old; i < rep->msgs_cap; i++)
+            rep->msgs[i].next_free = (i + 1 < rep->msgs_cap) ? i + 1 : -1;
         idx = old;
     }
-    Msg *m = &b->msgs[idx];
-    b->msg_free = m->next_free;
+    Msg *m = &rep->msgs[idx];
+    rep->msg_free = m->next_free;
     m->kind = kind;
     m->source = source;
     m->dest = dest;
@@ -292,24 +300,25 @@ static int msg_new(Batch *b, int kind, int source, int dest, int block,
     return idx;
 }
 
-static void msg_del(Batch *b, int idx) {
-    b->msgs[idx].next_free = b->msg_free;
-    b->msg_free = idx;
+static void msg_del(Rep *rep, int idx) {
+    rep->msgs[idx].next_free = rep->msg_free;
+    rep->msg_free = idx;
 }
 
-static int transit_new(Batch *b, int msg, int source) {
-    int idx = b->transit_free;
+static int transit_new(Rep *rep, int msg, int source) {
+    int idx = rep->transit_free;
     if (idx < 0) {
-        int old = b->transits_cap;
-        b->transits_cap = old ? old * 2 : 256;
-        b->transits = (Transit *)realloc(
-            b->transits, (size_t)b->transits_cap * sizeof(Transit));
-        for (int i = old; i < b->transits_cap; i++)
-            b->transits[i].next_free = (i + 1 < b->transits_cap) ? i + 1 : -1;
+        int old = rep->transits_cap;
+        rep->transits_cap = old ? old * 2 : 256;
+        rep->transits = (Transit *)realloc(
+            rep->transits, (size_t)rep->transits_cap * sizeof(Transit));
+        for (int i = old; i < rep->transits_cap; i++)
+            rep->transits[i].next_free =
+                (i + 1 < rep->transits_cap) ? i + 1 : -1;
         idx = old;
     }
-    Transit *t = &b->transits[idx];
-    b->transit_free = t->next_free;
+    Transit *t = &rep->transits[idx];
+    rep->transit_free = t->next_free;
     t->msg = msg;
     t->node = source;
     t->dim = 0;
@@ -320,25 +329,25 @@ static int transit_new(Batch *b, int msg, int source) {
     return idx;
 }
 
-static void transit_del(Batch *b, int idx) {
-    b->transits[idx].next_free = b->transit_free;
-    b->transit_free = idx;
+static void transit_del(Rep *rep, int idx) {
+    rep->transits[idx].next_free = rep->transit_free;
+    rep->transit_free = idx;
 }
 
-static int req_new(Batch *b, int block, int is_write, i64 issued_at,
+static int req_new(Rep *rep, int block, int is_write, i64 issued_at,
                    i64 uid, i64 handle) {
-    int idx = b->req_free;
+    int idx = rep->req_free;
     if (idx < 0) {
-        int old = b->reqs_cap;
-        b->reqs_cap = old ? old * 2 : 128;
-        b->reqs = (Req *)realloc(b->reqs,
-                                 (size_t)b->reqs_cap * sizeof(Req));
-        for (int i = old; i < b->reqs_cap; i++)
-            b->reqs[i].next_free = (i + 1 < b->reqs_cap) ? i + 1 : -1;
+        int old = rep->reqs_cap;
+        rep->reqs_cap = old ? old * 2 : 128;
+        rep->reqs = (Req *)realloc(rep->reqs,
+                                 (size_t)rep->reqs_cap * sizeof(Req));
+        for (int i = old; i < rep->reqs_cap; i++)
+            rep->reqs[i].next_free = (i + 1 < rep->reqs_cap) ? i + 1 : -1;
         idx = old;
     }
-    Req *r = &b->reqs[idx];
-    b->req_free = r->next_free;
+    Req *r = &rep->reqs[idx];
+    rep->req_free = r->next_free;
     r->block = block;
     r->is_write = is_write;
     r->messages = 0;
@@ -350,37 +359,37 @@ static int req_new(Batch *b, int block, int is_write, i64 issued_at,
     return idx;
 }
 
-static void req_del(Batch *b, int idx) {
-    int w = b->reqs[idx].whead;
+static void req_del(Rep *rep, int idx) {
+    int w = rep->reqs[idx].whead;
     while (w >= 0) {
-        int nxt = b->waiters[w].next;
-        b->waiters[w].next = b->waiter_free;
-        b->waiter_free = w;
+        int nxt = rep->waiters[w].next;
+        rep->waiters[w].next = rep->waiter_free;
+        rep->waiter_free = w;
         w = nxt;
     }
-    b->reqs[idx].next_free = b->req_free;
-    b->req_free = idx;
+    rep->reqs[idx].next_free = rep->req_free;
+    rep->req_free = idx;
 }
 
-static void req_add_waiter(Batch *b, int ridx, int is_write, i64 handle) {
-    int idx = b->waiter_free;
+static void req_add_waiter(Rep *rep, int ridx, int is_write, i64 handle) {
+    int idx = rep->waiter_free;
     if (idx < 0) {
-        int old = b->waiters_cap;
-        b->waiters_cap = old ? old * 2 : 128;
-        b->waiters = (Waiter *)realloc(
-            b->waiters, (size_t)b->waiters_cap * sizeof(Waiter));
-        for (int i = old; i < b->waiters_cap; i++)
-            b->waiters[i].next = (i + 1 < b->waiters_cap) ? i + 1 : -1;
+        int old = rep->waiters_cap;
+        rep->waiters_cap = old ? old * 2 : 128;
+        rep->waiters = (Waiter *)realloc(
+            rep->waiters, (size_t)rep->waiters_cap * sizeof(Waiter));
+        for (int i = old; i < rep->waiters_cap; i++)
+            rep->waiters[i].next = (i + 1 < rep->waiters_cap) ? i + 1 : -1;
         idx = old;
     }
-    Waiter *w = &b->waiters[idx];
-    b->waiter_free = w->next;
+    Waiter *w = &rep->waiters[idx];
+    rep->waiter_free = w->next;
     w->is_write = is_write;
     w->handle = handle;
     w->next = -1;
-    Req *r = &b->reqs[ridx];
+    Req *r = &rep->reqs[ridx];
     if (r->wtail < 0) r->whead = idx;
-    else b->waiters[r->wtail].next = idx;
+    else rep->waiters[r->wtail].next = idx;
     r->wtail = idx;
 }
 
@@ -388,14 +397,14 @@ static void req_add_waiter(Batch *b, int ridx, int is_write, i64 handle) {
 /* Cache (LRU-as-dict-order) over the append-only log.                 */
 /* ------------------------------------------------------------------ */
 
-#define CSTATE(b, blk, r, node) \
-    ((b)->cache_state[(size_t)(blk) * (b)->RN + (size_t)(r) * (b)->N + (node)])
-#define CSEQ(b, blk, r, node) \
-    ((b)->cache_seq[(size_t)(blk) * (b)->RN + (size_t)(r) * (b)->N + (node)])
-#define OUTST(b, blk, r, node) \
-    ((b)->outstanding[(size_t)(blk) * (b)->RN + (size_t)(r) * (b)->N + (node)])
+#define CSTATE(b, rep, blk, node) \
+    ((rep)->cache_state[(size_t)(blk) * (b)->N + (node)])
+#define CSEQ(b, rep, blk, node) \
+    ((rep)->cache_seq[(size_t)(blk) * (b)->N + (node)])
+#define OUTST(b, rep, blk, node) \
+    ((rep)->outstanding[(size_t)(blk) * (b)->N + (node)])
 
-static void clog_append(Batch *b, CacheLog *cl, int r, int node,
+static void clog_append(const Batch *b, Rep *rep, CacheLog *cl, int node,
                         int block, int seq) {
     if (cl->end >= cl->cap) {
         /* Compact first if the log is mostly stale, else grow. */
@@ -403,8 +412,8 @@ static void clog_append(Batch *b, CacheLog *cl, int r, int node,
             int w = cl->start;
             for (int i = cl->start; i < cl->end; i++) {
                 int blk = cl->items[2 * i], sq = cl->items[2 * i + 1];
-                if (CSTATE(b, blk, r, node) != CS_INVALID &&
-                    CSEQ(b, blk, r, node) == sq) {
+                if (CSTATE(b, rep, blk, node) != CS_INVALID &&
+                    CSEQ(b, rep, blk, node) == sq) {
                     cl->items[2 * w] = blk;
                     cl->items[2 * w + 1] = sq;
                     w++;
@@ -427,51 +436,52 @@ static void clog_append(Batch *b, CacheLog *cl, int r, int node,
     cl->end++;
 }
 
-static int cache_get(Batch *b, int r, int node, int block) {
-    return CSTATE(b, block, r, node);
+static int cache_get(const Batch *b, Rep *rep, int node, int block) {
+    return CSTATE(b, rep, block, node);
 }
 
 /* cache.pop(block, None): returns prior state (CS_INVALID if absent). */
-static int cache_pop(Batch *b, int r, int node, int block) {
-    int st = CSTATE(b, block, r, node);
+static int cache_pop(const Batch *b, Rep *rep, int node, int block) {
+    int st = CSTATE(b, rep, block, node);
     if (st != CS_INVALID) {
-        CSTATE(b, block, r, node) = CS_INVALID;
-        b->clog[(size_t)r * b->N + node].live--;
+        CSTATE(b, rep, block, node) = CS_INVALID;
+        rep->clog[node].live--;
     }
     return st;
 }
 
 /* cache[block] = state after a pop: append to the back of LRU order. */
-static void cache_put(Batch *b, int r, int node, int block, int state) {
-    CacheLog *cl = &b->clog[(size_t)r * b->N + node];
+static void cache_put(const Batch *b, Rep *rep, int node, int block,
+                      int state) {
+    CacheLog *cl = &rep->clog[node];
     int seq = ++cl->seq;
-    CSTATE(b, block, r, node) = (int8_t)state;
-    CSEQ(b, block, r, node) = seq;
+    CSTATE(b, rep, block, node) = (int8_t)state;
+    CSEQ(b, rep, block, node) = seq;
     cl->live++;
-    clog_append(b, cl, r, node, block, seq);
+    clog_append(b, rep, cl, node, block, seq);
 }
 
 /* record_access: pop + reinsert (touch). */
-static void cache_touch(Batch *b, int r, int node, int block) {
-    if (CSTATE(b, block, r, node) == CS_INVALID) return;
-    CacheLog *cl = &b->clog[(size_t)r * b->N + node];
+static void cache_touch(const Batch *b, Rep *rep, int node, int block) {
+    if (CSTATE(b, rep, block, node) == CS_INVALID) return;
+    CacheLog *cl = &rep->clog[node];
     int seq = ++cl->seq;
-    CSEQ(b, block, r, node) = seq;
-    clog_append(b, cl, r, node, block, seq);
+    CSEQ(b, rep, block, node) = seq;
+    clog_append(b, rep, cl, node, block, seq);
 }
 
 /* First live entry in LRU order that is neither `block` nor
  * outstanding (port of the _install victim scan over dict order). */
-static int cache_victim(Batch *b, int r, int node, int block) {
-    CacheLog *cl = &b->clog[(size_t)r * b->N + node];
+static int cache_victim(const Batch *b, Rep *rep, int node, int block) {
+    CacheLog *cl = &rep->clog[node];
     for (int i = cl->start; i < cl->end; i++) {
         int blk = cl->items[2 * i], sq = cl->items[2 * i + 1];
-        if (CSTATE(b, blk, r, node) == CS_INVALID ||
-            CSEQ(b, blk, r, node) != sq) {
+        if (CSTATE(b, rep, blk, node) == CS_INVALID ||
+            CSEQ(b, rep, blk, node) != sq) {
             if (i == cl->start) cl->start++;
             continue;
         }
-        if (blk == block || OUTST(b, blk, r, node) >= 0) continue;
+        if (blk == block || OUTST(b, rep, blk, node) >= 0) continue;
         return blk;
     }
     return -1;
@@ -481,8 +491,8 @@ static int cache_victim(Batch *b, int r, int node, int block) {
 /* Directory entries.                                                  */
 /* ------------------------------------------------------------------ */
 
-static Dir *dir_entry(Batch *b, int r, int block) {
-    Dir *d = &b->dir[(size_t)block * b->R + r];
+static Dir *dir_entry(Rep *rep, int block) {
+    Dir *d = &rep->dir[block];
     if (!d->init) {
         d->init = 1;
         d->state = DS_UNOWNED;
@@ -579,7 +589,7 @@ static u64 heap_pop(Heap *hp) {
 
 /* Completion of the access issued under `handle` (a context index):
  * forward decl of the processor port below. */
-static void proc_complete(Batch *b, Rep *rep, i64 handle);
+static void proc_complete(const Batch *b, Rep *rep, i64 handle);
 
 /* ------------------------------------------------------------------ */
 /* E-cube routes, walked a channel at a time (port of                  */
@@ -674,11 +684,11 @@ static DHEnt dheap_pop(Fab *f) {
     return top;
 }
 
-static void fab_inject(Batch *b, Rep *rep, int midx, i64 cycle) {
+static void fab_inject(Rep *rep, int midx, i64 cycle) {
     Fab *f = &rep->fab;
-    Msg *m = &b->msgs[midx];
+    Msg *m = &rep->msgs[midx];
     m->injected_at = cycle;
-    int tidx = transit_new(b, midx, m->source);
+    int tidx = transit_new(rep, midx, m->source);
     int ch = m->source;  /* injection channel */
     Queue *q = &f->queues[ch];
     if (!q->count) f->pending[f->pcount++] = ch;
@@ -686,8 +696,8 @@ static void fab_inject(Batch *b, Rep *rep, int midx, i64 cycle) {
     f->in_flight++;
 }
 
-static i64 fab_next(Batch *b, Rep *rep, i64 cycle) {
-    Fab *f = &rep->fab;
+static i64 fab_next(const Rep *rep, i64 cycle) {
+    const Fab *f = &rep->fab;
     i64 earliest = f->dcount ? (i64)(f->dheap[0].key >> 32) : -1;
     for (int i = 0; i < f->pcount; i++) {
         int ch = f->pending[i];
@@ -702,7 +712,7 @@ static i64 fab_next(Batch *b, Rep *rep, i64 cycle) {
 /* Controller engine + protocol handlers (port of CoherenceController).*/
 /* ------------------------------------------------------------------ */
 
-static void ctrl_execute(Batch *b, Rep *rep, int r, int node, Ev *ev,
+static void ctrl_execute(const Batch *b, Rep *rep, int node, Ev *ev,
                          i64 done);
 
 static void ctrl_schedule(Rep *rep, int node, int cost, int op, int b0,
@@ -722,7 +732,7 @@ static void ctrl_schedule(Rep *rep, int node, int cost, int op, int b0,
     }
 }
 
-static void ctrl_tick(Batch *b, Rep *rep, int r, int node, i64 cycle) {
+static void ctrl_tick(const Batch *b, Rep *rep, int node, i64 cycle) {
     Ctrl *c = &rep->ctrl[node];
     c->ticking = 1;
     for (;;) {
@@ -730,15 +740,15 @@ static void ctrl_tick(Batch *b, Rep *rep, int r, int node, i64 cycle) {
             if (c->done_at > cycle) break;
             c->has_cur = 0;
             Ev ev = c->cur;
-            ctrl_execute(b, rep, r, node, &ev, c->done_at);
-            if (b->errcode) break;
+            ctrl_execute(b, rep, node, &ev, c->done_at);
+            if (rep->errcode) break;
             continue;
         }
         if (!c->count) break;
         Ev ev = ev_pop(c);
         if (ev.cost == 0) {
-            ctrl_execute(b, rep, r, node, &ev, cycle);
-            if (b->errcode) break;
+            ctrl_execute(b, rep, node, &ev, cycle);
+            if (rep->errcode) break;
             continue;
         }
         c->done_at = cycle + ev.cost;
@@ -748,15 +758,15 @@ static void ctrl_tick(Batch *b, Rep *rep, int r, int node, i64 cycle) {
     c->ticking = 0;
 }
 
-static void do_emit(Batch *b, Rep *rep, int r, int node, int kind,
+static void do_emit(const Batch *b, Rep *rep, int node, int kind,
                     int dest, int block, i64 txn) {
-    int midx = msg_new(b, kind, node, dest, block, txn);
+    int midx = msg_new(rep, kind, node, dest, block, txn);
     ctrl_schedule(rep, node, b->send_cost, OP_LAUNCH, 0, midx, -1, 0);
 }
 
-static void do_reply_with_data(Batch *b, Rep *rep, int r, int node,
+static void do_reply_with_data(const Batch *b, Rep *rep, int node,
                                int block, int requester, i64 txn) {
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(rep, block);
     d->busy = 1;
     if (requester == node)
         ctrl_schedule(rep, node, b->mem_cost, OP_FINISH, 0, 0, block, 0);
@@ -765,8 +775,8 @@ static void do_reply_with_data(Batch *b, Rep *rep, int r, int node,
                       txn);
 }
 
-static void do_run_deferred(Batch *b, Rep *rep, int r, int node, int block) {
-    Dir *d = dir_entry(b, r, block);
+static void do_run_deferred(const Batch *b, Rep *rep, int node, int block) {
+    Dir *d = dir_entry(rep, block);
     if (!d->dcount || d->busy) return;
     DefItem it = d->ditems[d->dhead];
     d->dhead = (d->dhead + 1) % d->dcap;
@@ -775,59 +785,59 @@ static void do_run_deferred(Batch *b, Rep *rep, int r, int node, int block) {
                   it.requester, block, it.txn);
 }
 
-static void do_absorb_writeback(Batch *b, Rep *rep, int r, int node,
+static void do_absorb_writeback(const Batch *b, Rep *rep, int node,
                                 int block, int source, int source_retains);
-static void do_evict(Batch *b, Rep *rep, int r, int node, int block);
+static void do_evict(const Batch *b, Rep *rep, int node, int block);
 
-static void do_install(Batch *b, Rep *rep, int r, int node, int block,
+static void do_install(const Batch *b, Rep *rep, int node, int block,
                        int state) {
-    cache_pop(b, r, node, block);
-    cache_put(b, r, node, block, state);
+    cache_pop(b, rep, node, block);
+    cache_put(b, rep, node, block, state);
     if (b->capacity <= 0) return;
-    CacheLog *cl = &b->clog[(size_t)r * b->N + node];
+    CacheLog *cl = &rep->clog[node];
     while (cl->live > b->capacity) {
-        int victim = cache_victim(b, r, node, block);
+        int victim = cache_victim(b, rep, node, block);
         if (victim < 0) return;
-        do_evict(b, rep, r, node, victim);
-        if (b->errcode) return;
+        do_evict(b, rep, node, victim);
+        if (rep->errcode) return;
     }
 }
 
-static void do_evict(Batch *b, Rep *rep, int r, int node, int block) {
-    int state = cache_pop(b, r, node, block);
+static void do_evict(const Batch *b, Rep *rep, int node, int block) {
+    int state = cache_pop(b, rep, node, block);
     if (rep->measuring) rep->evictions++;
     if (state != CS_MODIFIED) return;
     int home = b->block_home[block];
     if (home == node) {
-        do_absorb_writeback(b, rep, r, node, block, node, 0);
+        do_absorb_writeback(b, rep, node, block, node, 0);
         ctrl_schedule(rep, node, b->mem_cost, OP_NOP, 0, 0, 0, 0);
     } else {
-        do_emit(b, rep, r, node, K_WB, home, block, -1);
+        do_emit(b, rep, node, K_WB, home, block, -1);
     }
 }
 
-static void do_grant_write(Batch *b, Rep *rep, int r, int node, int block,
+static void do_grant_write(const Batch *b, Rep *rep, int node, int block,
                            int requester, i64 txn) {
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(rep, block);
     d->state = DS_MODIFIED;
     set_reset(&d->sharers);
     d->owner = requester;
-    do_reply_with_data(b, rep, r, node, block, requester, txn);
+    do_reply_with_data(b, rep, node, block, requester, txn);
 }
 
-static void do_home_read(Batch *b, Rep *rep, int r, int node, int block,
+static void do_home_read(const Batch *b, Rep *rep, int node, int block,
                          int requester, i64 txn) {
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(rep, block);
     if (d->state == DS_MODIFIED && d->owner != requester) {
         if (d->owner == node) {
-            do_install(b, rep, r, node, block, CS_SHARED);
-            d = dir_entry(b, r, block);
+            do_install(b, rep, node, block, CS_SHARED);
+            d = dir_entry(rep, block);
             d->state = DS_SHARED;
             set_reset(&d->sharers);
             set_add(&d->sharers, node);
             set_add(&d->sharers, requester);
             d->owner = -1;
-            do_reply_with_data(b, rep, r, node, block, requester, txn);
+            do_reply_with_data(b, rep, node, block, requester, txn);
             return;
         }
         d->busy = 1;
@@ -837,7 +847,7 @@ static void do_home_read(Batch *b, Rep *rep, int r, int node, int block,
         d->txn_uid = txn;
         d->txn_pending = 0;
         d->txn_wb = 1;
-        do_emit(b, rep, r, node, K_FETCH, d->owner, block, txn);
+        do_emit(b, rep, node, K_FETCH, d->owner, block, txn);
         return;
     }
     if (d->state == DS_MODIFIED) {
@@ -848,17 +858,17 @@ static void do_home_read(Batch *b, Rep *rep, int r, int node, int block,
     }
     d->state = DS_SHARED;
     set_add(&d->sharers, requester);
-    do_reply_with_data(b, rep, r, node, block, requester, txn);
+    do_reply_with_data(b, rep, node, block, requester, txn);
 }
 
-static void do_home_write(Batch *b, Rep *rep, int r, int node, int block,
+static void do_home_write(const Batch *b, Rep *rep, int node, int block,
                           int requester, i64 txn) {
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(rep, block);
     if (d->state == DS_MODIFIED && d->owner != requester) {
         if (d->owner == node) {
-            cache_pop(b, r, node, block);
+            cache_pop(b, rep, node, block);
             d->owner = requester;
-            do_reply_with_data(b, rep, r, node, block, requester, txn);
+            do_reply_with_data(b, rep, node, block, requester, txn);
             return;
         }
         d->busy = 1;
@@ -868,7 +878,7 @@ static void do_home_write(Batch *b, Rep *rep, int r, int node, int block,
         d->txn_uid = txn;
         d->txn_pending = 0;
         d->txn_wb = 1;
-        do_emit(b, rep, r, node, K_FETCHINV, d->owner, block, txn);
+        do_emit(b, rep, node, K_FETCHINV, d->owner, block, txn);
         return;
     }
     /* Remote sharers are all but the requester; the home's own copy
@@ -877,7 +887,7 @@ static void do_home_write(Batch *b, Rep *rep, int r, int node, int block,
     int pending = 0;
     for (int i = 0; i < d->sharers.used; i++) {
         int s = d->sharers.ids[i];
-        if (s == node && node != requester) cache_pop(b, r, node, block);
+        if (s == node && node != requester) cache_pop(b, rep, node, block);
         else if (s != requester) pending++;
     }
     if (pending) {
@@ -891,36 +901,36 @@ static void do_home_write(Batch *b, Rep *rep, int r, int node, int block,
         for (int i = 0; i < d->sharers.used; i++) {
             int s = d->sharers.ids[i];
             if (s != requester && s != node)
-                do_emit(b, rep, r, node, K_INV, s, block, txn);
+                do_emit(b, rep, node, K_INV, s, block, txn);
         }
         return;
     }
-    do_grant_write(b, rep, r, node, block, requester, txn);
+    do_grant_write(b, rep, node, block, requester, txn);
 }
 
-static void do_home_handle_request(Batch *b, Rep *rep, int r, int node,
+static void do_home_handle_request(const Batch *b, Rep *rep, int node,
                                    int block, int requester, int is_write,
                                    i64 txn) {
     if (b->block_home[block] != node) {
-        fail(b, 2, "request received at a non-home node");
+        fail(rep, 2, "request received at a non-home node");
         return;
     }
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(rep, block);
     if (d->busy) {
         dir_defer(d, requester, is_write, txn);
         return;
     }
     if (is_write)
-        do_home_write(b, rep, r, node, block, requester, txn);
+        do_home_write(b, rep, node, block, requester, txn);
     else
-        do_home_read(b, rep, r, node, block, requester, txn);
+        do_home_read(b, rep, node, block, requester, txn);
 }
 
-static void do_home_handle_ack(Batch *b, Rep *rep, int r, int node,
+static void do_home_handle_ack(const Batch *b, Rep *rep, int node,
                                int block) {
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(rep, block);
     if (!d->txn_active || d->txn_pending <= 0) {
-        fail(b, 2, "unexpected invalidate ack");
+        fail(rep, 2, "unexpected invalidate ack");
         return;
     }
     d->txn_pending--;
@@ -929,13 +939,13 @@ static void do_home_handle_ack(Batch *b, Rep *rep, int r, int node,
     i64 uid = d->txn_uid;
     d->txn_active = 0;
     d->busy = 0;
-    do_grant_write(b, rep, r, node, block, requester, uid);
-    do_run_deferred(b, rep, r, node, block);
+    do_grant_write(b, rep, node, block, requester, uid);
+    do_run_deferred(b, rep, node, block);
 }
 
-static void do_absorb_writeback(Batch *b, Rep *rep, int r, int node,
+static void do_absorb_writeback(const Batch *b, Rep *rep, int node,
                                 int block, int source, int source_retains) {
-    Dir *d = dir_entry(b, r, block);
+    Dir *d = dir_entry(rep, block);
     if (d->txn_active && d->txn_wb) {
         int requester = d->txn_requester;
         int is_write = d->txn_is_write;
@@ -953,55 +963,55 @@ static void do_absorb_writeback(Batch *b, Rep *rep, int r, int node,
             if (source_retains) set_add(&d->sharers, source);
             d->owner = -1;
         }
-        do_reply_with_data(b, rep, r, node, block, requester, uid);
-        do_run_deferred(b, rep, r, node, block);
+        do_reply_with_data(b, rep, node, block, requester, uid);
+        do_run_deferred(b, rep, node, block);
         return;
     }
     if (d->txn_active) {
-        fail(b, 2, "writeback collided with a non-fetch transaction");
+        fail(rep, 2, "writeback collided with a non-fetch transaction");
         return;
     }
     if (d->state != DS_MODIFIED || d->owner != source) {
-        fail(b, 2, "eviction writeback does not match directory state");
+        fail(rep, 2, "eviction writeback does not match directory state");
         return;
     }
     d->state = DS_UNOWNED;
     set_reset(&d->sharers);
     d->owner = -1;
-    do_run_deferred(b, rep, r, node, block);
+    do_run_deferred(b, rep, node, block);
 }
 
-static void do_handle_fetch(Batch *b, Rep *rep, int r, int node, int block,
+static void do_handle_fetch(const Batch *b, Rep *rep, int node, int block,
                             int source, i64 txn, int invalidate) {
-    int state = cache_get(b, r, node, block);
+    int state = cache_get(b, rep, node, block);
     if (state == CS_INVALID) return;
     if (state != CS_MODIFIED) {
-        fail(b, 2, "fetch for a block not in M state");
+        fail(rep, 2, "fetch for a block not in M state");
         return;
     }
     if (invalidate)
-        cache_pop(b, r, node, block);
+        cache_pop(b, rep, node, block);
     else
-        do_install(b, rep, r, node, block, CS_SHARED);
-    do_emit(b, rep, r, node, K_WB, source, block, txn);
+        do_install(b, rep, node, block, CS_SHARED);
+    do_emit(b, rep, node, K_WB, source, block, txn);
 }
 
-static void do_release_waiters(Batch *b, Rep *rep, int r, int node,
+static void do_release_waiters(const Batch *b, Rep *rep, int node,
                                int block, int whead, int state, i64 cycle);
-static void request_internal(Batch *b, Rep *rep, int r, int node, int block,
+static void request_internal(const Batch *b, Rep *rep, int node, int block,
                              int is_write, i64 cycle, i64 handle);
 
-static void do_complete_remote_miss(Batch *b, Rep *rep, int r, int node,
+static void do_complete_remote_miss(const Batch *b, Rep *rep, int node,
                                     int block, i64 cycle) {
-    int ridx = OUTST(b, block, r, node);
+    int ridx = OUTST(b, rep, block, node);
     if (ridx < 0) {
-        fail(b, 2, "data reply with no outstanding request");
+        fail(rep, 2, "data reply with no outstanding request");
         return;
     }
-    OUTST(b, block, r, node) = -1;
-    Req *req = &b->reqs[ridx];
+    OUTST(b, rep, block, node) = -1;
+    Req *req = &rep->reqs[ridx];
     int state = req->is_write ? CS_MODIFIED : CS_SHARED;
-    do_install(b, rep, r, node, block, state);
+    do_install(b, rep, node, block, state);
     if (rep->measuring) {
         rep->rcompleted++;
         rep->txn_lat += cycle - req->issued_at;
@@ -1010,22 +1020,22 @@ static void do_complete_remote_miss(Batch *b, Rep *rep, int r, int node,
     int whead = req->whead;
     req->whead = -1;
     req->wtail = -1;
-    do_release_waiters(b, rep, r, node, block, whead, state, cycle);
-    req_del(b, ridx);
+    do_release_waiters(b, rep, node, block, whead, state, cycle);
+    req_del(rep, ridx);
 }
 
-static void do_finish_local(Batch *b, Rep *rep, int r, int node, int block,
+static void do_finish_local(const Batch *b, Rep *rep, int node, int block,
                             i64 cycle) {
-    int ridx = OUTST(b, block, r, node);
+    int ridx = OUTST(b, rep, block, node);
     if (ridx < 0) {
-        fail(b, 2, "local completion with no outstanding request");
+        fail(rep, 2, "local completion with no outstanding request");
         return;
     }
-    OUTST(b, block, r, node) = -1;
-    Req *req = &b->reqs[ridx];
+    OUTST(b, rep, block, node) = -1;
+    Req *req = &rep->reqs[ridx];
     int state = req->is_write ? CS_MODIFIED : CS_SHARED;
-    do_install(b, rep, r, node, block, state);
-    Dir *d = dir_entry(b, r, block);
+    do_install(b, rep, node, block, state);
+    Dir *d = dir_entry(rep, block);
     d->busy = 0;
     int remote = req->messages > 0;
     if (rep->measuring) {
@@ -1040,138 +1050,138 @@ static void do_finish_local(Batch *b, Rep *rep, int r, int node, int block,
     int whead = req->whead;
     req->whead = -1;
     req->wtail = -1;
-    do_run_deferred(b, rep, r, node, block);
-    do_release_waiters(b, rep, r, node, block, whead, state, cycle);
-    req_del(b, ridx);
+    do_run_deferred(b, rep, node, block);
+    do_release_waiters(b, rep, node, block, whead, state, cycle);
+    req_del(rep, ridx);
 }
 
-static void do_release_waiters(Batch *b, Rep *rep, int r, int node,
+static void do_release_waiters(const Batch *b, Rep *rep, int node,
                                int block, int whead, int state, i64 cycle) {
     int w = whead;
     while (w >= 0) {
-        Waiter wt = b->waiters[w];
+        Waiter wt = rep->waiters[w];
         if (wt.is_write && state != CS_MODIFIED)
-            request_internal(b, rep, r, node, block, 1, cycle, wt.handle);
+            request_internal(b, rep, node, block, 1, cycle, wt.handle);
         else
             proc_complete(b, rep, wt.handle);
         int nxt = wt.next;
-        b->waiters[w].next = b->waiter_free;
-        b->waiter_free = w;
+        rep->waiters[w].next = rep->waiter_free;
+        rep->waiter_free = w;
         w = nxt;
     }
 }
 
-static void request_internal(Batch *b, Rep *rep, int r, int node, int block,
+static void request_internal(const Batch *b, Rep *rep, int node, int block,
                              int is_write, i64 cycle, i64 handle) {
-    int existing = OUTST(b, block, r, node);
+    int existing = OUTST(b, rep, block, node);
     if (existing >= 0) {
-        req_add_waiter(b, existing, is_write, handle);
+        req_add_waiter(rep, existing, is_write, handle);
         return;
     }
     Ctrl *c = &rep->ctrl[node];
     i64 uid = c->next_uid;
     c->next_uid = uid + UID_STRIDE;
-    int ridx = req_new(b, block, is_write, cycle, uid, handle);
-    OUTST(b, block, r, node) = ridx;
+    int ridx = req_new(rep, block, is_write, cycle, uid, handle);
+    OUTST(b, rep, block, node) = ridx;
     if (rep->measuring) rep->started++;
     ctrl_schedule(rep, node, b->req_cost, OP_BEGIN, 0, ridx, 0, 0);
 }
 
-static void do_launch(Batch *b, Rep *rep, int r, int node, int midx,
+static void do_launch(const Batch *b, Rep *rep, int node, int midx,
                       i64 cycle) {
-    Msg *m = &b->msgs[midx];
-    int ridx = OUTST(b, m->block, r, node);
-    if (ridx >= 0 && b->reqs[ridx].uid == m->txn) b->reqs[ridx].messages++;
+    Msg *m = &rep->msgs[midx];
+    int ridx = OUTST(b, rep, m->block, node);
+    if (ridx >= 0 && rep->reqs[ridx].uid == m->txn) rep->reqs[ridx].messages++;
     if (rep->measuring) {
         rep->sent++;
         rep->flits_sum += m->flits;
         rep->flits_sq += (i64)m->flits * m->flits;
     }
     if (m->dest == node) {
-        fail(b, 1, "self-addressed message; local transactions must "
+        fail(rep, 1, "self-addressed message; local transactions must "
                    "complete without the network");
         return;
     }
-    fab_inject(b, rep, midx, cycle);
+    fab_inject(rep, midx, cycle);
 }
 
-static void do_handle(Batch *b, Rep *rep, int r, int node, int midx,
+static void do_handle(const Batch *b, Rep *rep, int node, int midx,
                       i64 cycle) {
-    Msg *m = &b->msgs[midx];
+    Msg *m = &rep->msgs[midx];
     int kind = m->kind, block = m->block, source = m->source;
     i64 txn = m->txn;
-    msg_del(b, midx);
+    msg_del(rep, midx);
     switch (kind) {
     case K_READ:
-        do_home_handle_request(b, rep, r, node, block, source, 0, txn);
+        do_home_handle_request(b, rep, node, block, source, 0, txn);
         break;
     case K_DATA:
-        do_complete_remote_miss(b, rep, r, node, block, cycle);
+        do_complete_remote_miss(b, rep, node, block, cycle);
         break;
     case K_WRITE:
-        do_home_handle_request(b, rep, r, node, block, source, 1, txn);
+        do_home_handle_request(b, rep, node, block, source, 1, txn);
         break;
     case K_INV:
-        cache_pop(b, r, node, block);
-        do_emit(b, rep, r, node, K_ACK, source, block, txn);
+        cache_pop(b, rep, node, block);
+        do_emit(b, rep, node, K_ACK, source, block, txn);
         break;
     case K_ACK:
-        do_home_handle_ack(b, rep, r, node, block);
+        do_home_handle_ack(b, rep, node, block);
         break;
     case K_FETCH:
-        do_handle_fetch(b, rep, r, node, block, source, txn, 0);
+        do_handle_fetch(b, rep, node, block, source, txn, 0);
         break;
     case K_FETCHINV:
-        do_handle_fetch(b, rep, r, node, block, source, txn, 1);
+        do_handle_fetch(b, rep, node, block, source, txn, 1);
         break;
     case K_WB:
-        do_absorb_writeback(b, rep, r, node, block, source, txn != -1);
+        do_absorb_writeback(b, rep, node, block, source, txn != -1);
         break;
     default:
-        fail(b, 2, "unhandled message kind");
+        fail(rep, 2, "unhandled message kind");
     }
 }
 
-static void ctrl_execute(Batch *b, Rep *rep, int r, int node, Ev *ev,
+static void ctrl_execute(const Batch *b, Rep *rep, int node, Ev *ev,
                          i64 done) {
     switch (ev->op) {
     case OP_HANDLE:
-        do_handle(b, rep, r, node, ev->a0, done);
+        do_handle(b, rep, node, ev->a0, done);
         break;
     case OP_LAUNCH:
-        do_launch(b, rep, r, node, ev->a0, done);
+        do_launch(b, rep, node, ev->a0, done);
         if (ev->a1 >= 0) {
-            Dir *d = dir_entry(b, r, ev->a1);
+            Dir *d = dir_entry(rep, ev->a1);
             d->busy = 0;
-            do_run_deferred(b, rep, r, node, ev->a1);
+            do_run_deferred(b, rep, node, ev->a1);
         }
         break;
     case OP_REPLY: {
-        int midx = msg_new(b, K_DATA, node, ev->a0, ev->a1, ev->a2);
+        int midx = msg_new(rep, K_DATA, node, ev->a0, ev->a1, ev->a2);
         ctrl_schedule(rep, node, b->send_cost, OP_LAUNCH, 0, midx, ev->a1,
                       0);
         break;
     }
     case OP_FINISH:
-        do_finish_local(b, rep, r, node, ev->a1, done);
+        do_finish_local(b, rep, node, ev->a1, done);
         break;
     case OP_BEGIN: {
-        Req *req = &b->reqs[ev->a0];
+        Req *req = &rep->reqs[ev->a0];
         int block = req->block;
         int home = b->block_home[block];
         if (home == node) {
-            do_home_handle_request(b, rep, r, node, block, node,
+            do_home_handle_request(b, rep, node, block, node,
                                    req->is_write, req->uid);
         } else {
-            do_emit(b, rep, r, node, req->is_write ? K_WRITE : K_READ, home,
+            do_emit(b, rep, node, req->is_write ? K_WRITE : K_READ, home,
                     block, req->uid);
         }
         break;
     }
     case OP_DEFER:
-        do_home_handle_request(b, rep, r, node, ev->a1, ev->a0, ev->b0,
+        do_home_handle_request(b, rep, node, ev->a1, ev->a0, ev->b0,
                                ev->a2);
-        do_run_deferred(b, rep, r, node, ev->a1);
+        do_run_deferred(b, rep, node, ev->a1);
         break;
     case OP_NOP:
         break;
@@ -1182,14 +1192,14 @@ static void ctrl_execute(Batch *b, Rep *rep, int r, int node, Ev *ev,
 /* Fabric tick (port of CutThroughFabric.tick; telemetry-free path).  */
 /* ------------------------------------------------------------------ */
 
-static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
+static void fab_tick(const Batch *b, Rep *rep, i64 cycle) {
     Fab *f = &rep->fab;
     /* Deliveries first: heap keyed (cycle, seq) reproduces the serial
      * per-cycle insertion-order arrival lists. */
     while (f->dcount && (i64)(f->dheap[0].key >> 32) == cycle) {
         DHEnt e = dheap_pop(f);
-        Transit *t = &b->transits[e.transit];
-        Msg *m = &b->msgs[t->msg];
+        Transit *t = &rep->transits[e.transit];
+        Msg *m = &rep->msgs[t->msg];
         i64 latency = cycle - m->injected_at;
         f->in_flight--;
         if (rep->measuring) {
@@ -1205,7 +1215,7 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
         }
         ctrl_schedule(rep, m->dest, b->recv_cost, OP_HANDLE, 0, t->msg, -1,
                       0);
-        transit_del(b, e.transit);
+        transit_del(rep, e.transit);
     }
     if (!f->pcount) return;
     int *pending = f->pending;
@@ -1220,8 +1230,8 @@ static void fab_tick(Batch *b, Rep *rep, int r, i64 cycle) {
         }
         Queue *q = &f->queues[ch];
         int tidx = qe_pop(q);
-        Transit *t = &b->transits[tidx];
-        Msg *m = &b->msgs[t->msg];
+        Transit *t = &rep->transits[tidx];
+        Msg *m = &rep->msgs[t->msg];
         int flits = m->flits;
         i64 until = cycle + flits;
         f->free_at[ch] = until;
@@ -1314,7 +1324,7 @@ static int proc_find_ready(const Batch *b, const Proc *p, const Cx *cx) {
 }
 
 /* After a miss: switch to another runnable context or idle. */
-static void proc_leave(Batch *b, Rep *rep, Proc *p, Cx *cx, int index) {
+static void proc_leave(const Batch *b, Rep *rep, Proc *p, Cx *cx, int index) {
     int target = p->ready ? proc_find_ready(b, p, cx) : -1;
     if (target < 0 || target == index) {
         p->active = -1;
@@ -1332,7 +1342,7 @@ static void proc_leave(Batch *b, Rep *rep, Proc *p, Cx *cx, int index) {
     p->active = -1;
 }
 
-static void proc_tick(Batch *b, Rep *rep, int r, int node, i64 cycle) {
+static void proc_tick(const Batch *b, Rep *rep, int node, i64 cycle) {
     Proc *p = &rep->proc[node];
     Cx *cx = &rep->cx[(size_t)node * b->contexts];
     if (p->switch_left > 0) {
@@ -1360,7 +1370,7 @@ static void proc_tick(Batch *b, Rep *rep, int r, int node, i64 cycle) {
         p->ready--;
     }
     if (c->state != CX_COMPUTING) {
-        fail(b, 1, "active context is not computing");
+        fail(rep, 1, "active context is not computing");
         return;
     }
     if (c->remaining > 0) {
@@ -1371,23 +1381,24 @@ static void proc_tick(Batch *b, Rep *rep, int r, int node, i64 cycle) {
     const Prog *pg = &b->progs[handle];
     int is_write;
     int block = prog_access(b, pg, c, &p->rng, &is_write);
-    int st = CSTATE(b, block, r, node);
+    int st = CSTATE(b, rep, block, node);
     if (is_write ? st == CS_MODIFIED : st != CS_INVALID) {
         if (rep->measuring) rep->hits++;
-        cache_touch(b, r, node, block);
+        cache_touch(b, rep, node, block);
         c->remaining = b->hit_cycles + prog_compute(pg, &p->rng);
         return;
     }
     c->state = CX_BLOCKED;
     rep->issued++;
-    request_internal(b, rep, r, node, block, is_write, cycle, handle);
+    request_internal(b, rep, node, block, is_write, cycle, handle);
     proc_leave(b, rep, p, cx, k);
 }
 
-static void proc_complete(Batch *b, Rep *rep, i64 handle) {
+static void proc_complete(const Batch *b, Rep *rep, i64 handle) {
     Cx *c = &rep->cx[handle];
     if (c->state != CX_BLOCKED) {
-        fail(b, 2, "transaction completed for a context that is not blocked");
+        fail(rep, 2,
+             "transaction completed for a context that is not blocked");
         return;
     }
     int node = (int)(handle / b->contexts);
@@ -1430,34 +1441,29 @@ static void proc_skip(Rep *rep, Proc *p, Cx *cx, i64 ticks) {
     else if (rep->measuring) rep->idle += ticks;
 }
 
-/* Processor boundary `tick`: visit the due and woken processors in
- * ascending node order (MachineEngine.run_window's processor phase). */
-static void proc_phase(Batch *b, Rep *rep, int r, i64 tick, i64 cycle) {
+/* Processor boundary `tick`: visit the due processors in node order,
+ * then the woken ones in wake order (MachineEngine.run_window's
+ * processor phase; the order within a boundary is unobservable, see
+ * repro.sim.engine). */
+static void proc_phase(const Batch *b, Rep *rep, i64 tick, i64 cycle) {
     int *batch = rep->batch;
     int n = 0;
     while (rep->pheap.n && HEAP_TIME(rep->pheap) == tick)
         batch[n++] = (int)(heap_pop(&rep->pheap) & 0xFFFFF);
-    if (rep->nwoken) {
-        /* Woken processors are idle, so they have no calendar entry. */
-        for (int i = 0; i < rep->nwoken; i++) {
-            int node = rep->woken[i];
-            rep->proc[node].woken = 0;
-            int j = n++;
-            while (j > 0 && batch[j - 1] > node) {
-                batch[j] = batch[j - 1];
-                j--;
-            }
-            batch[j] = node;
-        }
-        rep->nwoken = 0;
+    /* Woken processors are idle, so they have no calendar entry. */
+    for (int i = 0; i < rep->nwoken; i++) {
+        int node = rep->woken[i];
+        rep->proc[node].woken = 0;
+        batch[n++] = node;
     }
+    rep->nwoken = 0;
     for (int i = 0; i < n; i++) {
         int node = batch[i];
         Proc *p = &rep->proc[node];
         Cx *cx = &rep->cx[(size_t)node * b->contexts];
         proc_skip(rep, p, cx, tick - p->last_tick - 1);
-        proc_tick(b, rep, r, node, cycle);
-        if (b->errcode) return;
+        proc_tick(b, rep, node, cycle);
+        if (rep->errcode) return;
         p->last_tick = tick;
         i64 distance = proc_next_event(p, cx);
         if (distance >= 0)
@@ -1480,8 +1486,8 @@ i64 bc_advance(Batch *b, int r, i64 stop) {
     if (cycle >= stop) return stop;
     while (cycle < stop) {
         if (cycle % speedup == 0) {
-            proc_phase(b, rep, r, cycle / speedup, cycle);
-            if (b->errcode) return -1;
+            proc_phase(b, rep, cycle / speedup, cycle);
+            if (rep->errcode) return -1;
         }
         /* ctrl phase: wake-heap dues + ready list, ascending node */
         int bn = 0;
@@ -1509,17 +1515,17 @@ i64 bc_advance(Batch *b, int r, i64 stop) {
                 int node = batch[i];
                 Ctrl *c = &rep->ctrl[node];
                 c->notified = 0;
-                ctrl_tick(b, rep, r, node, cycle);
-                if (b->errcode) return -1;
+                ctrl_tick(b, rep, node, cycle);
+                if (rep->errcode) return -1;
                 if (c->has_cur)
                     heap_push(&rep->wake, ((u64)c->done_at << 20) | (u64)node);
             }
         }
-        fab_tick(b, rep, r, cycle);
-        if (b->errcode) return -1;
+        fab_tick(b, rep, cycle);
+        if (rep->errcode) return -1;
         i64 nxt = cycle + 1;
         if (!rep->ready_count) {
-            i64 horizon = fab_next(b, rep, nxt);
+            i64 horizon = fab_next(rep, nxt);
             if (horizon < 0 || horizon > nxt) {
                 i64 target = stop;
                 if (rep->wake.n && HEAP_TIME(rep->wake) < target)
@@ -1553,7 +1559,7 @@ i64 bc_advance(Batch *b, int r, i64 stop) {
     }
     /* Every issued transaction has completed or is still in flight. */
     if (rep->issued - rep->completed != blocked) {
-        fail(b, 2, "issued minus completed transactions does not match "
+        fail(rep, 2, "issued minus completed transactions does not match "
                    "the blocked contexts");
         return -1;
     }
@@ -1583,13 +1589,8 @@ Batch *bc_create(int R, int N, int dims, int radix, int capacity,
     b->speedup = speedup;
     b->hit_cycles = hit_cycles;
     b->switch_cycles = switch_cycles;
-    b->RN = (i64)R * N;
     b->channels = 2 * N + 2 * N * dims;
     b->links = 2 * N * dims;
-    b->msg_free = -1;
-    b->transit_free = -1;
-    b->req_free = -1;
-    b->waiter_free = -1;
     b->coords = (int *)malloc((size_t)N * dims * sizeof(int));
     b->link_to = (int *)malloc((size_t)b->links * sizeof(int));
     for (int i = 0; i < N; i++) {
@@ -1601,7 +1602,6 @@ Batch *bc_create(int R, int N, int dims, int radix, int capacity,
             to[1] = c == 0 ? i + (radix - 1) * stride : i - stride;
         }
     }
-    b->clog = (CacheLog *)calloc((size_t)R * N, sizeof(CacheLog));
     b->progs = (Prog *)calloc((size_t)N * contexts, sizeof(Prog));
     b->reps = (Rep *)calloc((size_t)R, sizeof(Rep));
     for (int r = 0; r < R; r++) {
@@ -1613,6 +1613,11 @@ Batch *bc_create(int R, int N, int dims, int radix, int capacity,
         rep->proc = (Proc *)calloc((size_t)N, sizeof(Proc));
         rep->cx = (Cx *)calloc((size_t)N * contexts, sizeof(Cx));
         rep->woken = (int *)malloc((size_t)N * sizeof(int));
+        rep->clog = (CacheLog *)calloc((size_t)N, sizeof(CacheLog));
+        rep->msg_free = -1;
+        rep->transit_free = -1;
+        rep->req_free = -1;
+        rep->waiter_free = -1;
         Fab *f = &rep->fab;
         f->free_at = (i64 *)calloc((size_t)b->channels, sizeof(i64));
         f->queues = (Queue *)calloc((size_t)b->channels, sizeof(Queue));
@@ -1644,44 +1649,47 @@ void bc_destroy(Batch *b) {
         free(f->pend2);
         free(f->link_flits);
         free(f->dheap);
+        for (int i = 0; i < b->nblocks; i++) {
+            if (rep->dir[i].init) {
+                free(rep->dir[i].sharers.ids);
+                free(rep->dir[i].ditems);
+            }
+        }
+        free(rep->dir);
+        for (int i = 0; i < b->N; i++) free(rep->clog[i].items);
+        free(rep->clog);
+        free(rep->cache_state);
+        free(rep->cache_seq);
+        free(rep->outstanding);
+        free(rep->msgs);
+        free(rep->transits);
+        free(rep->reqs);
+        free(rep->waiters);
     }
     free(b->reps);
-    for (int i = 0; i < b->nblocks * b->R; i++) {
-        if (b->dir[i].init) {
-            free(b->dir[i].sharers.ids);
-            free(b->dir[i].ditems);
-        }
-    }
-    free(b->dir);
-    for (int i = 0; i < b->R * b->N; i++) free(b->clog[i].items);
-    free(b->clog);
     free(b->coords);
     free(b->link_to);
     free(b->block_home);
-    free(b->cache_state);
-    free(b->cache_seq);
-    free(b->outstanding);
     free(b->progs);
     free(b->ptab);
-    free(b->msgs);
-    free(b->transits);
-    free(b->reqs);
-    free(b->waiters);
     free(b);
 }
 
 /* Register every block up front, block i homed at homes[i]. */
 int bc_add_blocks(Batch *b, int n, const int *homes) {
     if (b->nblocks || n <= 0) return -1;
-    size_t cells = (size_t)n * b->RN;
+    size_t cells = (size_t)n * b->N;
     b->nblocks = n;
     b->block_home = (int *)malloc((size_t)n * sizeof(int));
     memcpy(b->block_home, homes, (size_t)n * sizeof(int));
-    b->cache_state = (int8_t *)calloc(cells, 1);
-    b->cache_seq = (int *)calloc(cells, sizeof(int));
-    b->outstanding = (int *)malloc(cells * sizeof(int));
-    for (size_t i = 0; i < cells; i++) b->outstanding[i] = -1;
-    b->dir = (Dir *)calloc((size_t)n * b->R, sizeof(Dir));
+    for (int r = 0; r < b->R; r++) {
+        Rep *rep = &b->reps[r];
+        rep->cache_state = (int8_t *)calloc(cells, 1);
+        rep->cache_seq = (int *)calloc(cells, sizeof(int));
+        rep->outstanding = (int *)malloc(cells * sizeof(int));
+        for (size_t i = 0; i < cells; i++) rep->outstanding[i] = -1;
+        rep->dir = (Dir *)calloc((size_t)n, sizeof(Dir));
+    }
     return 0;
 }
 
@@ -1771,10 +1779,15 @@ void bc_get_counters(Batch *b, int r, i64 *out_i, double *out_d) {
     out_d[0] = rep->hopl_total;
 }
 
-void bc_get_link_flits(Batch *b, int r, i64 *out) {
-    memcpy(out, b->reps[r].fab.link_flits,
-           (size_t)b->links * sizeof(i64));
+/* Flits replication r's links have carried so far. */
+i64 bc_link_flits(Batch *b, int r) {
+    const i64 *flits = b->reps[r].fab.link_flits;
+    i64 total = 0;
+    for (int i = 0; i < b->links; i++) total += flits[i];
+    return total;
 }
 
-int bc_errcode(Batch *b) { return b->errcode; }
-const char *bc_errmsg(Batch *b) { return b->errmsg; }
+/* Replication r's error: 0 if none, 1 a simulation error, 2 a protocol
+ * error, with its message. */
+int bc_errcode(Batch *b, int r) { return b->reps[r].errcode; }
+const char *bc_errmsg(Batch *b, int r) { return b->reps[r].errmsg; }

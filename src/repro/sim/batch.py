@@ -1,9 +1,10 @@
 """Batched replication on the compiled core: R seeds, one pass.
 
 Replication campaigns (:func:`repro.sim.replicate.run_replications`) run
-one machine configuration under many root seeds; the validation suite
-and the simulated ablations run each simulation as a one-seed batch,
-``run_batch(config, mapping, programs, [config.seed])[0]``.
+one machine configuration under many root seeds; the simulated
+ablations run each simulation as a one-seed batch,
+``run_batch(config, mapping, programs, [config.seed])[0]``, and the
+validation suite runs one per mapping through :func:`run_batches`.
 :class:`BatchMachine` runs ``R`` independent replications on the
 compiled core (:mod:`repro.sim.batchcore`, a C port of
 :class:`~repro.sim.processor.Processor`,
@@ -33,8 +34,8 @@ ingredients:
   batch as serial machines.
 * **The processors are in the core.**  Contexts, run lengths, context
   switches, the cache-hit check and the processor wake calendar (due
-  and woken processors visited in ascending node order, countdowns
-  skipped in bulk) port :class:`~repro.sim.processor.Processor` and
+  processors, then woken ones, countdowns skipped in bulk) port
+  :class:`~repro.sim.processor.Processor` and
   :class:`~repro.sim.engine.MachineEngine`.  A completion makes its
   context READY and draws its next run length at the point in the
   protocol where the serial controller calls back.
@@ -42,6 +43,21 @@ ingredients:
   events at the same occupancy boundaries in the same FIFO order as the
   serial controller, and the same grant walk and delivery scheduling as
   the serial cut-through fabric.
+
+**Concurrency contract.**  Replications share only read-only tables
+inside the core (geometry, programs, block homes); each one's caches,
+directory, pools, calendars and error flag are its own.  cffi releases
+the GIL for every core call, so :func:`_dispatch` runs each (machine,
+replication) unit — warmup window, link-flit read, measured window — on
+a thread pool sized by :func:`repro.core.pool.thread_count`: the CPUs
+this process may run on, one inside a ``--jobs`` worker process.
+Worker threads make core calls only.  Building machines, summaries,
+spans and counters stay on the calling thread, and a core error is
+raised for the lowest failing replication once every unit has joined.
+Threads change no result: summaries are bit-identical at any thread
+count.  :class:`BatchMachine` sends its replications through the
+dispatch, and :func:`run_batches` (the validation suite) pipelines one
+machine per mapping through it.
 
 :func:`run_batch` is the entry point.  It uses the core when it applies
 — cut-through fabric, no telemetry, a torus the core can hold (fewer
@@ -58,11 +74,14 @@ load is the one loud fallback (``batch.fallback`` counter plus a
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.core.pool import thread_count
 from repro.errors import MappingError, ParameterError, SimulationError
 from repro.mapping.base import Mapping
 from repro.sim import batchcore
@@ -75,7 +94,7 @@ from repro.workload.base import ThreadProgram, jitter_spread, node_states
 from repro.workload.generators import PermutationProgram, UniformRandomProgram
 from repro.workload.synthetic import NeighborExchangeProgram
 
-__all__ = ["BatchFallbackWarning", "BatchMachine", "run_batch"]
+__all__ = ["BatchFallbackWarning", "BatchMachine", "run_batch", "run_batches"]
 
 #: Program types the core runs, matched exactly: a subclass may change
 #: behaviour the record would not carry, so it runs serially.
@@ -267,105 +286,163 @@ class BatchMachine:
             raise SimulationError("the compiled batch core rejected the programs")
         for index, state in enumerate(states):
             lib.bc_seed(core, index, ffi.from_buffer("unsigned long long[]", state))
-        #: Per-link flit counts of one replication, read at window edges.
-        self._flits = np.empty(nodes * 2 * config.dimensions, dtype=np.longlong)
-        self._flits_buffer = ffi.from_buffer("long long[]", self._flits)
         #: The engine this batch runs on; always ``"c"`` (the compiled
         #: core) — other batches never construct a BatchMachine.
         self.engine = "c"
-        self._cycle = 0
         self._ran = False
 
-    # -- compiled-core plumbing ----------------------------------------
-
-    def _advance(self, cycles: int) -> int:
-        """Run every replication ``cycles`` network cycles, one core call
-        each; returns the memory accesses completed."""
-        if cycles <= 0:
-            return 0
-        lib = self._lib
-        core = self._core
-        self._cycle += cycles
-        completed = 0
-        for index in range(len(self.seeds)):
-            if lib.bc_advance(core, index, self._cycle) < 0:
-                batchcore.raise_error(self._ffi, lib, core)
-            completed += lib.bc_comp_count(core, index)
-        return completed
-
-    def _link_flit_total(self, index: int) -> int:
-        """Flits replication ``index``'s links have carried so far."""
-        self._lib.bc_get_link_flits(self._core, index, self._flits_buffer)
-        return int(self._flits.sum())
-
-    def _stats(self, index: int, window_start: int, start_flits: int) -> MachineStats:
-        """Replication ``index``'s measured window as :class:`MachineStats`.
-
-        The summary reads only the links' total, so the window's link
-        flits are booked as one entry."""
-        ffi = self._ffi
-        ints = ffi.new("long long[]", len(_COUNTERS))
-        dbl = ffi.new("double[1]")
-        self._lib.bc_get_counters(self._core, index, ints, dbl)
-        stats = MachineStats(nodes=self.torus.node_count)
-        stats.start_measuring(window_start, {"links": start_flits})
-        stats.stop_measuring(self._cycle)
-        for name, value in zip(_COUNTERS, ints):
-            setattr(stats, name, value)
-        stats.hop_latency_total = dbl[0]
-        return stats
-
-    # ------------------------------------------------------------------
-    # Run loop.
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        warmup: Optional[int] = None,
-        measure: Optional[int] = None,
-    ) -> List[MeasurementSummary]:
-        """Warm up, measure, and summarize every replication."""
+    def _claim(self) -> None:
+        """Mark the machine run; it is single-use."""
         if self._ran:
             raise SimulationError(
                 "BatchMachine.run is single-use; build a new instance per "
                 "batch"
             )
         self._ran = True
-        config = self.config
-        warmup = config.warmup_network_cycles if warmup is None else warmup
-        measure = config.measure_network_cycles if measure is None else measure
-        reps = range(len(self.seeds))
-        with obs.span(
-            "sim.batch",
-            reps=len(reps),
-            warmup=warmup,
-            measure=measure,
-            nodes=self.torus.node_count,
-        ):
-            completed = self._advance(warmup)
-            window_start = self._cycle
-            start_flits = [self._link_flit_total(index) for index in reps]
-            for index in reps:
-                self._lib.bc_start_measuring(self._core, index)
-            completed += self._advance(measure)
+
+    def _summaries(
+        self, units: Sequence[Tuple[int, int]], warmup: int, measure: int
+    ) -> List[MeasurementSummary]:
+        """Every replication's summary from its unit's ``(completed,
+        start_flits)``, on the calling thread once the units are done.
+        Raises the lowest failing replication's core error."""
+        ffi, lib, core = self._ffi, self._lib, self._core
+        for index in range(len(self.seeds)):
+            batchcore.raise_error(ffi, lib, core, index)
         if obs.is_enabled():
             # Machine.run's counter, booked once per replication.
             obs.REGISTRY.counter(
                 "sim.cycles", help="network cycles simulated per machine"
-            ).inc(len(reps) * (warmup + measure))
+            ).inc(len(units) * (warmup + measure))
             obs.REGISTRY.counter(
                 "sim.batch.completions",
                 help="memory accesses completed on the batch core",
-            ).inc(completed)
-        physical_links = self.torus.node_count * 2 * self.torus.dimensions
-        return [
-            self._stats(index, window_start, start_flits[index]).summary(
-                link_flits={"links": self._link_flit_total(index)},
-                physical_links=physical_links,
-                network_speedup=config.network_speedup,
+            ).inc(sum(completed for completed, _ in units))
+        nodes = self.torus.node_count
+        physical_links = nodes * 2 * self.torus.dimensions
+        ints = ffi.new("long long[]", len(_COUNTERS))
+        dbl = ffi.new("double[1]")
+        summaries = []
+        for index, (_, start_flits) in enumerate(units):
+            # The summary reads only the links' total, so the window's
+            # link flits are booked as one entry.
+            lib.bc_get_counters(core, index, ints, dbl)
+            stats = MachineStats(nodes=nodes)
+            stats.start_measuring(warmup, {"links": start_flits})
+            stats.stop_measuring(warmup + measure)
+            for name, value in zip(_COUNTERS, ints):
+                setattr(stats, name, value)
+            stats.hop_latency_total = dbl[0]
+            summaries.append(
+                stats.summary(
+                    link_flits={"links": lib.bc_link_flits(core, index)},
+                    physical_links=physical_links,
+                    network_speedup=self.config.network_speedup,
+                )
             )
-            for index in reps
-        ]
+        return summaries
+
+    def run(
+        self,
+        warmup: Optional[int] = None,
+        measure: Optional[int] = None,
+    ) -> List[MeasurementSummary]:
+        """Warm up, measure, and summarize every replication; the
+        replications run on threads (see :func:`_dispatch`)."""
+        config = self.config
+        warmup = config.warmup_network_cycles if warmup is None else warmup
+        measure = config.measure_network_cycles if measure is None else measure
+        with obs.span(
+            "sim.batch",
+            reps=len(self.seeds),
+            warmup=warmup,
+            measure=measure,
+            nodes=self.torus.node_count,
+        ):
+            return _dispatch([self], warmup, measure)[0]
+
+
+def _unit(machine: BatchMachine, index: int, warmup: int, measure: int):
+    """Replication ``index``'s whole run: the warmup window, the link
+    flits at its end, then the measured window.  Returns ``(completed,
+    start_flits)``.  It runs on a worker thread, so it makes core calls
+    only; a core error stops it, and :meth:`BatchMachine._summaries`
+    raises it once every unit has joined."""
+    lib, core = machine._lib, machine._core
+    if lib.bc_advance(core, index, warmup) < 0:
+        return 0, 0
+    completed = lib.bc_comp_count(core, index)
+    start_flits = lib.bc_link_flits(core, index)
+    lib.bc_start_measuring(core, index)
+    if lib.bc_advance(core, index, warmup + measure) >= 0:
+        completed += lib.bc_comp_count(core, index)
+    return completed, start_flits
+
+
+def _dispatch(
+    machines: Iterable[BatchMachine], warmup: int, measure: int
+) -> List[List[MeasurementSummary]]:
+    """Run every replication of every machine; each machine's summaries
+    in order.
+
+    Each (machine, replication) unit runs :func:`_unit` on a pool of
+    :func:`~repro.core.pool.thread_count` threads; the core releases the
+    GIL and replications share only read-only tables, so they advance
+    at the same time.  ``machines`` is consumed lazily on the calling
+    thread: the next machine is built while earlier ones advance, and
+    at most one machine per thread, plus the one being built, is alive
+    at once.  Summaries, spans and counters stay on the calling thread.
+    With one thread this is a plain loop over the same units.
+    """
+    workers = thread_count()
+    results: List[List[MeasurementSummary]] = []
+    if workers == 1:
+        for machine in machines:
+            machine._claim()
+            units = [
+                _unit(machine, index, warmup, measure)
+                for index in range(len(machine.seeds))
+            ]
+            results.append(machine._summaries(units, warmup, measure))
+        return results
+    executor = ThreadPoolExecutor(max_workers=workers)
+    running = deque()
+
+    def finish() -> None:
+        machine, futures = running.popleft()
+        units = [future.result() for future in futures]
+        results.append(machine._summaries(units, warmup, measure))
+
+    try:
+        for machine in machines:
+            machine._claim()
+            running.append((machine, [
+                executor.submit(_unit, machine, index, warmup, measure)
+                for index in range(len(machine.seeds))
+            ]))
+            while len(running) > workers:
+                finish()
+        while running:
+            finish()
+    finally:
+        # Every started unit joins before an error propagates.
+        executor.shutdown(wait=True, cancel_futures=True)
+    return results
+
+
+def _core_runs(
+    config: SimulationConfig,
+    programs: Sequence[Sequence[ThreadProgram]],
+    telemetry: Optional[TelemetryConfig],
+) -> bool:
+    """Whether a batch is the compiled core's by design of its input (it
+    may still fall back if the core does not load)."""
+    return (
+        config.switching == "cut_through"
+        and telemetry is None
+        and batchcore.fits(config.dimensions, config.radix)
+        and all(type(p) in _CORE_PROGRAMS for row in programs for p in row)
+    )
 
 
 def run_batch(
@@ -387,12 +464,7 @@ def run_batch(
     serial machines (see the module docstring for which fallbacks are
     loud).  The caller's programs are never mutated.
     """
-    if (
-        config.switching == "cut_through"
-        and telemetry is None
-        and batchcore.fits(config.dimensions, config.radix)
-        and all(type(p) in _CORE_PROGRAMS for row in programs for p in row)
-    ):
+    if _core_runs(config, programs, telemetry):
         if batchcore.load() is not None:
             machine = BatchMachine(config, mapping, programs, seeds)
             return machine.run(warmup=warmup, measure=measure)
@@ -407,3 +479,38 @@ def run_batch(
         )[0]
         for seed in seeds
     ]
+
+
+def run_batches(
+    config: SimulationConfig,
+    mappings: Sequence[Mapping],
+    programs: Sequence[Sequence[ThreadProgram]],
+    seeds: Sequence[int],
+) -> List[List[MeasurementSummary]]:
+    """:func:`run_batch` under each mapping, with the config's windows;
+    one summary list per mapping, in order.
+
+    On the compiled core every mapping's :class:`BatchMachine` goes
+    through one :func:`_dispatch`, so machine ``i + 1`` is built while
+    earlier machines advance; other batches run one :func:`run_batch`
+    per mapping.  The summaries are the same either way.
+    """
+    if not (_core_runs(config, programs, None) and batchcore.load()):
+        return [
+            run_batch(config, mapping, programs, seeds) for mapping in mappings
+        ]
+    warmup = config.warmup_network_cycles
+    measure = config.measure_network_cycles
+    with obs.span(
+        "sim.batch",
+        machines=len(mappings),
+        reps=len(seeds),
+        warmup=warmup,
+        measure=measure,
+        nodes=config.node_count,
+    ):
+        return _dispatch(
+            (BatchMachine(config, mapping, programs, seeds) for mapping in mappings),
+            warmup,
+            measure,
+        )

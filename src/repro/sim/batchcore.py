@@ -41,9 +41,9 @@ long long bc_advance(Batch *b, int r, long long stop);
 int bc_comp_count(Batch *b, int r);
 void bc_start_measuring(Batch *b, int r);
 void bc_get_counters(Batch *b, int r, long long *out_i, double *out_d);
-void bc_get_link_flits(Batch *b, int r, long long *out);
-int bc_errcode(Batch *b);
-const char *bc_errmsg(Batch *b);
+long long bc_link_flits(Batch *b, int r);
+int bc_errcode(Batch *b, int r);
+const char *bc_errmsg(Batch *b, int r);
 """
 
 _cached = None
@@ -138,12 +138,14 @@ def load_failure() -> Optional[str]:
     return _failure
 
 
-def raise_error(ffi, lib, batch) -> None:
-    """Re-raise a core-side error flag as the matching Python error."""
-    code = lib.bc_errcode(batch)
+def raise_error(ffi, lib, batch, rep: int) -> None:
+    """Re-raise replication ``rep``'s core-side error flag as the
+    matching Python error, naming the replication."""
+    code = lib.bc_errcode(batch, rep)
     if not code:
         return
-    message = ffi.string(lib.bc_errmsg(batch)).decode()
+    detail = ffi.string(lib.bc_errmsg(batch, rep)).decode()
+    message = f"replication {rep}: {detail}"
     if code == 2:
         raise ProtocolError(message)
     raise SimulationError(message)

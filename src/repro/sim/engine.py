@@ -18,9 +18,13 @@ parity suite pins all of it):
   entries never go stale), visits a processor only at its wake tick via
   ``skip_ticks(gap)`` + ``tick()``, and leaves idle processors entirely
   off the calendar — they re-enter through the ``_wake_listener`` hook
-  when a transaction completes.  Due and woken processors at a boundary
-  are visited in ascending node order, matching the step loop's scan
-  order.
+  when a transaction completes.  Due processors are visited in node
+  order, then woken ones in wake order.  The step loop scans in node
+  order, but the order within one boundary is unobservable: a processor
+  tick touches only its own node's state, stream and controller queue,
+  and controllers run in node order (``Machine._tick_controllers``).
+  ``tests/sim/test_machine_engine.py`` pins parity on boundaries whose
+  woken processors are out of node order.
 
 * **Quiescence fast-forward.**  When no controller has runnable engine
   work, no processor wake-up is pending, and the fabric reports no
@@ -138,11 +142,9 @@ class MachineEngine:
                     # queued node is due now; idle processors carry no
                     # heap entry, so the two sources never overlap.
                     if batch is None:
-                        woken.sort()
                         batch = woken[:]
                     else:
                         batch.extend(woken)
-                        batch.sort()
                     for node in woken:
                         woken_flag[node] = False
                     woken.clear()

@@ -15,6 +15,7 @@ from repro.mapping.strategies import (
     block_collocation_mapping,
     identity_mapping,
 )
+from repro.sim.batch import run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.cut_through import CutThroughFabric
 from repro.sim.engine import MachineEngine
@@ -300,3 +301,36 @@ class TestParity:
         assert_parity(
             run_both(dimensions=dimensions, radix=radix, attach=True)
         )
+
+
+class TestWokenOrder:
+    """The engine visits a boundary's woken processors in wake order,
+    not node order; the step loop scans in node order.  Parity on runs
+    that reach such boundaries shows the order is unobservable."""
+
+    @pytest.mark.parametrize("contexts", [1, 2])
+    def test_out_of_order_wakes_keep_parity(self, monkeypatch, contexts):
+        out_of_order = []
+        on_wake = MachineEngine._on_wake
+
+        def counting(engine, processor):
+            on_wake(engine, processor)
+            woken = engine._woken
+            if len(woken) >= 2 and woken[-2] > woken[-1]:
+                out_of_order.append(woken[-2:])
+
+        monkeypatch.setattr(MachineEngine, "_on_wake", counting)
+        results = run_both(contexts=contexts, speedup=2)
+        assert out_of_order, "no boundary had woken processors out of order"
+        assert_parity(results)
+        # The compiled core visits them in the same order.
+        machine, summary, _ = results[1]
+        config = machine.config
+        programs = build_programs(
+            torus_neighbor_graph(4, 2), contexts, 8, config.compute_jitter
+        )
+        batched = run_batch(
+            config, machine.mapping, programs, [config.seed],
+            warmup=300, measure=1200,
+        )
+        assert batched[0].as_dict() == summary.as_dict()
