@@ -1,14 +1,16 @@
-"""Benchmarks: the vectorized locality engine vs the loop reference.
+"""Benchmarks: the locality engine (vectorized evaluation, compiled swap
+pricing) vs the loop reference.
 
 Two entry points:
 
 * ``pytest benchmarks/bench_mapping.py --benchmark-only`` — timed runs of
-  the evaluation kernels and the batched multi-chain sweep, each
-  asserting bit-identical parity with the loop-based implementations
-  in :mod:`repro.mapping.reference` (or, for the batched chains, with
-  one ``anneal_mapping`` per chain).  The single-chain anneal is
-  measured by ``perfbench/``'s ``anneal_large`` workload and pinned to
-  the reference by ``tests/mapping/test_anneal.py``.
+  the evaluation kernels and the multi-chain sweep (chains run one
+  after another on the compiled swap kernel), each asserting
+  bit-identical parity with the loop-based implementations in
+  :mod:`repro.mapping.reference` (or, for the chains, with one
+  ``anneal_mapping`` per chain).  The single-chain anneal is measured
+  by ``perfbench/``'s ``anneal_large`` workload and pinned to the
+  reference by ``tests/mapping/test_anneal.py``.
 * ``python benchmarks/bench_mapping.py [--quick] [--output FILE]`` —
   script mode for CI smoke: measures the annealing-sweep speedup
   directly, checks parity, and writes a small JSON artifact with the
@@ -77,20 +79,20 @@ def test_anneal_multi_chain_batched(benchmark):
 
 
 def test_annealing_sweep_speedup():
-    """The headline claim: the batched sweep is >= 10x the loop reference.
+    """The headline claim: the chain sweep is >= 10x the loop reference.
 
     Always checks exact parity (same assignments, same accepted and
     attempted counts); only enforces the timing floor under
     ``REPRO_BENCH_STRICT=1``.
     """
     report = measure_sweep(chains=8, steps=5000)
-    assert report["parity"], "vectorized sweep diverged from the reference"
+    assert report["parity"], "chain sweep diverged from the reference"
     if STRICT:
         assert report["speedup"] >= 10.0, report
 
 
 def measure_sweep(chains: int = 8, steps: int = 5000) -> dict:
-    """Time an R-chain annealing sweep, batched vs loop reference."""
+    """Time an R-chain annealing sweep, engine vs loop reference."""
     torus, graph, start = _setup()
 
     began = time.perf_counter()

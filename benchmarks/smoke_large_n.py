@@ -1,9 +1,11 @@
-"""CI smoke: a short anneal at ~10^5 nodes on the delta backend.
+"""CI smoke: a short anneal at ~10^5 nodes, far above the table guard.
 
-The delta-compressed distance engine exists so machines far beyond the
-4096-node dense-table guard run inside commodity memory.  This script is
-the executable form of that promise: build the 316^2 = 99 856-node
-machine, anneal a short budget, and fail loudly if peak RSS crosses the
+The delta-compressed distance engine (for evaluation) and the compiled
+swap kernel (for the optimizers, which needs no table) exist so machines
+far beyond the 4096-node dense-table guard run inside commodity memory.
+This script is the executable form of that promise: build the
+316^2 = 99 856-node machine, check that evaluation would use the delta
+backend, anneal a short budget, and fail loudly if peak RSS crosses the
 2 GB ceiling (a dense table at this size would need ~20 GB on its own).
 Writes a JSON artifact with the measured throughput so CI uploads keep a
 trajectory of large-N performance.

@@ -6,8 +6,9 @@ the Section 3 machine (64 nodes) — far below the regime where the
 random-mapping distance grows like ``sqrt(N)`` and the locality gain
 reaches 40-55x.  This experiment closes that gap: for 2-D and 5-D tori
 from 64 nodes up to 10^6, it anneals the torus-neighbor application
-from a random placement using the delta-compressed distance engine
-(:func:`repro.topology.torus.distance_backend` — O(n * k) ring rows, no
+from a random placement (the compiled swap kernel needs no distance
+table; evaluation uses the delta-compressed distance engine,
+:func:`repro.topology.torus.distance_backend` — O(n * k) ring rows, no
 N x N table, no memory-guard trip) and compares
 
 * the measured random-mapping distance against the Eq 17 analytical

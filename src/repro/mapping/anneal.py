@@ -6,18 +6,19 @@ swaps with probability ``exp(-delta / T)`` under a geometric cooling
 schedule.  Deterministic for a given seed, like everything else in the
 mapping package.
 
-One loop, :func:`anneal_lockstep`, anneals any number of chains in
-lockstep: :func:`anneal_mapping` runs it with one chain and
-:func:`repro.mapping.chains.anneal_chains` with ``R``.  Each step's
-swaps, one per chain, are priced in one call to
-:meth:`repro.mapping.engine.SwapEngine.swap_delta` (one distance-backend
-gather over every lane).  The best state is journaled, not copied:
-accepted swaps are logged, each new best records the log length, and
-the swaps after the last best are undone at the end.  For integer edge
-weights — every built-in graph — accept/reject decisions, the best
-assignment, and all counters are bit-identical to the loop-based
-reference implementation (:mod:`repro.mapping.reference`), which the
-property tests enforce seed for seed.
+One loop, :func:`run_chain`, anneals one chain: :func:`anneal_mapping`
+runs it once and :func:`repro.mapping.chains.anneal_chains` once per
+seed (both through :func:`run_chains`).  Each swap is priced by one call to
+:meth:`repro.mapping.engine.SwapEngine.swap_delta`, the compiled
+kernel; the draws and the accept rule stay in Python.  The best state
+is journaled, not copied: accepted swaps are logged, each new best
+records the log length, and the swaps after the last best are undone at
+the end.  For integer edge weights — every built-in graph —
+accept/reject decisions, the best assignment, and all counters are
+bit-identical to the loop-based reference implementation
+(:mod:`repro.mapping.reference`), which the property tests enforce seed
+for seed.  Without the kernel the reference is what runs (loudly; see
+:func:`repro.mapping.engine.kernel_available`).
 
 Cooling semantics: the temperature decays once per *drawn* step, so the
 schedule always spans exactly ``steps`` decays — including on draws
@@ -38,7 +39,7 @@ import numpy as np
 from repro import obs
 from repro.errors import MappingError
 from repro.mapping.base import Mapping
-from repro.mapping.engine import SwapEngine, check_sizes
+from repro.mapping.engine import SwapEngine, check_sizes, kernel_available
 from repro.topology.graphs import CommunicationGraph
 from repro.topology.torus import Torus
 
@@ -102,103 +103,108 @@ def anneal_mapping(
     with obs.span(
         "mapping.anneal", steps=steps, threads=graph.threads, seed=seed
     ):
-        results = anneal_lockstep(
-            SwapEngine(graph, torus),
-            initial,
-            (seed,),
-            steps,
-            initial_temperature,
-            cooling,
+        results = run_chains(
+            graph, torus, initial, (seed,), steps, initial_temperature, cooling
         )
     count_moves(results)
     return results[0]
 
 
-def anneal_lockstep(
-    engine: SwapEngine,
+def run_chains(
+    graph: CommunicationGraph,
+    torus: Torus,
     initial: Mapping,
     seeds: Tuple[int, ...],
     steps: int,
     initial_temperature: float,
     cooling: float,
 ) -> Tuple[AnnealResult, ...]:
-    """Anneal one chain per seed, all advancing in lockstep.
+    """One :func:`run_chain` per seed, one after another over one swap
+    engine; the loop reference's results, loudly, without the kernel."""
+    if not kernel_available():
+        from repro.mapping.reference import reference_anneal_mapping
 
-    Each step draws every chain's swap from that chain's private random
-    stream and prices all of them in one :meth:`SwapEngine.swap_delta`
-    call, so chain ``i`` is bit-identical to a run with ``seeds[i]``
-    alone.  Accepted swaps are journaled; instead of copying a chain's
-    position at each new best, the journal length is recorded, and the
-    swaps after the last best are undone at the end.
+        return tuple(
+            reference_anneal_mapping(
+                graph, torus, initial, steps, seed, initial_temperature, cooling
+            )
+            for seed in seeds
+        )
+    engine = SwapEngine(graph, torus)
+    return tuple(
+        run_chain(engine, initial, seed, steps, initial_temperature, cooling)
+        for seed in seeds
+    )
+
+
+def run_chain(
+    engine: SwapEngine,
+    initial: Mapping,
+    seed: int,
+    steps: int,
+    initial_temperature: float,
+    cooling: float,
+) -> AnnealResult:
+    """Anneal one chain from ``initial`` with its own ``seed`` stream.
+
+    Accepted swaps are journaled; instead of copying the position at
+    each new best, the journal length is recorded, and the swaps after
+    the last best are undone at the end.
     """
-    chains = len(seeds)
     threads = engine.graph.threads
-    generators = [random.Random(seed) for seed in seeds]
-    start = np.fromiter(initial.assignment, dtype=np.intp, count=threads)
-    start_sum, initial_distance = engine.objective(start)
-
-    position = np.tile(start, (chains, 1))
-    current_sum = [start_sum] * chains
-    best_sum = [start_sum] * chains
-    journals = [[] for _ in range(chains)]
-    best_length = [0] * chains
-    accepted = [0] * chains
-    attempted = [0] * chains
+    generator = random.Random(seed)
+    randrange = generator.randrange
+    draw = generator.random
+    swap_delta = engine.swap_delta
+    position = np.fromiter(initial.assignment, dtype=np.int64, count=threads)
+    current_sum, initial_distance = engine.objective(position)
+    best_sum = current_sum
+    journal = []
+    best_length = 0
+    attempted = 0
 
     temperature = initial_temperature
     for _ in range(steps):
         temperature *= cooling
-        lanes = []
-        for chain, generator in enumerate(generators):
-            thread_a = generator.randrange(threads)
-            thread_b = generator.randrange(threads)
-            if thread_a == thread_b:
-                continue
-            attempted[chain] += 1
-            lanes.append((chain, thread_a, thread_b))
-        if not lanes:
+        thread_a = randrange(threads)
+        thread_b = randrange(threads)
+        if thread_a == thread_b:
             continue
-        rows, a_ids, b_ids = zip(*lanes)
-        deltas = engine.swap_delta(position, a_ids, b_ids, rows).tolist()
-        draw_probability = temperature > 1e-12
-        for (chain, thread_a, thread_b), delta in zip(lanes, deltas):
-            accept = delta < 0 or (
-                draw_probability
-                and generators[chain].random() < math.exp(-delta / temperature)
-            )
-            if not accept:
-                continue
-            row = position[chain]
-            row[thread_a], row[thread_b] = row[thread_b], row[thread_a]
-            journal = journals[chain]
-            journal.append((thread_a, thread_b))
-            accepted[chain] += 1
-            current_sum[chain] += delta
-            if current_sum[chain] < best_sum[chain]:
-                best_sum[chain] = current_sum[chain]
-                best_length[chain] = len(journal)
-
-    results = []
-    for chain in range(chains):
-        row = position[chain]
-        for thread_a, thread_b in reversed(journals[chain][best_length[chain]:]):
-            row[thread_a], row[thread_b] = row[thread_b], row[thread_a]
-        distance = best_sum[chain] / engine.total_weight
-        results.append(
-            AnnealResult(
-                mapping=Mapping(
-                    assignment=tuple(row.tolist()),
-                    processors=initial.processors,
-                ),
-                distance=distance,
-                initial_distance=initial_distance,
-                best_distance=distance,
-                accepted_moves=accepted[chain],
-                attempted_moves=attempted[chain],
-                skipped_moves=steps - attempted[chain],
-            )
+        attempted += 1
+        delta = swap_delta(position, thread_a, thread_b)
+        accept = delta < 0 or (
+            temperature > 1e-12 and draw() < math.exp(-delta / temperature)
         )
-    return tuple(results)
+        if not accept:
+            continue
+        position[thread_a], position[thread_b] = (
+            position[thread_b],
+            position[thread_a],
+        )
+        journal.append((thread_a, thread_b))
+        current_sum += delta
+        if current_sum < best_sum:
+            best_sum = current_sum
+            best_length = len(journal)
+
+    for thread_a, thread_b in reversed(journal[best_length:]):
+        position[thread_a], position[thread_b] = (
+            position[thread_b],
+            position[thread_a],
+        )
+    distance = best_sum / engine.total_weight
+    return AnnealResult(
+        mapping=Mapping(
+            assignment=tuple(position.tolist()),
+            processors=initial.processors,
+        ),
+        distance=distance,
+        initial_distance=initial_distance,
+        best_distance=distance,
+        accepted_moves=len(journal),
+        attempted_moves=attempted,
+        skipped_moves=steps - attempted,
+    )
 
 
 def count_moves(results: Tuple[AnnealResult, ...]) -> None:

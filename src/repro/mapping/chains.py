@@ -1,4 +1,4 @@
-"""Multi-chain (restart) annealing over a shared distance table.
+"""Multi-chain (restart) annealing.
 
 Annealing is cheap insurance against bad luck: one chain can freeze in a
 poor basin, but the best of ``R`` independently seeded chains rarely
@@ -9,20 +9,20 @@ of them plus the winner.
 
 Two execution strategies, identical results:
 
-* **lockstep** (default, ``jobs=1``) — the annealing loop of
-  :func:`repro.mapping.anneal.anneal_lockstep`, run with ``R`` chains:
-  each step prices every chain's swap in one
-  :meth:`repro.mapping.engine.SwapEngine.swap_delta` call over the
-  shared distance backend.  Per-chain random streams are private, so
-  lockstep interleaving cannot perturb them: chain ``i`` is
-  bit-identical to a standalone ``anneal_mapping(..., seed=seed + i)``
-  run (which is the same loop with one chain).
+* **serial** (default, ``jobs=1``) — the annealing loop of
+  :func:`repro.mapping.anneal.run_chain`, run once per seed
+  (:func:`repro.mapping.anneal.run_chains`) over one
+  :class:`~repro.mapping.engine.SwapEngine` (the compiled swap kernel,
+  bound once to the graph and torus).  Each chain has its own random
+  stream, so chain ``i`` is bit-identical to a standalone
+  ``anneal_mapping(..., seed=seed + i)`` run.  Without the kernel the
+  chains run on the loop reference, loudly (one ``mapping.fallback``
+  count and a :class:`~repro.mapping.engine.MappingFallbackWarning`).
 * **process fan-out** (``jobs > 1``) — chains are distributed over
   worker processes (:func:`repro.core.pool.process_map`); the
-  ``(graph, torus, initial)`` payload reaches each worker once, each
-  task carries only its chain seed and schedule, and each worker builds
-  its own distance table.  Falls back to the lockstep path (loudly:
-  ``pool.fallback`` counter plus a
+  ``(graph, torus, initial)`` payload reaches each worker once and each
+  task carries only its chain seed and schedule.  Falls back to the
+  serial path (loudly: ``pool.fallback`` counter plus a
   :class:`~repro.core.pool.PoolFallbackWarning`) if no worker can start.
 
 Either way the chain results — and therefore the selected winner — are
@@ -40,12 +40,12 @@ from repro.errors import MappingError
 from repro.mapping.anneal import (
     AnnealResult,
     _check_schedule,
-    anneal_lockstep,
     anneal_mapping,
     count_moves,
+    run_chains,
 )
 from repro.mapping.base import Mapping
-from repro.mapping.engine import SwapEngine, check_sizes
+from repro.mapping.engine import check_sizes
 from repro.topology.graphs import CommunicationGraph
 from repro.topology.torus import Torus
 
@@ -120,9 +120,8 @@ def anneal_chains(
     standalone ``anneal_mapping(..., seed=seed + i)`` call; results do
     not depend on ``jobs``.  With ``jobs > 1`` chains fan out over that
     many worker processes (one chain per task, the problem handed to
-    each worker once); otherwise all chains advance in lockstep with
-    their swap deltas priced in one call per step over the shared
-    distance backend.
+    each worker once); otherwise the chains run one after another over
+    one swap engine.
     """
     check_sizes(graph, torus, initial, steps)
     _check_schedule(initial_temperature, cooling)
@@ -159,13 +158,8 @@ def anneal_chains(
             except FALLBACK_ERRORS as error:
                 note_fallback("mapping.chains", error)
         if results is None:
-            results = anneal_lockstep(
-                SwapEngine(graph, torus),
-                initial,
-                seeds,
-                steps,
-                initial_temperature,
-                cooling,
+            results = run_chains(
+                graph, torus, initial, seeds, steps, initial_temperature, cooling
             )
 
     if obs.is_enabled():

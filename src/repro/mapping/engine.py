@@ -1,42 +1,94 @@
-"""Array-backed swap pricing shared by the mapping optimizers.
+"""Compiled swap pricing shared by the mapping optimizers.
 
 The hill climber, the annealer and the multi-chain annealer all iterate
 the same move: *swap the processors of two threads and price the change
 in weighted hop-sum*.  :meth:`SwapEngine.swap_delta` is the one pricer
-they share.  This module precomputes everything it needs once per
-(graph, torus) pair —
+they share, and :meth:`SwapEngine.objective` prices a whole assignment.
+Both are one call into a small C kernel (``_swapcore.c``, compiled on
+first use by :class:`repro.native.Library`) that reads the graph's
+:meth:`~CommunicationGraph.incident_csr` and
+:meth:`~CommunicationGraph.edge_arrays` and the chain's ``position``
+array in place, and computes torus distances from the node ids' digits,
+so it needs no distance table at any machine size.  Only pricing is
+compiled: the optimizers' loops and random streams stay in Python.
 
-* the torus distance backend (:func:`repro.topology.torus.distance_backend`:
-  the dense table at small N, the delta-compressed ring-row engine
-  above the memory guard, the digit walk beyond that), and
-* the per-thread incident edges (:meth:`CommunicationGraph.incident_csr`),
-  read as a zero-copy ``(threads, degree)`` view when every thread has
-  the same incident count (every torus-neighbor graph) and as per-call
-  zero-padded CSR windows otherwise.
+Edges *between* the two swapped threads are invariant under the swap
+(both endpoints move) and are skipped, mirroring the loop
+implementation's ``neighbor == other`` skip.  For integer edge weights
+every sum is exact, so deltas — and therefore accept/reject decisions —
+are bit-identical to the per-edge loops in :mod:`repro.mapping.reference`.
 
-A batch of swaps ("lanes", one per chain) is priced with one distance
-call: every endpoint's neighbor positions against its processor after
-the swap and before it.  Edges *between* the two swapped threads are
-invariant under the swap (both endpoints move) and are masked out,
-mirroring the loop implementation's ``neighbor == other`` skip.  For
-integer edge weights every reduction here is exact, so deltas — and
-therefore accept/reject decisions — are bit-identical to the per-edge
-loops in :mod:`repro.mapping.reference`, whichever distance backend is
-active.
+If the kernel cannot load (no cffi, no compiler), :func:`kernel_available`
+says so loudly — a ``mapping.fallback`` counter and a
+:class:`MappingFallbackWarning` — and the optimizers run those loops
+instead.
 """
 
 from __future__ import annotations
 
+import warnings
+from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.errors import MappingError
 from repro.mapping.base import Mapping
+from repro.native import Library
 from repro.topology.graphs import CommunicationGraph
-from repro.topology.torus import Torus, distance_backend
+from repro.topology.torus import Torus
 
-__all__ = ["SwapEngine"]
+__all__ = ["MappingFallbackWarning", "SwapEngine", "kernel_available"]
+
+CDEF = """
+typedef struct {
+    int64_t dims;
+    int64_t radix;
+    const int64_t *indptr;
+    const int64_t *neighbors;
+    const double *weights;
+    int64_t edges;
+    const int64_t *src;
+    const int64_t *dst;
+    const double *edge_weights;
+    const int64_t *position;
+} SwapKernel;
+double sw_delta(const SwapKernel *k, int64_t a, int64_t b);
+double sw_objective(const SwapKernel *k);
+"""
+
+_KERNEL = Library(Path(__file__).with_name("_swapcore.c"), CDEF)
+
+
+class MappingFallbackWarning(RuntimeWarning):
+    """A mapping optimizer ran the loop reference, not the compiled kernel."""
+
+
+def load():
+    """Return ``(ffi, lib)`` for the compiled swap kernel, or ``None``."""
+    return _KERNEL.load()
+
+
+def kernel_available() -> bool:
+    """Whether the swap kernel loads; if not, record the fallback loudly.
+
+    Each fallback bumps the ``mapping.fallback`` counter; the warning's
+    text is stable per process, so Python's default filter shows it once.
+    """
+    if load() is not None:
+        return True
+    obs.REGISTRY.counter(
+        "mapping.fallback",
+        help="mapping optimizations run on the loop reference",
+    ).inc()
+    warnings.warn(
+        "compiled swap kernel unavailable "
+        f"({_KERNEL.failure or 'not built'}); running the loop reference",
+        MappingFallbackWarning,
+        stacklevel=3,
+    )
+    return False
 
 
 def check_sizes(
@@ -58,99 +110,94 @@ def check_sizes(
         raise MappingError(f"steps must be >= 0, got {steps!r}")
 
 
+def _contiguous(array: np.ndarray, kind: str) -> np.ndarray:
+    """``array`` as the C type ``kind`` reads (a no-op copy-free view
+    for the graph's own intp/float64 arrays on 64-bit hosts)."""
+    dtype = np.int64 if kind == "int64_t[]" else np.float64
+    return np.ascontiguousarray(array, dtype=dtype)
+
+
 class SwapEngine:
-    """Precomputed locality arrays for pricing pairwise-swap moves."""
+    """The swap kernel bound to one (graph, torus) pair.
+
+    ``position`` arrays passed to :meth:`swap_delta` and
+    :meth:`objective` are one chain's ``(threads,)`` assignment as
+    C-contiguous int64; the kernel reads them in place, so swapping two
+    entries between calls needs no rebinding.  An array is bound on its
+    first use and stays bound until another one is passed.
+    """
 
     def __init__(self, graph: CommunicationGraph, torus: Torus):
+        loaded = load()
+        if loaded is None:
+            raise MappingError(
+                f"the compiled swap kernel is unavailable: {_KERNEL.failure}"
+            )
         self.graph = graph
         self.torus = torus
-        self.backend = distance_backend(torus)
         self.total_weight = graph.total_weight
-        self._csr = graph.incident_csr()
-        indptr, neighbors, weights = self._csr
-        degrees = np.diff(indptr)
-        self._regular: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if degrees.min() == degrees.max():
-            shape = (graph.threads, int(degrees[0]))
-            self._regular = (neighbors.reshape(shape), weights.reshape(shape))
+        self._threads = graph.threads
+        ffi, lib = loaded
+        self._ffi = ffi
+        self._delta = lib.sw_delta
+        self._objective = lib.sw_objective
+        indptr, neighbors, weights = graph.incident_csr()
+        src, dst, edge_weights = graph.edge_arrays()
+        self._weight_sum = float(edge_weights.sum())
+        kernel = ffi.new("SwapKernel *")
+        kernel.dims = torus.dimensions
+        kernel.radix = torus.radix
+        kernel.edges = src.size
+        # The kernel holds raw pointers: keep every buffer alive here.
+        self._buffers = []
+        for field, array, kind in (
+            ("indptr", indptr, "int64_t[]"),
+            ("neighbors", neighbors, "int64_t[]"),
+            ("weights", weights, "double[]"),
+            ("src", src, "int64_t[]"),
+            ("dst", dst, "int64_t[]"),
+            ("edge_weights", edge_weights, "double[]"),
+        ):
+            array = _contiguous(array, kind)
+            buffer = ffi.from_buffer(kind, array)
+            self._buffers.append((array, buffer))
+            setattr(kernel, field, buffer)
+        self._kernel = kernel
+        self._position: Optional[np.ndarray] = None
+        self._position_buffer = None
 
-    def regular_adjacency(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """``(threads, degree)`` neighbor/weight views, or ``None``.
-
-        When every thread has the same incident count (every
-        torus-neighbor graph) these are read-only reshape views of the
-        :meth:`CommunicationGraph.incident_csr` arrays — no copy.
-        """
-        return self._regular
-
-    def incident_rows(self, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Neighbors and weights of each thread in ``ends``, one row each.
-
-        Rows of a regular graph come from :meth:`regular_adjacency`.
-        Otherwise each call gathers a window of the CSR arrays as wide as
-        its largest row; entries past a row's end get weight 0 (and a
-        valid neighbor id), so they add exactly ``0.0`` to every sum.
-        Nothing of size ``threads x max_degree`` is ever built, so a hub
-        of degree N costs O(N) only when it is drawn.
-        """
-        if self._regular is not None:
-            neighbors, weights = self._regular
-            return neighbors.take(ends, axis=0), weights.take(ends, axis=0)
-        indptr, neighbors, weights = self._csr
-        begin = indptr[ends]
-        count = indptr[ends + 1] - begin
-        column = np.arange(count.max())
-        inside = column < count[..., None]
-        index = np.where(inside, begin[..., None] + column, 0)
-        return neighbors[index], weights[index] * inside
+    def _bind(self, position: np.ndarray) -> None:
+        if (
+            position.dtype != np.int64
+            or position.shape != (self._threads,)
+            or not position.flags.c_contiguous
+        ):
+            raise MappingError(
+                "position must be a C-contiguous int64 array of "
+                f"{self._threads} entries"
+            )
+        self._position_buffer = self._ffi.from_buffer("int64_t[]", position)
+        self._kernel.position = self._position_buffer
+        self._position = position
 
     def objective(self, position: np.ndarray) -> Tuple[float, float]:
         """``(weighted hop-sum, average distance)`` of one assignment.
 
-        One gather over every edge; the same expressions as
-        :func:`repro.mapping.evaluate.average_distance`, so the average
-        is identical to it.
+        The average is the hop-sum over the edge weights' numpy sum, the
+        expression :func:`repro.mapping.evaluate.average_distance` uses.
         """
-        src, dst, weight = self.graph.edge_arrays()
-        total = float(weight @ self.backend.pairwise(position[src], position[dst]))
-        return total, total / float(weight.sum())
+        if position is not self._position:
+            self._bind(position)
+        total = self._objective(self._kernel)
+        return total, total / self._weight_sum
 
-    def swap_delta(self, position, thread_a, thread_b, rows=None):
-        """Change in weighted hop-sum if each lane's two threads swap.
-
-        Scalar form: ``position`` is one chain's ``(threads,)``
-        assignment and ``thread_a``/``thread_b`` are ints; returns one
-        delta.  Lane form: ``position`` is ``(chains, threads)`` and
-        ``rows``, ``thread_a``, ``thread_b`` are equal-length integer
-        sequences, one entry per lane (a lane's two threads differ);
-        returns an array of one delta per lane.  ``position`` is not
-        modified.
-
-        One backend call prices every lane: each endpoint's neighbors
-        against its processor after the swap (the partner's) and before
-        it.  Differences are taken in int64; for integer weights the
-        weighted sums are exact, so the result matches the loop
-        reference bit for bit.
-        """
-        # order[1] holds each lane's endpoints (a, b), order[0] their
-        # partners (b, a), whose processors the endpoints take.
-        order = np.array(
-            (thread_b, thread_a, thread_a, thread_b), dtype=np.intp
-        ).reshape(2, 2, -1)
-        ends, partners = order[1], order[0]
-        neighbors, weights = self.incident_rows(ends)
-        # Flat 1-D gathers (much cheaper than 2-D fancy indexing); a lone
-        # chain needs no row offsets.
-        flat = position.reshape(-1)
-        if rows is None or position.shape[0] == 1:
-            sources = flat.take(order)
-            around = flat.take(neighbors)
-        else:
-            offset = np.asarray(rows, dtype=np.intp) * position.shape[1]
-            sources = flat.take(order + offset)
-            around = flat.take(neighbors + offset[:, None])
-        hops = self.backend.pairwise(sources[..., None], around)
-        gain = np.subtract(hops[0], hops[1], dtype=np.int64)
-        weight = weights * (neighbors != partners[..., None])
-        deltas = np.einsum("ijk,ijk->j", weight, gain)
-        return deltas if rows is not None else deltas[0]
+    def swap_delta(self, position: np.ndarray, thread_a: int, thread_b: int) -> float:
+        """Change in weighted hop-sum if ``thread_a`` and ``thread_b``
+        swap processors; ``position`` is not modified."""
+        if position is not self._position:
+            self._bind(position)
+        if not (0 <= thread_a < self._threads and 0 <= thread_b < self._threads):
+            raise MappingError(
+                f"threads ({thread_a!r}, {thread_b!r}) outside 0..{self._threads - 1}"
+            )
+        return self._delta(self._kernel, thread_a, thread_b)

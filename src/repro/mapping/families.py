@@ -64,10 +64,10 @@ def paper_mapping_suite(
         graph = torus_neighbor_graph(torus.radix, torus.dimensions)
 
     # Warm the shared distance table once up front: every candidate's
-    # average_distance and the adversarial hill-climb below are gathers
-    # against it (suite construction used to be dominated by per-edge
-    # torus.distance calls).  A torus above the memory guard returns
-    # None here and the same calls fall back to on-the-fly distances.
+    # average_distance is a gather against it.  A torus above the
+    # memory guard returns None here and those calls use the delta
+    # backend instead.  The adversarial hill climb below needs no
+    # table: its compiled swap kernel computes distances from node ids.
     torus.distance_table()
 
     candidates: List[NamedMapping] = []

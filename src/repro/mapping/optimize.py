@@ -15,9 +15,10 @@ The climber is deterministic given its seed: swap candidates come from a
 :class:`random.Random` stream and a swap is kept only if it strictly
 improves the objective, so results are reproducible across runs.  Each
 swap is priced by :meth:`repro.mapping.engine.SwapEngine.swap_delta`,
-the same pricer the annealers use, with one lane; for integer edge
-weights the accepted swaps and final mapping are bit-identical to the
-loop-based reference in :mod:`repro.mapping.reference`.
+the compiled kernel the annealers use; for integer edge weights the
+accepted swaps and final mapping are bit-identical to the loop-based
+reference in :mod:`repro.mapping.reference`, which is also what runs
+(loudly) when the kernel cannot load.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from repro.errors import MappingError
 from repro.mapping.base import Mapping
-from repro.mapping.engine import SwapEngine, check_sizes
+from repro.mapping.engine import SwapEngine, check_sizes, kernel_available
 from repro.topology.graphs import CommunicationGraph
 from repro.topology.torus import Torus
 
@@ -65,19 +66,27 @@ def optimize_mapping(
     if graph.total_weight == 0.0:
         raise MappingError("communication graph has no edges")
 
+    if not kernel_available():
+        from repro.mapping.reference import reference_optimize_mapping
+
+        return reference_optimize_mapping(
+            graph, torus, initial, steps, seed, maximize
+        )
+
     engine = SwapEngine(graph, torus)
     threads = graph.threads
-    position = np.fromiter(initial.assignment, dtype=np.intp, count=threads)
-    generator = random.Random(seed)
+    position = np.fromiter(initial.assignment, dtype=np.int64, count=threads)
+    randrange = random.Random(seed).randrange
+    swap_delta = engine.swap_delta
     current_sum, initial_distance = engine.objective(position)
 
     accepted = 0
     for _ in range(steps):
-        thread_a = generator.randrange(threads)
-        thread_b = generator.randrange(threads)
+        thread_a = randrange(threads)
+        thread_b = randrange(threads)
         if thread_a == thread_b:
             continue
-        delta = engine.swap_delta(position, thread_a, thread_b)
+        delta = swap_delta(position, thread_a, thread_b)
         improved = delta > 0 if maximize else delta < 0
         if improved:
             accepted += 1

@@ -1,18 +1,23 @@
 """Loop-based reference implementations of the locality kernels.
 
-The vectorized locality engine (distance-table gathers in
-:mod:`repro.mapping.evaluate`, the array-backed swap optimizers in
-:mod:`repro.mapping.anneal` and :mod:`repro.mapping.optimize`) promises
-*bit-identical* results to the original per-edge Python loops for any
-graph with integer edge weights — which covers every built-in
-communication graph.  This module keeps those original loops alive as
-the executable specification: the property tests pin the vectorized
-kernels against them seed for seed, and ``benchmarks/bench_mapping.py``
-measures the speedup against them.
+The vectorized evaluation (distance-table gathers in
+:mod:`repro.mapping.evaluate`) and the compiled swap pricing behind the
+optimizers (:mod:`repro.mapping.engine`, used by
+:mod:`repro.mapping.optimize`, :mod:`repro.mapping.anneal` and
+:mod:`repro.mapping.chains`) promise *bit-identical* results to the
+original per-edge Python loops for any graph with integer edge weights —
+which covers every built-in communication graph.  This module keeps
+those loops alive in two roles:
 
-Nothing here is exported through the package API and nothing in the
-library calls it on a hot path; it exists so the parity contract is
-checked against real code rather than against a remembered behavior.
+* the executable specification: the property tests pin the fast paths
+  against them seed for seed, and ``benchmarks/bench_mapping.py``
+  measures the speedup against them;
+* the fallback: when the compiled swap kernel cannot load (no cffi, no
+  C compiler), ``optimize_mapping``, ``anneal_mapping`` and
+  ``anneal_chains`` return these loops' results instead, loudly (see
+  :func:`repro.mapping.engine.kernel_available`).
+
+Nothing here is exported through the package API.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """On-demand compiled C core for the batched replication engine.
 
-Compiles :mod:`repro.sim` ``_batchcore.c`` with the system C compiler
-the first time it is needed (cached under the user cache directory,
-keyed by source hash) and loads it through :mod:`cffi` in ABI mode —
-no setuptools build step, no Python.h dependency.  If a compiler or
-cffi is unavailable, ``load()`` returns ``None`` and
+Compiles :mod:`repro.sim` ``_batchcore.c`` the first time it is needed
+and loads it through :mod:`cffi` in ABI mode (:class:`repro.native.Library`,
+cached under the user cache directory in ``repro/batchcore``).  If a
+compiler or cffi is unavailable, ``load()`` returns ``None`` and
 :func:`repro.sim.batch.run_batch` runs its batches as serial machines,
 loudly; the serial ``Processor``, ``CoherenceController`` and
 ``CutThroughFabric`` are the behavioral spec this core ports.
@@ -12,15 +11,11 @@ loudly; the serial ``Processor``, ``CoherenceController`` and
 
 from __future__ import annotations
 
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 from pathlib import Path
 from typing import Optional
 
 from repro.errors import ProtocolError, SimulationError
+from repro.native import Library
 
 __all__ = ["fits", "load", "load_failure", "raise_error", "CDEF"]
 
@@ -46,8 +41,7 @@ int bc_errcode(Batch *b, int r);
 const char *bc_errmsg(Batch *b, int r);
 """
 
-_cached = None
-_failure: Optional[str] = None
+_CORE = Library(_SOURCE, CDEF)
 
 
 def fits(dimensions: int, radix: int) -> bool:
@@ -57,53 +51,6 @@ def fits(dimensions: int, radix: int) -> bool:
     return dimensions <= 8 and radix**dimensions < 1 << 20
 
 
-def _cache_dir() -> Path:
-    root = os.environ.get("XDG_CACHE_HOME")
-    base = Path(root) if root else Path.home() / ".cache"
-    return base / "repro" / "batchcore"
-
-
-def _compiler() -> Optional[str]:
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-def _build(source: Path) -> Path:
-    """Compile the core into the cache; return the shared-object path."""
-    text = source.read_bytes()
-    tag = hashlib.sha256(text).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = cache / f"_batchcore-{tag}.so"
-    if so_path.exists():
-        return so_path
-    compiler = _compiler()
-    if compiler is None:
-        raise SimulationError("no C compiler found for the batch core")
-    cache.mkdir(parents=True, exist_ok=True)
-    # Build into a temp name then rename: concurrent builders race
-    # benignly to an identical artifact.
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-    os.close(fd)
-    try:
-        proc = subprocess.run(
-            [compiler, "-O2", "-fPIC", "-shared", "-o", tmp, str(source)],
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0:
-            raise SimulationError(
-                f"batch core compilation failed: {proc.stderr[:500]}"
-            )
-        os.replace(tmp, so_path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return so_path
-
-
 def load():
     """Return ``(ffi, lib)`` for the compiled core, or ``None``.
 
@@ -111,31 +58,12 @@ def load():
     remembered so later calls stay cheap; :func:`load_failure` returns
     the reason.
     """
-    global _cached, _failure
-    if _cached is not None:
-        return _cached
-    if _failure is not None:
-        return None
-    try:
-        from cffi import FFI
-    except ImportError:
-        _failure = "cffi is not installed"
-        return None
-    try:
-        so_path = _build(_SOURCE)
-        ffi = FFI()
-        ffi.cdef(CDEF)
-        lib = ffi.dlopen(str(so_path))
-    except Exception as exc:  # noqa: BLE001 - any failure means fallback
-        _failure = str(exc)
-        return None
-    _cached = (ffi, lib)
-    return _cached
+    return _CORE.load()
 
 
 def load_failure() -> Optional[str]:
     """Why :func:`load` returned ``None``, or ``None`` if it has not."""
-    return _failure
+    return _CORE.failure
 
 
 def raise_error(ffi, lib, batch, rep: int) -> None:

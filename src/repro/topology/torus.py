@@ -350,12 +350,10 @@ class Torus:
 # ----------------------------------------------------------------------
 # Distance backends.
 #
-# Every consumer that prices hop distances in bulk — the swap engine,
-# mapping evaluation, the annealers — goes through one of these.  The
-# accessor :func:`distance_backend` is the single place where the memory
-# guard is consulted, fixing the historical inconsistency where
-# ``SwapEngine`` cached the guard decision at construction while
-# ``evaluate.py`` re-queried it per call.
+# Mapping evaluation prices hop distances in bulk through one of these
+# (the optimizers' compiled swap kernel computes its own from node-id
+# digits).  The accessor :func:`distance_backend` is the single place
+# where the memory guard is consulted.
 # ----------------------------------------------------------------------
 
 

@@ -179,8 +179,8 @@ class TestReferenceParity:
         assert fast == slow
 
     def test_memory_guard_fallback_is_identical(self, torus, graph):
-        # With the distance table forced off, the annealer must take the
-        # broadcast-distance fallback and still match bit for bit.
+        # The swap kernel needs no distance table: forcing the table
+        # off must not change a single bit.
         import repro.topology.torus as torus_module
 
         start = random_mapping(16, seed=2)

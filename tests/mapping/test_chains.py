@@ -27,8 +27,9 @@ def start():
 
 class TestChainParity:
     def test_each_chain_matches_standalone_anneal(self, torus, graph, start):
-        # The batched lockstep path must be bit-identical, chain for
-        # chain, to independent anneal_mapping runs seeded seed + i.
+        # The serial path (one engine for every chain) must be
+        # bit-identical, chain for chain, to independent anneal_mapping
+        # runs seeded seed + i.
         search = anneal_chains(
             graph, torus, start, chains=3, steps=1200, seed=11
         )
@@ -57,8 +58,8 @@ class TestChainParity:
     def test_workers_match_batched(
         self, method, monkeypatch, torus, graph, start
     ):
-        # Each worker builds its own distance table; the chains must
-        # still be bit-identical to the batched path.
+        # Each worker builds its own swap engine; the chains must
+        # still be bit-identical to the serial path.
         import multiprocessing
 
         from repro.core import pool
@@ -79,7 +80,7 @@ class TestChainParity:
 
 
 class TestReferenceParity:
-    """Both adjacency layouts against the loop-based specification."""
+    """Regular and irregular graphs against the loop-based specification."""
 
     @pytest.mark.parametrize("pattern", ["torus-neighbor", "star"])
     def test_chains_and_climber_match_reference(self, torus, graph, start, pattern):
@@ -89,8 +90,8 @@ class TestReferenceParity:
             reference_optimize_mapping,
         )
 
-        # The torus-neighbor graph is regular (zero-copy row view); the
-        # star is not (per-call CSR windows, padded to the hub's row).
+        # The torus-neighbor graph is regular; the star's hub row holds
+        # every other thread.
         if pattern == "star":
             graph = star_graph(16)
         search = anneal_chains(graph, torus, start, chains=3, steps=800, seed=6)

@@ -3,8 +3,9 @@
 The dense N x N table is the oracle: the delta backend (per-dimension
 ring rows gathered over coordinate deltas) must reproduce it bit for
 bit on every (k, n) in the paper's envelope — k in 1..9, n in 1..4,
-including the even-radix half-way tie — and the annealer must walk the
-exact same trajectory whichever backend prices its swaps.  The guard
+including the even-radix half-way tie — and the annealer, whose
+compiled swap kernel reads no backend, must walk the exact same
+trajectory whatever the guard decides.  The guard
 accessor itself is pinned: one place decides dense vs delta vs digit.
 """
 
