@@ -1,12 +1,13 @@
 """CI smoke: a short anneal at ~10^5 nodes, far above the table guard.
 
-The delta-compressed distance engine (for evaluation) and the compiled
-swap kernel (for the optimizers, which needs no table) exist so machines
-far beyond the 4096-node dense-table guard run inside commodity memory.
-This script is the executable form of that promise: build the
-316^2 = 99 856-node machine, check that evaluation would use the delta
-backend, anneal a short budget, and fail loudly if peak RSS crosses the
-2 GB ceiling (a dense table at this size would need ~20 GB on its own).
+Machines far beyond the 4096-node dense-table guard run inside
+commodity memory: evaluation uses the delta-compressed distance backend
+there, and the anneal runs in the compiled swap kernel, which needs no
+distance table at all.  This script is the executable form of that
+promise: build the 316^2 = 99 856-node machine, check that evaluation
+would use the delta backend, anneal a short budget, and fail loudly if
+peak RSS crosses the 2 GB ceiling (a dense table at this size would need
+~20 GB on its own).
 Writes a JSON artifact with the measured throughput so CI uploads keep a
 trajectory of large-N performance.
 
@@ -63,7 +64,7 @@ def run() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="large-N anneal smoke (delta backend, RSS ceiling)"
+        description="large-N anneal smoke (delta-backend evaluation, RSS ceiling)"
     )
     parser.add_argument(
         "--output", metavar="FILE", default=None,

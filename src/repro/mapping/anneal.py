@@ -6,19 +6,18 @@ swaps with probability ``exp(-delta / T)`` under a geometric cooling
 schedule.  Deterministic for a given seed, like everything else in the
 mapping package.
 
-One loop, :func:`run_chain`, anneals one chain: :func:`anneal_mapping`
-runs it once and :func:`repro.mapping.chains.anneal_chains` once per
-seed (both through :func:`run_chains`).  Each swap is priced by one call to
-:meth:`repro.mapping.engine.SwapEngine.swap_delta`, the compiled
-kernel; the draws and the accept rule stay in Python.  The best state
-is journaled, not copied: accepted swaps are logged, each new best
-records the log length, and the swaps after the last best are undone at
-the end.  For integer edge weights — every built-in graph —
-accept/reject decisions, the best assignment, and all counters are
-bit-identical to the loop-based reference implementation
-(:mod:`repro.mapping.reference`), which the property tests enforce seed
-for seed.  Without the kernel the reference is what runs (loudly; see
-:func:`repro.mapping.engine.kernel_available`).
+:func:`run_chain` anneals one chain: :func:`anneal_mapping` runs it
+once and :func:`repro.mapping.chains.anneal_chains` once per seed (both
+through :func:`run_chains`).  A chain is one call into the compiled
+kernel, :meth:`repro.mapping.engine.SwapEngine.run`, which draws from a
+handoff of ``random.Random(seed)``'s state and so makes exactly the
+draws the Python loop of :mod:`repro.mapping.reference` makes.  The best
+state is journaled, not copied: the swaps made since the last best are
+logged and undone at the end.  For integer edge weights — every
+built-in graph — accept/reject decisions, the best assignment, and all
+counters are bit-identical to that reference, which the property tests
+enforce seed for seed.  Without the kernel the reference is what runs
+(loudly; see :func:`repro.mapping.engine.kernel_available`).
 
 Cooling semantics: the temperature decays once per *drawn* step, so the
 schedule always spans exactly ``steps`` decays — including on draws
@@ -29,8 +28,6 @@ draws are reported separately (``skipped_moves``) and excluded from
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -145,63 +142,19 @@ def run_chain(
     initial_temperature: float,
     cooling: float,
 ) -> AnnealResult:
-    """Anneal one chain from ``initial`` with its own ``seed`` stream.
-
-    Accepted swaps are journaled; instead of copying the position at
-    each new best, the journal length is recorded, and the swaps after
-    the last best are undone at the end.
-    """
-    threads = engine.graph.threads
-    generator = random.Random(seed)
-    randrange = generator.randrange
-    draw = generator.random
-    swap_delta = engine.swap_delta
-    position = np.fromiter(initial.assignment, dtype=np.int64, count=threads)
-    current_sum, initial_distance = engine.objective(position)
-    best_sum = current_sum
-    journal = []
-    best_length = 0
-    attempted = 0
-
-    temperature = initial_temperature
-    for _ in range(steps):
-        temperature *= cooling
-        thread_a = randrange(threads)
-        thread_b = randrange(threads)
-        if thread_a == thread_b:
-            continue
-        attempted += 1
-        delta = swap_delta(position, thread_a, thread_b)
-        accept = delta < 0 or (
-            temperature > 1e-12 and draw() < math.exp(-delta / temperature)
-        )
-        if not accept:
-            continue
-        position[thread_a], position[thread_b] = (
-            position[thread_b],
-            position[thread_a],
-        )
-        journal.append((thread_a, thread_b))
-        current_sum += delta
-        if current_sum < best_sum:
-            best_sum = current_sum
-            best_length = len(journal)
-
-    for thread_a, thread_b in reversed(journal[best_length:]):
-        position[thread_a], position[thread_b] = (
-            position[thread_b],
-            position[thread_a],
-        )
+    """Anneal one chain from ``initial`` with its own ``seed`` stream:
+    one :meth:`~repro.mapping.engine.SwapEngine.run` call."""
+    position = np.array(initial.as_array())
+    initial_distance, best_sum, accepted, attempted = engine.run(
+        position, seed, steps, initial_temperature, cooling
+    )
     distance = best_sum / engine.total_weight
     return AnnealResult(
-        mapping=Mapping(
-            assignment=tuple(position.tolist()),
-            processors=initial.processors,
-        ),
+        mapping=Mapping.from_array(position, initial.processors),
         distance=distance,
         initial_distance=initial_distance,
         best_distance=distance,
-        accepted_moves=len(journal),
+        accepted_moves=accepted,
         attempted_moves=attempted,
         skipped_moves=steps - attempted,
     )

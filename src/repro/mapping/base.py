@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import MappingError
 
 __all__ = ["Mapping"]
@@ -41,15 +43,24 @@ class Mapping:
             )
         if not self.assignment:
             raise MappingError("assignment must map at least one thread")
+        array = self.__dict__.get("_array")
+        if array is not None:
+            if array.min() >= 0 and array.max() < self.processors:
+                return
+            thread = int(np.argmax((array < 0) | (array >= self.processors)))
+            raise self._outside(thread, int(array[thread]))
         # One min/max pass; the per-element walk only names the culprit.
         if 0 <= min(self.assignment) and max(self.assignment) < self.processors:
             return
         for thread, processor in enumerate(self.assignment):
             if not 0 <= processor < self.processors:
-                raise MappingError(
-                    f"thread {thread} mapped to processor {processor!r}, "
-                    f"outside 0..{self.processors - 1}"
-                )
+                raise self._outside(thread, processor)
+
+    def _outside(self, thread: int, processor: int) -> MappingError:
+        return MappingError(
+            f"thread {thread} mapped to processor {processor!r}, "
+            f"outside 0..{self.processors - 1}"
+        )
 
     @classmethod
     def from_sequence(
@@ -57,6 +68,25 @@ class Mapping:
     ) -> "Mapping":
         """Build from any integer sequence."""
         return cls(assignment=tuple(int(p) for p in assignment), processors=processors)
+
+    @classmethod
+    def from_array(cls, values, processors: int) -> "Mapping":
+        """Build from a 1-D integer array, range-checked with numpy.
+
+        The mapping keeps a read-only int64 copy of ``values`` as its
+        :meth:`as_array`, so array consumers (the optimizers,
+        :meth:`is_bijective`) never convert the ``assignment`` tuple.
+        """
+        array = np.array(values, dtype=np.int64)
+        if array.ndim != 1:
+            raise MappingError(
+                f"assignment array must be 1-D, got shape {array.shape}"
+            )
+        array.setflags(write=False)
+        mapping = cls.__new__(cls)
+        object.__setattr__(mapping, "_array", array)
+        mapping.__init__(tuple(array.tolist()), processors)
+        return mapping
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -93,8 +123,17 @@ class Mapping:
         """One thread per processor, all processors used."""
         return (
             self.threads == self.processors
-            and len(set(self.assignment)) == self.processors
+            and int(np.bincount(self.as_array()).max()) == 1
         )
+
+    def as_array(self) -> np.ndarray:
+        """The assignment as a read-only int64 array, built once."""
+        array = self.__dict__.get("_array")
+        if array is None:
+            array = np.fromiter(self.assignment, dtype=np.int64, count=self.threads)
+            array.setflags(write=False)
+            object.__setattr__(self, "_array", array)
+        return array
 
     def require_bijective(self) -> "Mapping":
         """Raise :class:`MappingError` unless bijective; returns self."""

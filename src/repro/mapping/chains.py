@@ -9,9 +9,9 @@ of them plus the winner.
 
 Two execution strategies, identical results:
 
-* **serial** (default, ``jobs=1``) — the annealing loop of
-  :func:`repro.mapping.anneal.run_chain`, run once per seed
-  (:func:`repro.mapping.anneal.run_chains`) over one
+* **serial** (default, ``jobs=1``) — one compiled chain per seed
+  (:func:`repro.mapping.anneal.run_chain`, run by
+  :func:`repro.mapping.anneal.run_chains`) over one
   :class:`~repro.mapping.engine.SwapEngine` (the compiled swap kernel,
   bound once to the graph and torus).  Each chain has its own random
   stream, so chain ``i`` is bit-identical to a standalone

@@ -59,7 +59,7 @@ def edge_hop_counts(
     exactly one place.
     """
     src, dst, _ = graph.edge_arrays()
-    position = np.asarray(mapping.assignment, dtype=np.intp)
+    position = mapping.as_array()
     return distance_backend(torus).pairwise(position[src], position[dst])
 
 

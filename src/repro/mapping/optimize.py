@@ -13,17 +13,17 @@ mapping's average communication distance in either direction:
 
 The climber is deterministic given its seed: swap candidates come from a
 :class:`random.Random` stream and a swap is kept only if it strictly
-improves the objective, so results are reproducible across runs.  Each
-swap is priced by :meth:`repro.mapping.engine.SwapEngine.swap_delta`,
-the compiled kernel the annealers use; for integer edge weights the
-accepted swaps and final mapping are bit-identical to the loop-based
-reference in :mod:`repro.mapping.reference`, which is also what runs
-(loudly) when the kernel cannot load.
+improves the objective, so results are reproducible across runs.  A
+climb is one call into the compiled kernel the annealers use,
+:meth:`repro.mapping.engine.SwapEngine.run` at temperature 0, drawing
+from a handoff of ``random.Random(seed)``'s state; for integer edge
+weights the accepted swaps and final mapping are bit-identical to the
+loop-based reference in :mod:`repro.mapping.reference`, which is also
+what runs (loudly) when the kernel cannot load.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,34 +74,13 @@ def optimize_mapping(
         )
 
     engine = SwapEngine(graph, torus)
-    threads = graph.threads
-    position = np.fromiter(initial.assignment, dtype=np.int64, count=threads)
-    randrange = random.Random(seed).randrange
-    swap_delta = engine.swap_delta
-    current_sum, initial_distance = engine.objective(position)
-
-    accepted = 0
-    for _ in range(steps):
-        thread_a = randrange(threads)
-        thread_b = randrange(threads)
-        if thread_a == thread_b:
-            continue
-        delta = swap_delta(position, thread_a, thread_b)
-        improved = delta > 0 if maximize else delta < 0
-        if improved:
-            accepted += 1
-            current_sum += delta
-            position[thread_a], position[thread_b] = (
-                position[thread_b],
-                position[thread_a],
-            )
-
-    final = Mapping(
-        assignment=tuple(position.tolist()), processors=initial.processors
+    position = np.array(initial.as_array())
+    initial_distance, final_sum, accepted, _ = engine.run(
+        position, seed, steps, maximize=maximize
     )
     return OptimizationResult(
-        mapping=final,
-        distance=float(current_sum) / engine.total_weight,
+        mapping=Mapping.from_array(position, initial.processors),
+        distance=final_sum / engine.total_weight,
         initial_distance=initial_distance,
         accepted_swaps=accepted,
         attempted_swaps=steps,

@@ -1,8 +1,9 @@
 """Loop-based reference implementations of the locality kernels.
 
 The vectorized evaluation (distance-table gathers in
-:mod:`repro.mapping.evaluate`) and the compiled swap pricing behind the
-optimizers (:mod:`repro.mapping.engine`, used by
+:mod:`repro.mapping.evaluate`) and the compiled swap search behind the
+optimizers (:mod:`repro.mapping.engine`: whole chains and climbs in C,
+drawing from a handoff of the ``random.Random`` state; used by
 :mod:`repro.mapping.optimize`, :mod:`repro.mapping.anneal` and
 :mod:`repro.mapping.chains`) promise *bit-identical* results to the
 original per-edge Python loops for any graph with integer edge weights —

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import MappingError
+from repro.mapping import engine
 from repro.mapping.base import Mapping
 from repro.topology.torus import Torus
 
@@ -55,7 +56,15 @@ def identity_mapping(processors: int) -> Mapping:
 
 
 def random_mapping(processors: int, seed: int) -> Mapping:
-    """A seeded uniform random bijection — "physical locality ignored"."""
+    """A seeded uniform random bijection — "physical locality ignored".
+
+    ``random.Random(seed).shuffle(list(range(processors)))``, run by the
+    compiled swap kernel over the same Mersenne Twister stream (see
+    :func:`repro.mapping.engine.shuffled`); without the kernel, Python's
+    own shuffle, loudly.
+    """
+    if engine.kernel_available():
+        return Mapping.from_array(engine.shuffled(processors, seed), processors)
     generator = random.Random(seed)
     assignment = list(range(processors))
     generator.shuffle(assignment)

@@ -58,7 +58,7 @@ def _build(source: Path) -> Path:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [compiler, "-O2", "-fPIC", "-shared", "-o", tmp, str(source)],
+            [compiler, "-O2", "-fPIC", "-shared", "-o", tmp, str(source), "-lm"],
             capture_output=True,
             text=True,
         )

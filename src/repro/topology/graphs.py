@@ -139,13 +139,13 @@ class CommunicationGraph:
 
         Returns ``(indptr, neighbors, weights)``: thread ``t``'s outgoing
         edges are ``neighbors[indptr[t]:indptr[t + 1]]`` with matching
-        ``weights``, in edge order.  Built once per graph by a stable
-        sort of :meth:`edge_arrays` on the source thread, so walking
-        every thread's out-edges costs O(edges), not O(threads * edges).
+        ``weights``, in edge order.  Built once per graph from
+        :meth:`edge_arrays` (see :meth:`_rows`), so walking every
+        thread's out-edges costs O(edges), not O(threads * edges).
         """
         cached = self.__dict__.get("_out_csr")
         if cached is None:
-            cached = self._rows(*self.edge_arrays())
+            cached = self._rows(symmetric=False)
             object.__setattr__(self, "_out_csr", cached)
         return cached
 
@@ -161,29 +161,39 @@ class CommunicationGraph:
         """
         cached = self.__dict__.get("_incident_csr")
         if cached is None:
-            src, dst, weight = self.edge_arrays()
-            count = src.size
-            # Interleave (src, dst) per edge so a stable sort reproduces
-            # the edge-order-within-thread layout of an append loop.
-            owners = np.empty(2 * count, dtype=np.intp)
-            others = np.empty(2 * count, dtype=np.intp)
-            both = np.empty(2 * count, dtype=np.float64)
-            owners[0::2], owners[1::2] = src, dst
-            others[0::2], others[1::2] = dst, src
-            both[0::2], both[1::2] = weight, weight
-            cached = self._rows(owners, others, both)
+            cached = self._rows(symmetric=True)
             object.__setattr__(self, "_incident_csr", cached)
         return cached
 
-    def _rows(
-        self, owners: np.ndarray, others: np.ndarray, weights: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only CSR ``(indptr, others, weights)`` grouped by owner
-        thread; the stable sort keeps entry order within a row."""
-        order = np.argsort(owners, kind="stable")
+    def _rows(self, symmetric: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only CSR ``(indptr, others, weights)`` of the edges grouped
+        by source thread — and, if ``symmetric``, also by destination —
+        in edge order within a row (an edge's source entry first).
+
+        A counting placement in the swap kernel
+        (:func:`repro.mapping.engine.place`), O(edges); without the
+        kernel, the same bytes from a stable argsort.
+        """
+        from repro.mapping import engine
+
+        src, dst, weight = self.edge_arrays()
+        counts = np.bincount(src, minlength=self.threads)
+        if symmetric:
+            counts += np.bincount(dst, minlength=self.threads)
         indptr = np.zeros(self.threads + 1, dtype=np.intp)
-        np.cumsum(np.bincount(owners, minlength=self.threads), out=indptr[1:])
-        rows = (indptr, others[order], weights[order])
+        np.cumsum(counts, out=indptr[1:])
+        placed = engine.place(src, dst, weight, indptr, symmetric)
+        if placed is None:
+            owners, others, both = src, dst, weight
+            if symmetric:
+                # Interleave (src, dst) per edge so a stable sort keeps
+                # the edge order within each row.
+                owners = np.stack((src, dst), axis=1).ravel()
+                others = np.stack((dst, src), axis=1).ravel()
+                both = np.repeat(weight, 2)
+            order = np.argsort(owners, kind="stable")
+            placed = others[order], both[order]
+        rows = (indptr, *placed)
         for array in rows:
             array.setflags(write=False)
         return rows

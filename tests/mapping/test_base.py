@@ -1,5 +1,8 @@
 """Tests for the Mapping abstraction."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.errors import MappingError
@@ -17,19 +20,46 @@ class TestConstruction:
 
     @pytest.mark.parametrize("bad", [-1, 100_000])
     def test_large_assignment_names_the_first_bad_thread(self, bad):
-        # The range check is one min/max pass; the message must still
-        # name the offending thread, not just report a failure.
+        # The range check is one min/max pass (numpy for arrays); the
+        # message must still name the offending thread, not just report
+        # a failure.
         assignment = list(range(100_000))
         assignment[73_419] = bad
-        with pytest.raises(MappingError) as caught:
-            Mapping(assignment=tuple(assignment), processors=100_000)
-        assert str(caught.value) == (
-            f"thread 73419 mapped to processor {bad}, outside 0..99999"
-        )
+        for build in (
+            lambda: Mapping(assignment=tuple(assignment), processors=100_000),
+            lambda: Mapping.from_array(np.array(assignment), 100_000),
+        ):
+            with pytest.raises(MappingError) as caught:
+                build()
+            assert str(caught.value) == (
+                f"thread 73419 mapped to processor {bad}, outside 0..99999"
+            )
 
     def test_rejects_bad_processor_count(self):
         with pytest.raises(MappingError):
             Mapping(assignment=(0,), processors=0)
+
+    def test_from_array_is_the_tuple_built_mapping(self):
+        values = np.array([3, 0, 2, 1])
+        mapping = Mapping.from_array(values, processors=4)
+        same = Mapping(assignment=(3, 0, 2, 1), processors=4)
+        # The kept array stays out of equality, hashing and repr.
+        assert mapping == same and hash(mapping) == hash(same)
+        assert repr(mapping) == repr(same)
+        assert type(mapping.assignment) is tuple
+        assert all(type(p) is int for p in mapping.assignment)
+        # It is a read-only copy, and survives pickling (process fan-out).
+        values[0] = 0
+        assert mapping.as_array().tolist() == [3, 0, 2, 1]
+        assert not mapping.as_array().flags.writeable
+        assert pickle.loads(pickle.dumps(mapping)).as_array().tolist() == [3, 0, 2, 1]
+        assert same.as_array().tolist() == [3, 0, 2, 1]
+        assert same.as_array() is same.as_array()
+
+    def test_from_array_rejects_what_the_tuple_form_rejects(self):
+        for values, processors in (([], 4), ([0], 0), ([[0, 1]], 2)):
+            with pytest.raises(MappingError):
+                Mapping.from_array(np.array(values, dtype=np.int64), processors)
 
     def test_from_sequence_coerces_ints(self):
         mapping = Mapping.from_sequence([0.0, 1.0], processors=2)
@@ -64,6 +94,12 @@ class TestIntrospection:
     def test_bijectivity_detection(self, collocated):
         assert not collocated.is_bijective
         assert Mapping(assignment=(1, 0), processors=2).is_bijective
+        # As many threads as processors, one processor used twice; and
+        # too few threads to cover every processor.
+        for values, processors in (([0, 2, 2], 3), ([0, 1], 3)):
+            assert not Mapping(tuple(values), processors).is_bijective
+            assert not Mapping.from_array(np.array(values), processors).is_bijective
+        assert Mapping.from_array(np.array([2, 0, 1]), 3).is_bijective
 
     def test_require_bijective(self, collocated):
         with pytest.raises(MappingError):

@@ -2,7 +2,9 @@
 
 Every delta and objective is pinned to the per-edge loop over
 ``Torus.distance`` (the specification in ``repro.mapping.reference``)
-and every objective to ``average_distance``.
+and every objective to ``average_distance``; the kernel's draws to
+``random.Random`` itself, word for word; and whole chains and climbs to
+the reference loops, seed for seed.
 """
 
 import random
@@ -14,13 +16,20 @@ import pytest
 
 from repro.errors import MappingError
 from repro.mapping import engine as engine_module
+from repro.mapping.anneal import anneal_mapping
 from repro.mapping.base import Mapping
 from repro.mapping.engine import SwapEngine
 from repro.mapping.evaluate import average_distance
-from repro.mapping.strategies import random_mapping
+from repro.mapping.optimize import optimize_mapping
+from repro.mapping.reference import (
+    reference_anneal_mapping,
+    reference_optimize_mapping,
+)
+from repro.mapping.strategies import identity_mapping, random_mapping
 from repro.topology import torus as torus_module
 from repro.topology.graphs import (
     CommunicationGraph,
+    ring_graph,
     star_graph,
     torus_neighbor_graph,
 )
@@ -178,6 +187,166 @@ class TestBinding:
                 engine.swap_delta(good, a, b)
 
 
+#: randrange bounds: one word per try for every n below 2**32, and n = 1
+#: redraws until a word's top bit is 0.
+BOUNDS = sorted(
+    {1, 2, 3, 99_856, 10**6, 2**32 - 1}
+    | {2**k + offset for k in (2, 5, 16, 17, 31) for offset in (-1, 0, 1)}
+)
+
+
+def generators(seed):
+    """``random.Random(seed)`` fresh (state index 624, so the first draw
+    regenerates the state) and mid-stream (index 100)."""
+    fresh = random.Random(seed)
+    mid = random.Random(seed)
+    for _ in range(100):
+        mid.getrandbits(32)
+    assert fresh.getstate()[1][-1] == 624 and mid.getstate()[1][-1] == 100
+    return fresh, mid
+
+
+def same_state(twister, generator):
+    internal = generator.getstate()[1]
+    return list(twister.state) == list(internal[:-1]) and twister.index == internal[-1]
+
+
+class TestHandoff:
+    """The kernel consumes a random.Random stream exactly as Python does."""
+
+    @pytest.mark.parametrize("n", BOUNDS)
+    def test_randrange(self, n):
+        _, lib = engine_module.load()
+        for generator in generators(n):
+            twister = engine_module.twister(generator)
+            drawn = [lib.sw_randbelow(twister, n) for _ in range(700)]
+            assert drawn == [generator.randrange(n) for _ in range(700)]
+            assert same_state(twister, generator)
+
+    def test_random_interleaved_with_randrange(self):
+        _, lib = engine_module.load()
+        for generator in generators(7):
+            twister = engine_module.twister(generator)
+            for step in range(600):
+                if step % 3:
+                    assert lib.sw_random(twister) == generator.random()
+                else:
+                    assert lib.sw_randbelow(twister, 1000) == generator.randrange(1000)
+            assert same_state(twister, generator)
+
+    @pytest.mark.parametrize("count", [1, 2, 10, 4096, 99_856, 10**6])
+    def test_shuffle(self, count):
+        expected = list(range(count))
+        random.Random(count).shuffle(expected)
+        assert engine_module.shuffled(count, count).tolist() == expected
+
+    def test_random_mapping_is_pythons_shuffle(self):
+        for processors, seed in ((64, 0), (99_856, 1)):
+            assignment = list(range(processors))
+            random.Random(seed).shuffle(assignment)
+            mapping = random_mapping(processors, seed)
+            assert mapping == Mapping(tuple(assignment), processors)
+            assert mapping.as_array().tolist() == assignment
+
+    def test_draws_past_32_bits_are_refused(self):
+        # The guard itself: a 2**32-thread graph is never built.
+        engine_module.check_draws(2**32 - 1)
+        for n in (2**32, 2**40):
+            with pytest.raises(MappingError, match="more than 32 random bits"):
+                engine_module.check_draws(n)
+            with pytest.raises(MappingError, match="more than 32 random bits"):
+                engine_module.shuffled(n, 0)
+            with pytest.raises(MappingError, match="more than 32 random bits"):
+                random_mapping(n, 0)
+
+
+def climbs_and_anneals(graph, torus, start, steps, seed, **schedule):
+    """(fast, reference) result pairs: the annealer and both climbs."""
+    return [
+        (
+            anneal_mapping(graph, torus, start, steps=steps, seed=seed, **schedule),
+            reference_anneal_mapping(graph, torus, start, steps, seed, **schedule),
+        ),
+    ] + [
+        (
+            optimize_mapping(graph, torus, start, steps, seed, maximize),
+            reference_optimize_mapping(graph, torus, start, steps, seed, maximize),
+        )
+        for maximize in (False, True)
+    ]
+
+
+class TestChainParity:
+    """One kernel call per chain or climb equals the reference loops."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_irregular_weighted_graph(self, seed):
+        torus = Torus(radix=5, dimensions=2)
+        graph = weighted_graph(25, seed=seed)
+        start = random_mapping(25, seed=seed + 1)
+        for fast, slow in climbs_and_anneals(graph, torus, start, 3000, seed):
+            assert fast == slow
+
+    def test_temperature_cooled_under_the_draw_cutoff(self):
+        # From 2.0 at 0.5 per step the temperature passes 1e-12 after 41
+        # steps; from then on no random() is drawn and only improvements
+        # are taken.
+        torus = Torus(radix=4, dimensions=2)
+        graph = torus_neighbor_graph(4, 2)
+        start = random_mapping(16, seed=3)
+        fast = anneal_mapping(graph, torus, start, 400, 2, 2.0, 0.5)
+        assert fast == reference_anneal_mapping(graph, torus, start, 400, 2, 2.0, 0.5)
+        assert fast.accepted_moves > 0
+
+    def test_zero_steps(self):
+        torus = Torus(radix=4, dimensions=2)
+        graph = torus_neighbor_graph(4, 2)
+        start = random_mapping(16, seed=4)
+        for fast, slow in climbs_and_anneals(graph, torus, start, 0, 1):
+            assert fast == slow
+            assert fast.mapping == start
+
+    def test_one_thread(self):
+        # A one-thread graph has no edges, so both optimizers refuse it
+        # before either path runs.  The kernel's chain on one thread is
+        # the reference loop's: every step's two randrange(1) draws
+        # collide, so nothing is attempted, but the stream is consumed.
+        graph = CommunicationGraph(threads=1, weights={})
+        torus = Torus(radix=1, dimensions=1)
+        start = identity_mapping(1)
+        with pytest.raises(MappingError, match="no edges"):
+            anneal_mapping(graph, torus, start, steps=10)
+        with pytest.raises(MappingError, match="no edges"):
+            optimize_mapping(graph, torus, start, 10)
+        ffi, lib = engine_module.load()
+        engine = SwapEngine(graph, torus)
+        engine._bind(np.zeros(1, dtype=np.int64))
+        generator = random.Random(9)
+        stream = engine_module.twister(generator)
+        chain = ffi.new(
+            "Chain *", {"steps": 50, "temperature": 2.0, "cooling": 0.9, "sense": 1.0}
+        )
+        assert lib.sw_chain(engine._kernel, stream, chain) == 0
+        for _ in range(100):
+            generator.randrange(1)
+        assert (chain.accepted, chain.attempted) == (0, 0)
+        assert same_state(stream, generator)
+
+    def test_two_threads(self):
+        # The smallest machine the optimizers take.  Half of all draws
+        # collide: skipped steps still cool.
+        torus = Torus(radix=2, dimensions=1)
+        start = identity_mapping(2)
+        for fast, slow in climbs_and_anneals(ring_graph(2), torus, start, 300, 4):
+            assert fast == slow
+
+    def test_run_refuses_a_read_only_position(self):
+        torus = Torus(radix=4, dimensions=2)
+        engine = SwapEngine(torus_neighbor_graph(4, 2), torus)
+        with pytest.raises(MappingError, match="writable"):
+            engine.run(identity_mapping(16).as_array(), 0, 10)
+
+
 class TestFallback:
     """A kernel that fails to load is one loud fallback to the loops."""
 
@@ -217,20 +386,42 @@ class TestFallback:
                     SwapEngine(graph, torus)
 
 
+    def test_random_mapping_shuffles_in_python_loudly(self, monkeypatch):
+        from repro import obs
+
+        fast = random_mapping(500, seed=6)
+        monkeypatch.setattr(engine_module, "load", lambda: None)
+        counter = obs.REGISTRY.counter("mapping.fallback")
+        before = counter.value
+        with pytest.warns(engine_module.MappingFallbackWarning) as caught:
+            slow = random_mapping(500, seed=6)
+        assert len(caught) == 1 and counter.value == before + 1
+        assert slow == fast
+
+
 def test_every_declared_function_resolves_in_the_kernel():
     _, lib = engine_module.load()
     names = re.findall(r"(\w+)\s*\(", engine_module.CDEF)
-    assert names == ["sw_delta", "sw_objective"]
+    assert names == [
+        "sw_randbelow",
+        "sw_random",
+        "sw_shuffle",
+        "sw_delta",
+        "sw_objective",
+        "sw_chain",
+        "sw_place",
+    ]
     for name in names:
         assert callable(getattr(lib, name)), name
 
 
 def test_declared_struct_matches_the_kernel_source():
-    # cffi's ABI mode lays SwapKernel out from the declaration alone, so
+    # cffi's ABI mode lays each struct out from the declaration alone, so
     # it must be the C source's struct field for field.
-    def struct(text):
-        body = re.search(r"typedef struct \{(.*?)\} SwapKernel;", text, re.S)
+    def struct(text, name):
+        body = re.search(r"typedef struct \{([^}]*)\} %s;" % name, text)
         return body.group(1).split()
 
     source = engine_module._KERNEL.source.read_text()
-    assert struct(engine_module.CDEF) == struct(source)
+    for name in ("SwapKernel", "Twister", "Chain"):
+        assert struct(engine_module.CDEF, name) == struct(source, name), name

@@ -189,6 +189,55 @@ class TestOutAdjacency:
         assert graph.out_csr() is graph.out_csr()
         assert not neighbors.flags.writeable
 
+    def test_csr_rows_are_the_stable_argsort_layout(self, monkeypatch):
+        # The counting placement must give byte for byte the rows of the
+        # stable argsort it replaced, and so must the argsort fallback
+        # used when the swap kernel cannot load.
+        import random
+
+        from repro.mapping import engine
+
+        def argsort_rows(owners, others, weights, threads):
+            order = np.argsort(owners, kind="stable")
+            indptr = np.zeros(threads + 1, dtype=np.intp)
+            np.cumsum(np.bincount(owners, minlength=threads), out=indptr[1:])
+            return indptr, others[order], weights[order]
+
+        def expected(graph):
+            src, dst, weight = graph.edge_arrays()
+            owners = np.stack((src, dst), axis=1).ravel()
+            others = np.stack((dst, src), axis=1).ravel()
+            return (
+                argsort_rows(src, dst, weight, graph.threads),
+                argsort_rows(owners, others, np.repeat(weight, 2), graph.threads),
+            )
+
+        rng = random.Random(3)
+        irregular = {}
+        for _ in range(300):
+            a, b = rng.randrange(60), rng.randrange(60)
+            if a != b:
+                irregular[(a, b)] = float(rng.randrange(1, 9))
+        graphs = [
+            torus_neighbor_graph(5, 2),
+            torus_neighbor_graph(4, 3),
+            torus_neighbor_graph(64, 2),
+            CommunicationGraph(threads=60, weights=irregular),
+            star_graph(40),
+            # Threads 0, 3, 6 and 7 have no edges at all.
+            CommunicationGraph.from_edges(8, [(1, 2), (5, 4), (2, 1), (4, 1)]),
+        ]
+        assert engine.load() is not None
+        for load in (engine.load, lambda: None):
+            monkeypatch.setattr(engine, "load", load)
+            for graph in graphs:
+                built = CommunicationGraph(threads=graph.threads, weights=graph.weights)
+                for ours, theirs in zip(
+                    (built.out_csr(), built.incident_csr()), expected(graph)
+                ):
+                    for a, b in zip(ours, theirs):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_out_neighbors_rejects_bad_thread_eagerly(self):
         graph = ring_graph(4)
         with pytest.raises(TopologyError):
