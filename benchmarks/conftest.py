@@ -1,9 +1,8 @@
 """Shared helpers for the measuring benchmarks.
 
 These benchmarks time what no other harness measures: the wormhole
-fabric kernel suite and its telemetry overhead, wormhole machine
-throughput, pool dispatch, the solvers and the mapping kernels.  The
-paper's artifacts are not regenerated here: run them with
+fabric's telemetry overhead, pool dispatch, the solvers and the mapping
+kernels.  The paper's artifacts are not regenerated here: run them with
 ``repro-locality run <id>`` (``repro-locality list`` names every id);
 the tier-1 tests assert the claims each one makes
 (``tests/experiments/`` for the figures, tables and ablations).  The
@@ -15,8 +14,9 @@ readable breadcrumbs at the repo root: one ``BENCH_<module>.json`` per
 benchmark module that ran (``BENCH_simulator.json``,
 ``BENCH_mapping.json``, ...), each a list of ``{bench, config, wall_s,
 speedup_vs_reference}`` rows.  Every test contributes a wall-clock row
-automatically; tests that measure an explicit kernel-vs-reference
-speedup add richer rows through the ``bench_record`` fixture.
+automatically; tests that measure an explicit ratio (jobs=2 against
+serial, telemetry attached against detached) add richer rows through the
+``bench_record`` fixture.
 """
 
 from __future__ import annotations

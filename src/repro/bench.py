@@ -14,10 +14,10 @@ closes the loop:
   rows were measured at and a SHA-256 digest of every copied file, so a
   baseline's provenance survives the copy;
 * ``repro-bench compare`` diffs fresh rows against that snapshot and
-  flags regressions: a kernel-vs-reference speedup that dropped by more
-  than the threshold (default 20%), or a wall-clock row that grew by
-  more than the (looser, noise-tolerant) wall threshold.  Exit status 1
-  when anything regressed, so CI can gate on it.
+  flags regressions: a ratio row's ``speedup_vs_reference`` that
+  dropped by more than the threshold (default 20%), or a wall-clock row
+  that grew by more than the (looser, noise-tolerant) wall threshold.
+  Exit status 1 when anything regressed, so CI can gate on it.
 
 Rows are matched by ``(bench, config)``; rows present on only one side
 are reported but never fail the comparison (benchmarks come and go).

@@ -4,15 +4,16 @@ Reconstructs the machine the paper simulates in Section 3: multithreaded
 processors, a full-map invalidate directory protocol behind a single
 per-node controller, and a flit-level torus network — buffered
 cut-through (:mod:`repro.sim.cut_through`, the default) or rigid-worm
-wormhole (:mod:`repro.sim.kernel`) — whose switches run twice as fast as
+wormhole (:class:`WormholeFabric`) — whose switches run twice as fast as
 the processors.
 
-Each layer has one fast path and one named oracle (docs/simulator.md):
-the event-calendar engine vs ``Machine(engine=False)``,
-:class:`FabricKernel` vs :class:`ReferenceTorusFabric`, and the compiled
-batch core vs the serial :class:`Machine`.  Multi-seed replication with
-error bars lives in :mod:`repro.sim.replicate`; ``run_replications(...,
-batch=R)`` runs cut-through seeds in lockstep on the compiled core
+Each layer has one fast path and at most one named oracle
+(docs/simulator.md): the event-calendar engine vs
+``Machine(engine=False)``, and the compiled batch core vs the serial
+:class:`Machine`.  The one wormhole fabric is pinned by the golden
+fixture.  Multi-seed replication with error bars lives in
+:mod:`repro.sim.replicate`; ``run_replications(..., batch=R)`` runs
+cut-through seeds in lockstep on the compiled core
 (:mod:`repro.sim.batch`) and every other batch as serial machines, with
 bit-identical per-seed summaries either way.
 """
@@ -20,11 +21,9 @@ bit-identical per-seed summaries either way.
 from repro.sim.batch import BatchMachine, run_batch
 from repro.sim.coherence import CacheState, CoherenceController, DirectoryState
 from repro.sim.config import SimulationConfig
-from repro.sim.kernel import FabricKernel
 from repro.sim.machine import Machine
 from repro.sim.message import CONTROL_FLITS, DATA_FLITS, Message, MessageKind
 from repro.sim.processor import ContextState, HardwareContext, Processor
-from repro.sim.reference import ReferenceTorusFabric, ReferenceWorm
 from repro.sim.replicate import (
     MetricAggregate,
     ReplicationResult,
@@ -44,15 +43,14 @@ from repro.sim.telemetry import (
     run_probe,
     write_telemetry_jsonl,
 )
+from repro.sim.wormhole import WormholeFabric
 
 __all__ = [
     "SimulationConfig",
     "Machine",
     "MeasurementSummary",
     "MachineStats",
-    "FabricKernel",
-    "ReferenceTorusFabric",
-    "ReferenceWorm",
+    "WormholeFabric",
     "BatchMachine",
     "run_batch",
     "MetricAggregate",

@@ -14,7 +14,7 @@ cycles (one injection hop, ``d`` switch hops, ejection + drain), matching
 the analytical model's ``d * T_h + B`` to within a cycle, and channel
 queueing matches the model's contention term far better than the rigid
 worm does — which is precisely why it is the default for the Section 3
-validation runs.  The rigid-worm fabric (:mod:`repro.sim.kernel`)
+validation runs.  The rigid-worm fabric (:mod:`repro.sim.wormhole`)
 remains available via ``SimulationConfig(switching="wormhole")`` and is
 compared against this one in the buffering ablation benchmark.
 
@@ -29,7 +29,7 @@ geometry, so channel ids are arithmetic: injection ``s``, ejection
 Routes are computed from node ids in that form (:meth:`_route_ids`,
 pinned to the key form of :meth:`build_route`) and cached per endpoint
 pair.  Per-channel state (busy-until cycle, link flit totals) lives in
-flat int lists indexed by channel id, replacing the reference
+flat int lists indexed by channel id, replacing the original
 implementation's tuple-keyed dicts.
 Channel grants are order-independent within a cycle *as decisions* — a
 channel grants iff it is free, and a channel a hop enqueues on is first
@@ -40,8 +40,8 @@ one list read and one int compare (measured faster at this channel
 count than gathering the grantable set with vectorized numpy compares,
 which this fabric went through an iteration of) and a grant moves the
 transit to its next channel inline.  The seeded
-golden-parity tests pin this to the reference implementation cycle for
-cycle.
+golden-parity tests pin this to the original implementation's recorded
+runs cycle for cycle.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ class CutThroughFabric:
         # Complete deliveries scheduled for this cycle.  Delivery
         # callbacks may inject replies, which land on self._pending
         # before it is read below — same-cycle eligibility, exactly as
-        # the reference implementation had it.
+        # the original implementation had it.
         if self._delivery_count:
             arrivals = self._deliveries.pop(cycle, None)
             if arrivals:
@@ -287,7 +287,7 @@ class CutThroughFabric:
         # cycle it joins, and a hop puts its next channel on the new
         # pending list, so that channel is first examined a cycle later.
         # Grants apply in pending order so downstream FIFO arrival order
-        # matches the reference implementation.  The state is dense int
+        # matches the original implementation.  The state is dense int
         # lists indexed by channel id, so each pending channel costs one
         # list read and one int compare.
         pending = self._pending

@@ -37,8 +37,7 @@ parity suite pins all of it):
   the close must precede the target cycle's injections).
 
 The step loop is retained verbatim (``Machine(engine=False)`` routes
-``run`` through it) as the parity oracle, the same pattern as the fabric
-kernel vs the reference fabric.
+``run`` through it) as the parity oracle.
 """
 
 from __future__ import annotations

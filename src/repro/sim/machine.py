@@ -17,7 +17,7 @@ window, after which :meth:`Machine.run` returns the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.errors import SimulationError
@@ -26,10 +26,10 @@ from repro.sim.coherence import Block, CoherenceController
 from repro.sim.config import SimulationConfig
 from repro.sim.cut_through import CutThroughFabric
 from repro.sim.engine import MachineEngine
-from repro.sim.kernel import FabricKernel
 from repro.sim.message import Message
 from repro.sim.processor import Processor
 from repro.sim.stats import MachineStats, MeasurementSummary
+from repro.sim.wormhole import WormholeFabric
 from repro.topology.torus import Torus
 from repro.workload.base import ThreadProgram, node_states
 
@@ -117,7 +117,9 @@ class Machine:
     Parameters
     ----------
     config:
-        Machine/protocol/measurement parameters.
+        Machine/protocol/measurement parameters.  ``config.switching``
+        picks the fabric: :class:`~repro.sim.cut_through.CutThroughFabric`
+        or :class:`~repro.sim.wormhole.WormholeFabric`.
     mapping:
         Thread-to-processor assignment.  Two modes are supported:
 
@@ -134,12 +136,6 @@ class Machine:
         :class:`~repro.workload.base.ThreadProgram` per (instance,
         thread).  ``len(programs)`` must be ``config.contexts`` in
         replicated-instance mode and 1 in collocation mode.
-    fabric_factory:
-        Optional override for the network fabric, called as
-        ``fabric_factory(torus, on_delivery=...)``.  Used by the parity
-        suite and fixture generator to run the machine on
-        :class:`repro.sim.reference.ReferenceTorusFabric`; when omitted
-        the config's ``switching`` picks the production fabric.
     engine:
         Whether :meth:`run` uses the event-calendar engine
         (:mod:`repro.sim.engine`) instead of stepping every cycle.
@@ -153,7 +149,6 @@ class Machine:
         config: SimulationConfig,
         mapping: Mapping,
         programs: Sequence[Sequence[ThreadProgram]],
-        fabric_factory: Optional[Callable] = None,
         engine: bool = True,
     ):
         self.config = config
@@ -163,10 +158,8 @@ class Machine:
         )
         self.mapping = mapping
         self.stats = MachineStats(nodes=self.torus.node_count)
-        if fabric_factory is not None:
-            self.fabric = fabric_factory(self.torus, on_delivery=self._deliver)
-        elif config.switching == "wormhole":
-            self.fabric = FabricKernel(self.torus, on_delivery=self._deliver)
+        if config.switching == "wormhole":
+            self.fabric = WormholeFabric(self.torus, on_delivery=self._deliver)
         else:
             self.fabric = CutThroughFabric(self.torus, on_delivery=self._deliver)
         self._cycle = 0
@@ -237,7 +230,7 @@ class Machine:
         self.fabric.inject(message, self._cycle)
 
     def _deliver(self, transit) -> None:
-        """Fabric delivery callback (DeliveredWorm or Transit: same interface)."""
+        """Fabric delivery callback (Worm or Transit: same interface)."""
         message = transit.message
         self.stats.message_delivered(
             message, transit.hops, transit.source_wait
@@ -252,16 +245,9 @@ class Machine:
         """Attach per-channel fabric telemetry (see :mod:`.telemetry`).
 
         Must be called before :meth:`run`; the resulting snapshot rides
-        on the returned summary's ``telemetry`` attribute.  Raises for
-        fabrics that don't support instrumentation.
+        on the returned summary's ``telemetry`` attribute.
         """
-        attach = getattr(self.fabric, "attach_telemetry", None)
-        if attach is None:
-            raise SimulationError(
-                f"fabric {type(self.fabric).__name__} does not support "
-                "telemetry"
-            )
-        self.telemetry = attach(config)
+        self.telemetry = self.fabric.attach_telemetry(config)
         return self.telemetry
 
     def step(self) -> None:

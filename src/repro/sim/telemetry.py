@@ -3,8 +3,7 @@
 The analytical model speaks in one number — average channel utilization ρ
 — while the fabric knows every channel's actual traffic.  This module
 closes that gap with an epoch-sampled instrumentation layer shared by
-all three fabrics (:class:`repro.sim.kernel.FabricKernel`,
-:class:`repro.sim.reference.ReferenceTorusFabric`, and
+both fabrics (:class:`repro.sim.wormhole.WormholeFabric` and
 :class:`repro.sim.cut_through.CutThroughFabric`):
 
 * **busy-flit-cycle counters** — every channel grant books the message's
@@ -23,16 +22,16 @@ all three fabrics (:class:`repro.sim.kernel.FabricKernel`,
 **Epoch model.**  Epoch ``e`` covers cycles ``[e*L, (e+1)*L)`` for epoch
 length ``L``.  The fabric's ``tick`` rolls the open epoch *before*
 advancing the crossing cycle, so an epoch boundary always observes the
-state at the end of cycle ``e*L - 1`` — identical between the kernel and
-the reference by the parity contract, which is what lets the telemetry
-parity tests pin busy matrices, depth matrices, and latency histograms
-across implementations.  :meth:`FabricTelemetry.finalize` closes the
-trailing partial epoch, so the busy matrix always sums to the exact
-per-channel flit totals.
+state at the end of cycle ``e*L - 1``, whether the machine steps every
+cycle or the event engine fast-forwards across the boundary — which is
+what lets the engine parity tests pin busy matrices, depth matrices,
+and latency histograms across drivers.
+:meth:`FabricTelemetry.finalize` closes the trailing partial epoch, so
+the busy matrix always sums to the exact per-channel flit totals.
 
 **Cost model.**  Telemetry is attached per fabric instance and the hot
 loop pays one ``is None`` branch per tick plus one per grant when it is
-off (gated ≤ 2% on the uniform workload by the benchmark suite's
+off (watched on the uniform workload by the benchmark suite's
 ``uniform_telemetry`` row and the CI ``repro-bench compare`` step).
 When on, each grant costs one list increment and each epoch boundary one
 numpy copy + queue-depth sweep; everything is accumulated per fabric, so
@@ -721,8 +720,8 @@ def run_probe(
     (message rate per node per cycle, mean hops, mean flits) the
     analytical contention model needs for a model-vs-measured table.
     """
-    from repro.sim.kernel import FabricKernel
     from repro.sim.message import Message
+    from repro.sim.wormhole import WormholeFabric
     from repro.topology.torus import Torus
 
     if telemetry is None:
@@ -730,7 +729,7 @@ def run_probe(
     plan = probe_schedule(radix, dimensions, cycles, workload, seed=seed)
     torus = Torus(radix=radix, dimensions=dimensions)
     delivered: List = []
-    instance = FabricKernel(torus, on_delivery=delivered.append)
+    instance = WormholeFabric(torus, on_delivery=delivered.append)
     channels = instance.attach_telemetry(telemetry)
     injected = 0
     cycle = 0

@@ -10,9 +10,9 @@ from repro.analysis.linkmap import (
 from repro.errors import ParameterError
 from repro.mapping.strategies import identity_mapping, random_mapping
 from repro.sim.config import SimulationConfig
-from repro.sim.kernel import FabricKernel
 from repro.sim.machine import Machine
 from repro.sim.telemetry import TelemetryConfig, run_probe
+from repro.sim.wormhole import WormholeFabric
 from repro.topology.torus import Torus
 from repro.topology.graphs import torus_neighbor_graph
 from repro.workload.synthetic import build_programs
@@ -152,7 +152,7 @@ class TestTelemetryLinkmap:
 
     def test_rejects_empty_window(self):
         torus = Torus(radix=4, dimensions=2)
-        fabric = FabricKernel(torus, on_delivery=lambda worm: None)
+        fabric = WormholeFabric(torus, on_delivery=lambda worm: None)
         telemetry = fabric.attach_telemetry(TelemetryConfig())
         telemetry.finalize(0)
         with pytest.raises(ParameterError, match="empty"):

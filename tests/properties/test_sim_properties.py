@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.cut_through import CutThroughFabric
-from repro.sim.kernel import FabricKernel
 from repro.sim.message import Message, MessageKind
+from repro.sim.wormhole import WormholeFabric
 from repro.topology.torus import Torus
 
 
@@ -34,7 +34,7 @@ class TestFabricConservation:
     def test_wormhole_delivers_everything_exactly_once(self, traffic):
         torus = Torus(radix=4, dimensions=2)
         delivered = []
-        fabric = FabricKernel(torus, on_delivery=delivered.append)
+        fabric = WormholeFabric(torus, on_delivery=delivered.append)
         messages = []
         for index, (src, dst, kind) in enumerate(traffic):
             message = Message(kind, src, dst, (0, 0), index)

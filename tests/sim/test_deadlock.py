@@ -1,25 +1,20 @@
-"""Deadlock safety-net behavior, pinned on both fabrics.
+"""Deadlock safety-net behavior of the wormhole fabric.
 
 The dateline VC scheme makes routing deadlock impossible for e-cube
 routes, so the stall counter is a safety net for bugs — but a safety net
 only helps if it actually fires.  These tests craft a genuine circular
 wait with ``inject_on_route`` (two worms holding each other's next
-channel, a cycle e-cube routing can never produce) and check that both
-fabrics raise :class:`SimulationError` at exactly ``stall_limit``
+channel, a cycle e-cube routing can never produce) and check that the
+fabric raises :class:`SimulationError` at exactly ``stall_limit``
 no-progress cycles, and that *any* progressing cycle — here, an
 unrelated worm draining on a disjoint path — resets the counter rather
 than merely pausing it.
 """
 
-import pytest
-
 from repro.errors import SimulationError
-from repro.sim.kernel import FabricKernel
 from repro.sim.message import Message, MessageKind
-from repro.sim.reference import ReferenceTorusFabric
+from repro.sim.wormhole import WormholeFabric
 from repro.topology.torus import Torus
-
-FABRICS = [FabricKernel, ReferenceTorusFabric]
 
 # On the radix-4 ring: channel 0->1 and channel 1->0, both VC 0.
 FORWARD = ("link", 0, 0, 1, 0)
@@ -30,7 +25,7 @@ def control(source, destination, tag):
     return Message(MessageKind.READ_REQUEST, source, destination, (0, 0), tag)
 
 
-def circular_wait_fabric(fabric_cls, stall_limit):
+def circular_wait_fabric(stall_limit):
     """Two worms that each hold the channel the other needs.
 
     Worm A: inj 0 -> (0->1) -> (1->0) -> ej 0.
@@ -40,8 +35,8 @@ def circular_wait_fabric(fabric_cls, stall_limit):
     the last progressing cycle.
     """
     torus = Torus(radix=4, dimensions=1)
-    fabric = fabric_cls(torus, on_delivery=lambda worm: None,
-                        stall_limit=stall_limit)
+    fabric = WormholeFabric(torus, on_delivery=lambda worm: None,
+                            stall_limit=stall_limit)
     fabric.inject_on_route(
         control(0, 0, 0), [("inj", 0), FORWARD, BACKWARD, ("ej", 0)], 0
     )
@@ -64,24 +59,15 @@ def raise_cycle(fabric, inject_at=None, message=None, route=None, limit=5000):
 
 
 class TestCircularWait:
-    @pytest.mark.parametrize("fabric_cls", FABRICS)
-    def test_raises_at_exactly_stall_limit(self, fabric_cls):
+    def test_raises_at_exactly_stall_limit(self):
         # Last progress at cycle 1; the counter reaches stall_limit on
         # cycle 1 + stall_limit, and raising one cycle earlier or later
         # would miss the off-by-one.
         for stall_limit in (40, 41):
-            fabric = circular_wait_fabric(fabric_cls, stall_limit)
+            fabric = circular_wait_fabric(stall_limit)
             assert raise_cycle(fabric) == 1 + stall_limit
 
-    def test_kernel_and_reference_raise_identically(self):
-        cycles = [
-            raise_cycle(circular_wait_fabric(fabric_cls, 64))
-            for fabric_cls in FABRICS
-        ]
-        assert cycles[0] == cycles[1]
-
-    @pytest.mark.parametrize("fabric_cls", FABRICS)
-    def test_progressing_cycle_resets_counter(self, fabric_cls):
+    def test_progressing_cycle_resets_counter(self):
         # Without interference the net fires at cycle 41.  A third worm
         # injected at cycle 30 on a disjoint path (2 -> 3) progresses
         # for several cycles; if that only *paused* the counter the
@@ -89,7 +75,7 @@ class TestCircularWait:
         # count from the bystander's last movement, pushing the raise
         # past cycle 30 + stall_limit.
         stall_limit = 40
-        fabric = circular_wait_fabric(fabric_cls, stall_limit)
+        fabric = circular_wait_fabric(stall_limit)
         bystander_route = [("inj", 2), ("link", 2, 0, 1, 0), ("ej", 3)]
         cycle = raise_cycle(
             fabric,
@@ -98,17 +84,3 @@ class TestCircularWait:
             route=bystander_route,
         )
         assert cycle >= 30 + stall_limit
-
-    def test_reset_parity_between_fabrics(self):
-        cycles = []
-        for fabric_cls in FABRICS:
-            fabric = circular_wait_fabric(fabric_cls, 40)
-            cycles.append(
-                raise_cycle(
-                    fabric,
-                    inject_at=30,
-                    message=control(2, 3, 2),
-                    route=[("inj", 2), ("link", 2, 0, 1, 0), ("ej", 3)],
-                )
-            )
-        assert cycles[0] == cycles[1]

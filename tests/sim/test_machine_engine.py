@@ -19,11 +19,10 @@ from repro.sim.batch import run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.cut_through import CutThroughFabric
 from repro.sim.engine import MachineEngine
-from repro.sim.kernel import FabricKernel
 from repro.sim.machine import Machine
 from repro.sim.message import Message, MessageKind
-from repro.sim.reference import ReferenceTorusFabric
 from repro.sim.telemetry import TelemetryConfig
+from repro.sim.wormhole import WormholeFabric
 from repro.topology.graphs import ring_graph, torus_neighbor_graph
 from repro.topology.torus import Torus
 from repro.workload.synthetic import build_programs
@@ -224,11 +223,8 @@ class TestFabricHorizons:
         if not fabric._pending:
             assert fabric.next_event_cycle(cycle) == min(fabric._deliveries)
 
-    @pytest.mark.parametrize(
-        "fabric_cls", [FabricKernel, ReferenceTorusFabric]
-    )
-    def test_wormhole_horizon_is_busy_or_none(self, fabric_cls):
-        fabric = fabric_cls(Torus(4, 2), on_delivery=lambda t: None)
+    def test_wormhole_horizon_is_busy_or_none(self):
+        fabric = WormholeFabric(Torus(4, 2), on_delivery=lambda t: None)
         assert fabric.next_event_cycle(0) is None
         fabric.inject(_message(0, 1), 0)
         assert fabric.next_event_cycle(0) == 0

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import FabricKernel
 from repro.sim.message import Message, MessageKind
+from repro.sim.wormhole import WormholeFabric
 from repro.topology.torus import Torus
 
 
 def make_fabric(radix=8, dimensions=2):
     delivered = []
     torus = Torus(radix=radix, dimensions=dimensions)
-    fabric = FabricKernel(torus, on_delivery=delivered.append)
+    fabric = WormholeFabric(torus, on_delivery=delivered.append)
     return fabric, delivered, torus
 
 

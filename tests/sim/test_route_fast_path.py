@@ -1,58 +1,39 @@
-"""The fabrics' arithmetic route fast paths and quiescent fast-forward.
+"""Fabric routes and the wormhole fabric's quiescent ticks.
 
-``FabricKernel._route_ids`` and ``CutThroughFabric._route_ids`` compute
-channel ids directly from node arithmetic (the light-traffic
-optimization); ``build_route`` — key tuples — stays alive as their
-executable specification.  These tests pin the two channel-for-channel
-across shapes, directions, datelines, and ties, and check the
-quiescent early-exit changes nothing observable.
+``CutThroughFabric._route_ids`` computes channel ids directly from node
+arithmetic (the light-traffic optimization); ``build_route`` — key
+tuples — stays alive as its executable specification.  These tests pin
+the two channel-for-channel across shapes, directions, and ties, pin
+the wormhole fabric's dateline VC assignment, and check that idle
+wormhole ticks change nothing observable.
 """
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.cut_through import CutThroughFabric
-from repro.sim.kernel import FabricKernel
 from repro.sim.message import Message, MessageKind
+from repro.sim.wormhole import WormholeFabric
 from repro.topology.torus import Torus
 
-SHAPES = [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1), (5, 3), (8, 2), (6, 2), (4, 3)]
 
-
-def _kernel(radix, dimensions):
-    return FabricKernel(
-        Torus(radix=radix, dimensions=dimensions), on_delivery=lambda r: None
+def _wormhole(radix, dimensions, on_delivery=lambda worm: None, **kwargs):
+    return WormholeFabric(
+        Torus(radix=radix, dimensions=dimensions), on_delivery, **kwargs
     )
 
 
-class TestRouteIdParity:
-    @pytest.mark.parametrize("radix,dimensions", SHAPES)
-    def test_all_pairs_match_key_built_routes(self, radix, dimensions):
-        kernel = _kernel(radix, dimensions)
-        index = kernel._channel_index
-        count = kernel.torus.node_count
-        step = 1 if count <= 128 else count // 97
-        for source in range(0, count, step):
-            for destination in range(count):
-                if source == destination:
-                    continue
-                expected = [
-                    index[key]
-                    for key in kernel.build_route(source, destination)
-                ]
-                assert kernel._route_ids(source, destination) == expected
-
+class TestWormholeRoutes:
     def test_self_route_rejected(self):
-        kernel = _kernel(4, 2)
         with pytest.raises(SimulationError):
-            kernel._route_ids(3, 3)
+            _wormhole(4, 2)._route_ids(3, 3)
 
     def test_dateline_vc_switch(self):
         # A wrapping hop must carry VC 0 on the wrap itself and VC 1
-        # afterwards — exactly the reference's dateline rule.
-        kernel = _kernel(5, 1)
-        index = kernel._channel_index
-        ids = kernel._route_ids(4, 1)  # 4 -> 0 wraps, then 0 -> 1
+        # afterwards — the dateline rule.
+        fabric = _wormhole(5, 1)
+        index = fabric._channel_index
+        ids = fabric._route_ids(4, 1)  # 4 -> 0 wraps, then 0 -> 1
         assert ids == [
             index[("inj", 4)],
             index[("link", 4, 0, 1, 0)],
@@ -103,41 +84,33 @@ class TestCutThroughRouteIdParity:
 class TestQuiescentFastForward:
     def test_idle_ticks_are_noops(self):
         delivered = []
-        kernel = FabricKernel(
-            Torus(radix=4, dimensions=2), on_delivery=delivered.append
-        )
+        fabric = _wormhole(4, 2, on_delivery=delivered.append)
         for cycle in range(100):
-            kernel.tick(cycle)
-        assert kernel.quiescent()
-        assert kernel._stall_cycles == 0
+            fabric.tick(cycle)
+        assert fabric.quiescent()
+        assert fabric._stall_cycles == 0
 
     def test_traffic_after_idle_still_delivers(self):
         delivered = []
-        kernel = FabricKernel(
-            Torus(radix=4, dimensions=2), on_delivery=delivered.append
-        )
+        fabric = _wormhole(4, 2, on_delivery=delivered.append)
         for cycle in range(50):
-            kernel.tick(cycle)
-        kernel.inject(
+            fabric.tick(cycle)
+        fabric.inject(
             Message(MessageKind.READ_REQUEST, 0, 5, (0, 0), 0), cycle=50
         )
         cycle = 50
-        while not kernel.quiescent():
-            kernel.tick(cycle)
+        while not fabric.quiescent():
+            fabric.tick(cycle)
             cycle += 1
         assert len(delivered) == 1
         assert delivered[0].hops == 2
         for idle in range(cycle, cycle + 20):
-            kernel.tick(idle)
-        assert kernel.quiescent()
+            fabric.tick(idle)
+        assert fabric.quiescent()
 
     def test_stall_counter_resets_when_idle(self):
-        kernel = FabricKernel(
-            Torus(radix=4, dimensions=2),
-            on_delivery=lambda r: None,
-            stall_limit=5,
-        )
+        fabric = _wormhole(4, 2, stall_limit=5)
         # Idle ticks must never accumulate toward the stall limit.
         for cycle in range(20):
-            kernel.tick(cycle)
-        assert kernel._stall_cycles == 0
+            fabric.tick(cycle)
+        assert fabric._stall_cycles == 0

@@ -1,10 +1,11 @@
 """Tests for the per-channel fabric telemetry layer.
 
 Covers the accounting contract (busy flit-cycles reconcile with the
-fabrics' own per-link counters), the kernel/reference telemetry parity
-pin (busy matrices, depth matrices, and latency histograms bit-for-bit),
+fabrics' own per-link counters), telemetry never perturbing results,
 the epoch model under quiescent gaps, snapshot merging, saturation
-detection, and the attachment surface on all three fabrics.
+detection, and the attachment surface on both fabrics.  The golden
+fixture (``test_golden_parity.py``) pins the probe snapshots
+bit-for-bit against recorded history.
 """
 
 import copy
@@ -18,10 +19,8 @@ from repro.errors import ParameterError, SimulationError
 from repro.mapping.strategies import random_mapping
 from repro.sim.config import SimulationConfig
 from repro.sim.cut_through import CutThroughFabric
-from repro.sim.kernel import FabricKernel
 from repro.sim.machine import Machine
 from repro.sim.message import Message, MessageKind
-from repro.sim.reference import ReferenceTorusFabric
 from repro.sim.telemetry import (
     LATENCY_METRIC,
     WORM_LATENCY_BUCKETS,
@@ -35,6 +34,7 @@ from repro.sim.telemetry import (
     run_probe,
     write_telemetry_jsonl,
 )
+from repro.sim.wormhole import WormholeFabric
 from repro.topology.graphs import torus_neighbor_graph
 from repro.topology.torus import Torus
 from repro.workload.synthetic import build_programs
@@ -100,9 +100,7 @@ class TestConfig:
 class TestAccounting:
     """Busy counters must reconcile with the fabric's own books."""
 
-    @pytest.mark.parametrize(
-        "fabric_cls", [FabricKernel, ReferenceTorusFabric, CutThroughFabric]
-    )
+    @pytest.mark.parametrize("fabric_cls", [WormholeFabric, CutThroughFabric])
     def test_link_busy_matches_link_flit_counters(self, fabric_cls):
         # Grouping per-channel busy totals by physical link must
         # reproduce the per-link flit counters exactly: both book the
@@ -123,12 +121,12 @@ class TestAccounting:
     def test_busy_matrix_sums_to_channel_totals(self):
         # finalize closes the trailing partial epoch, so nothing the
         # channels saw can be missing from the per-epoch matrix.
-        _, telemetry, _ = drive_fabric(FabricKernel)
+        _, telemetry, _ = drive_fabric(WormholeFabric)
         summary = telemetry.summary()
         assert summary.busy.sum(axis=0).tolist() == telemetry.channel_flits
 
     def test_latency_histogram_counts_every_delivery(self):
-        _, telemetry, delivered = drive_fabric(FabricKernel)
+        _, telemetry, delivered = drive_fabric(WormholeFabric)
         snapshot = telemetry.snapshot()
         assert delivered
         assert snapshot["delivered"] == len(delivered)
@@ -137,13 +135,13 @@ class TestAccounting:
         assert snapshot["latency"]["sum"] > 0
 
     def test_channel_utilization_bounded(self):
-        _, telemetry, _ = drive_fabric(FabricKernel)
+        _, telemetry, _ = drive_fabric(WormholeFabric)
         rho = telemetry.summary().channel_utilization()
         assert (rho >= 0).all()
         assert (rho <= 1.0 + 1e-9).all()
 
     def test_link_utilization_sums_virtual_channels(self):
-        _, telemetry, _ = drive_fabric(FabricKernel)
+        _, telemetry, _ = drive_fabric(WormholeFabric)
         summary = telemetry.summary()
         per_link = summary.link_utilization()
         assert len(per_link) == summary.data["links"]
@@ -153,59 +151,14 @@ class TestAccounting:
         assert sum(per_link.values()) == pytest.approx(expected)
 
 
-def reference_probe(workload, radix, cycles, telemetry):
-    """run_probe's drive loop on the reference fabric: the oracle side of
-    the telemetry parity test.  Returns (snapshot, delivered count)."""
-    torus = Torus(radix=radix, dimensions=2)
-    delivered = []
-    fabric = ReferenceTorusFabric(torus, on_delivery=delivered.append)
-    channels = fabric.attach_telemetry(telemetry)
-    cycle = 0
-    for cycle, injections in enumerate(
-        probe_schedule(radix, 2, cycles, workload)
-    ):
-        for kind, source, destination, tag in injections:
-            fabric.inject(
-                Message(kind, source, destination, (0, 0), tag), cycle
-            )
-        fabric.tick(cycle)
-    while not fabric.quiescent():
-        cycle += 1
-        fabric.tick(cycle)
-    channels.finalize(cycle + 1)
-    return channels.snapshot(), len(delivered)
-
-
 class TestParity:
-    """Kernel and reference must produce identical telemetry."""
-
-    @pytest.mark.parametrize("workload", ["uniform", "hotspot50"])
-    def test_kernel_matches_reference_bit_for_bit(self, workload):
-        kernel = run_probe(
-            workload, radix=4, cycles=200,
-            telemetry=TelemetryConfig(epoch_cycles=32),
-        )
-        reference, delivered = reference_probe(
-            workload, 4, 200, TelemetryConfig(epoch_cycles=32)
-        )
-        for field in (
-            "busy", "depth", "latency", "epoch_starts", "epoch_lengths",
-            "epoch_delivered", "delivered", "total_cycles", "channels",
-            "link_of", "link_keys",
-        ):
-            assert kernel.snapshot[field] == reference[field], field
-        assert kernel.delivered == delivered
-        assert kernel.snapshot["label"] == "kernel"
-        assert reference["label"] == "reference"
+    """Telemetry observes; it must never perturb simulation results."""
 
     def test_telemetry_does_not_change_results(self):
         # The instrumentation observes; it must never perturb.
         bare = run_probe("hotspot50", radix=4, cycles=200)
-        kernel = FabricKernel(
-            Torus(radix=4, dimensions=2), on_delivery=lambda worm: None
-        )
         delivered = []
-        plain = FabricKernel(
+        plain = WormholeFabric(
             Torus(radix=4, dimensions=2), on_delivery=delivered.append
         )
         plan = probe_schedule(4, 2, 200, "hotspot50")
@@ -222,7 +175,6 @@ class TestParity:
         assert bare.delivered == len(delivered)
         assert bare.total_cycles == cycle + 1
         assert plain.link_flits  # both ran real traffic
-        del kernel
 
     def test_machine_summary_identical_with_and_without_telemetry(self):
         config, mapping, programs = machine_setup()
@@ -238,7 +190,7 @@ class TestParity:
 
 class TestEpochModel:
     def test_epoch_geometry(self):
-        _, telemetry, _ = drive_fabric(FabricKernel, cycles=200, epoch=32)
+        _, telemetry, _ = drive_fabric(WormholeFabric, cycles=200, epoch=32)
         snapshot = telemetry.snapshot()
         starts = snapshot["epoch_starts"]
         lengths = snapshot["epoch_lengths"]
@@ -252,7 +204,7 @@ class TestEpochModel:
         # One worm, then silence: the quiescent fast-forward must still
         # close every epoch the idle cycles span, with zero busy deltas.
         torus = Torus(radix=4, dimensions=2)
-        fabric = FabricKernel(torus, on_delivery=lambda worm: None)
+        fabric = WormholeFabric(torus, on_delivery=lambda worm: None)
         telemetry = fabric.attach_telemetry(TelemetryConfig(epoch_cycles=16))
         fabric.inject(
             Message(MessageKind.READ_REQUEST, 0, 1, (0, 0), 0), 0
@@ -270,7 +222,7 @@ class TestEpochModel:
         assert snapshot["delivered"] == 1
 
     def test_finalize_is_idempotent(self):
-        _, telemetry, _ = drive_fabric(FabricKernel)
+        _, telemetry, _ = drive_fabric(WormholeFabric)
         before = telemetry.snapshot()
         telemetry.finalize(before["total_cycles"] + 500)
         assert telemetry.snapshot() == before
@@ -278,14 +230,14 @@ class TestEpochModel:
     def test_finalize_folds_latency_into_registry(self):
         registered = obs.REGISTRY.get(LATENCY_METRIC)
         baseline = registered.count if registered is not None else 0
-        _, telemetry, delivered = drive_fabric(FabricKernel)
+        _, telemetry, delivered = drive_fabric(WormholeFabric)
         histogram = obs.REGISTRY.get(LATENCY_METRIC)
         assert histogram is not None
         assert histogram.count == baseline + len(delivered)
 
     def test_snapshot_before_finalize_raises(self):
         torus = Torus(radix=4, dimensions=2)
-        fabric = FabricKernel(torus, on_delivery=lambda worm: None)
+        fabric = WormholeFabric(torus, on_delivery=lambda worm: None)
         telemetry = fabric.attach_telemetry(TelemetryConfig())
         with pytest.raises(SimulationError):
             telemetry.snapshot()
@@ -294,7 +246,7 @@ class TestEpochModel:
 class TestAttachment:
     def test_attach_twice_raises(self):
         torus = Torus(radix=4, dimensions=2)
-        fabric = FabricKernel(torus, on_delivery=lambda worm: None)
+        fabric = WormholeFabric(torus, on_delivery=lambda worm: None)
         fabric.attach_telemetry(TelemetryConfig())
         with pytest.raises(SimulationError):
             fabric.attach_telemetry(TelemetryConfig())
@@ -310,20 +262,7 @@ class TestAttachment:
         summary = machine.run(warmup=100, measure=400)
         assert summary.telemetry is not None
         assert summary.telemetry["total_cycles"] == 500
-        expected = "cut_through" if switching == "cut_through" else "kernel"
-        assert summary.telemetry["label"] == expected
-
-    def test_machine_rejects_uninstrumentable_fabric(self):
-        class BareFabric:
-            def __init__(self, torus, on_delivery):
-                self.link_flits = {}
-
-        config, mapping, programs = machine_setup()
-        machine = Machine(
-            config, mapping, programs, fabric_factory=BareFabric
-        )
-        with pytest.raises(SimulationError, match="telemetry"):
-            machine.attach_telemetry(TelemetryConfig())
+        assert summary.telemetry["label"] == switching
 
     def test_summary_as_dict_excludes_telemetry(self):
         # The replication aggregator averages scalars; the structured
@@ -337,8 +276,8 @@ class TestAttachment:
 
 class TestMerge:
     def test_merge_adds_busy_and_peaks_depth(self):
-        _, first, _ = drive_fabric(FabricKernel, seed=7)
-        _, second, _ = drive_fabric(FabricKernel, seed=8)
+        _, first, _ = drive_fabric(WormholeFabric, seed=7)
+        _, second, _ = drive_fabric(WormholeFabric, seed=8)
         a, b = first.snapshot(), second.snapshot()
         merged = merge_snapshots([a, b])
         epochs = max(len(a["busy"]), len(b["busy"]))
@@ -363,10 +302,10 @@ class TestMerge:
         assert merged["latency"]["counts"] == [
             x + y for x, y in zip(a["latency"]["counts"], b["latency"]["counts"])
         ]
-        assert merged["label"] == "merged[2x kernel]"
+        assert merged["label"] == "merged[2x wormhole]"
 
     def test_merge_of_one_keeps_the_numbers(self):
-        _, telemetry, _ = drive_fabric(FabricKernel)
+        _, telemetry, _ = drive_fabric(WormholeFabric)
         snapshot = telemetry.snapshot()
         merged = merge_snapshots([snapshot])
         assert merged["busy"] == snapshot["busy"]
@@ -377,19 +316,19 @@ class TestMerge:
             merge_snapshots([])
 
     def test_merge_rejects_mismatched_geometry(self):
-        _, a, _ = drive_fabric(FabricKernel, radix=4)
-        _, b, _ = drive_fabric(FabricKernel, radix=8, cycles=50)
+        _, a, _ = drive_fabric(WormholeFabric, radix=4)
+        _, b, _ = drive_fabric(WormholeFabric, radix=8, cycles=50)
         with pytest.raises(ParameterError, match="disagree"):
             merge_snapshots([a.snapshot(), b.snapshot()])
 
     def test_merge_rejects_mismatched_epoch_length(self):
-        _, a, _ = drive_fabric(FabricKernel, epoch=32)
-        _, b, _ = drive_fabric(FabricKernel, epoch=64)
+        _, a, _ = drive_fabric(WormholeFabric, epoch=32)
+        _, b, _ = drive_fabric(WormholeFabric, epoch=64)
         with pytest.raises(ParameterError, match="epoch_cycles"):
             merge_snapshots([a.snapshot(), b.snapshot()])
 
     def test_merge_rejects_mismatched_latency_buckets(self):
-        _, a, _ = drive_fabric(FabricKernel)
+        _, a, _ = drive_fabric(WormholeFabric)
         first, second = a.snapshot(), a.snapshot()
         second["latency"] = dict(second["latency"])
         second["latency"]["buckets"] = [1, 2, 3]
@@ -400,14 +339,14 @@ class TestMerge:
 
 class TestSummaryReads:
     def test_rejects_unknown_snapshot_version(self):
-        _, telemetry, _ = drive_fabric(FabricKernel)
+        _, telemetry, _ = drive_fabric(WormholeFabric)
         snapshot = telemetry.snapshot()
         snapshot["version"] = 999
         with pytest.raises(ParameterError, match="version"):
             TelemetrySummary(snapshot)
 
     def test_latency_mean_and_quantiles(self):
-        _, telemetry, delivered = drive_fabric(FabricKernel)
+        _, telemetry, delivered = drive_fabric(WormholeFabric)
         summary = telemetry.summary()
         latencies = [
             worm.message.delivered_at - worm.message.injected_at
@@ -425,13 +364,13 @@ class TestSummaryReads:
         assert median >= latencies[(len(latencies) - 1) // 2]
 
     def test_latency_quantile_validates_range(self):
-        _, telemetry, _ = drive_fabric(FabricKernel)
+        _, telemetry, _ = drive_fabric(WormholeFabric)
         with pytest.raises(ParameterError):
             telemetry.summary().latency_quantile(1.5)
 
     def test_empty_window_reads_as_zeros(self):
         torus = Torus(radix=4, dimensions=2)
-        fabric = FabricKernel(torus, on_delivery=lambda worm: None)
+        fabric = WormholeFabric(torus, on_delivery=lambda worm: None)
         telemetry = fabric.attach_telemetry(TelemetryConfig())
         telemetry.finalize(0)
         summary = telemetry.summary()
@@ -486,7 +425,7 @@ class TestSaturation:
 
 class TestExport:
     def test_jsonl_round_trip(self, tmp_path):
-        _, telemetry, _ = drive_fabric(FabricKernel)
+        _, telemetry, _ = drive_fabric(WormholeFabric)
         snapshot = telemetry.snapshot()
         path = write_telemetry_jsonl(snapshot, str(tmp_path / "t.jsonl"))
         lines = [
@@ -504,12 +443,12 @@ class TestExport:
         assert body[-1]["count"] == snapshot["latency"]["count"]
 
     def test_trace_counters_no_op_when_disabled(self):
-        _, telemetry, _ = drive_fabric(FabricKernel)
+        _, telemetry, _ = drive_fabric(WormholeFabric)
         obs.disable()
         assert emit_trace_counters(telemetry.snapshot()) == 0
 
     def test_trace_counters_emit_per_epoch(self):
-        _, telemetry, _ = drive_fabric(FabricKernel)
+        _, telemetry, _ = drive_fabric(WormholeFabric)
         snapshot = telemetry.snapshot()
         enabled_before = obs.is_enabled()
         obs.enable(fresh=True)
