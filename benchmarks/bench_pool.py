@@ -1,11 +1,16 @@
 """Benchmarks: ``--jobs N`` replication vs serial execution.
 
+The workload is wormhole replications: serial machines, the one
+replication path ``--jobs`` still fans over worker processes.
+Cut-through seeds run as one in-process pass of the compiled core at
+any ``jobs``, so on them this benchmark would time two identical passes
+and start no process.
+
 Two entry points, mirroring ``bench_simulator.py``:
 
-* ``pytest benchmarks/bench_pool.py`` — the jobs-scaling rows on the
-  replication workload that once ran at 0.57x serial, every row
-  asserting byte-identical summaries between the serial and parallel
-  paths.
+* ``pytest benchmarks/bench_pool.py`` — the jobs-scaling rows, every
+  row asserting byte-identical summaries between the serial and
+  parallel paths.
 * ``python benchmarks/bench_pool.py [--quick] [--best-of N]
   [--output FILE]`` — script mode for CI smoke: measures the same rows
   (best-of-N wall clock to shave scheduler noise), writes the
@@ -53,9 +58,10 @@ SCALING_FLOORS = {2: 1.3, 4: 2.0}
 
 
 def _workload(quick):
-    """The replication workload: neighbor exchange on a random mapping."""
+    """The replication workload: neighbor exchange on a random mapping,
+    on the wormhole fabric (serial machines, fanned over processes)."""
     config = SimulationConfig(
-        radix=4 if quick else 8, contexts=2,
+        radix=4 if quick else 8, contexts=2, switching="wormhole",
         warmup_network_cycles=300,
         measure_network_cycles=1500 if quick else 6000,
     )
@@ -103,7 +109,9 @@ def measure_pool_scaling(quick=False, jobs_levels=(2, 4), best_of=1):
         rows.append(
             {
                 "bench": "pool_scaling",
-                "config": f"{len(seeds)} seeds, jobs=1 vs jobs={jobs}",
+                "config": (
+                    f"{len(seeds)} wormhole seeds, jobs=1 vs jobs={jobs}"
+                ),
                 "wall_s": round(pooled_seconds, 4),
                 "serial_wall_s": round(serial_seconds, 4),
                 "speedup_vs_reference": round(

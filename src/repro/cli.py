@@ -6,11 +6,10 @@ Subcommands:
 * ``run <id> [--quick]`` — run one experiment and print its report;
 * ``run --all [--jobs N]`` — run every experiment, optionally across
   worker processes (reports are identical to a serial run);
-* ``all [--quick] [--jobs N]`` — same as ``run --all``;
 * ``diagnose <id>`` — run one experiment with solver convergence
   diagnostics on and report per-solve iteration counts, branch
   selection, and flagged (near-non-convergent or saturated) solves;
-* ``anneal [--pattern NAME] [--chains R] [--jobs N] ...`` — multi-chain
+* ``anneal [--pattern NAME] [--chains R] ...`` — multi-chain
   annealing search for a low-distance mapping of a communication
   pattern onto a torus;
 * ``gain --processors N [--contexts P] [--slowdown F]`` — one-off
@@ -19,10 +18,10 @@ Subcommands:
 Experiment ids accept compact aliases: ``fig3`` == ``figure-3``,
 ``table1`` == ``table-1``.
 
-``--verbose`` on ``run``/``all`` appends per-experiment solver counters
+``--verbose`` on ``run`` appends per-experiment solver counters
 and wall time after each report — including partial counts (with a
 ``FAILED`` marker) when an experiment raises.  ``--trace DIR`` on
-``run``/``all`` enables the observability layer and writes a Chrome
+``run`` enables the observability layer and writes a Chrome
 trace (``trace.json``, loadable in ``chrome://tracing`` / Perfetto), raw
 span records (``trace.jsonl``), and a provenance manifest
 (``manifest.json``) into ``DIR``.
@@ -31,13 +30,13 @@ A second console script, ``repro-sim`` (:func:`sim_main`), fronts the
 cycle-level simulator directly:
 
 * ``replicate`` — run one machine configuration under several root
-  seeds (optionally across worker processes with ``--jobs``, and/or
-  packed into lockstep batches with ``--batch``, which shares one
-  engine pass across seeds with bit-identical per-seed results) and
-  print mean / std / 95% CI for every measured metric; ``--json FILE``
-  dumps
-  the per-seed summaries and aggregates, ``--trace DIR`` writes the
-  usual trace + manifest with the replication seeds recorded, and
+  seeds and print mean / std / 95% CI for every measured metric.
+  Cut-through seeds run as one pass of the compiled core, on threads;
+  ``--jobs`` fans serial machines (wormhole, ``--telemetry``) over
+  worker processes.  Per-seed results are identical either way.
+  ``--json FILE`` dumps the per-seed summaries and aggregates,
+  ``--trace DIR`` writes the usual trace + manifest with the
+  replication seeds recorded, and
   ``--telemetry`` instruments every replication's fabric
   (:mod:`repro.sim.telemetry`) and prints the merged per-link
   utilization, latency distribution, and tree-saturation verdict;
@@ -126,18 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "telemetry (supported by scaling-sim)",
     )
 
-    all_parser = subparsers.add_parser("all", help="run every experiment")
-    all_parser.add_argument("--quick", action="store_true")
-    all_parser.add_argument(
-        "--jobs", type=_jobs, default=1, metavar="N",
-        help="worker processes (default: 1, serial)",
-    )
-    all_parser.add_argument("--verbose", action="store_true")
-    all_parser.add_argument(
-        "--trace", metavar="DIR", default=None,
-        help="enable observability; write Chrome trace + manifest to DIR",
-    )
-
     diagnose_parser = subparsers.add_parser(
         "diagnose",
         help="run one experiment with solver convergence diagnostics",
@@ -190,11 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     anneal_parser.add_argument(
         "--cooling", type=float, default=0.999,
         help="geometric cooling factor in (0, 1) (default: 0.999)",
-    )
-    anneal_parser.add_argument(
-        "--jobs", type=_jobs, default=1, metavar="N",
-        help="worker processes for the chains (default: 1, batched "
-        "lockstep in-process)",
     )
 
     gain_parser = subparsers.add_parser(
@@ -308,7 +290,6 @@ def _command_anneal(args) -> int:
             seed=args.seed,
             initial_temperature=args.temperature,
             cooling=args.cooling,
-            jobs=args.jobs,
         )
     except ReproError as exc:
         print(f"anneal failed: {exc}", file=sys.stderr)
@@ -416,15 +397,9 @@ def build_sim_parser() -> argparse.ArgumentParser:
     )
     replicate.add_argument(
         "--jobs", type=_jobs, default=1, metavar="N",
-        help="worker processes for the replications (default: 1, serial; "
-        "each worker receives the machine payload once)",
-    )
-    replicate.add_argument(
-        "--batch", type=int, default=1, metavar="R",
-        help="seeds per lockstep batch (default: 1, one machine per "
-        "seed; R seeds share one batched engine pass, bit-identical "
-        "per-seed results, and each batch is one worker task under "
-        "--jobs)",
+        help="worker processes for serial-machine replications "
+        "(wormhole, --telemetry; default: 1, in-process); cut-through "
+        "seeds run as one compiled-core pass on threads",
     )
     replicate.add_argument(
         "--warmup", type=int, default=None, metavar="CYCLES",
@@ -536,7 +511,6 @@ def _command_replicate(args) -> int:
             warmup=args.warmup,
             measure=args.measure,
             telemetry=telemetry,
-            batch=args.batch,
         )
     except ReproError as exc:
         print(f"replicate failed: {exc}", file=sys.stderr)
@@ -546,8 +520,7 @@ def _command_replicate(args) -> int:
         f"{config.node_count}-node radix-{config.radix} "
         f"{config.dimensions}-D torus ({config.switching}), "
         f"{args.contexts} contexts, {args.mapping} mapping: "
-        f"{len(seeds)} seeds {list(seeds)}, jobs={args.jobs}, "
-        f"batch={args.batch}"
+        f"{len(seeds)} seeds {list(seeds)}, jobs={args.jobs}"
     )
     width = max(len(name) for name in result.aggregates)
     for name, aggregate in result.aggregates.items():
@@ -638,7 +611,6 @@ def _command_replicate(args) -> int:
                 "switching": config.switching,
                 "mapping": args.mapping,
                 "jobs": args.jobs,
-                "batch": args.batch,
                 "telemetry": (
                     telemetry.as_dict() if telemetry is not None else None
                 ),
@@ -815,11 +787,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         if args.trace:
             _write_trace_outputs(args, [args.experiment])
-        return code
-    if args.command == "all":
-        code = _command_all(args.quick, jobs=args.jobs, verbose=args.verbose)
-        if args.trace:
-            _write_trace_outputs(args, experiment_ids())
         return code
     if args.command == "diagnose":
         return _command_diagnose(args.experiment, args.quick, args.threshold)

@@ -1,7 +1,7 @@
-"""Process fan-out for the three ``--jobs`` sites.
+"""Process fan-out for the two ``--jobs`` sites.
 
-Multi-seed replication (:mod:`repro.sim.replicate`), restart-chain
-annealing (:mod:`repro.mapping.chains`) and the experiment campaign
+Worker processes serve only Python-bound work: serial-machine
+replications (:mod:`repro.sim.replicate`) and the experiment campaign
 runner (:mod:`repro.experiments.runner`) each run independent tasks
 against one read-only payload through :func:`process_map`.  The payload
 reaches each worker once, through the executor's ``initializer``: under
@@ -14,10 +14,12 @@ Task functions must be module-level (they are pickled by reference) and
 must treat the payload as read-only: a worker serves several tasks from
 one payload, so anything stateful is deep-copied per task.
 
-In-process thread dispatch (the compiled core's replications, see
-:mod:`repro.sim.batch`) sizes itself with :func:`thread_count`: every
-CPU this process may run on, but one thread inside a
-:func:`process_map` worker, whose fan-out already owns the CPUs.
+Compiled work runs on threads in-process instead: the compiled core's
+replications (:mod:`repro.sim.batch`) and the annealing chains
+(:func:`repro.mapping.anneal.run_chains`) size their thread pools with
+:func:`thread_count`: every CPU this process may run on, but one thread
+inside a :func:`process_map` worker, whose fan-out already owns the
+CPUs.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from repro.errors import ParameterError, PoolError, WorkerCrashError
 __all__ = [
     "FALLBACK_ERRORS",
     "PoolFallbackWarning",
-    "chunk_tasks",
     "note_fallback",
     "process_map",
     "thread_count",
@@ -65,14 +66,6 @@ def note_fallback(site: str, error: BaseException) -> None:
         PoolFallbackWarning,
         stacklevel=3,
     )
-
-
-def chunk_tasks(items: Sequence, size: int) -> List[Tuple]:
-    """Split ``items`` into contiguous chunks of at most ``size`` items,
-    so per-chunk results reassemble in item order by concatenation."""
-    if size < 1:
-        raise ParameterError(f"chunk size must be >= 1; got {size}")
-    return [tuple(items[i:i + size]) for i in range(0, len(items), size)]
 
 
 def _context():

@@ -60,9 +60,9 @@ def run(
     2-D tori (1,024/4,096 nodes) are practical sweep points — the CI
     smoke runs ``radices=(32,)`` and checks that no simulation of it ran
     as a serial machine.  Each point's replications run as one
-    ``run_replications(batch=R)`` call — in lockstep on the compiled
-    core, which holds any torus below 2**20 nodes — with per-seed
-    summaries bit-identical to one machine per seed.
+    :func:`~repro.sim.replicate.run_replications` call — one pass of
+    the compiled core, which holds any torus below 2**20 nodes — with
+    per-seed summaries bit-identical to one machine per seed.
     """
     if radices is None:
         radices = (4, 8) if quick else (4, 6, 8, 12)
@@ -101,7 +101,6 @@ def run(
             config, mapping, programs,
             seeds=default_seeds(config.seed, replications),
             telemetry=telemetry_config,
-            batch=replications,
         )
         # Point estimates come from the first seed (the old single-seed
         # run); the replications contribute only the spread.

@@ -7,8 +7,9 @@ schedule.  Deterministic for a given seed, like everything else in the
 mapping package.
 
 :func:`run_chain` anneals one chain: :func:`anneal_mapping` runs it
-once and :func:`repro.mapping.chains.anneal_chains` once per seed (both
-through :func:`run_chains`).  A chain is one call into the compiled
+once, on the calling thread, and
+:func:`repro.mapping.chains.anneal_chains` once per seed, on threads
+(both through :func:`run_chains`).  A chain is one call into the compiled
 kernel, :meth:`repro.mapping.engine.SwapEngine.run`, which draws from a
 handoff of ``random.Random(seed)``'s state and so makes exactly the
 draws the Python loop of :mod:`repro.mapping.reference` makes.  The best
@@ -28,12 +29,15 @@ draws are reported separately (``skipped_moves``) and excluded from
 
 from __future__ import annotations
 
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.core.pool import thread_count
 from repro.errors import MappingError
 from repro.mapping.base import Mapping
 from repro.mapping.engine import SwapEngine, check_sizes, kernel_available
@@ -116,8 +120,15 @@ def run_chains(
     initial_temperature: float,
     cooling: float,
 ) -> Tuple[AnnealResult, ...]:
-    """One :func:`run_chain` per seed, one after another over one swap
-    engine; the loop reference's results, loudly, without the kernel."""
+    """One :func:`run_chain` per seed; results in seed order.
+
+    A single chain runs on the calling thread.  Several run on up to
+    :func:`~repro.core.pool.thread_count` threads, each chain's kernel
+    call releasing the GIL.  An engine binds its chain's position into
+    its kernel struct, so each thread takes an engine of its own from an
+    idle pool.  Without the kernel the loop reference runs the chains
+    one after another, loudly.
+    """
     if not kernel_available():
         from repro.mapping.reference import reference_anneal_mapping
 
@@ -127,11 +138,24 @@ def run_chains(
             )
             for seed in seeds
         )
-    engine = SwapEngine(graph, torus)
-    return tuple(
-        run_chain(engine, initial, seed, steps, initial_temperature, cooling)
-        for seed in seeds
-    )
+    workers = min(thread_count(), len(seeds))
+    idle = queue.SimpleQueue()
+    for _ in range(workers):
+        idle.put(SwapEngine(graph, torus))
+
+    def chain(seed: int) -> AnnealResult:
+        engine = idle.get()
+        try:
+            return run_chain(
+                engine, initial, seed, steps, initial_temperature, cooling
+            )
+        finally:
+            idle.put(engine)
+
+    if workers == 1:
+        return tuple(chain(seed) for seed in seeds)
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        return tuple(executor.map(chain, seeds))
 
 
 def run_chain(

@@ -12,10 +12,13 @@ Each layer has one fast path and at most one named oracle
 ``Machine(engine=False)``, and the compiled batch core vs the serial
 :class:`Machine`.  The one wormhole fabric is pinned by the golden
 fixture.  Multi-seed replication with error bars lives in
-:mod:`repro.sim.replicate`; ``run_replications(..., batch=R)`` runs
-cut-through seeds in lockstep on the compiled core
-(:mod:`repro.sim.batch`) and every other batch as serial machines, with
-bit-identical per-seed summaries either way.
+:mod:`repro.sim.replicate`.  Compiled work runs on threads in-process:
+``run_replications`` runs the seeds the compiled core takes
+(:func:`repro.sim.batch.core_runs`) as one core pass, whose
+replications advance on GIL-free threads, whatever ``jobs`` is.  Only
+serial machines (wormhole, telemetry, other programs, no core) fan out
+over ``jobs`` worker processes.  Per-seed summaries are bit-identical
+on every path.
 """
 
 from repro.sim.batch import BatchMachine, run_batch

@@ -50,7 +50,8 @@ directory, pools, calendars and error flag are its own.  cffi releases
 the GIL for every core call, so :func:`_dispatch` runs each (machine,
 replication) unit — warmup window, link-flit read, measured window — on
 a thread pool sized by :func:`repro.core.pool.thread_count`: the CPUs
-this process may run on, one inside a ``--jobs`` worker process.
+this process may run on, one inside a worker process (``run --all
+--jobs``).
 Worker threads make core calls only.  Building machines, summaries,
 spans and counters stay on the calling thread, and a core error is
 raised for the lowest failing replication once every unit has joined.
@@ -59,20 +60,22 @@ count.  :class:`BatchMachine` sends its replications through the
 dispatch, and :func:`run_batches` (the validation suite) pipelines one
 machine per mapping through it.
 
-:func:`run_batch` is the entry point.  It uses the core when it applies
-— cut-through fabric, no telemetry, a torus the core can hold (fewer
+:func:`core_runs` is the one place that decides between the core and
+serial machines; :func:`run_batch`, :func:`run_batches` and
+:func:`repro.sim.replicate.run_replications` all ask it.  The core runs
+cut-through machines without telemetry on a torus it can hold (fewer
 than 2**20 nodes in at most eight dimensions, any radix), programs the
-core runs, and :func:`repro.sim.batchcore.load` succeeds — and
-otherwise runs the seeds as serial machines through the per-seed runner
-of :mod:`repro.sim.replicate`, which returns the same summaries by the
-contract above.  Wormhole, telemetry-attached and other-program batches
-go serial by design of the input and stay quiet; a core that fails to
-load is the one loud fallback (``batch.fallback`` counter plus a
-:class:`BatchFallbackWarning`).
+core runs, once :func:`repro.sim.batchcore.load` succeeds.  Every other
+seed runs on the serial oracle, :func:`run_serial`, which returns the
+same summaries by the contract above.  Wormhole, telemetry-attached and
+other-program inputs go serial by design and stay quiet; a core that
+fails to load is the one loud fallback (``batch.fallback`` counter plus
+a :class:`BatchFallbackWarning`).
 """
 
 from __future__ import annotations
 
+import copy
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -86,7 +89,7 @@ from repro.errors import MappingError, ParameterError, SimulationError
 from repro.mapping.base import Mapping
 from repro.sim import batchcore
 from repro.sim.config import SimulationConfig
-from repro.sim.machine import place_programs
+from repro.sim.machine import Machine, place_programs
 from repro.sim.stats import MachineStats, MeasurementSummary
 from repro.sim.telemetry import TelemetryConfig
 from repro.topology.torus import Torus
@@ -94,7 +97,14 @@ from repro.workload.base import ThreadProgram, jitter_spread, node_states
 from repro.workload.generators import PermutationProgram, UniformRandomProgram
 from repro.workload.synthetic import NeighborExchangeProgram
 
-__all__ = ["BatchFallbackWarning", "BatchMachine", "run_batch", "run_batches"]
+__all__ = [
+    "BatchFallbackWarning",
+    "BatchMachine",
+    "core_runs",
+    "run_batch",
+    "run_batches",
+    "run_serial",
+]
 
 #: Program types the core runs, matched exactly: a subclass may change
 #: behaviour the record would not carry, so it runs serially.
@@ -430,19 +440,48 @@ def _dispatch(
     return results
 
 
-def _core_runs(
+def core_runs(
     config: SimulationConfig,
     programs: Sequence[Sequence[ThreadProgram]],
     telemetry: Optional[TelemetryConfig],
 ) -> bool:
-    """Whether a batch is the compiled core's by design of its input (it
-    may still fall back if the core does not load)."""
-    return (
+    """Whether the compiled core runs these replications; otherwise they
+    run as serial machines (:func:`run_serial`).  A core-eligible input
+    whose core fails to load is the loud fallback (module docstring)."""
+    if not (
         config.switching == "cut_through"
         and telemetry is None
         and batchcore.fits(config.dimensions, config.radix)
         and all(type(p) in _CORE_PROGRAMS for row in programs for p in row)
-    )
+    ):
+        return False
+    if batchcore.load() is not None:
+        return True
+    _note_core_unavailable()
+    return False
+
+
+def run_serial(
+    config: SimulationConfig,
+    mapping: Mapping,
+    programs: Sequence[Sequence[ThreadProgram]],
+    seed: int,
+    warmup: Optional[int] = None,
+    measure: Optional[int] = None,
+    telemetry: Optional[TelemetryConfig] = None,
+) -> MeasurementSummary:
+    """One seed on the serial :class:`~repro.sim.machine.Machine`, the
+    core's oracle.  Programs carry mutable per-run state, so the run
+    takes its own deep copies of the mapping and programs."""
+    with obs.span("replication", seed=seed):
+        machine = Machine(
+            config.with_seed(seed),
+            copy.deepcopy(mapping),
+            copy.deepcopy(programs),
+        )
+        if telemetry is not None:
+            machine.attach_telemetry(telemetry)
+        return machine.run(warmup=warmup, measure=measure)
 
 
 def run_batch(
@@ -459,24 +498,15 @@ def run_batch(
     Each summary (and telemetry snapshot, with a ``telemetry`` config)
     is bit-identical to the serial
     ``Machine(config.with_seed(seed), mapping, programs).run(...)`` for
-    the same seed.  Cut-through batches without telemetry whose programs
-    the core runs go to the compiled core; every other batch runs as
-    serial machines (see the module docstring for which fallbacks are
-    loud).  The caller's programs are never mutated.
+    the same seed.  Where :func:`core_runs` says so the seeds are one
+    :class:`BatchMachine` run; otherwise each runs through
+    :func:`run_serial`.  The caller's programs are never mutated.
     """
-    if _core_runs(config, programs, telemetry):
-        if batchcore.load() is not None:
-            machine = BatchMachine(config, mapping, programs, seeds)
-            return machine.run(warmup=warmup, measure=measure)
-        _note_core_unavailable()
-    # Deferred: repro.sim.replicate imports this module.
-    from repro.sim.replicate import _run_seed
-
+    if core_runs(config, programs, telemetry):
+        machine = BatchMachine(config, mapping, programs, seeds)
+        return machine.run(warmup=warmup, measure=measure)
     return [
-        _run_seed(
-            (config, mapping, programs),
-            (seed, warmup, measure, False, telemetry),
-        )[0]
+        run_serial(config, mapping, programs, seed, warmup, measure, telemetry)
         for seed in seeds
     ]
 
@@ -492,12 +522,13 @@ def run_batches(
 
     On the compiled core every mapping's :class:`BatchMachine` goes
     through one :func:`_dispatch`, so machine ``i + 1`` is built while
-    earlier machines advance; other batches run one :func:`run_batch`
-    per mapping.  The summaries are the same either way.
+    earlier machines advance; otherwise every seed runs through
+    :func:`run_serial`.  The summaries are the same either way.
     """
-    if not (_core_runs(config, programs, None) and batchcore.load()):
+    if not core_runs(config, programs, None):
         return [
-            run_batch(config, mapping, programs, seeds) for mapping in mappings
+            [run_serial(config, mapping, programs, seed) for seed in seeds]
+            for mapping in mappings
         ]
     warmup = config.warmup_network_cycles
     measure = config.measure_network_cycles

@@ -1,23 +1,28 @@
-"""Parallel multi-seed replication of simulator runs.
+"""Multi-seed replication of simulator runs.
 
 Every simulated figure used to rest on a single seed.  This module runs
 the same (config, mapping, programs) machine under a list of root seeds
-— serially, fanned out over worker processes
-(:func:`repro.core.pool.process_map`), and/or packed into batches
-(``batch=R`` routes contiguous seed chunks through
-:func:`repro.sim.batch.run_batch`, one lockstep pass per chunk where the
-compiled core applies) — and aggregates each
-:class:`~repro.sim.stats.MeasurementSummary` metric into mean / sample
-standard deviation / 95% confidence interval, so model-vs-sim
-comparisons carry error bars instead of point estimates.
+and aggregates each :class:`~repro.sim.stats.MeasurementSummary` metric
+into mean / sample standard deviation / 95% confidence interval, so
+model-vs-sim comparisons carry error bars instead of point estimates.
+
+One rule picks how the seeds run: compiled work runs on threads in this
+process, and worker processes serve only Python-bound work.  Seeds the
+compiled core runs (:func:`repro.sim.batch.core_runs`) are one core
+pass, :func:`repro.sim.batch.run_batch`, whose replications advance on
+GIL-free threads.  Every other seed (wormhole, telemetry, other
+programs, or a core that fails to load) is one serial
+:class:`~repro.sim.machine.Machine`, and ``jobs`` fans those over worker
+processes (:func:`repro.core.pool.process_map`), one seed per task.
 
 Determinism contract: for a fixed seed list the aggregates (and the
-per-seed summaries) are identical regardless of ``jobs``.  Each
-replication is an isolated machine built from ``config.with_seed(seed)``
-with its own deep copy of the mapping and programs (a worker serves
-several tasks from one payload, so nothing may mutate it), results are
-reassembled in seed order whatever the completion order, and the
-statistics are computed with plain float arithmetic over that order.
+per-seed summaries) are identical on every path and at any ``jobs``.
+Each replication is bit-identical to its own machine built from
+``config.with_seed(seed)`` with its own deep copy of the mapping and
+programs (a worker serves several tasks from one payload, so nothing
+may mutate it), results are reassembled in seed order whatever the
+completion order, and the statistics are computed with plain float
+arithmetic over that order.
 
 Seed policy: :func:`default_seeds` enumerates ``root, root+1, ...`` so
 the first replication of a campaign is exactly the old single-seed run —
@@ -27,32 +32,26 @@ seed via ``numpy.random.SeedSequence`` (see :mod:`repro.sim.processor`),
 and the RNG provenance rides on the result for run manifests.
 
 With observability enabled the whole sweep runs under a ``replicate``
-span, each replication inside a ``replication`` span; worker processes
-ship their span records back on the result tuple and the parent merges them
+span: a core pass inside it as one ``sim.batch`` span, each serial
+machine inside a ``replication`` span.  Worker processes ship their span
+records back on the result tuple and the parent merges them
 (:func:`repro.obs.ingest_worker_payloads`), so a ``jobs=N`` trace is
-equivalent to the serial one.
+equivalent to the in-process one.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.pool import (
-    FALLBACK_ERRORS,
-    chunk_tasks,
-    note_fallback,
-    process_map,
-)
+from repro.core.pool import FALLBACK_ERRORS, note_fallback, process_map
 from repro.errors import ParameterError
 from repro.mapping.base import Mapping
-from repro.sim.batch import run_batch
+from repro.sim.batch import core_runs, run_batch, run_serial
 from repro.sim.config import SimulationConfig
-from repro.sim.machine import Machine
 from repro.sim.stats import MeasurementSummary
 from repro.sim.telemetry import TelemetryConfig, merge_snapshots
 from repro.workload.base import ThreadProgram
@@ -162,79 +161,58 @@ def aggregate_summaries(
     return aggregates
 
 
-def _worker_obs_start(collect_obs: bool) -> int:
-    """Give a worker process a fresh trace buffer; returns its mark.
+def _run_seed(payload, task) -> Tuple[MeasurementSummary, Optional[Dict]]:
+    """Worker task: one seed on a serial machine
+    (:func:`repro.sim.batch.run_serial`) against the shared ``payload``,
+    ``(config, mapping, programs)``.
 
-    Fork-started workers inherit the parent's trace buffer and metrics
-    registry, and a worker runs several tasks; starting fresh per task
-    makes this task's spans carry the worker's pid and its histograms
-    ship back exactly once.
+    A fork-started worker inherits the parent's trace buffer and metrics
+    registry and serves several tasks, so with ``collect_obs`` each task
+    starts both fresh and ships its spans (carrying the worker's pid)
+    and histograms back for the parent to merge.
     """
+    config, mapping, programs = payload
+    seed, warmup, measure, collect_obs, telemetry = task
+    if collect_obs:
+        obs.enable()
+        obs.reset()
+        obs.REGISTRY.reset()
+        mark = obs.trace_mark()
+    summary = run_serial(
+        config, mapping, programs, seed, warmup, measure, telemetry
+    )
     if not collect_obs:
-        return 0
-    obs.enable()
-    obs.reset()
-    obs.REGISTRY.reset()
-    return obs.trace_mark()
-
-
-def _worker_obs_payload(collect_obs: bool, mark: int) -> Optional[Dict]:
-    """This task's spans and histograms, for the parent to merge."""
-    if not collect_obs:
-        return None
-    return {
+        return summary, None
+    return summary, {
         "pid": os.getpid(),
         "spans": obs.spans_since(mark),
         "histograms": obs.REGISTRY.snapshot_histograms(),
     }
 
 
-def _run_seed(payload, task) -> Tuple[MeasurementSummary, Optional[Dict]]:
-    """One seeded machine run against the shared ``payload``.
-
-    ``payload`` is ``(config, mapping, programs)``; programs carry
-    mutable per-run state, so every run takes its own deep copies.
-    ``collect_obs`` is set only for tasks that run in a worker process.
-    """
-    config, mapping, programs = payload
-    seed, warmup, measure, collect_obs, telemetry = task
-    mark = _worker_obs_start(collect_obs)
-    with obs.span("replication", seed=seed):
-        machine = Machine(
-            config.with_seed(seed),
-            copy.deepcopy(mapping),
-            copy.deepcopy(programs),
-        )
-        if telemetry is not None:
-            machine.attach_telemetry(telemetry)
-        summary = machine.run(warmup=warmup, measure=measure)
-    return summary, _worker_obs_payload(collect_obs, mark)
-
-
-def _run_chunk(
-    payload, task
-) -> Tuple[List[MeasurementSummary], Optional[Dict]]:
-    """One chunk of seeds through :func:`repro.sim.batch.run_batch`.
-
-    The batched counterpart of :func:`_run_seed`: same payload and task
-    convention, but one call runs every seed in the chunk and returns
-    the summaries in chunk order (each bit-identical to its solo run,
-    telemetry snapshot included).
-    """
-    config, mapping, programs = payload
-    chunk, warmup, measure, collect_obs, telemetry = task
-    mark = _worker_obs_start(collect_obs)
-    with obs.span("replication.batch", seeds=len(chunk)):
-        summaries = run_batch(
-            config,
-            copy.deepcopy(mapping),
-            copy.deepcopy(programs),
-            chunk,
-            warmup=warmup,
-            measure=measure,
-            telemetry=telemetry,
-        )
-    return summaries, _worker_obs_payload(collect_obs, mark)
+def _fan_out(
+    config, mapping, programs, seeds, jobs, warmup, measure, telemetry
+) -> List[MeasurementSummary]:
+    """One serial machine per seed over ``jobs`` worker processes, or in
+    this process if ``jobs`` is 1 or no worker can start; summaries in
+    seed order."""
+    if jobs > 1:
+        collect_obs = obs.is_enabled()
+        tasks = [(seed, warmup, measure, collect_obs, telemetry) for seed in seeds]
+        try:
+            outcomes = process_map(
+                _run_seed, (config, mapping, programs), tasks, jobs
+            )
+        except FALLBACK_ERRORS as error:
+            note_fallback("sim.replicate", error)
+        else:
+            if collect_obs:
+                obs.ingest_worker_payloads(payload for _, payload in outcomes)
+            return [summary for summary, _ in outcomes]
+    return [
+        run_serial(config, mapping, programs, seed, warmup, measure, telemetry)
+        for seed in seeds
+    ]
 
 
 def run_replications(
@@ -246,18 +224,24 @@ def run_replications(
     warmup: Optional[int] = None,
     measure: Optional[int] = None,
     telemetry: Optional[TelemetryConfig] = None,
-    batch: int = 1,
+    batch: Optional[int] = None,
 ) -> ReplicationResult:
     """Run one machine configuration under each seed and aggregate.
 
-    ``jobs > 1`` fans the replications over that many worker processes
-    (:func:`repro.core.pool.process_map`): the
+    Where :func:`repro.sim.batch.core_runs` says the compiled core runs
+    the seeds, they run in this process as one core pass
+    (:func:`repro.sim.batch.run_batch`, whose replications advance on
+    :func:`~repro.core.pool.thread_count` threads) whatever ``jobs`` is;
+    ``batch`` caps the seeds per pass (default: all of them).  Every
+    other sweep — wormhole, ``telemetry``, other programs, a core that
+    fails to load — runs one serial machine per seed, fanned over
+    ``jobs`` worker processes (:func:`repro.core.pool.process_map`): the
     ``(config, mapping, programs)`` payload reaches each worker once and
     each task carries only its seed and window overrides.  When no
-    worker can run here the sweep falls back to the serial path —
-    loudly, via the ``pool.fallback`` counter and a
-    :class:`~repro.core.pool.PoolFallbackWarning` — and results and
-    aggregates are identical either way.  ``jobs < 1`` raises
+    worker can run here those seeds run in this process — loudly, via
+    the ``pool.fallback`` counter and a
+    :class:`~repro.core.pool.PoolFallbackWarning`.  Results and
+    aggregates are identical on every path.  ``jobs < 1`` raises
     :class:`~repro.errors.ParameterError`.
 
     ``warmup`` / ``measure`` override the config's windows, as with
@@ -267,20 +251,13 @@ def run_replications(
     :meth:`ReplicationResult.merged_telemetry`); with observability on,
     worker processes additionally ship their histogram state back for
     the jobs-invariant registry merge.
-
-    ``batch > 1`` packs the seeds into contiguous chunks of at most
-    ``batch`` and hands each chunk to :func:`repro.sim.batch.run_batch`,
-    which runs cut-through chunks without telemetry in lockstep on the
-    compiled core and every other chunk as one machine per seed.
-    Per-seed summaries (and telemetry snapshots) are bit-identical to
-    the ``batch=1`` path, so batching composes freely with ``jobs``:
-    each chunk is one worker task, multiplying the batch speedup by the
-    jobs scaling.
     """
     seeds = tuple(int(seed) for seed in seeds)
     if not seeds:
         raise ParameterError("need at least one replication seed")
-    batch = int(batch)
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs!r}")
+    batch = len(seeds) if batch is None else int(batch)
     if batch < 1:
         raise ParameterError(f"batch must be >= 1; got {batch}")
     if batch > len(seeds):
@@ -288,38 +265,21 @@ def run_replications(
             f"batch ({batch}) exceeds the replication count "
             f"({len(seeds)}); pass batch <= len(seeds)"
         )
-    collect_obs = obs.is_enabled()
-    if batch > 1:
-        run, units = _run_chunk, chunk_tasks(seeds, batch)
-    else:
-        run, units = _run_seed, seeds
-
-    def fan_out(workers: int) -> List:
-        tasks = [
-            (unit, warmup, measure, collect_obs and workers > 1, telemetry)
-            for unit in units
-        ]
-        return process_map(run, (config, mapping, programs), tasks, workers)
-
-    outcomes = None
     with obs.span("replicate", seeds=len(seeds), jobs=jobs, batch=batch):
-        if jobs != 1:
-            try:
-                outcomes = fan_out(jobs)
-            except FALLBACK_ERRORS as error:
-                note_fallback("sim.replicate", error)
-        if outcomes is None:
-            outcomes = fan_out(1)
-    if collect_obs:
-        obs.ingest_worker_payloads(payload for _, payload in outcomes)
-    if batch > 1:
-        # Chunks are contiguous slices of the seed tuple, so plain
-        # concatenation restores seed order.
-        summaries = [
-            summary for chunk, _ in outcomes for summary in chunk
-        ]
-    else:
-        summaries = [summary for summary, _ in outcomes]
+        if core_runs(config, programs, telemetry):
+            summaries = [
+                summary
+                for start in range(0, len(seeds), batch)
+                for summary in run_batch(
+                    config, mapping, programs, seeds[start:start + batch],
+                    warmup=warmup, measure=measure,
+                )
+            ]
+        else:
+            summaries = _fan_out(
+                config, mapping, programs, seeds, jobs, warmup, measure,
+                telemetry,
+            )
     return ReplicationResult(
         seeds=seeds,
         summaries=summaries,

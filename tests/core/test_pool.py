@@ -19,7 +19,7 @@ from repro.core.pool import (
     note_fallback,
     process_map,
 )
-from repro.errors import MappingError, ParameterError, WorkerCrashError
+from repro.errors import ParameterError, WorkerCrashError
 
 
 def use_start_method(monkeypatch, method):
@@ -174,27 +174,14 @@ def _run_replications(jobs):
     )
 
 
-def _anneal_chains(jobs):
-    from repro.mapping.chains import anneal_chains
-    from repro.mapping.strategies import random_mapping
-    from repro.topology.graphs import torus_neighbor_graph
-    from repro.topology.torus import Torus
-
-    anneal_chains(
-        torus_neighbor_graph(4, 2), Torus(radix=4, dimensions=2),
-        random_mapping(16, seed=3), chains=2, steps=10, jobs=jobs,
-    )
-
-
 @pytest.mark.parametrize("jobs", [0, -3])
 @pytest.mark.parametrize(
     "site, error",
     [
         (_run_all, ParameterError),
         (_run_replications, ParameterError),
-        (_anneal_chains, MappingError),
     ],
-    ids=["run_all", "run_replications", "anneal_chains"],
+    ids=["run_all", "run_replications"],
 )
 def test_every_jobs_site_rejects_jobs_below_one(site, error, jobs):
     with pytest.raises(error, match="jobs must be >= 1"):

@@ -1,5 +1,7 @@
 """Tests for multi-chain (restart) annealing."""
 
+import sys
+
 import pytest
 
 from repro.errors import MappingError
@@ -39,44 +41,45 @@ class TestChainParity:
             )
             assert result == standalone
 
-    def test_jobs_do_not_change_results(self, torus, graph, start):
-        batched = anneal_chains(
-            graph, torus, start, chains=3, steps=600, seed=5, jobs=1
-        )
-        pooled = anneal_chains(
-            graph, torus, start, chains=3, steps=600, seed=5, jobs=2
-        )
-        assert batched.results == pooled.results
-        assert batched.best_index == pooled.best_index
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        # Each thread takes its own swap engine; the chains must be
+        # bit-identical at one thread, two, and more than the chains.
+        # Chains long enough to overlap make a shared engine diverge.
+        from repro.mapping import anneal
+
+        torus = Torus(radix=16, dimensions=2)
+        graph = torus_neighbor_graph(16, 2)
+        start = random_mapping(256, seed=3)
+        runs = {}
+        interval = sys.getswitchinterval()
+        try:
+            for count in (1, 2, 8):
+                monkeypatch.setattr(anneal, "thread_count", lambda: count)
+                # Switch as often as the interpreter allows past one thread.
+                sys.setswitchinterval(1e-6 if count > 1 else interval)
+                runs[count] = anneal_chains(
+                    graph, torus, start, chains=4, steps=50_000, seed=5
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[2] == runs[1] and runs[8] == runs[1]
 
     def test_deterministic(self, torus, graph, start):
         a = anneal_chains(graph, torus, start, chains=2, steps=500, seed=9)
         b = anneal_chains(graph, torus, start, chains=2, steps=500, seed=9)
         assert a == b
 
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_workers_match_batched(
-        self, method, monkeypatch, torus, graph, start
-    ):
-        # Each worker builds its own swap engine; the chains must
-        # still be bit-identical to the serial path.
-        import multiprocessing
+    def test_one_chain_opens_no_thread_pool(self, monkeypatch, torus, graph, start):
+        # anneal_mapping (one chain) runs on the calling thread.
+        from repro.mapping import anneal
 
-        from repro.core import pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one chain must not open a thread pool")
 
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"no {method} on this platform")
-        monkeypatch.setattr(
-            pool, "_context", lambda: multiprocessing.get_context(method)
-        )
-        batched = anneal_chains(
-            graph, torus, start, chains=2, steps=400, seed=5, jobs=1
-        )
-        pooled = anneal_chains(
-            graph, torus, start, chains=2, steps=400, seed=5, jobs=2
-        )
-        assert batched.results == pooled.results
-        assert batched.best_index == pooled.best_index
+        monkeypatch.setattr(anneal, "thread_count", lambda: 4)
+        monkeypatch.setattr(anneal, "ThreadPoolExecutor", no_pool)
+        result = anneal_mapping(graph, torus, start, steps=300, seed=2)
+        assert result.attempted_moves + result.skipped_moves == 300
 
 
 class TestReferenceParity:
@@ -157,10 +160,6 @@ class TestValidation:
     def test_rejects_bad_chain_count(self, torus, graph, start):
         with pytest.raises(MappingError):
             anneal_chains(graph, torus, start, chains=0, steps=10)
-
-    def test_rejects_bad_jobs(self, torus, graph, start):
-        with pytest.raises(MappingError):
-            anneal_chains(graph, torus, start, chains=2, steps=10, jobs=0)
 
     def test_rejects_mismatched_mapping(self, torus, graph):
         with pytest.raises(MappingError):

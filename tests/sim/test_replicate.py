@@ -9,20 +9,21 @@ from repro import obs
 from repro.errors import ParameterError
 from repro.mapping.strategies import random_mapping
 from repro.sim.config import SimulationConfig
+from repro.sim import batchcore
 from repro.sim.machine import Machine
 from repro.sim.replicate import (
     aggregate_summaries,
     default_seeds,
     run_replications,
 )
-from repro.sim.telemetry import LATENCY_METRIC, TelemetryConfig
+from repro.sim.telemetry import LATENCY_METRIC, TelemetryConfig, merge_snapshots
 from repro.topology.graphs import torus_neighbor_graph
 from repro.workload.synthetic import build_programs
 
 
-def small_setup(radix=4, contexts=2):
+def small_setup(radix=4, contexts=2, switching="cut_through"):
     config = SimulationConfig(
-        radix=radix, dimensions=2, contexts=contexts,
+        radix=radix, dimensions=2, contexts=contexts, switching=switching,
         warmup_network_cycles=300, measure_network_cycles=1200,
     )
     graph = torus_neighbor_graph(radix, 2)
@@ -31,6 +32,26 @@ def small_setup(radix=4, contexts=2):
     )
     mapping = random_mapping(config.node_count, seed=radix)
     return config, mapping, programs
+
+
+def machine_runs(config, mapping, programs, seeds, telemetry=None):
+    """The oracle: one ``Machine(config.with_seed(seed), ...)`` per seed,
+    each on its own copy of the programs."""
+    summaries = []
+    for seed in seeds:
+        machine = Machine(
+            config.with_seed(seed),
+            copy.deepcopy(mapping),
+            copy.deepcopy(programs),
+        )
+        if telemetry is not None:
+            machine.attach_telemetry(telemetry)
+        summaries.append(machine.run())
+    return summaries
+
+
+def as_dicts(summaries):
+    return [summary.as_dict() for summary in summaries]
 
 
 class TestSeeds:
@@ -91,14 +112,17 @@ class TestDeterminism:
         assert result.summaries[0].as_dict() == single.as_dict()
 
     def test_jobs_do_not_change_results(self):
-        config, mapping, programs = small_setup()
-        seeds = default_seeds(config.seed, 3)
-        serial = run_replications(config, mapping, programs, seeds, jobs=1)
-        pooled = run_replications(config, mapping, programs, seeds, jobs=3)
-        assert [s.as_dict() for s in serial.summaries] == [
-            s.as_dict() for s in pooled.summaries
-        ]
-        assert serial.aggregates == pooled.aggregates
+        # Cut-through seeds run as one core pass at any jobs; wormhole
+        # seeds run as serial machines, fanned over processes at jobs=3.
+        for switching in ("cut_through", "wormhole"):
+            config, mapping, programs = small_setup(switching=switching)
+            seeds = default_seeds(config.seed, 3)
+            want = as_dicts(machine_runs(config, mapping, programs, seeds))
+            for jobs in (1, 3):
+                result = run_replications(
+                    config, mapping, programs, seeds, jobs=jobs
+                )
+                assert as_dicts(result.summaries) == want
 
     def test_distinct_seeds_vary_the_measurement(self):
         config, mapping, programs = small_setup()
@@ -152,9 +176,9 @@ class TestTelemetry:
         ]
 
     def test_jobs_do_not_change_merged_telemetry(self):
-        # Satellite regression: the merged snapshot and the registry's
-        # latency histogram must be identical whether the replications
-        # ran serially or fanned out over pool workers (whose histogram
+        # The merged snapshot and the registry's latency histogram must
+        # equal the per-seed machines' whether the replications ran in
+        # this process or fanned out over pool workers (whose histogram
         # state ships back on the payload).
         config, mapping, programs = small_setup()
         seeds = default_seeds(config.seed, 2)
@@ -163,74 +187,79 @@ class TestTelemetry:
         obs.enable(fresh=True)
         obs.REGISTRY.reset()
         try:
-            serial = run_replications(
-                config, mapping, programs, seeds, jobs=1, telemetry=telemetry
+            machines = machine_runs(
+                config, mapping, programs, seeds, telemetry=telemetry
             )
-            serial_histogram = obs.REGISTRY.get(LATENCY_METRIC).as_dict()
-            obs.reset()
-            obs.REGISTRY.reset()
-            pooled = run_replications(
-                config, mapping, programs, seeds, jobs=2, telemetry=telemetry
-            )
-            pooled_histogram = obs.REGISTRY.get(LATENCY_METRIC).as_dict()
+            want_histogram = obs.REGISTRY.get(LATENCY_METRIC).as_dict()
+            results = {}
+            for jobs in (1, 2):
+                obs.reset()
+                obs.REGISTRY.reset()
+                result = run_replications(
+                    config, mapping, programs, seeds, jobs=jobs,
+                    telemetry=telemetry,
+                )
+                histogram = obs.REGISTRY.get(LATENCY_METRIC).as_dict()
+                results[jobs] = (result.merged_telemetry(), histogram)
         finally:
             obs.reset()
             obs.REGISTRY.reset()
             if not enabled_before:
                 obs.disable()
-        assert serial.merged_telemetry() == pooled.merged_telemetry()
-        assert serial_histogram == pooled_histogram
-        assert serial_histogram["count"] > 0
+        want = (
+            merge_snapshots([summary.telemetry for summary in machines]),
+            want_histogram,
+        )
+        assert results[1] == want and results[2] == want
+        assert want_histogram["count"] > 0
 
 
 class TestBatchedReplication:
-    """The CI-retained batch parity contract (see ISSUE 10).
-
-    ``batch=R`` must be invisible in the results: same per-seed
-    summaries, same aggregates, same merged telemetry as the serial
-    path, with any chunk remainder and any jobs level.
-    """
+    """``batch`` caps the seeds per core pass; it must be invisible in
+    the results: the same per-seed summaries as one machine per seed,
+    with any chunk remainder, any jobs level, and on inputs the core
+    does not run."""
 
     def test_batched_matches_serial_per_seed(self):
         config, mapping, programs = small_setup()
         seeds = default_seeds(config.seed, 5)
-        serial = run_replications(config, mapping, programs, seeds)
         # batch=2 over 5 seeds exercises the remainder chunk too.
         batched = run_replications(
             config, mapping, programs, seeds, batch=2
         )
-        assert [s.as_dict() for s in batched.summaries] == [
-            s.as_dict() for s in serial.summaries
-        ]
-        assert batched.aggregates == serial.aggregates
-        assert batched.rng == serial.rng
+        assert as_dicts(batched.summaries) == as_dicts(
+            machine_runs(config, mapping, programs, seeds)
+        )
+        assert batched.rng["seeds"] == list(seeds)
 
     def test_batch_composes_with_pool_jobs(self):
         config, mapping, programs = small_setup()
         seeds = default_seeds(config.seed, 4)
-        serial = run_replications(config, mapping, programs, seeds)
         batched = run_replications(
             config, mapping, programs, seeds, jobs=2, batch=2
         )
-        assert [s.as_dict() for s in batched.summaries] == [
-            s.as_dict() for s in serial.summaries
-        ]
+        assert as_dicts(batched.summaries) == as_dicts(
+            machine_runs(config, mapping, programs, seeds)
+        )
 
     def test_batched_telemetry_merges_identically(self):
-        # Satellite regression: per-rep snapshots sliced out of a batch
-        # run must merge to exactly the serial replications' result.
+        # Telemetry replications run as serial machines; the cap must
+        # not change their snapshots.
         config, mapping, programs = small_setup()
         seeds = default_seeds(config.seed, 3)
         telemetry = TelemetryConfig(epoch_cycles=128)
-        serial = run_replications(
+        machines = machine_runs(
             config, mapping, programs, seeds, telemetry=telemetry
         )
         batched = run_replications(
             config, mapping, programs, seeds, telemetry=telemetry, batch=3
         )
-        assert len(batched.telemetry_snapshots()) == 3
-        assert batched.telemetry_snapshots() == serial.telemetry_snapshots()
-        assert batched.merged_telemetry() == serial.merged_telemetry()
+        assert batched.telemetry_snapshots() == [
+            summary.telemetry for summary in machines
+        ]
+        assert batched.merged_telemetry() == merge_snapshots(
+            [summary.telemetry for summary in machines]
+        )
 
     def test_batch_validation(self):
         config, mapping, programs = small_setup()
@@ -241,28 +270,53 @@ class TestBatchedReplication:
             run_replications(config, mapping, programs, seeds, batch=3)
 
     def test_wormhole_batch_matches_serial(self):
-        config, mapping, programs = small_setup()
-        config = SimulationConfig(
-            radix=4, dimensions=2, contexts=2, switching="wormhole",
-            warmup_network_cycles=300, measure_network_cycles=1200,
-        )
+        config, mapping, programs = small_setup(switching="wormhole")
         seeds = default_seeds(config.seed, 2)
-        serial = run_replications(config, mapping, programs, seeds)
         batched = run_replications(
             config, mapping, programs, seeds, batch=2
         )
-        assert [s.as_dict() for s in batched.summaries] == [
-            s.as_dict() for s in serial.summaries
-        ]
+        assert as_dicts(batched.summaries) == as_dicts(
+            machine_runs(config, mapping, programs, seeds)
+        )
+
+
+def _counting(monkeypatch):
+    """Count processes started, serial machines built and
+    ``BatchMachine.run`` calls made from here on."""
+    from repro.core import pool
+    from repro.sim import batch
+
+    counts = {"processes": 0, "machines": 0, "batch_runs": 0}
+    executor = pool.ProcessPoolExecutor
+    machine_init = Machine.__init__
+    batch_run = batch.BatchMachine.run
+
+    def processes(*args, **kwargs):
+        counts["processes"] += 1
+        return executor(*args, **kwargs)
+
+    def machine(self, *args, **kwargs):
+        counts["machines"] += 1
+        machine_init(self, *args, **kwargs)
+
+    def batch_machine_run(self, *args, **kwargs):
+        counts["batch_runs"] += 1
+        return batch_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", processes)
+    monkeypatch.setattr(Machine, "__init__", machine)
+    monkeypatch.setattr(batch.BatchMachine, "run", batch_machine_run)
+    return counts
 
 
 class TestCrossProcessDeterminism:
     """Worker processes must be invisible in the results.
 
-    Same seeds through fork workers == spawn workers == the serial
-    path, bit for bit.  A worker serves several tasks from one payload,
-    so any leaked per-run state (the programs' cursors, a stale obs
-    buffer) would show up here as a divergence.
+    Serial-machine replications (here wormhole) through fork workers ==
+    spawn workers == one machine per seed, bit for bit.  A worker serves
+    several tasks from one payload, so any leaked per-run state (the
+    programs' cursors, a stale obs buffer) would show up here as a
+    divergence.
     """
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
@@ -276,14 +330,14 @@ class TestCrossProcessDeterminism:
         monkeypatch.setattr(
             pool, "_context", lambda: multiprocessing.get_context(method)
         )
-        config, mapping, programs = small_setup()
+        config, mapping, programs = small_setup(switching="wormhole")
         seeds = default_seeds(config.seed, 3)
-        serial = run_replications(config, mapping, programs, seeds, jobs=1)
+        counts = _counting(monkeypatch)
         pooled = run_replications(config, mapping, programs, seeds, jobs=2)
-        assert [s.as_dict() for s in pooled.summaries] == [
-            s.as_dict() for s in serial.summaries
-        ]
-        assert serial.aggregates == pooled.aggregates
+        assert counts["processes"] == 1
+        assert as_dicts(pooled.summaries) == as_dicts(
+            machine_runs(config, mapping, programs, seeds)
+        )
 
     def test_jobs_one_never_starts_a_process(self, monkeypatch):
         from repro.core import pool
@@ -292,10 +346,25 @@ class TestCrossProcessDeterminism:
             raise AssertionError("jobs=1 must not start a process")
 
         monkeypatch.setattr(pool, "ProcessPoolExecutor", no_processes)
-        config, mapping, programs = small_setup()
-        seeds = default_seeds(config.seed, 2)
-        for batch in (1, 2):
+        for switching in ("cut_through", "wormhole"):
+            config, mapping, programs = small_setup(switching=switching)
+            seeds = default_seeds(config.seed, 2)
             result = run_replications(
-                config, mapping, programs, seeds, jobs=1, batch=batch
+                config, mapping, programs, seeds, jobs=1
             )
             assert len(result.summaries) == 2
+
+    @pytest.mark.skipif(
+        batchcore.load() is None,
+        reason=f"batch core unavailable: {batchcore.load_failure()}",
+    )
+    def test_core_seeds_run_in_process_whatever_jobs(self, monkeypatch):
+        # Compiled work runs on threads: a core-eligible sweep at jobs=2
+        # is one core pass in this process, with no serial machine.
+        config, mapping, programs = small_setup()
+        seeds = default_seeds(config.seed, 3)
+        want = as_dicts(machine_runs(config, mapping, programs, seeds))
+        counts = _counting(monkeypatch)
+        result = run_replications(config, mapping, programs, seeds, jobs=2)
+        assert counts == {"processes": 0, "machines": 0, "batch_runs": 1}
+        assert as_dicts(result.summaries) == want

@@ -86,8 +86,6 @@ class TestRunFlags:
         [
             ["run", "table-1", "--jobs", "0"],
             ["run", "--all", "--jobs", "-3"],
-            ["all", "--jobs", "0"],
-            ["anneal", "--jobs", "0"],
         ],
     )
     def test_jobs_below_one_is_a_usage_error(self, argv):
