@@ -174,7 +174,7 @@ def run_chain(
     )
     distance = best_sum / engine.total_weight
     return AnnealResult(
-        mapping=Mapping.from_array(position, initial.processors),
+        mapping=Mapping._adopt(position, initial.processors),
         distance=distance,
         initial_distance=initial_distance,
         best_distance=distance,

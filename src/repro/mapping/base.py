@@ -11,7 +11,7 @@ Section 1.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -21,72 +21,145 @@ from repro.errors import MappingError
 __all__ = ["Mapping"]
 
 
-@dataclass(frozen=True)
+def _integral(entry) -> bool:
+    return isinstance(entry, (int, np.integer)) or (
+        isinstance(entry, float) and entry.is_integer()
+    )
+
+
+def _checked(values: np.ndarray, processors: int) -> np.ndarray:
+    """``values`` as an int64 array after the constructor's checks: a
+    numpy min/max pass for integer arrays, an element walk (naming the
+    first bad thread) for anything else.  Copies only to change dtype."""
+    if processors < 1:
+        raise MappingError(f"processors must be >= 1, got {processors!r}")
+    if values.ndim != 1:
+        raise MappingError(
+            f"assignment array must be 1-D, got shape {values.shape}"
+        )
+    if not values.size:
+        raise MappingError("assignment must map at least one thread")
+    if values.dtype.kind in "biu":
+        if values.min() >= 0 and values.max() < processors:
+            return values.astype(np.int64, copy=False)
+        thread = int(np.argmax((values < 0) | (values >= processors)))
+        raise _outside(thread, int(values[thread]), processors)
+    # Floats, Python ints beyond int64 (an object array), and the rest.
+    for thread, processor in enumerate(values.tolist()):
+        if not _integral(processor):
+            raise MappingError(
+                f"thread {thread} mapped to non-integer processor {processor!r}"
+            )
+        if not 0 <= processor < processors:
+            raise _outside(thread, processor, processors)
+    return values.astype(np.int64)
+
+
+def _outside(thread: int, processor: int, processors: int) -> MappingError:
+    return MappingError(
+        f"thread {thread} mapped to processor {processor!r}, "
+        f"outside 0..{processors - 1}"
+    )
+
+
+def _as_tuple(array: np.ndarray) -> Tuple[int, ...]:
+    """The ``assignment`` tuple of an int64 array (Python ints)."""
+    return tuple(array.tolist())
+
+
 class Mapping:
     """An assignment of threads ``0..T-1`` to processors ``0..P-1``.
 
     Parameters
     ----------
     assignment:
-        ``assignment[thread]`` is the processor the thread runs on.
+        ``assignment[thread]`` is the processor the thread runs on: any
+        1-D integer sequence or array (whole-number floats are taken as
+        their integers; anything else raises :class:`MappingError`).
     processors:
         Number of processors ``P``; every entry must lie in ``0..P-1``.
+
+    The one stored representation is the read-only int64 array
+    :meth:`as_array` returns, a copy of what the mapping was built from
+    (every constructor takes the same array path: one copy and a numpy
+    range check).  The :attr:`assignment` tuple is built from it on first
+    access and kept, for the callers that index it per thread
+    (:meth:`processor_of`, the loop references, ``repr``); the shuffle,
+    the optimizers and the evaluators never touch it, so a 10⁵-node
+    mapping they return never builds a 10⁵-entry tuple.  Mappings are
+    immutable; equality, hashing, pickling and ``repr`` (the
+    dataclass-style ``Mapping(assignment=(...), processors=P)``) do not
+    depend on how one was built.
     """
 
-    assignment: Tuple[int, ...]
-    processors: int
+    __slots__ = ("processors", "_array", "_assignment")
 
-    def __post_init__(self) -> None:
-        if self.processors < 1:
-            raise MappingError(
-                f"processors must be >= 1, got {self.processors!r}"
-            )
-        if not self.assignment:
-            raise MappingError("assignment must map at least one thread")
-        array = self.__dict__.get("_array")
-        if array is not None:
-            if array.min() >= 0 and array.max() < self.processors:
-                return
-            thread = int(np.argmax((array < 0) | (array >= self.processors)))
-            raise self._outside(thread, int(array[thread]))
-        # One min/max pass; the per-element walk only names the culprit.
-        if 0 <= min(self.assignment) and max(self.assignment) < self.processors:
-            return
-        for thread, processor in enumerate(self.assignment):
-            if not 0 <= processor < self.processors:
-                raise self._outside(thread, processor)
+    def __init__(self, assignment: Sequence[int], processors: int) -> None:
+        self._install(np.array(assignment), processors)
 
-    def _outside(self, thread: int, processor: int) -> MappingError:
-        return MappingError(
-            f"thread {thread} mapped to processor {processor!r}, "
-            f"outside 0..{self.processors - 1}"
-        )
+    def _install(self, array: np.ndarray, processors: int) -> None:
+        array = _checked(array, processors)
+        array.setflags(write=False)
+        object.__setattr__(self, "processors", processors)
+        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "_assignment", None)
+
+    @classmethod
+    def _adopt(cls, array: np.ndarray, processors: int) -> "Mapping":
+        """Wrap a fresh int64 array its caller hands over and no longer
+        writes (a strategy's construction, an optimizer's final
+        position), without a copy."""
+        mapping = object.__new__(cls)
+        mapping._install(array, processors)
+        return mapping
 
     @classmethod
     def from_sequence(
         cls, assignment: Sequence[int], processors: int
     ) -> "Mapping":
         """Build from any integer sequence."""
-        return cls(assignment=tuple(int(p) for p in assignment), processors=processors)
+        return cls(assignment, processors)
 
     @classmethod
     def from_array(cls, values, processors: int) -> "Mapping":
-        """Build from a 1-D integer array, range-checked with numpy.
+        """Build from a 1-D integer array: one copy and a numpy range
+        check, so later writes to ``values`` do not reach the mapping."""
+        return cls(values, processors)
 
-        The mapping keeps a read-only int64 copy of ``values`` as its
-        :meth:`as_array`, so array consumers (the optimizers,
-        :meth:`is_bijective`) never convert the ``assignment`` tuple.
-        """
-        array = np.array(values, dtype=np.int64)
-        if array.ndim != 1:
-            raise MappingError(
-                f"assignment array must be 1-D, got shape {array.shape}"
-            )
-        array.setflags(write=False)
-        mapping = cls.__new__(cls)
-        object.__setattr__(mapping, "_array", array)
-        mapping.__init__(tuple(array.tolist()), processors)
-        return mapping
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self._array, self.processors)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.processors == other.processors and np.array_equal(
+            self._array, other._array
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._array.tobytes(), self.processors))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(assignment={self.assignment!r}, "
+            f"processors={self.processors!r})"
+        )
+
+    @property
+    def assignment(self) -> Tuple[int, ...]:
+        """``assignment[thread]`` is the processor the thread runs on: a
+        tuple of ints, built on first access."""
+        assignment = self._assignment
+        if assignment is None:
+            assignment = _as_tuple(self._array)
+            object.__setattr__(self, "_assignment", assignment)
+        return assignment
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -95,13 +168,14 @@ class Mapping:
     @property
     def threads(self) -> int:
         """Number of threads mapped."""
-        return len(self.assignment)
+        return self._array.size
 
     def processor_of(self, thread: int) -> int:
         """Processor hosting ``thread``."""
-        if not 0 <= thread < self.threads:
+        assignment = self.assignment
+        if not 0 <= thread < len(assignment):
             raise MappingError(f"thread {thread!r} outside 0..{self.threads - 1}")
-        return self.assignment[thread]
+        return assignment[thread]
 
     def threads_on(self, processor: int) -> List[int]:
         """Threads collocated on ``processor`` (possibly empty)."""
@@ -127,13 +201,8 @@ class Mapping:
         )
 
     def as_array(self) -> np.ndarray:
-        """The assignment as a read-only int64 array, built once."""
-        array = self.__dict__.get("_array")
-        if array is None:
-            array = np.fromiter(self.assignment, dtype=np.int64, count=self.threads)
-            array.setflags(write=False)
-            object.__setattr__(self, "_array", array)
-        return array
+        """The assignment as the mapping's own read-only int64 array."""
+        return self._array
 
     def require_bijective(self) -> "Mapping":
         """Raise :class:`MappingError` unless bijective; returns self."""
@@ -161,23 +230,15 @@ class Mapping:
                 f"permutation acts on {permutation.threads} processors, "
                 f"mapping targets {self.processors}"
             )
-        return Mapping(
-            assignment=tuple(
-                permutation.processor_of(p) for p in self.assignment
-            ),
-            processors=self.processors,
-        )
+        return Mapping._adopt(permutation.as_array()[self._array], self.processors)
 
     def swapped(self, thread_a: int, thread_b: int) -> "Mapping":
         """Copy with two threads' processors exchanged (optimizer move)."""
         if thread_a == thread_b:
             return self
-        assignment = list(self.assignment)
-        assignment[thread_a], assignment[thread_b] = (
-            assignment[thread_b],
-            assignment[thread_a],
-        )
-        return Mapping(assignment=tuple(assignment), processors=self.processors)
+        array = self._array.copy()
+        array[[thread_a, thread_b]] = array[[thread_b, thread_a]]
+        return Mapping._adopt(array, self.processors)
 
     def items(self) -> Iterator[Tuple[int, int]]:
         """(thread, processor) pairs."""

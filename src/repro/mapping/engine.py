@@ -255,7 +255,7 @@ class SwapEngine:
         self._lib = lib
         indptr, neighbors, weights = graph.incident_csr()
         src, dst, edge_weights = graph.edge_arrays()
-        self._weight_sum = float(edge_weights.sum())
+        self._weight_sum = graph.edge_weight_sum()
         kernel = ffi.new("SwapKernel *")
         kernel.dims = torus.dimensions
         kernel.radix = torus.radix

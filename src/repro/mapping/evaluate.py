@@ -74,7 +74,7 @@ def average_distance(
     """
     _check_compatible(graph, mapping, torus)
     _, _, weight = graph.edge_arrays()
-    weight_sum = float(weight.sum())
+    weight_sum = graph.edge_weight_sum()
     if weight_sum == 0.0:
         raise MappingError("communication graph has no edges")
     hops = edge_hop_counts(graph, mapping, torus)

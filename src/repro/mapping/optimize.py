@@ -79,7 +79,7 @@ def optimize_mapping(
         position, seed, steps, maximize=maximize
     )
     return OptimizationResult(
-        mapping=Mapping.from_array(position, initial.processors),
+        mapping=Mapping._adopt(position, initial.processors),
         distance=final_sum / engine.total_weight,
         initial_distance=initial_distance,
         accepted_swaps=accepted,

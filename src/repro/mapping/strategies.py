@@ -30,10 +30,7 @@ def _mapping_from_coords(torus: Torus, coords: np.ndarray) -> Mapping:
     nodes = np.zeros(coords.shape[1], dtype=np.int64)
     for dim in reversed(range(torus.dimensions)):
         nodes = nodes * torus.radix + coords[dim]
-    return Mapping(
-        assignment=tuple(int(node) for node in nodes),
-        processors=torus.node_count,
-    )
+    return Mapping._adopt(nodes, torus.node_count)
 
 __all__ = [
     "identity_mapping",
@@ -52,7 +49,7 @@ __all__ = [
 
 def identity_mapping(processors: int) -> Mapping:
     """Thread ``i`` on processor ``i`` — the paper's ideal mapping."""
-    return Mapping(assignment=tuple(range(processors)), processors=processors)
+    return Mapping._adopt(np.arange(processors, dtype=np.int64), processors)
 
 
 def random_mapping(processors: int, seed: int) -> Mapping:
@@ -64,11 +61,11 @@ def random_mapping(processors: int, seed: int) -> Mapping:
     own shuffle, loudly.
     """
     if engine.kernel_available():
-        return Mapping.from_array(engine.shuffled(processors, seed), processors)
+        return Mapping._adopt(engine.shuffled(processors, seed), processors)
     generator = random.Random(seed)
     assignment = list(range(processors))
     generator.shuffle(assignment)
-    return Mapping(assignment=tuple(assignment), processors=processors)
+    return Mapping(assignment, processors)
 
 
 def stride_mapping(processors: int, stride: int) -> Mapping:
@@ -83,10 +80,8 @@ def stride_mapping(processors: int, stride: int) -> Mapping:
             f"stride {stride} shares a factor with {processors}; "
             "the mapping would not be a bijection"
         )
-    return Mapping(
-        assignment=tuple((stride * i) % processors for i in range(processors)),
-        processors=processors,
-    )
+    threads = np.arange(processors, dtype=np.int64)
+    return Mapping._adopt(threads * (stride % processors) % processors, processors)
 
 
 def dimension_scale_mapping(torus: Torus, multipliers: Sequence[int]) -> Mapping:
@@ -174,10 +169,7 @@ def block_collocation_mapping(threads: int, processors: int) -> Mapping:
             f"of processors, got {threads} threads on {processors}"
         )
     block = threads // processors
-    return Mapping(
-        assignment=tuple(i // block for i in range(threads)),
-        processors=processors,
-    )
+    return Mapping._adopt(np.arange(threads, dtype=np.int64) // block, processors)
 
 
 def snake_mapping(torus: Torus) -> Mapping:
@@ -194,12 +186,9 @@ def snake_mapping(torus: Torus) -> Mapping:
             f"snake_mapping is 2-D only, got {torus.dimensions} dimensions"
         )
     radix = torus.radix
-    assignment = []
-    for thread in range(torus.node_count):
-        row, offset = divmod(thread, radix)
-        column = offset if row % 2 == 0 else radix - 1 - offset
-        assignment.append(torus.node_at((column, row)))
-    return Mapping(assignment=tuple(assignment), processors=torus.node_count)
+    rows, offsets = np.divmod(np.arange(torus.node_count, dtype=np.int64), radix)
+    columns = np.where(rows % 2 == 0, offsets, radix - 1 - offsets)
+    return _mapping_from_coords(torus, np.stack((columns, rows)))
 
 
 def gray_code_mapping(torus: Torus) -> Mapping:

@@ -262,7 +262,7 @@ class BatchMachine:
             )
         instances, records, table = described
         # Every instance's blocks live with their threads.
-        homes = np.tile(np.asarray(mapping.assignment, dtype=np.intc), instances)
+        homes = np.tile(mapping.as_array().astype(np.intc), instances)
         loaded = batchcore.load()
         if loaded is None:
             raise SimulationError(

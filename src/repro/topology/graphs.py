@@ -89,7 +89,7 @@ class CommunicationGraph:
         """Sum of all edge weights (the normalization constant)."""
         if self.weights:
             return sum(self.weights.values())
-        return float(self.edge_arrays()[2].sum())
+        return self.edge_weight_sum()
 
     def out_neighbors(self, thread: int) -> Iterator[Tuple[int, float]]:
         """Destinations and weights of a thread's outgoing edges, in edge
@@ -132,6 +132,16 @@ class CommunicationGraph:
                 array.setflags(write=False)
             cached = (src, dst, weight)
             object.__setattr__(self, "_edge_arrays", cached)
+        return cached
+
+    def edge_weight_sum(self) -> float:
+        """``float`` of the numpy sum of :meth:`edge_arrays`' weights,
+        summed once per graph: :attr:`total_weight` for the array-backed
+        layout, and the swap kernel's average-distance denominator."""
+        cached = self.__dict__.get("_edge_weight_sum")
+        if cached is None:
+            cached = float(self.edge_arrays()[2].sum())
+            object.__setattr__(self, "_edge_weight_sum", cached)
         return cached
 
     def out_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

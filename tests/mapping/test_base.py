@@ -1,6 +1,8 @@
 """Tests for the Mapping abstraction."""
 
+import copy
 import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ class TestConstruction:
         values = np.array([3, 0, 2, 1])
         mapping = Mapping.from_array(values, processors=4)
         same = Mapping(assignment=(3, 0, 2, 1), processors=4)
-        # The kept array stays out of equality, hashing and repr.
+        # Equality, hashing and repr do not depend on the constructor.
         assert mapping == same and hash(mapping) == hash(same)
         assert repr(mapping) == repr(same)
         assert type(mapping.assignment) is tuple
@@ -55,6 +57,41 @@ class TestConstruction:
         assert pickle.loads(pickle.dumps(mapping)).as_array().tolist() == [3, 0, 2, 1]
         assert same.as_array().tolist() == [3, 0, 2, 1]
         assert same.as_array() is same.as_array()
+        # Deep copies (run_serial's) and pickles are equal, immutable
+        # mappings; every constructor's mapping is one set member and one
+        # dict key.
+        for copied in (copy.deepcopy(mapping), pickle.loads(pickle.dumps(same))):
+            assert copied == same and hash(copied) == hash(same)
+            assert not copied.as_array().flags.writeable
+            with pytest.raises(FrozenInstanceError):
+                copied.processors = 5
+        built = (
+            mapping,
+            same,
+            Mapping.from_sequence([3, 0, 2, 1], 4),
+            Mapping(np.array([3, 0, 2, 1], dtype=np.int32), 4),
+            copy.deepcopy(same),
+        )
+        assert len(set(built)) == 1
+        assert {key: index for index, key in enumerate(built)} == {same: 4}
+        assert Mapping((3, 0, 2, 1), 5) not in set(built)
+        for built_mapping in built:
+            assert type(built_mapping.processor_of(0)) is int
+            assert all(type(p) is int for p in built_mapping.assignment)
+            assert repr(built_mapping) == (
+                "Mapping(assignment=(3, 0, 2, 1), processors=4)"
+            )
+        # Entries must be integers: whole-number floats are taken as their
+        # integers, a fraction or a value beyond int64 is a MappingError
+        # (the tuple form once kept 0.5 silently).
+        assert Mapping((3.0, 0, 2, 1), 4) == same
+        with pytest.raises(MappingError) as caught:
+            Mapping((1, 0.5), 2)
+        assert str(caught.value) == "thread 1 mapped to non-integer processor 0.5"
+        for values in ((0.5, 1), [0, 2**63], [0, 2**64], [-(2**63) - 1, 0]):
+            for build in (Mapping, Mapping.from_sequence, Mapping.from_array):
+                with pytest.raises(MappingError):
+                    build(values, 2)
 
     def test_from_array_rejects_what_the_tuple_form_rejects(self):
         for values, processors in (([], 4), ([0], 0), ([[0, 1]], 2)):

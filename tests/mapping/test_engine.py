@@ -347,6 +347,34 @@ class TestChainParity:
             engine.run(identity_mapping(16).as_array(), 0, 10)
 
 
+def test_large_results_never_build_the_assignment_tuple(monkeypatch):
+    # A counter gate, not a timing gate: the 10^5-entry assignment tuple
+    # is built only by the callers that index it, never by the shuffle or
+    # the optimizers.
+    from repro.mapping import base
+
+    built = []
+    as_tuple = base._as_tuple
+    monkeypatch.setattr(
+        base, "_as_tuple", lambda array: built.append(array.size) or as_tuple(array)
+    )
+    radix = 316
+    torus = Torus(radix=radix, dimensions=2)
+    graph = torus_neighbor_graph(radix, 2)
+    start = random_mapping(radix**2, 1)
+    results = (
+        start,
+        anneal_mapping(graph, torus, start, steps=200, seed=1).mapping,
+        optimize_mapping(graph, torus, start, steps=200, seed=1).mapping,
+    )
+    assert built == []
+    for mapping in results:
+        assert mapping.is_bijective and mapping.threads == radix**2
+    # The gate counts: indexing one result builds its tuple once.
+    assert results[1].processor_of(7) == results[1].processor_of(7)
+    assert built == [radix**2]
+
+
 class TestFallback:
     """A kernel that fails to load is one loud fallback to the loops."""
 

@@ -11,6 +11,7 @@ from repro.mapping.strategies import (
     identity_mapping,
     random_mapping,
     shear_mapping,
+    snake_mapping,
     stride_mapping,
     transpose_mapping,
 )
@@ -143,3 +144,24 @@ class TestBlockCollocation:
     def test_rejects_fewer_threads_than_processors(self):
         with pytest.raises(MappingError):
             block_collocation_mapping(2, 4)
+
+
+def test_array_constructions_match_their_loop_definitions():
+    # The strategies build int64 arrays; pin them to the per-thread
+    # definitions, including a stride whose products would overflow int64.
+    for stride in (9, -7, 10**18 + 1):
+        assert stride_mapping(64, stride).assignment == tuple(
+            (stride * i) % 64 for i in range(64)
+        )
+    assert identity_mapping(5).assignment == (0, 1, 2, 3, 4)
+    assert block_collocation_mapping(12, 4).assignment == tuple(
+        i // 3 for i in range(12)
+    )
+    for radix in (4, 5):
+        torus = Torus(radix=radix, dimensions=2)
+        snake = []
+        for thread in range(torus.node_count):
+            row, offset = divmod(thread, radix)
+            column = offset if row % 2 == 0 else radix - 1 - offset
+            snake.append(torus.node_at((column, row)))
+        assert snake_mapping(torus).assignment == tuple(snake)

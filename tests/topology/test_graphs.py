@@ -114,6 +114,23 @@ class TestArrayBackedGraphs:
         ):
             assert np.array_equal(ours, theirs)
 
+    def test_weight_sums_are_the_layouts_own_expressions(self):
+        dict_graph = CommunicationGraph(
+            threads=3, weights={(0, 1): 0.1, (1, 2): 0.2, (2, 0): 0.7}
+        )
+        array_graph = CommunicationGraph.from_arrays(
+            3, *dict_graph.edge_arrays()
+        )
+        weights = array_graph.edge_arrays()[2]
+        assert array_graph.total_weight == float(np.sum(weights))
+        # Summed once per graph, then read back.
+        assert array_graph.total_weight is array_graph.total_weight
+        assert array_graph.edge_weight_sum() is array_graph.total_weight
+        assert dict_graph.total_weight == sum(dict_graph.weights.values())
+        assert dict_graph.edge_weight_sum() == float(
+            np.sum(dict_graph.edge_arrays()[2])
+        )
+
     def test_from_arrays_default_unit_weights(self):
         graph = CommunicationGraph.from_arrays(3, [0, 1], [1, 2])
         assert graph.total_weight == 2.0
