@@ -102,7 +102,6 @@ def measure_sweep(chains: int = 8, steps: int = 5000) -> dict:
     ]
     reference_seconds = time.perf_counter() - began
 
-    torus.distance_table()  # table build is shared; warm it like a campaign
     began = time.perf_counter()
     search = anneal_chains(
         graph, torus, start, chains=chains, steps=steps, seed=SEED

@@ -1,13 +1,13 @@
-"""CI smoke: a short anneal at ~10^5 nodes, far above the table guard.
+"""CI smoke: a short anneal at ~10^5 nodes inside commodity memory.
 
-Machines far beyond the 4096-node dense-table guard run inside
-commodity memory: evaluation uses the delta-compressed distance backend
-there, and the anneal runs in the compiled swap kernel, which needs no
-distance table at all.  This script is the executable form of that
-promise: build the 316^2 = 99 856-node machine, check that evaluation
-would use the delta backend, anneal a short budget, and fail loudly if
-peak RSS crosses the 2 GB ceiling (a dense table at this size would need
-~20 GB on its own).
+Evaluation uses the delta-compressed distance backend (O(n * k) ring
+rows plus the shared coordinate array) at every torus size, and the
+anneal runs in the compiled swap kernel, which computes distances from
+node ids.  This script is the executable form of that promise: build
+the 316^2 = 99 856-node machine, anneal a short budget, check that the
+delta backend's evaluation of the result equals the kernel's distance,
+and fail loudly if peak RSS crosses the 2 GB ceiling (an N x N distance
+table at this size would need ~20 GB on its own).
 Writes a JSON artifact with the measured throughput so CI uploads keep a
 trajectory of large-N performance.
 
@@ -23,9 +23,10 @@ import sys
 import time
 
 from repro.mapping.anneal import anneal_mapping
+from repro.mapping.evaluate import average_distance
 from repro.mapping.strategies import random_mapping
 from repro.topology.graphs import torus_neighbor_graph
-from repro.topology.torus import Torus, distance_backend
+from repro.topology.torus import Torus
 
 RADIX = 316
 DIMENSIONS = 2
@@ -36,22 +37,21 @@ RSS_CEILING_MB = 2048.0
 
 def run() -> dict:
     torus = Torus(radix=RADIX, dimensions=DIMENSIONS)
-    backend = distance_backend(torus)
-    if backend.kind != "delta":
-        raise AssertionError(
-            f"expected the delta backend at N={torus.node_count}, "
-            f"got {backend.kind!r}"
-        )
     graph = torus_neighbor_graph(RADIX, DIMENSIONS)
     start = random_mapping(torus.node_count, seed=SEED)
     began = time.perf_counter()
     result = anneal_mapping(graph, torus, start, steps=STEPS, seed=SEED)
     wall = time.perf_counter() - began
+    evaluated = average_distance(graph, result.mapping, torus)
+    if evaluated != result.distance:
+        raise AssertionError(
+            f"delta-backend evaluation {evaluated!r} differs from the "
+            f"anneal's distance {result.distance!r}"
+        )
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {
         "bench": "large_n_anneal_smoke",
         "config": f"{RADIX}^{DIMENSIONS} ({torus.node_count:,} nodes)",
-        "backend": backend.kind,
         "steps": STEPS,
         "wall_s": round(wall, 2),
         "steps_per_s": round(STEPS / wall, 1),

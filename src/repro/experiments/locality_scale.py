@@ -6,10 +6,10 @@ the Section 3 machine (64 nodes) — far below the regime where the
 random-mapping distance grows like ``sqrt(N)`` and the locality gain
 reaches 40-55x.  This experiment closes that gap: for 2-D and 5-D tori
 from 64 nodes up to 10^6, it anneals the torus-neighbor application
-from a random placement (the compiled swap kernel needs no distance
-table; evaluation uses the delta-compressed distance engine,
-:func:`repro.topology.torus.distance_backend` — O(n * k) ring rows, no
-N x N table, no memory-guard trip) and compares
+from a random placement (the compiled swap kernel computes distances
+from node ids; evaluation uses the delta-compressed distance backend,
+:class:`repro.topology.torus.DeltaBackend` — O(n * k) ring rows at
+every size) and compares
 
 * the measured random-mapping distance against the Eq 17 analytical
   expectation (the ``n * N^(1/n) / 4`` growth law),
@@ -39,7 +39,7 @@ from repro.mapping.evaluate import average_distance
 from repro.mapping.strategies import identity_mapping, random_mapping
 from repro.topology.distance import random_traffic_distance_exact
 from repro.topology.graphs import torus_neighbor_graph
-from repro.topology.torus import Torus, distance_backend
+from repro.topology.torus import Torus
 
 __all__ = ["run", "SHAPES", "QUICK_SHAPES"]
 
@@ -57,8 +57,8 @@ SHAPES: Tuple[Tuple[int, int], ...] = (
     (16, 5),
 )
 
-#: Sizes small enough for the CI quick path (still crossing the dense
-#: table's 4096-node memory guard at radix 100).
+#: Sizes small enough for the CI quick path (still reaching 10^4 nodes
+#: at radix 100).
 QUICK_SHAPES: Tuple[Tuple[int, int], ...] = ((8, 2), (32, 2), (100, 2))
 
 
@@ -75,10 +75,7 @@ def run(quick: bool = False) -> ExperimentResult:
         for radix, dimensions in shapes:
             torus = Torus(radix=radix, dimensions=dimensions)
             nodes = torus.node_count
-            backend = distance_backend(torus)
-            with obs.span(
-                "locality_scale.machine", nodes=nodes, backend=backend.kind
-            ):
+            with obs.span("locality_scale.machine", nodes=nodes):
                 graph = torus_neighbor_graph(radix, dimensions)
                 floor = average_distance(
                     graph, identity_mapping(nodes), torus
@@ -98,7 +95,6 @@ def run(quick: bool = False) -> ExperimentResult:
                 (
                     f"{nodes:,}",
                     f"{radix}^{dimensions}",
-                    backend.kind,
                     round(floor, 2),
                     round(eq17, 2),
                     round(result.initial_distance, 2),
@@ -109,7 +105,6 @@ def run(quick: bool = False) -> ExperimentResult:
             )
             data[f"{radix}x{dimensions}"] = {
                 "nodes": nodes,
-                "backend": backend.kind,
                 "floor": floor,
                 "eq17": eq17,
                 "random": result.initial_distance,
@@ -122,7 +117,6 @@ def run(quick: bool = False) -> ExperimentResult:
         [
             "N",
             "shape",
-            "backend",
             "d ideal",
             "d Eq17",
             "d random",
@@ -142,9 +136,9 @@ def run(quick: bool = False) -> ExperimentResult:
         tables=[table],
         notes=[
             "Measured random distances track the Eq 17 sqrt(N)-style "
-            "growth law at every size; machines beyond the 4096-node "
-            "dense-table guard run on the delta-compressed backend "
-            "(O(n*k) ring rows) with bit-identical distances.",
+            "growth law at every size; one delta-compressed distance "
+            "backend (O(n*k) ring rows) prices every machine, in exact "
+            "integer hops.",
             "The fixed swap budget recovers most of the gap on small "
             "machines but almost none of it at 10^5-10^6 nodes — the "
             "Figure 7 bound at scale is reachable only by constructed "

@@ -6,7 +6,7 @@ locality-ignorant (random) placement, how much average communication
 distance can search recover on each kind of application?*  For a suite
 of communication graphs on the Section 3 machine (the radix-8 2-D
 torus), it runs :func:`repro.mapping.chains.anneal_chains` — independent
-annealing restarts priced against the shared distance table — and
+annealing restarts, each one compiled swap-kernel chain — and
 compares the recovered distance to the random start, the Eq 17
 random-traffic expectation, and the pattern's structural floor (the
 identity placement, which for torus-shaped patterns is the paper's ideal
@@ -161,8 +161,8 @@ def run(quick: bool = False) -> ExperimentResult:
             "toward single-hop distances; structureless patterns "
             "(all-to-all, star) have nothing for placement to exploit — "
             "the operational meaning of physical locality in Section 2.1.",
-            "All chains share one cached distance table; restarts differ "
-            "only in their seed, and the best chain is reported.",
+            "All chains start from the same random placement; restarts "
+            "differ only in their seed, and the best chain is reported.",
         ],
         data=data,
     )

@@ -8,14 +8,12 @@ topology) triple, along with the distance distribution for finer-grained
 diagnostics.
 
 The kernels are vectorized: edge endpoints come from the graph's array
-views (:meth:`CommunicationGraph.edge_arrays`), hop counts are a single
-gather from the torus distance table (:meth:`Torus.distance_table`), and
-the histogram is one weighted ``np.bincount``.  Tori above the distance
-table's memory guard use the delta-compressed backend (per-dimension
-ring rows, O(n * k) memory), which computes the same hop counts without
-the quadratic table.  All built-in
-communication graphs carry integer edge weights, for which the array
-reductions are exact — results equal the per-edge loop bit for bit.
+views (:meth:`CommunicationGraph.edge_arrays`), hop counts come from the
+delta-compressed distance backend (:class:`repro.topology.torus.DeltaBackend`,
+per-dimension ring rows, O(n * k) memory) at every torus size, and the
+histogram is one weighted ``np.bincount``.  All built-in communication
+graphs carry integer edge weights, for which the array reductions are
+exact — results equal the per-edge loop bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import numpy as np
 from repro.errors import MappingError
 from repro.mapping.base import Mapping
 from repro.topology.graphs import CommunicationGraph
-from repro.topology.torus import Torus, distance_backend
+from repro.topology.torus import DeltaBackend, Torus
 
 __all__ = ["average_distance", "distance_histogram", "MappingEvaluation", "evaluate"]
 
@@ -53,14 +51,12 @@ def edge_hop_counts(
 ) -> np.ndarray:
     """Network hops of every edge under ``mapping``, in edge order.
 
-    One gather through :func:`repro.topology.torus.distance_backend` —
-    the same accessor the swap engine uses, so the memory-guard decision
-    (dense table, delta-compressed rows, or digit walk) is made in
-    exactly one place.
+    One bulk call to :class:`repro.topology.torus.DeltaBackend` on the
+    mapped endpoints, exact at every torus size.
     """
     src, dst, _ = graph.edge_arrays()
     position = mapping.as_array()
-    return distance_backend(torus).pairwise(position[src], position[dst])
+    return DeltaBackend(torus).pairwise(position[src], position[dst])
 
 
 def average_distance(

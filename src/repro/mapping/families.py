@@ -63,13 +63,9 @@ def paper_mapping_suite(
     if graph is None:
         graph = torus_neighbor_graph(torus.radix, torus.dimensions)
 
-    # Warm the shared distance table once up front: every candidate's
-    # average_distance is a gather against it.  A torus above the
-    # memory guard returns None here and those calls use the delta
-    # backend instead.  The adversarial hill climb below needs no
-    # table: its compiled swap kernel computes distances from node ids.
-    torus.distance_table()
-
+    # Every candidate's average_distance is one delta-backend call; the
+    # adversarial hill climb below computes distances from node ids in
+    # its compiled swap kernel.
     candidates: List[NamedMapping] = []
 
     def add(name: str, mapping: Mapping) -> None:

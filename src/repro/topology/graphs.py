@@ -13,24 +13,24 @@ weight of ``(a, b)`` is the relative frequency with which thread ``a``
 sends to thread ``b``.  Weights need not be normalized; consumers work
 with weighted averages.
 
-Graphs come in two physical layouts sharing one interface: the dict of
-``(src, dst) -> weight`` entries that small graphs build edge by edge,
-and the array-backed layout (:meth:`CommunicationGraph.from_arrays`)
-that skips the per-edge dict entirely — the representation million-node
-tori need, where the 2 * n * N edge dict alone would dwarf the arrays.
-Iteration helpers (``edges``, ``out_neighbors``, ``total_weight``) are
-layout-agnostic.
+The one stored representation is the read-only ``(src, dst, weight)``
+edge arrays (:meth:`CommunicationGraph.edge_arrays`), whichever
+constructor built the graph: the dict of ``(src, dst) -> weight``
+entries that small graphs build edge by edge is validated once and
+converted, and :meth:`CommunicationGraph.from_arrays` installs arrays
+directly, so a million-node torus never holds a per-edge dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Tuple
+from dataclasses import FrozenInstanceError
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.topology.torus import DISTANCE_TABLE_MAX_NODES, Torus
+from repro.topology.torus import Torus
 
 __all__ = [
     "CommunicationGraph",
@@ -46,20 +46,50 @@ __all__ = [
 Edge = Tuple[int, int]
 
 
-@dataclass(frozen=True)
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise TopologyError(f"threads must be >= 1, got {threads!r}")
+
+
 class CommunicationGraph:
-    """Weighted directed communication pattern over ``threads`` threads."""
+    """Weighted directed communication pattern over ``threads`` threads.
 
-    threads: int
-    weights: Dict[Edge, float] = field(default_factory=dict)
+    Parameters
+    ----------
+    threads:
+        Number of threads; must be >= 1.
+    weights:
+        ``(src, dst) -> weight`` for every directed edge (default: no
+        edges).  Endpoints lie in ``0..threads - 1``, self-edges are not
+        allowed, and weights are positive.
 
-    def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise TopologyError(f"threads must be >= 1, got {self.threads!r}")
-        for (src, dst), weight in self.weights.items():
-            if not 0 <= src < self.threads or not 0 <= dst < self.threads:
+    The one stored representation is the read-only ``(src, dst, weight)``
+    arrays :meth:`edge_arrays` returns, in edge order: the insertion
+    order of ``weights``, or the order given to :meth:`from_arrays`.
+    :attr:`weights` is a read-only mapping built from them on first
+    access and kept.  Graphs are immutable; two graphs are equal (and
+    hash equal) when they have the same thread count and the same edges
+    and weights in the same order, however they were built.
+    """
+
+    __slots__ = (
+        "threads",
+        "_arrays",
+        "_weights",
+        "_weight_sum",
+        "_out_csr",
+        "_incident_csr",
+    )
+
+    def __init__(
+        self, threads: int, weights: Optional[Dict[Edge, float]] = None
+    ) -> None:
+        _check_threads(threads)
+        weights = {} if weights is None else weights
+        for (src, dst), weight in weights.items():
+            if not 0 <= src < threads or not 0 <= dst < threads:
                 raise TopologyError(
-                    f"edge ({src}, {dst}) outside thread range 0..{self.threads - 1}"
+                    f"edge ({src}, {dst}) outside thread range 0..{threads - 1}"
                 )
             if src == dst:
                 raise TopologyError(f"self-edge on thread {src} is not allowed")
@@ -67,28 +97,77 @@ class CommunicationGraph:
                 raise TopologyError(
                     f"edge ({src}, {dst}) must have positive weight, got {weight!r}"
                 )
+        count = len(weights)
+        self._install(
+            threads,
+            np.fromiter((src for src, _ in weights), dtype=np.intp, count=count),
+            np.fromiter((dst for _, dst in weights), dtype=np.intp, count=count),
+            np.fromiter(weights.values(), dtype=np.float64, count=count),
+        )
+
+    def _install(
+        self, threads: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray
+    ) -> None:
+        for array in (src, dst, weight):
+            array.setflags(write=False)
+        object.__setattr__(self, "threads", threads)
+        object.__setattr__(self, "_arrays", (src, dst, weight))
+        for name in ("_weights", "_weight_sum", "_out_csr", "_incident_csr"):
+            object.__setattr__(self, name, None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self).from_arrays, (self.threads, *self._arrays)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.threads == other.threads and all(
+            np.array_equal(ours, theirs)
+            for ours, theirs in zip(self._arrays, other._arrays)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.threads, *(array.tobytes() for array in self._arrays)))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(threads={self.threads!r}, "
+            f"weights={dict(self.weights)!r})"
+        )
+
+    @property
+    def weights(self) -> MappingProxyType:
+        """Read-only ``(src, dst) -> weight`` mapping in edge order, built
+        on first access."""
+        weights = self._weights
+        if weights is None:
+            src, dst, weight = self._arrays
+            weights = MappingProxyType(
+                dict(zip(zip(src.tolist(), dst.tolist()), weight.tolist()))
+            )
+            object.__setattr__(self, "_weights", weights)
+        return weights
 
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """All (source, destination, weight) triples, in edge order."""
-        if self.weights:
-            for (src, dst), weight in self.weights.items():
-                yield src, dst, weight
-            return
-        src, dst, weight = self.edge_arrays()
-        yield from zip(src.tolist(), dst.tolist(), weight.tolist())
+        src, dst, weight = self._arrays
+        return zip(src.tolist(), dst.tolist(), weight.tolist())
 
     @property
     def edge_count(self) -> int:
         """Number of directed edges."""
-        if self.weights:
-            return len(self.weights)
-        return self.edge_arrays()[0].size
+        return self._arrays[0].size
 
     @property
     def total_weight(self) -> float:
-        """Sum of all edge weights (the normalization constant)."""
-        if self.weights:
-            return sum(self.weights.values())
+        """Sum of all edge weights (the normalization constant):
+        :meth:`edge_weight_sum`."""
         return self.edge_weight_sum()
 
     def out_neighbors(self, thread: int) -> Iterator[Tuple[int, float]]:
@@ -113,35 +192,19 @@ class CommunicationGraph:
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(src, dst, weight)`` ndarrays over all edges, in edge order.
 
-        Edge order is the (deterministic) insertion order of ``weights``;
-        the arrays are read-only and built once per graph instance.  This
-        is the gather-friendly view the vectorized evaluation and
-        annealing kernels index the torus distance table with.
+        The graph's stored representation, read-only: the gather-friendly
+        view the vectorized evaluation and annealing kernels index.
         """
-        cached = self.__dict__.get("_edge_arrays")
-        if cached is None:
-            count = len(self.weights)
-            src = np.empty(count, dtype=np.intp)
-            dst = np.empty(count, dtype=np.intp)
-            weight = np.empty(count, dtype=np.float64)
-            for index, ((s, d), w) in enumerate(self.weights.items()):
-                src[index] = s
-                dst[index] = d
-                weight[index] = w
-            for array in (src, dst, weight):
-                array.setflags(write=False)
-            cached = (src, dst, weight)
-            object.__setattr__(self, "_edge_arrays", cached)
-        return cached
+        return self._arrays
 
     def edge_weight_sum(self) -> float:
         """``float`` of the numpy sum of :meth:`edge_arrays`' weights,
-        summed once per graph: :attr:`total_weight` for the array-backed
-        layout, and the swap kernel's average-distance denominator."""
-        cached = self.__dict__.get("_edge_weight_sum")
+        summed once per graph: :attr:`total_weight`, and the swap
+        kernel's average-distance denominator."""
+        cached = self._weight_sum
         if cached is None:
-            cached = float(self.edge_arrays()[2].sum())
-            object.__setattr__(self, "_edge_weight_sum", cached)
+            cached = float(self._arrays[2].sum())
+            object.__setattr__(self, "_weight_sum", cached)
         return cached
 
     def out_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,7 +216,7 @@ class CommunicationGraph:
         :meth:`edge_arrays` (see :meth:`_rows`), so walking every
         thread's out-edges costs O(edges), not O(threads * edges).
         """
-        cached = self.__dict__.get("_out_csr")
+        cached = self._out_csr
         if cached is None:
             cached = self._rows(symmetric=False)
             object.__setattr__(self, "_out_csr", cached)
@@ -169,7 +232,7 @@ class CommunicationGraph:
         rows, ordered by edge index within a row — exactly the adjacency
         the swap optimizers need to price a move in two gathers.
         """
-        cached = self.__dict__.get("_incident_csr")
+        cached = self._incident_csr
         if cached is None:
             cached = self._rows(symmetric=True)
             object.__setattr__(self, "_incident_csr", cached)
@@ -212,7 +275,8 @@ class CommunicationGraph:
     def from_edges(
         cls, threads: int, edges: Iterable[Edge], weight: float = 1.0
     ) -> "CommunicationGraph":
-        """Uniformly weighted graph from an edge iterable."""
+        """Uniformly weighted graph from an edge iterable; a repeated
+        edge accumulates its weight, in first-appearance order."""
         weights = {}
         for edge in edges:
             weights[edge] = weights.get(edge, 0.0) + weight
@@ -226,16 +290,18 @@ class CommunicationGraph:
         destinations,
         weights=None,
     ) -> "CommunicationGraph":
-        """Array-backed graph that never materializes the edge dict.
+        """Graph from edge endpoint arrays, without a per-edge dict.
 
         The large-N constructor: edge endpoints (and optional weights,
-        default 1.0) are validated vectorized and installed directly as
-        the graph's :meth:`edge_arrays` view, so a million-node torus
+        default 1.0) are copied, validated vectorized and installed as
+        the graph's :meth:`edge_arrays`, so a million-node torus
         neighbor graph costs three ndarrays instead of millions of dict
-        entries and tuples.  Edges must be distinct — the dict layout
-        would have *accumulated* duplicate weights, so duplicates here
-        are an error rather than a silent behavioral difference.
+        entries and tuples.  Edges must be distinct — the dict
+        constructor would have *accumulated* duplicate weights, so
+        duplicates here are an error rather than a silent behavioral
+        difference.
         """
+        _check_threads(threads)
         src = np.array(sources, dtype=np.intp)
         dst = np.array(destinations, dtype=np.intp)
         if src.ndim != 1 or dst.ndim != 1 or src.size != dst.size:
@@ -266,10 +332,8 @@ class CommunicationGraph:
             keys = np.sort(src * np.intp(threads) + dst)
             if keys.size > 1 and np.any(keys[1:] == keys[:-1]):
                 raise TopologyError("duplicate edges are not allowed")
-        graph = cls(threads=threads, weights={})
-        for array in (src, dst, weight):
-            array.setflags(write=False)
-        object.__setattr__(graph, "_edge_arrays", (src, dst, weight))
+        graph = object.__new__(cls)
+        graph._install(threads, src, dst, weight)
         return graph
 
 
@@ -283,16 +347,12 @@ def torus_neighbor_graph(radix: int, dimensions: int) -> CommunicationGraph:
     """
     torus = Torus(radix=radix, dimensions=dimensions)
     count = torus.node_count
-    if count <= DISTANCE_TABLE_MAX_NODES:
-        edges = []
-        for node in torus.nodes():
-            for neighbor in torus.neighbors(node):
-                edges.append((node, neighbor))
-        return CommunicationGraph.from_edges(count, edges)
-    # Large tori skip the per-edge dict: build the adjacency as arrays in
-    # exactly the order the loop above would have produced — node-major,
-    # within each node [dim 0 +1, dim 0 -1, dim 1 +1, ...], radix-2 rings
-    # contributing only their single (coinciding) neighbor.
+    if radix == 1:
+        return CommunicationGraph(threads=count)  # one node, no neighbors
+    # The adjacency as arrays, in the order of the node-major loop over
+    # ``torus.neighbors(node)``: within each node [dim 0 +1, dim 0 -1,
+    # dim 1 +1, ...], radix-2 rings contributing only their single
+    # (coinciding) neighbor.
     coords = torus.coordinate_array()
     nodes = np.arange(count, dtype=np.intp)
     per_node = dimensions * (2 if radix > 2 else 1)

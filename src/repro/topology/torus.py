@@ -18,36 +18,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TopologyError
 
-__all__ = [
-    "Torus",
-    "DISTANCE_TABLE_MAX_NODES",
-    "DELTA_BACKEND_MAX_NODES",
-    "DistanceBackend",
-    "DenseBackend",
-    "DeltaBackend",
-    "DigitBackend",
-    "distance_backend",
-]
-
-#: Largest torus (in nodes) for which :meth:`Torus.distance_table` will
-#: materialize the full N x N hop-distance table.  At the default cap the
-#: table costs ``2 * 4096**2`` bytes = 32 MiB (entries are int16); above
-#: it the table accessors return ``None`` and callers fall back to
-#: on-the-fly vectorized distances (:meth:`Torus.pairwise_distance`).
-DISTANCE_TABLE_MAX_NODES = 4096
-
-#: Largest torus (in nodes) for which :func:`distance_backend` keeps the
-#: cached ``(n, N)`` coordinate array resident for delta-compressed
-#: gathers.  At the cap the coordinates cost ``4 * n * 2**24`` bytes
-#: (64 MiB per dimension); beyond it the backend degrades to the
-#: zero-extra-memory digit walk of :meth:`Torus.pairwise_distance`.
-DELTA_BACKEND_MAX_NODES = 1 << 24
+__all__ = ["Torus", "DeltaBackend", "distance_backend"]
 
 
 @functools.lru_cache(maxsize=64)
@@ -69,29 +46,13 @@ def _ring_distance_row(radix: int) -> np.ndarray:
 
     Indexed modulo ``k``, so a *signed* delta ``a - b`` gathers the right
     distance via ``np.take(..., mode="wrap")`` — ``row[-d]`` and
-    ``row[d]`` coincide because ring distance is symmetric.  This is the
-    whole delta-compressed distance table: ``n`` such rows (O(n * k)
-    memory) replace the dense N x N table for arbitrarily large tori.
+    ``row[d]`` coincide because ring distance is symmetric.  ``n`` such
+    rows (O(n * k) memory) price every node pair of the torus.
     """
     positions = np.arange(radix, dtype=np.int64)
     row = np.minimum(positions, radix - positions)
     row.setflags(write=False)
     return row
-
-
-@functools.lru_cache(maxsize=4)
-def _distance_table(radix: int, dimensions: int) -> np.ndarray:
-    """Full N x N torus hop-distance table (int16, read-only)."""
-    coords = _coordinate_array(radix, dimensions)
-    count = radix**dimensions
-    table = np.zeros((count, count), dtype=np.int16)
-    for dim in range(dimensions):
-        ring = coords[dim].astype(np.int16)
-        delta = np.abs(ring[:, None] - ring[None, :])
-        np.minimum(delta, radix - delta, out=delta)
-        table += delta
-    table.setflags(write=False)
-    return table
 
 
 @dataclass(frozen=True)
@@ -204,7 +165,7 @@ class Torus:
         return tuple(offsets)
 
     # ------------------------------------------------------------------
-    # Vectorized distance kernels.
+    # Vectorized coordinates.
     # ------------------------------------------------------------------
 
     def coordinate_array(self) -> np.ndarray:
@@ -214,45 +175,6 @@ class Torus:
         torus shape and shared between instances.
         """
         return _coordinate_array(self.radix, self.dimensions)
-
-    def distance_table(self, max_nodes: Optional[int] = None) -> Optional[np.ndarray]:
-        """The full ``N x N`` hop-distance table, or ``None`` if too big.
-
-        ``table[a, b] == distance(a, b)`` for every node pair; the array
-        is read-only, lazily built once per torus shape, and cached.  The
-        memory guard: tori with more than ``max_nodes`` nodes (default
-        :data:`DISTANCE_TABLE_MAX_NODES`) return ``None`` instead of
-        materializing the quadratic table — callers fall back to
-        :meth:`pairwise_distance`, which needs only O(pairs) memory.
-        """
-        cap = DISTANCE_TABLE_MAX_NODES if max_nodes is None else max_nodes
-        if self.node_count > cap:
-            return None
-        return _distance_table(self.radix, self.dimensions)
-
-    def pairwise_distance(self, sources, destinations) -> np.ndarray:
-        """Elementwise torus distances for arrays of node identifiers.
-
-        Broadcasts ``sources`` against ``destinations`` and returns the
-        hop distance of every pair without touching the N x N table, so
-        it works on tori of any size.  Matches :meth:`distance` exactly.
-        """
-        src = np.asarray(sources, dtype=np.int64)
-        dst = np.asarray(destinations, dtype=np.int64)
-        for name, nodes in (("sources", src), ("destinations", dst)):
-            if nodes.size and (nodes.min() < 0 or nodes.max() >= self.node_count):
-                raise TopologyError(
-                    f"{name} contain node ids outside 0..{self.node_count - 1}"
-                )
-        total = np.zeros(np.broadcast(src, dst).shape, dtype=np.int64)
-        src = src.copy()
-        dst = dst.copy()
-        for _ in range(self.dimensions):
-            delta = np.abs(src % self.radix - dst % self.radix)
-            total += np.minimum(delta, self.radix - delta)
-            src //= self.radix
-            dst //= self.radix
-        return total
 
     # ------------------------------------------------------------------
     # Neighborhood and routes.
@@ -348,68 +270,43 @@ class Torus:
 
 
 # ----------------------------------------------------------------------
-# Distance backends.
+# Bulk distances.
 #
-# Mapping evaluation prices hop distances in bulk through one of these
-# (the optimizers' compiled swap kernel computes its own from node-id
-# digits).  The accessor :func:`distance_backend` is the single place
-# where the memory guard is consulted.
+# Mapping evaluation prices hop distances in bulk through DeltaBackend
+# at every torus size (the optimizers' compiled swap kernel computes its
+# own from node-id digits); the scalar :meth:`Torus.distance` is its
+# oracle.
 # ----------------------------------------------------------------------
 
 
-class DistanceBackend:
-    """Uniform bulk-distance interface over one torus shape.
+class DeltaBackend:
+    """Bulk hop distances: per-dimension ring rows over coordinates.
 
     ``pairwise(sources, destinations)`` broadcasts two integer node-id
-    arrays and returns their exact hop distances.  All backends are
-    integer-exact and agree bit for bit with :meth:`Torus.distance`; they
-    differ only in memory/time trade-offs.  ``table`` is the dense
-    N x N array when this backend holds one, else ``None``.
-    """
-
-    kind: str = "abstract"
-
-    def __init__(self, torus: Torus):
-        self.torus = torus
-        self.table: Optional[np.ndarray] = None
-
-    def pairwise(self, sources, destinations) -> np.ndarray:
-        raise NotImplementedError
-
-
-class DenseBackend(DistanceBackend):
-    """Small-N fast path: one gather from the cached N x N table."""
-
-    kind = "dense"
-
-    def __init__(self, torus: Torus, table: np.ndarray):
-        super().__init__(torus)
-        self.table = table
-
-    def pairwise(self, sources, destinations) -> np.ndarray:
-        return self.table[sources, destinations]
-
-
-class DeltaBackend(DistanceBackend):
-    """Delta-compressed path: per-dimension ring rows over coordinates.
-
-    Memory is O(n * k) for the ring rows plus the O(n * N) coordinate
-    array the vectorized kernels already share; distances are composed
-    by one wrap-mode gather per dimension on the signed coordinate
-    delta.  Exact for every (k, n), including the even-radix half-way
-    ties (``min(d, k - d)`` is direction-free).
+    arrays and returns their exact hop distances, equal to
+    :meth:`Torus.distance` pair for pair.  Memory is O(n * k) for the
+    ring rows plus the shared O(n * N) coordinate array; distances are
+    composed by one wrap-mode gather per dimension on the signed
+    coordinate delta.  Exact for every (k, n), including the even-radix
+    half-way ties (``min(d, k - d)`` is direction-free).
     """
 
     kind = "delta"
 
     def __init__(self, torus: Torus):
-        super().__init__(torus)
+        self.torus = torus
         self._coords = torus.coordinate_array()
         self._ring = _ring_distance_row(torus.radix)
 
     def pairwise(self, sources, destinations) -> np.ndarray:
         src = np.asarray(sources, dtype=np.intp)
         dst = np.asarray(destinations, dtype=np.intp)
+        count = self.torus.node_count
+        for name, nodes in (("sources", src), ("destinations", dst)):
+            if nodes.size and (nodes.min() < 0 or nodes.max() >= count):
+                raise TopologyError(
+                    f"{name} contain node ids outside 0..{count - 1}"
+                )
         coords = self._coords
         ring = self._ring
         total = np.zeros(np.broadcast(src, dst).shape, dtype=np.int64)
@@ -419,29 +316,7 @@ class DeltaBackend(DistanceBackend):
         return total
 
 
-class DigitBackend(DistanceBackend):
-    """Unbounded fallback: the O(1)-extra-memory digit walk."""
-
-    kind = "digit"
-
-    def pairwise(self, sources, destinations) -> np.ndarray:
-        return self.torus.pairwise_distance(sources, destinations)
-
-
-def distance_backend(torus: Torus) -> DistanceBackend:
-    """The bulk-distance backend appropriate for ``torus``'s size.
-
-    The *only* place guard behavior is decided: tori within
-    :data:`DISTANCE_TABLE_MAX_NODES` get the dense table (also the
-    parity oracle for the compressed path), tori within
-    :data:`DELTA_BACKEND_MAX_NODES` get the delta-compressed engine, and
-    anything larger gets the digit walk.  ``torus.distance_table()`` is
-    consulted per call, so runtime adjustments to the module-level cap
-    (as the guard tests do) take effect immediately.
-    """
-    table = torus.distance_table()
-    if table is not None:
-        return DenseBackend(torus, table)
-    if torus.node_count <= DELTA_BACKEND_MAX_NODES:
-        return DeltaBackend(torus)
-    return DigitBackend(torus)
+def distance_backend(torus: Torus) -> DeltaBackend:
+    """The bulk-distance backend for ``torus``: :class:`DeltaBackend`,
+    at every size."""
+    return DeltaBackend(torus)

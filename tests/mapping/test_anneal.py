@@ -178,23 +178,6 @@ class TestReferenceParity:
         slow = reference_anneal_mapping(graph, torus, start, steps=800, seed=5)
         assert fast == slow
 
-    def test_memory_guard_fallback_is_identical(self, torus, graph):
-        # The swap kernel needs no distance table: forcing the table
-        # off must not change a single bit.
-        import repro.topology.torus as torus_module
-
-        start = random_mapping(16, seed=2)
-        with_table = anneal_mapping(graph, torus, start, steps=800, seed=3)
-        original = torus_module.DISTANCE_TABLE_MAX_NODES
-        torus_module.DISTANCE_TABLE_MAX_NODES = 1
-        try:
-            without_table = anneal_mapping(
-                graph, torus, start, steps=800, seed=3
-            )
-        finally:
-            torus_module.DISTANCE_TABLE_MAX_NODES = original
-        assert with_table == without_table
-
     def test_hill_climber_matches_reference(self, torus, graph):
         from repro.mapping.optimize import optimize_mapping
         from repro.mapping.reference import reference_optimize_mapping

@@ -26,7 +26,6 @@ from repro.mapping.reference import (
     reference_optimize_mapping,
 )
 from repro.mapping.strategies import identity_mapping, random_mapping
-from repro.topology import torus as torus_module
 from repro.topology.graphs import (
     CommunicationGraph,
     ring_graph,
@@ -133,11 +132,9 @@ class TestKernelParity:
             )
         assert_pinned(graph, torus, seed=4)
 
-    def test_torus_above_the_distance_table_guard(self):
+    def test_torus_of_4225_nodes(self):
         radix = 65
         torus = Torus(radix=radix, dimensions=2)
-        assert torus.node_count > torus_module.DISTANCE_TABLE_MAX_NODES
-        assert torus.distance_table() is None
         assert_pinned(torus_neighbor_graph(radix, 2), torus, seed=9, swaps=10)
 
 

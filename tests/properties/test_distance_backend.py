@@ -1,51 +1,55 @@
-"""Parity suite for the delta-compressed distance engine.
+"""Oracle suite for the delta-compressed distance backend.
 
-The dense N x N table is the oracle: the delta backend (per-dimension
-ring rows gathered over coordinate deltas) must reproduce it bit for
-bit on every (k, n) in the paper's envelope — k in 1..9, n in 1..4,
-including the even-radix half-way tie — and the annealer, whose
-compiled swap kernel reads no backend, must walk the exact same
-trajectory whatever the guard decides.  The guard
-accessor itself is pinned: one place decides dense vs delta vs digit.
+The scalar :meth:`Torus.distance` (a per-pair digit walk) is the
+oracle: the delta backend (per-dimension ring rows gathered over
+coordinate deltas), the one bulk distance path at every torus size,
+must reproduce it on every pair of the small shapes — k in 2..9, n in
+1..3, including the even-radix half-way ties — and on seeded pair
+samples of larger tori up to 10^6 nodes.  Bad node ids raise
+:class:`TopologyError` at every size, and the annealer's reported
+distances equal the backend's evaluation of the mappings it returns.
 """
 
 import numpy as np
 import pytest
 
-import repro.topology.torus as torus_module
+from repro.errors import TopologyError
 from repro.mapping.anneal import anneal_mapping
 from repro.mapping.chains import anneal_chains
+from repro.mapping.evaluate import average_distance
+from repro.mapping.reference import reference_anneal_mapping
 from repro.mapping.strategies import random_mapping
 from repro.topology.graphs import torus_neighbor_graph
-from repro.topology.torus import (
-    DeltaBackend,
-    DenseBackend,
-    DigitBackend,
-    Torus,
-    distance_backend,
-)
+from repro.topology.torus import DeltaBackend, Torus, distance_backend
 
-# The full (k, n) grid the issue pins: k in 1..9, n in 1..4.
+# Every (k, n) with k in 1..9 and n in 1..4.
 GRID = [(k, n) for k in range(1, 10) for n in range(1, 5)]
 
 
 @pytest.mark.parametrize("radix,dimensions", GRID)
 def test_delta_matches_dense_bit_for_bit(radix, dimensions):
+    # The dense oracle: the N x N table of scalar distances.  For n <= 3
+    # (up to 729 nodes) every unordered pair is checked, and the
+    # backend's table must be symmetric, as Torus.distance is by
+    # construction; beyond that, seeded source rows.
     torus = Torus(radix=radix, dimensions=dimensions)
     count = torus.node_count
-    # Oracle: the dense table, built past the default guard if needed.
-    table = torus.distance_table(max_nodes=count)
-    delta = DeltaBackend(torus)
-    if count <= 1024:
-        nodes = np.arange(count, dtype=np.intp)
-        got = delta.pairwise(nodes[:, None], nodes[None, :])
-        assert np.array_equal(got, table.astype(np.int64))
+    nodes = np.arange(count)
+    distance = torus.distance
+    if dimensions <= 3:
+        got = DeltaBackend(torus).pairwise(nodes[:, None], nodes[None, :])
+        assert np.array_equal(got, got.T)
+        rows = [(a, range(a, count)) for a in range(count)]
     else:
-        # Larger shapes: every destination against seeded source rows.
         rng = np.random.default_rng(radix * 100 + dimensions)
-        sources = rng.integers(0, count, size=64)
-        got = delta.pairwise(sources[:, None], np.arange(count)[None, :])
-        assert np.array_equal(got, table[sources].astype(np.int64))
+        sources = rng.integers(0, count, size=min(count, 8))
+        got = DeltaBackend(torus).pairwise(sources[:, None], nodes[None, :])
+        rows = [(a, range(count)) for a in sources.tolist()]
+    assert got.dtype == np.int64
+    for index, (source, destinations) in enumerate(rows):
+        assert got[index, destinations.start:].tolist() == [
+            distance(source, node) for node in destinations
+        ]
 
 
 @pytest.mark.parametrize("radix", [2, 4, 6, 8])
@@ -60,68 +64,56 @@ def test_even_radix_halfway_tie(radix):
     assert int(delta.pairwise(0, antipode)) == 2 * half
 
 
-@pytest.mark.parametrize("radix,dimensions", [(3, 2), (7, 3), (9, 4)])
+@pytest.mark.parametrize(
+    "radix,dimensions",
+    [(3, 2), (7, 3), (9, 4), (316, 2), (1000, 2), (16, 5)],
+)
 def test_delta_matches_digit_walk(radix, dimensions):
+    # Seeded pairs, up to the 10^5- and 10^6-node tori of locality-scale.
     torus = Torus(radix=radix, dimensions=dimensions)
     rng = np.random.default_rng(7)
     src = rng.integers(0, torus.node_count, size=256)
     dst = rng.integers(0, torus.node_count, size=256)
     delta = DeltaBackend(torus).pairwise(src, dst)
-    assert np.array_equal(delta, torus.pairwise_distance(src, dst))
+    assert delta.tolist() == [
+        torus.distance(a, b) for a, b in zip(src.tolist(), dst.tolist())
+    ]
 
 
-class TestBackendSelection:
-    def test_dense_below_guard(self):
-        backend = distance_backend(Torus(radix=8, dimensions=2))
-        assert isinstance(backend, DenseBackend)
-        assert backend.kind == "dense"
-        assert backend.table is not None
-
-    def test_delta_above_table_guard(self):
-        backend = distance_backend(Torus(radix=100, dimensions=2))
-        assert isinstance(backend, DeltaBackend)
-        assert backend.kind == "delta"
-        assert backend.table is None
-
-    def test_digit_above_delta_guard(self, monkeypatch):
-        monkeypatch.setattr(torus_module, "DELTA_BACKEND_MAX_NODES", 1)
-        backend = distance_backend(Torus(radix=100, dimensions=2))
-        assert isinstance(backend, DigitBackend)
-        assert backend.kind == "digit"
-
-    def test_guard_read_dynamically(self, monkeypatch):
-        # The accessor must honor runtime changes to the table cap (the
-        # historical fallback tests monkeypatch it mid-run).
-        torus = Torus(radix=4, dimensions=2)
-        assert isinstance(distance_backend(torus), DenseBackend)
-        monkeypatch.setattr(torus_module, "DISTANCE_TABLE_MAX_NODES", 1)
-        assert isinstance(distance_backend(torus), DeltaBackend)
+@pytest.mark.parametrize("radix,dimensions", [(4, 2), (100, 2)])
+@pytest.mark.parametrize("bad", [-1, "N"])
+def test_bad_node_ids_raise_topology_error(radix, dimensions, bad):
+    torus = Torus(radix=radix, dimensions=dimensions)
+    node = torus.node_count if bad == "N" else bad
+    for backend in (DeltaBackend(torus), distance_backend(torus)):
+        with pytest.raises(TopologyError, match="^sources contain"):
+            backend.pairwise([0, node], [1, 0])
+        with pytest.raises(TopologyError, match="^destinations contain"):
+            backend.pairwise([0], [[1], [node]])
+    # Empty id arrays have nothing to range-check.
+    assert DeltaBackend(torus).pairwise([], []).shape == (0,)
 
 
 class TestTrajectoryEquality:
-    """Fixed-seed anneal runs must be identical dense vs delta."""
+    """Fixed-seed anneals match the loop reference, and the delta
+    backend's evaluation of each result equals the compiled kernel's
+    reported distance."""
 
     @pytest.mark.parametrize("radix,dimensions", [(8, 2), (4, 3), (16, 2)])
-    def test_anneal_trajectory(self, radix, dimensions, monkeypatch):
+    def test_anneal_trajectory(self, radix, dimensions):
         torus = Torus(radix=radix, dimensions=dimensions)
         graph = torus_neighbor_graph(radix, dimensions)
         start = random_mapping(torus.node_count, seed=11)
-        dense = anneal_mapping(graph, torus, start, steps=800, seed=11)
-        monkeypatch.setattr(torus_module, "DISTANCE_TABLE_MAX_NODES", 1)
-        delta = anneal_mapping(graph, torus, start, steps=800, seed=11)
-        assert dense.mapping.assignment == delta.mapping.assignment
-        assert dense.distance == delta.distance
-        assert dense.best_distance == delta.best_distance
-        assert dense.accepted_moves == delta.accepted_moves
-        assert dense.attempted_moves == delta.attempted_moves
+        fast = anneal_mapping(graph, torus, start, steps=800, seed=11)
+        slow = reference_anneal_mapping(graph, torus, start, steps=800, seed=11)
+        assert fast == slow
+        assert average_distance(graph, fast.mapping, torus) == fast.distance
+        assert average_distance(graph, start, torus) == fast.initial_distance
 
-    def test_chain_trajectories(self, monkeypatch):
+    def test_chain_trajectories(self):
         torus = Torus(radix=8, dimensions=2)
         graph = torus_neighbor_graph(8, 2)
         start = random_mapping(torus.node_count, seed=5)
-        dense = anneal_chains(graph, torus, start, chains=3, steps=400, seed=5)
-        monkeypatch.setattr(torus_module, "DISTANCE_TABLE_MAX_NODES", 1)
-        delta = anneal_chains(graph, torus, start, chains=3, steps=400, seed=5)
-        assert list(dense.distances) == list(delta.distances)
-        assert dense.best_index == delta.best_index
-        assert dense.best.mapping.assignment == delta.best.mapping.assignment
+        search = anneal_chains(graph, torus, start, chains=3, steps=400, seed=5)
+        for result, distance in zip(search.results, search.distances):
+            assert average_distance(graph, result.mapping, torus) == distance

@@ -1,10 +1,10 @@
 """Property tests for the vectorized locality engine.
 
 Pins the array kernels against their loop-based executable
-specifications: the distance table and broadcast distances against the
-digit-based ``Torus.distance``, the closed-form ring sum against brute
-force, and the gather-based evaluation kernels against the per-edge
-loops kept alive in :mod:`repro.mapping.reference`.
+specifications: the delta backend's all-pairs table and broadcast
+distances against the digit-based ``Torus.distance``, the closed-form
+ring sum against brute force, and the gather-based evaluation kernels
+against the per-edge loops kept alive in :mod:`repro.mapping.reference`.
 """
 
 import numpy as np
@@ -17,8 +17,8 @@ from repro.mapping.reference import (
     reference_average_distance,
     reference_distance_histogram,
 )
-from repro.topology.graphs import CommunicationGraph, torus_neighbor_graph
-from repro.topology.torus import Torus
+from repro.topology.graphs import CommunicationGraph
+from repro.topology.torus import DeltaBackend, Torus
 
 # Shapes small enough that brute-force loops stay fast but covering
 # odd/even radix and 1..3 dimensions (N up to a few hundred nodes).
@@ -33,8 +33,8 @@ class TestDistanceTable:
     def test_table_matches_digit_distance(self, shape, rng):
         radix, dimensions = shape
         torus = Torus(radix=radix, dimensions=dimensions)
-        table = torus.distance_table()
-        assert table is not None
+        nodes = np.arange(torus.node_count)
+        table = DeltaBackend(torus).pairwise(nodes[:, None], nodes[None, :])
         assert table.shape == (torus.node_count, torus.node_count)
         for _ in range(20):
             a = rng.randrange(torus.node_count)
@@ -52,7 +52,7 @@ class TestDistanceTable:
         destinations = np.array(
             [rng.randrange(torus.node_count) for _ in range(16)]
         )
-        hops = torus.pairwise_distance(sources, destinations)
+        hops = DeltaBackend(torus).pairwise(sources, destinations)
         for src, dst, got in zip(sources, destinations, hops):
             assert int(got) == torus.distance(int(src), int(dst))
 
@@ -65,14 +65,6 @@ class TestDistanceTable:
         assert coords.shape == (dimensions, torus.node_count)
         for node in range(torus.node_count):
             assert tuple(coords[:, node]) == torus.coordinates(node)
-
-    @settings(max_examples=30, deadline=None)
-    @given(shapes)
-    def test_memory_guard_returns_none_above_cap(self, shape):
-        radix, dimensions = shape
-        torus = Torus(radix=radix, dimensions=dimensions)
-        assert torus.distance_table(max_nodes=torus.node_count - 1) is None
-        assert torus.distance_table(max_nodes=torus.node_count) is not None
 
     @settings(max_examples=40, deadline=None)
     @given(shapes)
@@ -140,25 +132,3 @@ class TestEvaluateParity:
         assert distance_histogram(graph, mapping, torus) == (
             reference_distance_histogram(graph, mapping, torus)
         )
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        st.integers(min_value=2, max_value=6),
-        st.integers(min_value=0, max_value=2**16),
-    )
-    def test_guarded_torus_falls_back_identically(self, radix, seed):
-        # Force the guard with a tiny cap: evaluation must silently use
-        # the broadcast fallback and produce the same numbers.
-        import repro.topology.torus as torus_module
-
-        torus = Torus(radix=radix, dimensions=2)
-        graph = torus_neighbor_graph(radix, 2)
-        mapping = random_mapping(torus.node_count, seed=seed)
-        with_table = average_distance(graph, mapping, torus)
-        original = torus_module.DISTANCE_TABLE_MAX_NODES
-        torus_module.DISTANCE_TABLE_MAX_NODES = 1
-        try:
-            assert torus.distance_table() is None
-            assert average_distance(graph, mapping, torus) == with_table
-        finally:
-            torus_module.DISTANCE_TABLE_MAX_NODES = original

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
+from repro.topology.torus import Torus
 from repro.topology.graphs import (
     CommunicationGraph,
     all_to_all_graph,
@@ -45,7 +46,29 @@ class TestCommunicationGraph:
             list(graph.out_neighbors(7))
 
 
+def neighbor_loop_edges(radix, dimensions):
+    """The torus-neighbor edges by the node-major loop over
+    ``Torus.neighbors``, in that loop's order."""
+    torus = Torus(radix=radix, dimensions=dimensions)
+    return [
+        (node, neighbor)
+        for node in torus.nodes()
+        for neighbor in torus.neighbors(node)
+    ]
+
+
 class TestTorusNeighborGraph:
+    @pytest.mark.parametrize(
+        "radix,dimensions",
+        [(k, n) for k in range(1, 10) for n in range(1, 4)],
+    )
+    def test_builder_is_the_neighbor_loop(self, radix, dimensions):
+        graph = torus_neighbor_graph(radix, dimensions)
+        edges = neighbor_loop_edges(radix, dimensions)
+        assert graph.threads == radix**dimensions
+        assert list(graph.edges()) == [(a, b, 1.0) for a, b in edges]
+        assert graph == CommunicationGraph.from_edges(graph.threads, edges)
+
     def test_paper_application_shape(self):
         # 64 threads, each reading 4 neighbors: 256 directed edges.
         graph = torus_neighbor_graph(8, 2)
@@ -115,21 +138,21 @@ class TestArrayBackedGraphs:
             assert np.array_equal(ours, theirs)
 
     def test_weight_sums_are_the_layouts_own_expressions(self):
-        dict_graph = CommunicationGraph(
-            threads=3, weights={(0, 1): 0.1, (1, 2): 0.2, (2, 0): 0.7}
-        )
-        array_graph = CommunicationGraph.from_arrays(
-            3, *dict_graph.edge_arrays()
-        )
-        weights = array_graph.edge_arrays()[2]
-        assert array_graph.total_weight == float(np.sum(weights))
-        # Summed once per graph, then read back.
-        assert array_graph.total_weight is array_graph.total_weight
-        assert array_graph.edge_weight_sum() is array_graph.total_weight
-        assert dict_graph.total_weight == sum(dict_graph.weights.values())
-        assert dict_graph.edge_weight_sum() == float(
-            np.sum(dict_graph.edge_arrays()[2])
-        )
+        # One expression for every constructor: the numpy sum of the
+        # edge weights, summed once per graph.  On ten edges of 0.1 it is
+        # 1.0, where Python's left-to-right sum gives 0.9999999999999999.
+        edges = [(thread, (thread + 1) % 10) for thread in range(10)]
+        graphs = [
+            CommunicationGraph(threads=10, weights=dict.fromkeys(edges, 0.1)),
+            CommunicationGraph.from_edges(10, edges, weight=0.1),
+            CommunicationGraph.from_arrays(10, *zip(*edges), [0.1] * 10),
+        ]
+        for graph in graphs:
+            assert graph.total_weight == float(np.sum(graph.edge_arrays()[2]))
+            assert graph.total_weight == 1.0
+            assert graph.total_weight is graph.total_weight
+            assert graph.edge_weight_sum() is graph.total_weight
+        assert sum(graphs[0].weights.values()) == 0.9999999999999999
 
     def test_from_arrays_default_unit_weights(self):
         graph = CommunicationGraph.from_arrays(3, [0, 1], [1, 2])
@@ -145,19 +168,43 @@ class TestArrayBackedGraphs:
         with pytest.raises(TopologyError):
             CommunicationGraph.from_arrays(3, [0], [1], [0.0])
 
-    def test_large_torus_neighbor_graph_is_array_backed(self):
-        import repro.topology.graphs as graphs_module
+    def test_equality_and_hash_follow_the_edges(self):
+        import copy
+        import pickle
 
-        original = graphs_module.DISTANCE_TABLE_MAX_NODES
-        graphs_module.DISTANCE_TABLE_MAX_NODES = 1
-        try:
-            fast = torus_neighbor_graph(4, 2)
-        finally:
-            graphs_module.DISTANCE_TABLE_MAX_NODES = original
-        slow = torus_neighbor_graph(4, 2)
-        assert not fast.weights and slow.weights
-        assert list(fast.edges()) == list(slow.edges())
-        assert fast.total_weight == slow.total_weight
+        first = CommunicationGraph.from_arrays(4, [0, 1], [1, 2])
+        other = CommunicationGraph.from_arrays(4, [2, 3], [3, 0], [5.0, 7.0])
+        assert first != other
+        assert CommunicationGraph.from_arrays(4, [0, 1], [1, 2], [1.0, 2.0]) != first
+        assert CommunicationGraph.from_arrays(5, [0, 1], [1, 2]) != first
+        # Edge order is part of the graph: it orders every CSR row.
+        assert CommunicationGraph.from_arrays(4, [1, 0], [2, 1]) != first
+        same = [
+            CommunicationGraph.from_edges(4, [(0, 1), (1, 2)]),
+            CommunicationGraph(threads=4, weights={(0, 1): 1.0, (1, 2): 1.0}),
+            pickle.loads(pickle.dumps(first)),
+            copy.deepcopy(first),
+        ]
+        for graph in same:
+            assert graph == first and hash(graph) == hash(first)
+            assert repr(graph) == repr(first)
+        assert len({first, other, *same}) == 2
+        assert repr(first) == (
+            "CommunicationGraph(threads=4, weights={(0, 1): 1.0, (1, 2): 1.0})"
+        )
+
+    def test_graphs_are_immutable(self):
+        import dataclasses
+
+        graph = CommunicationGraph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.threads = 4
+        with pytest.raises(TypeError):
+            graph.weights[(2, 0)] = 1.0
+        assert graph.weights is graph.weights
+        assert dict(graph.weights) == {(0, 1): 1.0, (1, 2): 1.0}
+        for array in graph.edge_arrays():
+            assert not array.flags.writeable
 
 
 GRAPHS = {
