@@ -66,7 +66,7 @@ def test_quadratic_solver_throughput(benchmark, models):
 
 def test_batch_sweep_with_per_point_parameters(benchmark, models):
     """Sweep where sensitivity and intercept vary per point (the shape
-    ``sweep_contexts`` and ``sweep_network_slowdowns`` produce)."""
+    ``sweep_network_slowdowns`` produces)."""
     node, extended, _ = models
     count = 100
     distances = np.linspace(2.0, 8.0, count)

@@ -1,20 +1,7 @@
-"""Side-by-side comparison of system configurations.
+"""Model-vs-measured contention.
 
-The paper's Section 2.6 closes with exactly this operation: "the
-performance obtained with two different machine configurations can be
-compared by computing the ratio of the aggregate performance obtained in
-each case."  :func:`compare_systems` does it across a range of
-communication distances and renders the ratio table.
-
-:func:`compare_model_to_replications` performs the other comparison the
-reproduction needs: analytical predictions against *replicated*
-simulator measurements (:mod:`repro.sim.replicate`), where each
-simulated point carries a 95% confidence half-width instead of being a
-bare number — so "the model matches" becomes a statement about the
-interval, not about one seed.
-
-:func:`contention_row` / :class:`ContentionComparison` close the last
-gap: the model's *contention term* itself.  Eq 10's channel utilization
+:func:`contention_row` / :class:`ContentionComparison` check the
+model's *contention term* itself.  Eq 10's channel utilization
 ``rho = r_m * B * k_d / 2`` is an average over all network channels; the
 fabric telemetry (:mod:`repro.sim.telemetry`) measures the actual busy
 fraction of every physical link, so the model's single rho can be tabled
@@ -25,236 +12,18 @@ contention inputs rather than the latency outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from repro.analysis.tables import render_table
 from repro.core.network import TorusNetworkModel
-from repro.core.system import SystemModel
 from repro.errors import ParameterError, SaturationError
-from repro.sim.replicate import ReplicationResult
 from repro.sim.telemetry import TelemetrySummary
 
 __all__ = [
-    "ComparisonRow",
-    "SystemComparison",
-    "compare_systems",
-    "ModelSimRow",
-    "ModelSimComparison",
-    "compare_model_to_replications",
     "ContentionRow",
     "ContentionComparison",
     "contention_row",
 ]
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Both systems' operating points at one distance."""
-
-    distance: float
-    baseline_rate: float
-    candidate_rate: float
-    baseline_latency: float
-    candidate_latency: float
-
-    @property
-    def speedup(self) -> float:
-        """Candidate over baseline transaction rate (both per *processor*
-        cycle, so differing clock domains compare fairly)."""
-        return self.candidate_rate / self.baseline_rate
-
-
-@dataclass(frozen=True)
-class SystemComparison:
-    """A distance sweep comparing two systems."""
-
-    baseline_label: str
-    candidate_label: str
-    rows: List[ComparisonRow]
-
-    @property
-    def speedups(self) -> List[float]:
-        return [row.speedup for row in self.rows]
-
-    def render(self) -> str:
-        """Tabulate rates (per processor kilocycle) and the speedup."""
-        table_rows = [
-            (
-                round(row.distance, 2),
-                round(row.baseline_rate * 1000, 3),
-                round(row.candidate_rate * 1000, 3),
-                f"{row.speedup:.2f}x",
-            )
-            for row in self.rows
-        ]
-        return render_table(
-            [
-                "d (hops)",
-                f"{self.baseline_label} r_t",
-                f"{self.candidate_label} r_t",
-                "speedup",
-            ],
-            table_rows,
-            title=(
-                f"{self.candidate_label} vs {self.baseline_label} "
-                "(transactions per processor kilocycle)"
-            ),
-        )
-
-
-def compare_systems(
-    baseline: SystemModel,
-    candidate: SystemModel,
-    distances: Sequence[float],
-    baseline_label: str = "baseline",
-    candidate_label: str = "candidate",
-) -> SystemComparison:
-    """Solve both systems across ``distances`` and compare.
-
-    Rates are normalized to each system's *processor* clock so machines
-    with different network speeds compare on delivered work, not on
-    network-cycle bookkeeping.
-    """
-    if not distances:
-        raise ParameterError("compare_systems needs at least one distance")
-    rows = []
-    for distance in distances:
-        base_point = baseline.operating_point(float(distance))
-        cand_point = candidate.operating_point(float(distance))
-        rows.append(
-            ComparisonRow(
-                distance=float(distance),
-                baseline_rate=base_point.transaction_rate_processor(
-                    baseline.clocks
-                ),
-                candidate_rate=cand_point.transaction_rate_processor(
-                    candidate.clocks
-                ),
-                baseline_latency=base_point.message_latency,
-                candidate_latency=cand_point.message_latency,
-            )
-        )
-    return SystemComparison(
-        baseline_label=baseline_label,
-        candidate_label=candidate_label,
-        rows=rows,
-    )
-
-
-@dataclass(frozen=True)
-class ModelSimRow:
-    """One distance point: the model value against the replicated sim."""
-
-    distance: float
-    model: float
-    sim_mean: float
-    sim_std: float
-    sim_ci95: float
-    n: int
-
-    @property
-    def error(self) -> float:
-        """Model minus simulated mean (signed)."""
-        return self.model - self.sim_mean
-
-    @property
-    def relative_error(self) -> float:
-        return self.error / self.sim_mean if self.sim_mean else 0.0
-
-    @property
-    def within_ci(self) -> bool:
-        """Whether the model value lands inside the sim's 95% interval."""
-        return abs(self.error) <= self.sim_ci95
-
-
-@dataclass(frozen=True)
-class ModelSimComparison:
-    """A distance sweep of model predictions vs replicated measurements."""
-
-    metric: str
-    rows: List[ModelSimRow]
-
-    @property
-    def max_relative_error(self) -> float:
-        return max(abs(row.relative_error) for row in self.rows)
-
-    def render(self) -> str:
-        table_rows = [
-            (
-                round(row.distance, 2),
-                round(row.sim_mean, 2),
-                f"±{row.sim_ci95:.2f}",
-                round(row.model, 2),
-                f"{100 * row.relative_error:+.1f}%",
-                "yes" if row.within_ci else "no",
-            )
-            for row in self.rows
-        ]
-        n = self.rows[0].n if self.rows else 0
-        return render_table(
-            [
-                "d (hops)",
-                f"{self.metric} sim",
-                "95% CI",
-                f"{self.metric} model",
-                "error",
-                "in CI",
-            ],
-            table_rows,
-            title=f"Model vs simulation, {self.metric} ({n} seeds per point)",
-        )
-
-
-def compare_model_to_replications(
-    metric: str,
-    distances: Sequence[float],
-    model_values: Sequence[float],
-    replications: Sequence[ReplicationResult],
-) -> ModelSimComparison:
-    """Line up model predictions with replicated simulator runs.
-
-    ``replications[i]`` is the :func:`~repro.sim.replicate.run_replications`
-    result measured at ``distances[i]``; ``model_values[i]`` is the
-    model's prediction for the same point.  ``metric`` names any
-    :class:`~repro.sim.stats.MeasurementSummary` field (for example
-    ``mean_message_latency``).
-    """
-    if not distances:
-        raise ParameterError(
-            "compare_model_to_replications needs at least one point"
-        )
-    if not (len(distances) == len(model_values) == len(replications)):
-        raise ParameterError(
-            "distances, model_values, and replications must align: got "
-            f"{len(distances)}/{len(model_values)}/{len(replications)}"
-        )
-    rows = []
-    for distance, model_value, result in zip(
-        distances, model_values, replications
-    ):
-        aggregate = result.aggregates.get(metric)
-        if aggregate is None:
-            known = ", ".join(result.aggregates)
-            raise ParameterError(
-                f"metric {metric!r} not measured by the replications; "
-                f"known: {known}"
-            )
-        rows.append(
-            ModelSimRow(
-                distance=float(distance),
-                model=float(model_value),
-                sim_mean=aggregate.mean,
-                sim_std=aggregate.std,
-                sim_ci95=aggregate.ci95,
-                n=aggregate.n,
-            )
-        )
-    return ModelSimComparison(metric=metric, rows=rows)
-
-
-# ----------------------------------------------------------------------
-# Model-vs-measured contention (per-channel telemetry).
-# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -303,10 +72,6 @@ class ContentionComparison:
     """Model-vs-measured contention across machine configurations."""
 
     rows: List[ContentionRow]
-
-    @property
-    def max_rho_relative_error(self) -> float:
-        return max(abs(row.rho_relative_error) for row in self.rows)
 
     def render(self) -> str:
         table_rows = [

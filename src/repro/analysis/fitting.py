@@ -29,9 +29,6 @@ class LineFit:
     intercept: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
 
 def fit_line(x: Sequence[float], y: Sequence[float]) -> LineFit:
     """Least-squares line through the given points (needs >= 2)."""

@@ -9,29 +9,13 @@ log-log plots).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.errors import ParameterError
 
-__all__ = ["sparkline", "line_plot", "stacked_bars"]
+__all__ = ["line_plot", "stacked_bars"]
 
-_SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 _MARKERS = "*+ox#@%&"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line trend view of a numeric series."""
-    if not values:
-        raise ParameterError("sparkline needs at least one value")
-    low = min(values)
-    high = max(values)
-    if high == low:
-        return _SPARK_LEVELS[0] * len(values)
-    span = high - low
-    steps = len(_SPARK_LEVELS) - 1
-    return "".join(
-        _SPARK_LEVELS[round((value - low) / span * steps)] for value in values
-    )
 
 
 def _transform(values: Sequence[float], log: bool, axis: str) -> List[float]:
@@ -57,7 +41,6 @@ def _format_tick(value: float, log: bool) -> str:
 def line_plot(
     x: Sequence[float],
     series: Dict[str, Sequence[float]],
-    width: int = 64,
     height: int = 16,
     x_log: bool = False,
     y_log: bool = False,
@@ -74,8 +57,8 @@ def line_plot(
         raise ParameterError("line_plot needs at least one x value")
     if not series:
         raise ParameterError("line_plot needs at least one series")
-    if width < 16 or height < 4:
-        raise ParameterError("plot area must be at least 16x4")
+    if height < 4:
+        raise ParameterError("plot area must be at least 4 rows")
     for label, values in series.items():
         if len(values) != len(x):
             raise ParameterError(
@@ -83,6 +66,7 @@ def line_plot(
                 f"{len(x)} x values"
             )
 
+    width = 64
     xs = _transform(x, x_log, "x")
     all_y = [v for values in series.values() for v in values]
     ys_flat = _transform(all_y, y_log, "y")
@@ -137,7 +121,6 @@ def line_plot(
 
 def stacked_bars(
     bars: "Dict[str, Dict[str, float]]",
-    width: int = 56,
     title: str = "",
 ) -> str:
     """Horizontal stacked bars (Figure 8's presentation).
@@ -148,8 +131,6 @@ def stacked_bars(
     """
     if not bars:
         raise ParameterError("stacked_bars needs at least one bar")
-    if width < 10:
-        raise ParameterError("bar width must be at least 10")
     component_names: List[str] = []
     for components in bars.values():
         for name in components:
@@ -166,6 +147,7 @@ def stacked_bars(
         raise ParameterError("bar totals must be positive")
     label_width = max(len(label) for label in bars)
 
+    width = 56
     lines: List[str] = []
     if title:
         lines.append(title)

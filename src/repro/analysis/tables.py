@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-__all__ = ["render_table", "format_number", "render_series"]
+__all__ = ["render_table", "format_number"]
 
 
-def format_number(value, precision: int = 3) -> str:
-    """Human-friendly numeric formatting for table cells."""
+def format_number(value) -> str:
+    """Human-friendly numeric formatting for table cells (3 digits)."""
     if value is None:
         return "-"
     if isinstance(value, bool):
@@ -26,8 +26,8 @@ def format_number(value, precision: int = 3) -> str:
             return "0"
         magnitude = abs(value)
         if magnitude >= 1e5 or magnitude < 1e-3:
-            return f"{value:.{precision}g}"
-        return f"{value:.{precision}f}".rstrip("0").rstrip(".")
+            return f"{value:.3g}"
+        return f"{value:.3f}".rstrip("0").rstrip(".")
     return str(value)
 
 
@@ -59,13 +59,3 @@ def render_table(
     lines.append("  ".join("-" * width for width in widths))
     lines.extend(render_row(row) for row in materialized)
     return "\n".join(lines)
-
-
-def render_series(
-    x_label: str,
-    y_label: str,
-    points: Iterable[Sequence[float]],
-    title: str = "",
-) -> str:
-    """Two-column series rendering (a textual 'figure')."""
-    return render_table([x_label, y_label], points, title=title)

@@ -130,7 +130,6 @@ def simulate_mapping_suite(
 def run_validation(
     config: SimulationConfig,
     mappings: Optional[Sequence[NamedMapping]] = None,
-    network: Optional[TorusNetworkModel] = None,
 ) -> ValidationReport:
     """Full Section 3.3 pipeline for one context count."""
     points = simulate_mapping_suite(config, mappings)
@@ -152,16 +151,15 @@ def run_validation(
     mean_g = sum(
         p.summary.messages_per_transaction for p in points
     ) / len(points)
-    if network is None:
-        network = TorusNetworkModel(
-            dimensions=config.dimensions,
-            message_size=message_size,
-            node_channel_contention=True,
-            # The protocol's sizes are bimodal (control vs data); feeding
-            # the measured second moment makes the node-channel term
-            # M/G/1 rather than mean-size M/D/1.
-            message_size_second_moment=max(second_moment, message_size**2),
-        )
+    network = TorusNetworkModel(
+        dimensions=config.dimensions,
+        message_size=message_size,
+        node_channel_contention=True,
+        # The protocol's sizes are bimodal (control vs data); feeding
+        # the measured second moment makes the node-channel term
+        # M/G/1 rather than mean-size M/D/1.
+        message_size_second_moment=max(second_moment, message_size**2),
+    )
     node = curve.to_node_model(messages_per_transaction=mean_g)
     rows = [
         ValidationRow(

@@ -59,6 +59,7 @@ import sys
 from typing import List, Optional
 
 from repro import obs
+from repro.errors import ReproError
 from repro.experiments.alewife import alewife_system
 from repro.experiments.result import render_perf_line
 from repro.experiments.runner import (
@@ -275,8 +276,6 @@ def _command_anneal(args) -> int:
     from repro.mapping.strategies import random_mapping
     from repro.topology.torus import Torus
 
-    from repro.errors import ReproError
-
     try:
         torus = Torus(radix=args.radix, dimensions=args.dimensions)
         graph = pattern_graph(args.pattern, args.radix, args.dimensions)
@@ -318,8 +317,12 @@ def _command_anneal(args) -> int:
 
 
 def _command_gain(processors: float, contexts: float, slowdown: float) -> int:
-    system = alewife_system(contexts=contexts).with_network_slowdown(slowdown)
-    result = system.expected_gain(processors)
+    try:
+        system = alewife_system(contexts=contexts).with_network_slowdown(slowdown)
+        result = system.expected_gain(processors)
+    except ReproError as exc:
+        print(f"gain failed: {exc}", file=sys.stderr)
+        return 1
     print(
         f"N = {processors:g}, p = {contexts:g}, "
         f"network slowdown = {slowdown:g}x"
@@ -471,7 +474,6 @@ def build_sim_parser() -> argparse.ArgumentParser:
 def _command_replicate(args) -> int:
     import json
 
-    from repro.errors import ReproError
     from repro.mapping.strategies import identity_mapping, random_mapping
     from repro.sim.config import SimulationConfig
     from repro.sim.replicate import default_seeds, run_replications
@@ -632,7 +634,6 @@ def _command_probe(args) -> int:
         render_link_heatmap,
     )
     from repro.core.network import TorusNetworkModel
-    from repro.errors import ReproError
     from repro.sim.telemetry import (
         TelemetryConfig,
         emit_trace_counters,

@@ -12,13 +12,10 @@ from repro.core.breakdown import IssueTimeBreakdown, decompose
 from repro.core.combined import (
     BatchOperatingPoints,
     OperatingPoint,
-    clear_solve_cache,
     open_loop,
     solve,
     solve_batch,
-    solve_cached,
     solve_quadratic,
-    solve_with_floor,
 )
 from repro.core.limits import (
     PerHopSample,
@@ -29,26 +26,18 @@ from repro.core.limits import (
 )
 from repro.core.metrics import (
     GainResult,
-    aggregate_performance,
     expected_gain,
     expected_gain_batch,
-    expected_gain_for_radix,
     performance_ratio,
-    useful_work_rate,
 )
 from repro.core.bus import SharedBusModel
 from repro.core.indirect import IndirectNetworkModel
 from repro.core.network import TorusNetworkModel
 from repro.core.node import NodeModel
 from repro.core.sweeps import (
-    ContextsSample,
-    DistanceSample,
     GainCurve,
     SlowdownSample,
     gain_curve,
-    logspace_sizes,
-    sweep_contexts,
-    sweep_distances,
     sweep_network_slowdowns,
 )
 from repro.core.system import SystemModel
@@ -66,32 +55,21 @@ __all__ = [
     "SystemModel",
     "solve",
     "solve_batch",
-    "solve_cached",
-    "clear_solve_cache",
     "solve_quadratic",
-    "solve_with_floor",
     "open_loop",
     "decompose",
     "IssueTimeBreakdown",
     "GainResult",
     "expected_gain",
     "expected_gain_batch",
-    "expected_gain_for_radix",
     "performance_ratio",
-    "aggregate_performance",
-    "useful_work_rate",
     "limiting_per_hop_latency",
     "limiting_per_hop_latency_for",
     "per_hop_curve",
     "PerHopSample",
     "size_to_reach_fraction",
-    "DistanceSample",
     "GainCurve",
     "SlowdownSample",
-    "sweep_distances",
     "gain_curve",
     "sweep_network_slowdowns",
-    "ContextsSample",
-    "sweep_contexts",
-    "logspace_sizes",
 ]

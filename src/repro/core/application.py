@@ -31,8 +31,7 @@ Masking is possible exactly while (Eq 3)
 i.e. while a transaction completes before its issuing thread's turn comes
 around again.  Following the paper (which observed no experiment near the
 floor and drops Eq 4 from the analysis), the floor is *reported* by this
-class but not folded into :meth:`issue_time`; callers that want the
-saturating behavior use :meth:`issue_time_with_floor`.
+class (:attr:`min_issue_time`) but not folded into :meth:`issue_time`.
 
 All times in this module are **processor cycles**; conversion to the
 network time base happens when an :class:`ApplicationModel` is composed
@@ -85,16 +84,6 @@ class ApplicationModel:
     # The application transaction curve (Eqs 2, 5, 6).
     # ------------------------------------------------------------------
 
-    @property
-    def curve_slope(self) -> float:
-        """Slope ``p`` of the ``T_t``-vs-``t_t`` line (Eq 6).
-
-        Larger slopes mean *less* sensitivity of the application to
-        transaction-latency increases: an extra ``x`` cycles of latency
-        costs only ``x / p`` cycles of issue time.
-        """
-        return self.contexts
-
     def issue_time(self, transaction_latency: float) -> float:
         """Average inter-transaction issue time ``t_t`` for a given ``T_t``.
 
@@ -125,21 +114,9 @@ class ApplicationModel:
         """
         return self.contexts * self.switch_time + (self.contexts - 1) * self.grain
 
-    def masks_latency(self, transaction_latency: float) -> bool:
-        """Whether a transaction latency is fully hidden by multithreading."""
-        return transaction_latency <= self.masking_threshold
-
-    def issue_time_with_floor(self, transaction_latency: float) -> float:
-        """Issue time including the latency-masking floor of Eq 4."""
-        return max(self.issue_time(transaction_latency), self.min_issue_time)
-
     # ------------------------------------------------------------------
     # Derived scalings used by the experiments.
     # ------------------------------------------------------------------
-
-    def with_contexts(self, contexts: float) -> "ApplicationModel":
-        """Same application run with a different degree of multithreading."""
-        return replace(self, contexts=contexts)
 
     def with_grain_scaled(self, factor: float) -> "ApplicationModel":
         """Same application with its computation grain scaled by ``factor``.

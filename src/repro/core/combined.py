@@ -30,7 +30,6 @@ conversion helper for the processor time base.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -48,10 +47,7 @@ __all__ = [
     "BatchOperatingPoints",
     "solve",
     "solve_batch",
-    "solve_cached",
-    "clear_solve_cache",
     "solve_quadratic",
-    "solve_with_floor",
     "open_loop",
 ]
 
@@ -62,14 +58,6 @@ __all__ = [
 _SOLVE_CALLS = obs.REGISTRY.counter(
     "perf.solve_calls",
     help="scalar combined-model solves (bisection or closed form)",
-)
-_CACHE_HITS = obs.REGISTRY.counter(
-    "perf.cache_hits",
-    help="solve_cached lookups answered from the memoized cache",
-)
-_CACHE_MISSES = obs.REGISTRY.counter(
-    "perf.cache_misses",
-    help="solve_cached lookups that had to run the solver",
 )
 _BATCH_SOLVES = obs.REGISTRY.counter(
     "perf.batch_solves", help="solve_batch invocations"
@@ -108,17 +96,9 @@ class OperatingPoint:
         """Average inter-message injection time ``t_m = 1 / r_m``."""
         return 1.0 / self.message_rate
 
-    def transaction_rate_processor(self, clocks: ClockDomain) -> float:
-        """``r_t`` in transactions per *processor* cycle."""
-        return clocks.rate_to_processor(self.transaction_rate)
-
     def issue_time_processor(self, clocks: ClockDomain) -> float:
         """``t_t`` in processor cycles."""
         return clocks.to_processor(self.issue_time)
-
-    def aggregate_performance(self, processors: float) -> float:
-        """``N * r_t`` (Section 2.6's aggregate metric), network time base."""
-        return processors * self.transaction_rate
 
 
 def _make_point(
@@ -569,39 +549,6 @@ def _solve_batch_impl(
     )
 
 
-@functools.lru_cache(maxsize=16384)
-def _solve_lru(
-    node: NodeModel, network: TorusNetworkModel, distance: float
-) -> OperatingPoint:
-    return solve(node, network, distance)
-
-
-def solve_cached(
-    node: NodeModel, network: TorusNetworkModel, distance: float
-) -> OperatingPoint:
-    """Memoized :func:`solve` keyed by the (frozen) model parameters.
-
-    Repeated queries at identical ``(node, network, distance)`` — e.g.
-    the ideal-mapping point shared by every machine size of a gain curve,
-    or ``expected_gain`` re-asked at a landmark size — return the cached
-    :class:`OperatingPoint` without re-running the bisection.  Both model
-    dataclasses are frozen and hashable, so the key is exact; errors are
-    not cached (a failing configuration re-raises on every call).
-    """
-    info = _solve_lru.cache_info()
-    point = _solve_lru(node, network, distance)
-    if _solve_lru.cache_info().hits > info.hits:
-        _CACHE_HITS.inc()
-    else:
-        _CACHE_MISSES.inc()
-    return point
-
-
-def clear_solve_cache() -> None:
-    """Drop all memoized operating points (test isolation)."""
-    _solve_lru.cache_clear()
-
-
 def solve_quadratic(
     node: NodeModel,
     network: TorusNetworkModel,
@@ -709,58 +656,6 @@ def _physical_root(
         if 0.0 < candidate < saturation:
             return candidate, branch
     return None, "no-physical-root"
-
-
-def solve_with_floor(
-    node: NodeModel,
-    network: TorusNetworkModel,
-    distance: float,
-    min_issue_time: float,
-) -> OperatingPoint:
-    """Combined model with the Eq 4 issue-time floor applied.
-
-    The paper drops the floor (``t_t >= T_r + T_s``) because none of its
-    experiments approached it; this variant keeps it for configurations
-    that do (e.g. many contexts, tiny grain, single-hop mappings).  If
-    the unconstrained solution would issue faster than the floor allows,
-    the processor — not the network — is the bottleneck: the point is
-    re-pinned to the floor rate, with the message latency read off the
-    *network* curve there (the node curve no longer applies; the
-    processor simply isn't latency-bound).
-
-    ``min_issue_time`` is ``t_t``'s floor in **network cycles**
-    (``clocks.to_network(T_r + T_s)`` for block multithreading).
-    """
-    if not min_issue_time > 0:
-        raise ParameterError(
-            f"min_issue_time must be positive, got {min_issue_time!r}"
-        )
-    free = solve(node, network, distance)
-    if free.issue_time >= min_issue_time:
-        return free
-    # A binding floor always *lowers* the injection rate below the free
-    # solution's (already feasible) rate, so the pinned point is feasible
-    # by construction.
-    floor_rate = node.messages_per_transaction / min_issue_time
-    latency = network.message_latency(floor_rate, distance)
-    diag = obs.solver_diagnostics()
-    if diag is not None:
-        diag.record(
-            "floor", "floor-clamp", distance, message_rate=floor_rate,
-            utilization=network.channel_utilization(floor_rate, distance),
-        )
-    return OperatingPoint(
-        message_rate=floor_rate,
-        message_latency=latency,
-        per_hop_latency=network.per_hop_latency(floor_rate, distance),
-        utilization=network.channel_utilization(floor_rate, distance),
-        node_channel_delay=network.node_channel_delay(floor_rate),
-        distance=distance,
-        transaction_rate=1.0 / min_issue_time,
-        issue_time=min_issue_time,
-        transaction_latency=node.sensitivity * min_issue_time
-        / node.messages_per_transaction - node.intercept,
-    )
 
 
 def open_loop(

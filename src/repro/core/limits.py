@@ -39,8 +39,6 @@ __all__ = [
     "PerHopSample",
     "per_hop_curve",
     "size_to_reach_fraction",
-    "bandwidth_bound_issue_time",
-    "bandwidth_gain_ceiling",
 ]
 
 
@@ -115,7 +113,6 @@ def size_to_reach_fraction(
     node: NodeModel,
     network: TorusNetworkModel,
     fraction: float,
-    max_processors: float = 1e9,
 ) -> float:
     """Smallest machine size whose ``T_h`` reaches ``fraction`` of Eq 16.
 
@@ -123,7 +120,7 @@ def size_to_reach_fraction(
     reaches over 80 % of the limiting value "with a few thousand
     processors".  Searches by bisection on ``log N``; raises
     :class:`ParameterError` if the fraction is not reached by
-    ``max_processors``.
+    ``N = 10**9``.
     """
     if not 0 < fraction < 1:
         raise ParameterError(
@@ -138,11 +135,11 @@ def size_to_reach_fraction(
         )
         return solve(node, network, distance).per_hop_latency
 
-    low, high = 2.0, float(max_processors)
+    low, high = 2.0, 1e9
     if per_hop(high) < target:
         raise ParameterError(
             f"per-hop latency does not reach {fraction:.0%} of its limit "
-            f"by N = {max_processors:g}"
+            f"by N = {high:g}"
         )
     if per_hop(low) >= target:
         return low
@@ -155,50 +152,3 @@ def size_to_reach_fraction(
         if high / low < 1.0 + 1e-9:
             break
     return high
-
-
-def bandwidth_bound_issue_time(
-    node: NodeModel, network: TorusNetworkModel, distance: float
-) -> float:
-    """Asymptotic issue-time floor from network bandwidth, network cycles.
-
-    In the deep communication-bound regime the feedback drives channel
-    utilization toward 1, pinning the injection rate at the Eq 10
-    capacity ``r_m = 2 / (B * k_d)`` — *independently of the latency
-    sensitivity* — so the issue time approaches
-
-        ``t_t >= g * B * k_d / 2``
-
-    This is why the Figure 7 curves for different context counts
-    converge: once the randomly-mapped application saturates the mesh,
-    extra outstanding transactions cannot buy throughput, only latency.
-    """
-    k_d = network.per_dimension_distance(distance)
-    return (
-        node.messages_per_transaction * network.message_size * k_d / 2.0
-    )
-
-
-def bandwidth_gain_ceiling(
-    network: TorusNetworkModel, processors: float, ideal_distance: float = 1.0
-) -> float:
-    """Upper bound on the locality gain from bandwidth alone.
-
-    The randomly-mapped application can never issue faster than the
-    bandwidth bound at the Eq 17 distance, while the ideally-mapped one
-    is at worst bound at ``ideal_distance`` — their ratio bounds the
-    gain no matter how small the computation grain:
-
-        ``gain <= d_random / d_ideal``  (k_d ratio)
-
-    which is the "linear in the factor by which communication distance
-    is reduced" statement of Section 4.1 in bandwidth form.
-    """
-    random_distance = random_traffic_distance_for_size(
-        processors, network.dimensions
-    )
-    if not ideal_distance > 0:
-        raise ParameterError(
-            f"ideal_distance must be positive, got {ideal_distance!r}"
-        )
-    return random_distance / ideal_distance

@@ -21,48 +21,18 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.combined import (
-    OperatingPoint,
-    solve_batch,
-    solve_cached,
-)
+from repro.core.combined import OperatingPoint, solve, solve_batch
 from repro.core.network import TorusNetworkModel
 from repro.core.node import NodeModel
 from repro.errors import ParameterError
-from repro.topology.distance import (
-    random_traffic_distance,
-    random_traffic_distance_for_size,
-)
+from repro.topology.distance import random_traffic_distance_for_size
 
 __all__ = [
-    "useful_work_rate",
-    "aggregate_performance",
     "performance_ratio",
     "GainResult",
     "expected_gain",
     "expected_gain_batch",
-    "expected_gain_for_radix",
 ]
-
-
-def useful_work_rate(point: OperatingPoint, grain_network: float) -> float:
-    """Fraction of time spent on useful work, ``T_r / t_t``.
-
-    ``grain_network`` is the computation grain expressed in network cycles
-    (the time base of ``point``).  Dimensionless, in (0, 1].
-    """
-    if not grain_network > 0:
-        raise ParameterError(
-            f"grain must be positive, got {grain_network!r}"
-        )
-    return grain_network / point.issue_time
-
-
-def aggregate_performance(point: OperatingPoint, processors: float) -> float:
-    """``N * r_t`` in transactions per network cycle (Section 2.6)."""
-    if not processors > 0:
-        raise ParameterError(f"processors N must be positive, got {processors!r}")
-    return processors * point.transaction_rate
 
 
 def performance_ratio(numerator: OperatingPoint, denominator: OperatingPoint) -> float:
@@ -89,11 +59,6 @@ class GainResult:
         """Transaction-rate ratio, ideal over random mapping."""
         return performance_ratio(self.ideal, self.random)
 
-    @property
-    def distance_ratio(self) -> float:
-        """How much the ideal mapping shortens communication."""
-        return self.random_distance / self.ideal_distance
-
 
 def expected_gain(
     node: NodeModel,
@@ -119,8 +84,8 @@ def expected_gain(
         processors=processors,
         ideal_distance=ideal_distance,
         random_distance=random_distance,
-        ideal=solve_cached(node, network, ideal_distance),
-        random=solve_cached(node, network, random_distance),
+        ideal=solve(node, network, ideal_distance),
+        random=solve(node, network, random_distance),
     )
 
 
@@ -128,19 +93,15 @@ def expected_gain_batch(
     node: NodeModel,
     network: TorusNetworkModel,
     sizes: Sequence[float],
-    ideal_distance: float = 1.0,
 ) -> List[GainResult]:
     """Expected gain at many machine sizes in one batched solve.
 
-    Semantically identical to calling :func:`expected_gain` per size,
-    but all random-mapping operating points are found by one
-    :func:`~repro.core.combined.solve_batch` call, and the
-    ideal-mapping point — shared by every size — is solved exactly once.
+    Semantically identical to calling :func:`expected_gain` per size
+    with the one-hop ideal mapping, but all random-mapping operating
+    points are found by one :func:`~repro.core.combined.solve_batch`
+    call, and the ideal-mapping point — shared by every size — is solved
+    exactly once.
     """
-    if not ideal_distance > 0:
-        raise ParameterError(
-            f"ideal_distance must be positive, got {ideal_distance!r}"
-        )
     sizes = [float(n) for n in np.asarray(sizes, dtype=float).ravel()]
     random_distances = np.array(
         [
@@ -151,32 +112,14 @@ def expected_gain_batch(
     if not random_distances.size:
         return []
     randoms = solve_batch(node, network, random_distances)
-    ideal = solve_cached(node, network, ideal_distance)
+    ideal = solve(node, network, 1.0)
     return [
         GainResult(
             processors=processors,
-            ideal_distance=ideal_distance,
+            ideal_distance=1.0,
             random_distance=float(random_distances[i]),
             ideal=ideal,
             random=randoms.point(i),
         )
         for i, processors in enumerate(sizes)
     ]
-
-
-def expected_gain_for_radix(
-    node: NodeModel,
-    network: TorusNetworkModel,
-    radix: float,
-    ideal_distance: float = 1.0,
-) -> GainResult:
-    """Expected gain with the machine specified by its radix instead of N."""
-    random_distance = random_traffic_distance(radix, network.dimensions)
-    processors = float(radix) ** network.dimensions
-    return GainResult(
-        processors=processors,
-        ideal_distance=ideal_distance,
-        random_distance=random_distance,
-        ideal=solve_cached(node, network, ideal_distance),
-        random=solve_cached(node, network, random_distance),
-    )

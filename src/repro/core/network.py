@@ -230,20 +230,6 @@ class TorusNetworkModel:
         """Same network parameters in a different dimensionality."""
         return replace(self, dimensions=dimensions)
 
-    def bisection_bandwidth_per_node(self, radix: int) -> float:
-        """Flits/cycle each node may push through the bisection (context).
-
-        For a k-ary n-cube torus with unidirectional channel pairs, the
-        bisection has ``4 * k**(n-1)`` channels, shared by ``k**n`` nodes;
-        uniform random traffic crosses it with probability 1/2.  Useful
-        for sanity checks against Eq 10's saturation point.
-        """
-        if radix < 1:
-            raise ParameterError(f"radix k must be >= 1, got {radix!r}")
-        channels = 4 * radix ** (self.dimensions - 1)
-        nodes = radix**self.dimensions
-        return channels / nodes / 0.5
-
     # ------------------------------------------------------------------
     # Introspection helpers.
     # ------------------------------------------------------------------

@@ -138,8 +138,3 @@ class NodeModel:
     def transaction_rate(self, message_rate: float) -> float:
         """``r_t = r_m / g`` in transactions per network cycle."""
         return message_rate / self.messages_per_transaction
-
-    @property
-    def zero_latency_message_time(self) -> float:
-        """``t_m`` at ``T_m = 0``: the node's compute-bound message period."""
-        return self.intercept / self.sensitivity

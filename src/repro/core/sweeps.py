@@ -16,50 +16,23 @@ solver tolerance (~1e-13 relative), which the parity tests in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.combined import OperatingPoint, solve_batch
-from repro.core.limits import limiting_per_hop_latency
+from repro.core.combined import solve_batch
 from repro.core.metrics import GainResult, expected_gain_batch
 from repro.core.system import SystemModel
 
 __all__ = [
-    "DistanceSample",
-    "sweep_distances",
     "GainCurve",
     "gain_curve",
     "SlowdownSample",
     "sweep_network_slowdowns",
-    "ContextsSample",
-    "sweep_contexts",
-    "logspace_sizes",
 ]
-
-
-@dataclass(frozen=True)
-class DistanceSample:
-    """Operating point solved at one average communication distance."""
-
-    distance: float
-    point: OperatingPoint
-
-
-def sweep_distances(
-    system: SystemModel, distances: Sequence[float]
-) -> List[DistanceSample]:
-    """Solve the combined model across a range of distances (Figures 4-5)."""
-    values = [float(d) for d in distances]
-    with obs.span("sweep.distances", points=len(values)):
-        batch = solve_batch(system.node, system.network, values)
-    return [
-        DistanceSample(distance=d, point=batch.point(i))
-        for i, d in enumerate(values)
-    ]
 
 
 @dataclass(frozen=True)
@@ -68,10 +41,6 @@ class GainCurve:
 
     label: str
     results: List[GainResult]
-    #: Lazily built size -> gain index for :meth:`gain_at` (not compared).
-    _gain_index: Dict[float, float] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def sizes(self) -> np.ndarray:
@@ -81,31 +50,11 @@ class GainCurve:
     def gains(self) -> np.ndarray:
         return np.array([r.gain for r in self.results])
 
-    def gain_at(self, processors: float, tolerance: float = 1e-6) -> float:
-        """Gain at an exactly-swept machine size.
-
-        Exact sizes hit a dict built once per curve; sizes within
-        ``tolerance`` (relative) of a swept value fall back to a scan.
-        Raises :class:`KeyError` for sizes that were not swept.
-        """
-        if not self._gain_index:
-            self._gain_index.update(
-                (r.processors, r.gain) for r in self.results
-            )
-        exact = self._gain_index.get(float(processors))
-        if exact is not None:
-            return exact
-        for swept, gain in self._gain_index.items():
-            if abs(swept - processors) <= tolerance * processors:
-                return gain
-        raise KeyError(f"machine size {processors!r} was not swept")
-
 
 def gain_curve(
     system: SystemModel,
     sizes: Sequence[float],
     label: str = "",
-    ideal_distance: float = 1.0,
 ) -> GainCurve:
     """Expected gain vs machine size (the Figure 7 sweep).
 
@@ -114,12 +63,7 @@ def gain_curve(
     """
     size_values = [float(n) for n in sizes]
     with obs.span("sweep.gain_curve", sizes=len(size_values), label=label):
-        results = expected_gain_batch(
-            system.node,
-            system.network,
-            size_values,
-            ideal_distance=ideal_distance,
-        )
+        results = expected_gain_batch(system.node, system.network, size_values)
     return GainCurve(label=label, results=results)
 
 
@@ -182,7 +126,6 @@ def sweep_network_slowdowns(
     system: SystemModel,
     slowdowns: Sequence[float],
     sizes: Sequence[float],
-    ideal_distance: float = 1.0,
 ) -> List[SlowdownSample]:
     """Expected gain vs relative network speed (the Table 1 sweep).
 
@@ -207,7 +150,7 @@ def sweep_network_slowdowns(
     lane_intercepts = []
     for variant in variants:
         intercept = variant.node.intercept
-        lane_distances.append(float(ideal_distance))
+        lane_distances.append(1.0)  # the ideal mapping's one hop
         lane_intercepts.append(intercept)
         for distance in random_distances:
             lane_distances.append(distance)
@@ -242,68 +185,3 @@ def sweep_network_slowdowns(
             )
         )
     return samples
-
-
-@dataclass(frozen=True)
-class ContextsSample:
-    """One multithreading level's operating point and derived metrics."""
-
-    contexts: float
-    sensitivity: float
-    point: OperatingPoint
-    limiting_per_hop: float
-
-    @property
-    def throughput(self) -> float:
-        """Transactions per network cycle at the solved point."""
-        return self.point.transaction_rate
-
-
-def sweep_contexts(
-    system: SystemModel,
-    contexts: Sequence[float],
-    distance: float,
-) -> List[ContextsSample]:
-    """Operating points across multithreading levels at a fixed distance.
-
-    The latency-tolerance trade in one sweep: throughput rises with
-    ``p`` (with diminishing returns once the network binds) while the
-    Eq 16 limiting per-hop latency rises proportionally to ``s``.  Only
-    the node curve's sensitivity varies with ``p``, so all levels solve
-    in one batch.
-    """
-    levels = [float(p) for p in contexts]
-    transaction = system.transaction
-    sensitivities = [
-        p
-        * transaction.messages_per_transaction
-        / transaction.critical_messages
-        for p in levels
-    ]
-    with obs.span("sweep.contexts", levels=len(levels)):
-        batch = solve_batch(
-            system.node,
-            system.network,
-            float(distance),
-            sensitivity=np.array(sensitivities),
-        )
-    message_size = system.network.message_size
-    dims = system.network.dimensions
-    return [
-        ContextsSample(
-            contexts=p,
-            sensitivity=sensitivity,
-            point=batch.point(i),
-            limiting_per_hop=limiting_per_hop_latency(
-                sensitivity, message_size, dims
-            ),
-        )
-        for i, (p, sensitivity) in enumerate(zip(levels, sensitivities))
-    ]
-
-
-def logspace_sizes(
-    start: float = 10.0, stop: float = 1e6, count: int = 25
-) -> np.ndarray:
-    """Logarithmically spaced machine sizes, as Figures 6-7 plot them."""
-    return np.logspace(np.log10(start), np.log10(stop), count)

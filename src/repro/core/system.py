@@ -20,13 +20,12 @@ from typing import Sequence
 
 from repro.core.application import ApplicationModel
 from repro.core.breakdown import IssueTimeBreakdown, decompose
-from repro.core.combined import OperatingPoint, solve_cached, solve_with_floor
+from repro.core.combined import OperatingPoint, solve
 from repro.core.limits import limiting_per_hop_latency_for, per_hop_curve
 from repro.core.metrics import GainResult, expected_gain
 from repro.core.network import TorusNetworkModel
 from repro.core.node import NodeModel
 from repro.core.transaction import TransactionModel
-from repro.topology.distance import random_traffic_distance_for_size
 from repro.units import ALEWIFE_CLOCKS, ClockDomain
 
 __all__ = ["SystemModel"]
@@ -74,35 +73,9 @@ class SystemModel:
     # Solving.
     # ------------------------------------------------------------------
 
-    def operating_point(
-        self, distance: float, respect_issue_floor: bool = False
-    ) -> OperatingPoint:
-        """Combined-model solution at average communication distance ``d``.
-
-        With ``respect_issue_floor=True`` the Eq 4 lower bound
-        ``t_t >= T_r + T_s`` is enforced (the paper drops it; see
-        :func:`repro.core.combined.solve_with_floor`).
-
-        Solutions are memoized on the (node, network, distance) key, so
-        repeated queries against the same system — e.g. the shared
-        ideal-mapping point inside ``expected_gain`` sweeps — cost one
-        solve total.
-        """
-        if respect_issue_floor:
-            floor_network = self.clocks.to_network(
-                self.application.min_issue_time
-            )
-            return solve_with_floor(
-                self.node, self.network, distance, floor_network
-            )
-        return solve_cached(self.node, self.network, distance)
-
-    def operating_point_random(self, processors: float) -> OperatingPoint:
-        """Operating point under a random mapping on an N-node machine."""
-        distance = random_traffic_distance_for_size(
-            processors, self.network.dimensions
-        )
-        return self.operating_point(distance)
+    def operating_point(self, distance: float) -> OperatingPoint:
+        """Combined-model solution at average communication distance ``d``."""
+        return solve(self.node, self.network, distance)
 
     def expected_gain(
         self, processors: float, ideal_distance: float = 1.0
@@ -131,10 +104,6 @@ class SystemModel:
     # Controlled-experiment variants.
     # ------------------------------------------------------------------
 
-    def with_contexts(self, contexts: float) -> "SystemModel":
-        """Same system with a different degree of multithreading ``p``."""
-        return replace(self, application=self.application.with_contexts(contexts))
-
     def with_grain_scaled(self, factor: float) -> "SystemModel":
         """Same system with the computation grain scaled (Figure 6)."""
         return replace(
@@ -148,17 +117,6 @@ class SystemModel:
     def with_dimensions(self, dimensions: int) -> "SystemModel":
         """Same system with an ``n``-dimensional network (Section 4.2)."""
         return replace(self, network=self.network.with_dimensions(dimensions))
-
-    def with_critical_messages(self, critical_messages: float) -> "SystemModel":
-        """Same system with a corrected critical-path length ``c``."""
-        return replace(
-            self,
-            transaction=self.transaction.with_critical_messages(critical_messages),
-        )
-
-    def without_network_extensions(self) -> "SystemModel":
-        """Same system on Agarwal's base network model (ablation)."""
-        return replace(self, network=self.network.without_extensions())
 
     # ------------------------------------------------------------------
     # Presentation.

@@ -32,7 +32,7 @@ network model, which works in network cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ParameterError
 from repro.units import ClockDomain
@@ -79,15 +79,6 @@ class TransactionModel:
     # Eq 7: transaction latency from message latency.
     # ------------------------------------------------------------------
 
-    def transaction_latency_network(self, message_latency: float) -> float:
-        """``T_t`` in network cycles, given ``T_m`` in network cycles.
-
-        This variant keeps everything in the network time base and
-        therefore needs ``T_f`` converted by the caller; prefer
-        :meth:`transaction_latency` unless composing models manually.
-        """
-        return self.critical_messages * message_latency + 0.0
-
     def transaction_latency(
         self, message_latency: float, clocks: ClockDomain
     ) -> float:
@@ -100,41 +91,3 @@ class TransactionModel:
             clocks.to_processor(self.critical_messages * message_latency)
             + self.fixed_overhead
         )
-
-    def fixed_overhead_network(self, clocks: ClockDomain) -> float:
-        """``T_f`` expressed in network cycles."""
-        return clocks.to_network(self.fixed_overhead)
-
-    # ------------------------------------------------------------------
-    # Eq 8: messages-per-transaction bookkeeping.
-    # ------------------------------------------------------------------
-
-    def issue_time_from_message_time(self, message_time: float) -> float:
-        """``t_t = g * t_m`` (Eq 8); any consistent time base."""
-        return self.messages_per_transaction * message_time
-
-    def message_time_from_issue_time(self, issue_time: float) -> float:
-        """``t_m = t_t / g`` (Eq 8 inverted); any consistent time base."""
-        return issue_time / self.messages_per_transaction
-
-    def message_rate_from_transaction_rate(self, transaction_rate: float) -> float:
-        """``r_m = g * r_t``; any consistent time base."""
-        return self.messages_per_transaction * transaction_rate
-
-    def transaction_rate_from_message_rate(self, message_rate: float) -> float:
-        """``r_t = r_m / g``; any consistent time base."""
-        return message_rate / self.messages_per_transaction
-
-    # ------------------------------------------------------------------
-    # Variants.
-    # ------------------------------------------------------------------
-
-    def with_critical_messages(self, critical_messages: float) -> "TransactionModel":
-        """Same mechanism with a different critical-path length.
-
-        Section 3.3 measures ``c`` growing ~15 % from one to four contexts
-        because of an interaction between the asynchronous benchmark and
-        the coherence protocol; experiments use this to apply the
-        correction.
-        """
-        return replace(self, critical_messages=critical_messages)

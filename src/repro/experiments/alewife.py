@@ -154,8 +154,6 @@ def alewife_network(
 def alewife_system(
     contexts: float = 1.0,
     dimensions: int = MACHINE_DIMENSIONS,
-    grain: float = None,
-    fixed_overhead: float = None,
     node_channel_contention: bool = False,
 ) -> SystemModel:
     """The full calibrated system of Section 3 / Section 4.
@@ -166,31 +164,15 @@ def alewife_system(
         Degree of multithreading ``p`` (the paper runs 1, 2, and 4).
     dimensions:
         Network dimensionality (the paper's machine is 2-D).
-    grain, fixed_overhead:
-        Override the calibrated ``T_r`` / ``T_f`` (processor cycles).
     node_channel_contention:
         Off by default — Section 4's modeled values are reproduced by the
         base network model (see module docstring).  The 64-node
         validation comparisons enable it via
         :func:`alewife_validation_system`.
     """
-    application = alewife_application(contexts)
-    if grain is not None:
-        application = ApplicationModel(
-            grain=grain,
-            contexts=application.contexts,
-            switch_time=application.switch_time,
-        )
-    transaction = alewife_transaction(contexts)
-    if fixed_overhead is not None:
-        transaction = TransactionModel(
-            critical_messages=transaction.critical_messages,
-            messages_per_transaction=transaction.messages_per_transaction,
-            fixed_overhead=fixed_overhead,
-        )
     return SystemModel(
-        application=application,
-        transaction=transaction,
+        application=alewife_application(contexts),
+        transaction=alewife_transaction(contexts),
         network=alewife_network(
             dimensions=dimensions,
             node_channel_contention=node_channel_contention,
@@ -199,11 +181,7 @@ def alewife_system(
     )
 
 
-def alewife_validation_system(
-    contexts: float = 1.0,
-    grain: float = None,
-    fixed_overhead: float = None,
-) -> SystemModel:
+def alewife_validation_system(contexts: float = 1.0) -> SystemModel:
     """The 64-node validation configuration (Figures 3-5).
 
     Identical to :func:`alewife_system` but with the node-channel
@@ -211,9 +189,4 @@ def alewife_validation_system(
     comparisons against the detailed simulator, where it contributes the
     reported two-to-five network cycles of extra message latency.
     """
-    return alewife_system(
-        contexts=contexts,
-        grain=grain,
-        fixed_overhead=fixed_overhead,
-        node_channel_contention=True,
-    )
+    return alewife_system(contexts=contexts, node_channel_contention=True)

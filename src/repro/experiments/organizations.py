@@ -22,7 +22,6 @@ from repro.analysis.tables import render_table
 from repro.core.bus import SharedBusModel
 from repro.core.combined import solve
 from repro.core.indirect import IndirectNetworkModel
-from repro.errors import SaturationError
 from repro.experiments.alewife import MESSAGE_FLITS, alewife_system
 from repro.experiments.result import ExperimentResult
 

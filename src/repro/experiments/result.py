@@ -14,8 +14,6 @@ __all__ = ["ExperimentResult", "render_perf_line"]
 #: Counter names rendered (in order) by :func:`render_perf_line`.
 _PERF_COUNTER_ORDER = (
     "solve_calls",
-    "cache_hits",
-    "cache_misses",
     "batch_solves",
     "batch_points",
 )

@@ -201,13 +201,7 @@ def _run_one(quick: bool, task) -> ExperimentResult:
         # including its pid stamp and any spans recorded before the
         # fork — and a worker runs several experiments.  Start from a
         # fresh buffer so this worker's spans carry its own pid and
-        # nothing is shipped back twice.  The solver cache is cleared
-        # too: an instrumented run must record the same solver spans
-        # the serial path would, not whatever the parent or a previous
-        # task happened to leave cached.
-        from repro.core.combined import clear_solve_cache
-
-        clear_solve_cache()
+        # nothing is shipped back twice.
         obs.enable()
         obs.reset()
     return run_experiment(identifier, quick)

@@ -15,7 +15,7 @@ from repro.mapping.families import paper_mapping_suite
 from repro.sim.config import SimulationConfig
 from repro.topology.torus import Torus
 
-__all__ = ["validation_config", "validation_report", "clear_cache"]
+__all__ = ["validation_config", "validation_report"]
 
 
 def validation_config(contexts: int, quick: bool = False) -> SimulationConfig:
@@ -47,7 +47,3 @@ def validation_report(contexts: int, quick: bool = False) -> ValidationReport:
     mappings = paper_mapping_suite(torus, adversarial_steps=steps)
     return run_validation(config, mappings)
 
-
-def clear_cache() -> None:
-    """Drop memoized runs (mainly for test isolation)."""
-    validation_report.cache_clear()

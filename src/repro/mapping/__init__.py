@@ -11,7 +11,6 @@ from repro.mapping.evaluate import (
     evaluate,
 )
 from repro.mapping.families import NamedMapping, paper_mapping_suite
-from repro.mapping.partition import recursive_bisection_mapping
 from repro.mapping.optimize import (
     OptimizationResult,
     maximize_distance,
@@ -20,13 +19,11 @@ from repro.mapping.optimize import (
 )
 from repro.mapping.strategies import (
     bit_reversal_mapping,
-    block_collocation_mapping,
     dimension_scale_mapping,
     identity_mapping,
     random_mapping,
     shear_mapping,
     stride_mapping,
-    transpose_mapping,
 )
 
 __all__ = [
@@ -46,13 +43,10 @@ __all__ = [
     "MultiChainResult",
     "anneal_chains",
     "SwapEngine",
-    "recursive_bisection_mapping",
     "identity_mapping",
     "random_mapping",
     "stride_mapping",
     "dimension_scale_mapping",
-    "transpose_mapping",
     "bit_reversal_mapping",
     "shear_mapping",
-    "block_collocation_mapping",
 ]

@@ -81,32 +81,23 @@ def anneal_mapping(
     initial: Mapping,
     steps: int = 5000,
     seed: int = 0,
-    initial_temperature: float = 2.0,
-    cooling: float = 0.999,
 ) -> AnnealResult:
     """Anneal pairwise swaps to minimize average communication distance.
 
-    Parameters
-    ----------
-    initial_temperature:
-        Starting temperature in units of *weighted hop-sum* delta; around
-        the magnitude of a typical single-swap delta works well.
-    cooling:
-        Geometric decay applied per drawn step; must lie in (0, 1).
+    The schedule is :func:`~repro.mapping.chains.anneal_chains`'s
+    default: temperature 2.0 (in units of *weighted hop-sum* delta),
+    decayed geometrically by 0.999 per drawn step.
 
     Returns the best mapping encountered (not merely the final state).
     """
     check_sizes(graph, torus, initial, steps)
-    _check_schedule(initial_temperature, cooling)
     if graph.total_weight == 0.0:
         raise MappingError("communication graph has no edges")
 
     with obs.span(
         "mapping.anneal", steps=steps, threads=graph.threads, seed=seed
     ):
-        results = run_chains(
-            graph, torus, initial, (seed,), steps, initial_temperature, cooling
-        )
+        results = run_chains(graph, torus, initial, (seed,), steps, 2.0, 0.999)
     count_moves(results)
     return results[0]
 

@@ -113,19 +113,6 @@ class Mapping:
         mapping._install(array, processors)
         return mapping
 
-    @classmethod
-    def from_sequence(
-        cls, assignment: Sequence[int], processors: int
-    ) -> "Mapping":
-        """Build from any integer sequence."""
-        return cls(assignment, processors)
-
-    @classmethod
-    def from_array(cls, values, processors: int) -> "Mapping":
-        """Build from a 1-D integer array: one copy and a numpy range
-        check, so later writes to ``values`` do not reach the mapping."""
-        return cls(values, processors)
-
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -216,29 +203,6 @@ class Mapping:
     # ------------------------------------------------------------------
     # Transformation.
     # ------------------------------------------------------------------
-
-    def compose(self, permutation: "Mapping") -> "Mapping":
-        """Apply a processor permutation after this mapping.
-
-        ``permutation`` must be a bijection on this mapping's processor
-        set; the result maps each thread to
-        ``permutation.processor_of(self.processor_of(thread))``.
-        """
-        permutation.require_bijective()
-        if permutation.threads != self.processors:
-            raise MappingError(
-                f"permutation acts on {permutation.threads} processors, "
-                f"mapping targets {self.processors}"
-            )
-        return Mapping._adopt(permutation.as_array()[self._array], self.processors)
-
-    def swapped(self, thread_a: int, thread_b: int) -> "Mapping":
-        """Copy with two threads' processors exchanged (optimizer move)."""
-        if thread_a == thread_b:
-            return self
-        array = self._array.copy()
-        array[[thread_a, thread_b]] = array[[thread_b, thread_a]]
-        return Mapping._adopt(array, self.processors)
 
     def items(self) -> Iterator[Tuple[int, int]]:
         """(thread, processor) pairs."""

@@ -12,8 +12,9 @@ The chains run on threads in this process
 :func:`~repro.core.pool.thread_count` at once, each one call into the
 compiled swap kernel that releases the GIL, each thread with a
 :class:`~repro.mapping.engine.SwapEngine` of its own.  Each chain has
-its own random stream, so chain ``i`` is bit-identical to a standalone
-``anneal_mapping(..., seed=seed + i)`` run, and the chain results — and
+its own random stream, so under the default schedule chain ``i`` is
+bit-identical to a standalone ``anneal_mapping(..., seed=seed + i)``
+run, and the chain results — and
 therefore the selected winner — are deterministic functions of
 ``(seed, chains)`` alone, at any thread count.  Without the kernel the
 chains run one after another on the loop reference, loudly (one
@@ -90,9 +91,9 @@ def anneal_chains(
 ) -> MultiChainResult:
     """Run ``chains`` independent annealing restarts and keep them all.
 
-    Chain ``i`` is seeded ``seed + i`` and is bit-identical to a
-    standalone ``anneal_mapping(..., seed=seed + i)`` call; results do
-    not depend on how many threads run the chains.
+    Chain ``i`` is seeded ``seed + i``; under the default schedule it is
+    bit-identical to a standalone ``anneal_mapping(..., seed=seed + i)``
+    call.  Results do not depend on how many threads run the chains.
     """
     check_sizes(graph, torus, initial, steps)
     _check_schedule(initial_temperature, cooling)

@@ -24,7 +24,7 @@ from repro.mapping.strategies import (
     random_mapping,
     shear_mapping,
 )
-from repro.topology.graphs import CommunicationGraph, torus_neighbor_graph
+from repro.topology.graphs import torus_neighbor_graph
 from repro.topology.torus import Torus
 
 __all__ = ["NamedMapping", "paper_mapping_suite"]
@@ -45,23 +45,20 @@ def _scale_multipliers(torus: Torus, stretch: int) -> List[int]:
 
 
 def paper_mapping_suite(
-    torus: Torus,
-    graph: CommunicationGraph = None,
-    adversarial_steps: int = 4000,
-    seed: int = 1992,
+    torus: Torus, adversarial_steps: int = 4000
 ) -> List[NamedMapping]:
     """A Section 3.2-style suite of mappings with distances ~1 to 6+.
 
-    Built for the torus-neighbor workload by default (``graph`` may
-    override).  The returned list is sorted by achieved average distance
-    and always starts at the ideal single-hop mapping.  Entries whose
+    Built for the torus-neighbor workload, from seed 1992.  The returned
+    list is sorted by achieved average distance and always starts at the
+    ideal single-hop mapping.  Entries whose
     construction does not apply to the given torus (e.g. bit reversal on
     a non-power-of-two radix) are silently omitted, so the suite size can
     vary slightly with machine shape — the paper's 64-node radix-8 torus
     yields nine entries.
     """
-    if graph is None:
-        graph = torus_neighbor_graph(torus.radix, torus.dimensions)
+    graph = torus_neighbor_graph(torus.radix, torus.dimensions)
+    seed = 1992
 
     # Every candidate's average_distance is one delta-backend call; the
     # adversarial hill climb below computes distances from node ids in

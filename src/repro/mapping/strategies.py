@@ -37,13 +37,8 @@ __all__ = [
     "random_mapping",
     "stride_mapping",
     "dimension_scale_mapping",
-    "transpose_mapping",
     "bit_reversal_mapping",
     "shear_mapping",
-    "block_collocation_mapping",
-    "snake_mapping",
-    "gray_code_mapping",
-    "rotation_mapping",
 ]
 
 
@@ -107,16 +102,6 @@ def dimension_scale_mapping(torus: Torus, multipliers: Sequence[int]) -> Mapping
     return _mapping_from_coords(torus, (factors * coords) % torus.radix)
 
 
-def transpose_mapping(torus: Torus) -> Mapping:
-    """Reverse the coordinate order: ``(x0, .., xn-1) -> (xn-1, .., x0)``.
-
-    An automorphism of the torus, so for topology-shaped workloads it
-    preserves single-hop communication — useful as a "different but still
-    ideal" mapping in tests.
-    """
-    return _mapping_from_coords(torus, torus.coordinate_array()[::-1])
-
-
 def bit_reversal_mapping(torus: Torus) -> Mapping:
     """Reverse the bits of every coordinate (radix must be a power of 2).
 
@@ -153,73 +138,3 @@ def shear_mapping(torus: Torus, factor: int = 1) -> Mapping:
     coords = np.array(torus.coordinate_array(), dtype=np.int64)
     coords[0] = (coords[0] + factor * coords[1]) % torus.radix
     return _mapping_from_coords(torus, coords)
-
-
-def block_collocation_mapping(threads: int, processors: int) -> Mapping:
-    """Contiguous blocks of threads share a processor (UCL-style locality).
-
-    With ``threads = b * processors`` this places threads
-    ``b*j .. b*j + b - 1`` on processor ``j`` — collocating consecutive
-    (presumably communicating) threads, the only locality lever UCL
-    machines have (Section 1.1).
-    """
-    if threads < processors or threads % processors != 0:
-        raise MappingError(
-            f"block collocation needs threads to be a positive multiple "
-            f"of processors, got {threads} threads on {processors}"
-        )
-    block = threads // processors
-    return Mapping._adopt(np.arange(threads, dtype=np.int64) // block, processors)
-
-
-def snake_mapping(torus: Torus) -> Mapping:
-    """Boustrophedon order: linear thread order snakes through rows.
-
-    Thread ``i`` (in linear order) lands on row ``i // k``; odd rows run
-    right-to-left.  Consecutive threads are always adjacent, so linear
-    communication chains (rings, pipelines) stay at one hop except at
-    the wraparound — the classic embedding of a line into a mesh.
-    Defined for 2-D tori.
-    """
-    if torus.dimensions != 2:
-        raise MappingError(
-            f"snake_mapping is 2-D only, got {torus.dimensions} dimensions"
-        )
-    radix = torus.radix
-    rows, offsets = np.divmod(np.arange(torus.node_count, dtype=np.int64), radix)
-    columns = np.where(rows % 2 == 0, offsets, radix - 1 - offsets)
-    return _mapping_from_coords(torus, np.stack((columns, rows)))
-
-
-def gray_code_mapping(torus: Torus) -> Mapping:
-    """Reflected-Gray-code order along each coordinate (power-of-2 radix).
-
-    Adjacent linear indices map to coordinates differing in exactly one
-    ring position per dimension digit, keeping sequential neighbors
-    close — the standard trick for embedding rings into binary tori.
-    """
-    radix = torus.radix
-    bits = radix.bit_length() - 1
-    if 2**bits != radix:
-        raise MappingError(
-            f"gray_code_mapping needs a power-of-two radix, got {radix}"
-        )
-
-    coords = np.asarray(torus.coordinate_array(), dtype=np.int64)
-    return _mapping_from_coords(torus, coords ^ (coords >> 1))
-
-
-def rotation_mapping(torus: Torus, offsets: Sequence[int]) -> Mapping:
-    """Translate every thread by a fixed coordinate offset (torus shift).
-
-    A torus automorphism: preserves all pairwise distances exactly, so
-    for any workload it performs identically to the identity mapping —
-    useful for verifying that measurements are translation-invariant.
-    """
-    if len(offsets) != torus.dimensions:
-        raise MappingError(
-            f"expected {torus.dimensions} offsets, got {len(offsets)}"
-        )
-    coords = torus.coordinate_array()
-    shifts = np.asarray(offsets, dtype=np.int64)[:, None]
-    return _mapping_from_coords(torus, (coords + shifts) % torus.radix)

@@ -8,7 +8,7 @@ and which exact inputs produced this figure?*  Four pieces:
   timed intervals, exported as Chrome-trace JSON (``chrome://tracing`` /
   Perfetto) and JSONL;
 * **metrics** (:mod:`repro.obs.metrics`) — the process-global counter /
-  gauge / histogram registry (:data:`~repro.obs.metrics.REGISTRY`),
+  histogram registry (:data:`~repro.obs.metrics.REGISTRY`),
   which also holds the solver's ``perf.*`` work counters;
 * **solver diagnostics** (:mod:`repro.obs.diagnostics`) — per-solve
   convergence records behind ``repro-locality diagnose``;
@@ -34,13 +34,12 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.obs.diagnostics import SolveDiagnostics, render_diagnosis
 from repro.obs.manifest import RunManifest, build_manifest, parameter_hash
-from repro.obs.metrics import REGISTRY, Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import REGISTRY, Counter, Histogram, MetricsRegistry
 from repro.obs.spans import NULL_SPAN, TraceBuffer
 
 __all__ = [
     # switches
     "enable",
-    "disable",
     "is_enabled",
     "reset",
     # spans
@@ -56,7 +55,6 @@ __all__ = [
     # metrics
     "REGISTRY",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     # diagnostics
@@ -92,16 +90,9 @@ def is_enabled() -> bool:
     return _STATE.enabled
 
 
-def enable(fresh: bool = False) -> None:
-    """Turn collection on (optionally dropping previously collected data)."""
-    if fresh:
-        reset()
+def enable() -> None:
+    """Turn collection on."""
     _STATE.enabled = True
-
-
-def disable() -> None:
-    """Turn collection off; already-collected data stays queryable."""
-    _STATE.enabled = False
 
 
 def reset() -> None:
@@ -212,13 +203,12 @@ def write_outputs(
     experiments: Iterable[str] = (),
     parameters: Optional[Dict] = None,
     rng_seeds: Optional[Dict] = None,
-    extra: Optional[Dict] = None,
 ) -> Dict[str, str]:
     """Write ``trace.json``, ``trace.jsonl``, and ``manifest.json``.
 
     Returns the mapping of artifact kind to written path.  Wall/CPU time
     cover the window since the state was created (process start, the
-    last :func:`reset`, or ``enable(fresh=True)``).
+    last :func:`reset`).
     """
     os.makedirs(directory, exist_ok=True)
     manifest = build_manifest(
@@ -227,7 +217,6 @@ def write_outputs(
         rng_seeds=rng_seeds,
         wall_seconds=time.perf_counter() - _STATE.started_wall,
         cpu_seconds=time.process_time() - _STATE.started_cpu,
-        extra=extra,
     )
     return {
         "trace": write_chrome_trace(os.path.join(directory, "trace.json")),

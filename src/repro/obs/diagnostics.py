@@ -1,7 +1,7 @@
 """Solver convergence diagnostics.
 
 When observability is on, every combined-model solve — scalar, batch
-lane, closed-form quadratic, or issue-time-floor clamp — appends one
+lane, or closed-form quadratic — appends one
 :class:`SolveRecord` describing *how* the answer was reached: which
 branch fired (linear fast path, bisection, which quadratic root,
 saturation failure), how many bisection iterations it took, the final
@@ -17,7 +17,7 @@ model's predictions are least trustworthy.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import (
@@ -42,10 +42,10 @@ SATURATION_THRESHOLD = 0.95
 class SolveRecord:
     """One solve's convergence story."""
 
-    #: "scalar" | "batch" | "quadratic" | "floor".
+    #: "scalar" | "batch" | "quadratic".
     kind: str
     #: Which resolution branch fired: "linear", "bisection", "root+",
-    #: "root-", "floor-clamp", "saturation", "non-convergent".
+    #: "root-", "saturation", "non-convergent".
     branch: str
     distance: float
     iterations: int
@@ -77,12 +77,13 @@ class SolveRecord:
 class SolveDiagnostics:
     """Bounded per-process collection of :class:`SolveRecord`.
 
-    Capacity-bounded: once full, further records are counted in
-    ``dropped`` rather than silently discarded.
+    Capacity-bounded: once ``capacity`` records are held, further
+    records are counted in ``dropped`` rather than silently discarded.
     """
 
-    def __init__(self, capacity: int = 200_000):
-        self.capacity = capacity
+    capacity = 200_000
+
+    def __init__(self):
         self.records: List[SolveRecord] = []
         self.dropped = 0
 
@@ -189,8 +190,7 @@ def render_diagnosis(
             "solver activity    : "
             f"{perf_delta.get('solve_calls', 0)} scalar solves, "
             f"{perf_delta.get('batch_solves', 0)} batch calls covering "
-            f"{perf_delta.get('batch_points', 0)} lanes, "
-            f"{perf_delta.get('cache_hits', 0)} cache hits"
+            f"{perf_delta.get('batch_points', 0)} lanes"
         )
     lines.append(f"solves recorded    : {len(diagnostics)}")
     if diagnostics.dropped:

@@ -17,7 +17,7 @@ import os
 import platform
 import subprocess
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence
 
@@ -79,7 +79,6 @@ class RunManifest:
     cpu_seconds: float
     created: str
     schema_version: int = SCHEMA_VERSION
-    extra: Dict = field(default_factory=dict)
 
     def as_dict(self) -> Dict:
         return asdict(self)
@@ -108,7 +107,6 @@ def build_manifest(
     rng_seeds: Optional[Dict] = None,
     wall_seconds: float = 0.0,
     cpu_seconds: float = 0.0,
-    extra: Optional[Dict] = None,
 ) -> RunManifest:
     """Assemble a :class:`RunManifest` for the current process state.
 
@@ -145,5 +143,4 @@ def build_manifest(
         wall_seconds=float(wall_seconds),
         cpu_seconds=float(cpu_seconds),
         created=datetime.now(timezone.utc).isoformat(),
-        extra=dict(extra or {}),
     )

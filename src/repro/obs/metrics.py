@@ -1,10 +1,10 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Metrics registry: counters and fixed-bucket histograms.
 
 The registry is the single home for quantitative diagnostics: counters
-(the solver's ``perf.*`` work counters among them), gauges, and
-histograms with *fixed* bucket boundaries, so distributions — solver
-iteration counts, experiment wall times — can be merged across processes
-and compared across runs without re-bucketing.
+(the solver's ``perf.*`` work counters among them) and histograms with
+*fixed* bucket boundaries, so distributions — solver iteration counts,
+experiment wall times — can be merged across processes and compared
+across runs without re-bucketing.
 
 Metrics are always live: incrementing a counter is a plain integer add,
 cheap enough that nothing needs to be gated on the observability switch.
@@ -15,13 +15,12 @@ no-ops when observability is off; they *feed* this registry when on.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
@@ -62,26 +61,6 @@ class Counter:
 
     def reset(self) -> None:
         self.value = 0
-
-
-class Gauge:
-    """Point-in-time numeric metric (last value wins)."""
-
-    __slots__ = ("name", "help", "value")
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def as_dict(self) -> Dict:
-        return {"type": "gauge", "value": self.value}
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 class Histogram:
@@ -168,9 +147,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(name, lambda: Counter(name, help), Counter)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name, help), Gauge)
 
     def histogram(
         self,

@@ -23,7 +23,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 __all__ = ["NullSpan", "NULL_SPAN", "Span", "TraceBuffer"]
 

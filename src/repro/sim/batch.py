@@ -359,9 +359,7 @@ class BatchMachine:
     ) -> List[MeasurementSummary]:
         """Warm up, measure, and summarize every replication; the
         replications run on threads (see :func:`_dispatch`)."""
-        config = self.config
-        warmup = config.warmup_network_cycles if warmup is None else warmup
-        measure = config.measure_network_cycles if measure is None else measure
+        warmup, measure = self.config.windows(warmup, measure)
         with obs.span(
             "sim.batch",
             reps=len(self.seeds),
@@ -491,22 +489,20 @@ def run_batch(
     seeds: Sequence[int],
     warmup: Optional[int] = None,
     measure: Optional[int] = None,
-    telemetry: Optional[TelemetryConfig] = None,
 ) -> List[MeasurementSummary]:
     """Run ``len(seeds)`` replications; summaries in seed order.
 
-    Each summary (and telemetry snapshot, with a ``telemetry`` config)
-    is bit-identical to the serial
+    Each summary is bit-identical to the serial
     ``Machine(config.with_seed(seed), mapping, programs).run(...)`` for
     the same seed.  Where :func:`core_runs` says so the seeds are one
     :class:`BatchMachine` run; otherwise each runs through
     :func:`run_serial`.  The caller's programs are never mutated.
     """
-    if core_runs(config, programs, telemetry):
+    if core_runs(config, programs, None):
         machine = BatchMachine(config, mapping, programs, seeds)
         return machine.run(warmup=warmup, measure=measure)
     return [
-        run_serial(config, mapping, programs, seed, warmup, measure, telemetry)
+        run_serial(config, mapping, programs, seed, warmup, measure)
         for seed in seeds
     ]
 

@@ -18,6 +18,7 @@ model does.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 from repro.errors import ParameterError
 
@@ -142,6 +143,19 @@ class SimulationConfig:
         """Warmup plus measurement window."""
         return self.warmup_network_cycles + self.measure_network_cycles
 
+    def windows(
+        self, warmup: Optional[int], measure: Optional[int]
+    ) -> Tuple[int, int]:
+        """A run's warmup and measurement windows (network cycles): the
+        overrides where given, else the config's own, checked alike."""
+        warmup = self.warmup_network_cycles if warmup is None else warmup
+        measure = self.measure_network_cycles if measure is None else measure
+        if warmup < 0:
+            raise ParameterError(f"warmup must be >= 0, got {warmup!r}")
+        if measure <= 0:
+            raise ParameterError(f"measure must be positive, got {measure!r}")
+        return warmup, measure
+
     def to_network(self, processor_cycles: int) -> int:
         """Convert a processor-cycle count to network cycles."""
         return processor_cycles * self.network_speedup
@@ -150,16 +164,6 @@ class SimulationConfig:
     # Variants.
     # ------------------------------------------------------------------
 
-    def with_contexts(self, contexts: int) -> "SimulationConfig":
-        """Same machine with a different degree of multithreading."""
-        return replace(self, contexts=contexts)
-
     def with_seed(self, seed: int) -> "SimulationConfig":
         """Same configuration with a different random seed."""
         return replace(self, seed=seed)
-
-    def scaled_for_testing(self) -> "SimulationConfig":
-        """A short-window variant for unit tests."""
-        return replace(
-            self, warmup_network_cycles=500, measure_network_cycles=2500
-        )

@@ -187,8 +187,7 @@ class Machine:
         ]
         self.processors: List[Processor] = []
         # One stream state per node from the documented root seed;
-        # processors receive their state rather than deriving ad-hoc
-        # seeds, and ``rng_info`` records the scheme for run manifests.
+        # processors receive their state rather than deriving ad-hoc seeds.
         states = node_states(config.seed, self.torus.node_count).tolist()
         for node in self.torus.nodes():
             node_programs = programs_at[node]
@@ -206,15 +205,6 @@ class Machine:
     # ------------------------------------------------------------------
     # Wiring.
     # ------------------------------------------------------------------
-
-    @property
-    def rng_info(self) -> Dict[str, object]:
-        """RNG provenance for run manifests: one root seed, spawned streams."""
-        return {
-            "root_seed": self.config.seed,
-            "scheme": "numpy.random.SeedSequence(root_seed).spawn(nodes)",
-            "streams": self.torus.node_count,
-        }
 
     def _home_of(self, block: Block) -> int:
         """Blocks live with their owning thread."""
@@ -307,10 +297,7 @@ class Machine:
         cycles).  Idle/switch counters are sampled around the window so
         processor-level fractions are window-accurate.
         """
-        warmup = self.config.warmup_network_cycles if warmup is None else warmup
-        measure = (
-            self.config.measure_network_cycles if measure is None else measure
-        )
+        warmup, measure = self.config.windows(warmup, measure)
         # One engine serves both windows; it leaves processor state
         # flushed to the last boundary after each window, so the
         # between-window counter sampling below reads exactly what the

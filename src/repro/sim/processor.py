@@ -266,9 +266,3 @@ class Processor:
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
-
-    @property
-    def blocked_contexts(self) -> int:
-        return sum(
-            1 for c in self.contexts if c.state is ContextState.BLOCKED
-        )

@@ -185,14 +185,6 @@ class MachineStats:
             return
         self.cache_evictions_count += 1
 
-    def processor_idle(self, cycles: int) -> None:
-        if self.measuring:
-            self.idle_cycles += cycles
-
-    def context_switched(self, count: int) -> None:
-        if self.measuring:
-            self.switches += count
-
     # ------------------------------------------------------------------
     # Reduction.
     # ------------------------------------------------------------------

@@ -323,15 +323,6 @@ class TelemetrySummary:
 
     # -- latency -------------------------------------------------------
 
-    def latency_histogram(self) -> Histogram:
-        """The worm-latency distribution, rebuilt as a live Histogram."""
-        data = self.data["latency"]
-        histogram = Histogram(LATENCY_METRIC, data["buckets"])
-        histogram.counts = [int(c) for c in data["counts"]]
-        histogram.count = int(data["count"])
-        histogram.sum = float(data["sum"])
-        return histogram
-
     def latency_mean(self) -> Optional[float]:
         data = self.data["latency"]
         return data["sum"] / data["count"] if data["count"] else None
@@ -504,20 +495,15 @@ class SaturationReport:
         return "\n".join(lines)
 
 
-def detect_saturation(
-    summary: TelemetrySummary, threshold: Optional[int] = None
-) -> SaturationReport:
-    """Find the tree-saturation onset in one telemetry window.
+def detect_saturation(summary: TelemetrySummary) -> SaturationReport:
+    """Find the tree-saturation onset in one telemetry window, at the
+    depth threshold the telemetry was configured with.
 
-    ``threshold`` defaults to the depth threshold the telemetry was
-    configured with.  Epoch boundaries sample end-of-epoch state, so the
+    Epoch boundaries sample end-of-epoch state, so the
     onset cycle reported is the *end* of the first saturated epoch — the
     finest statement the sampling resolution supports.
     """
-    if threshold is None:
-        threshold = int(summary.data["depth_threshold"])
-    if threshold < 1:
-        raise ParameterError(f"threshold must be >= 1, got {threshold!r}")
+    threshold = int(summary.data["depth_threshold"])
     peaks = summary.max_depth_per_epoch()
     extent = summary.saturated_extent_per_epoch(threshold)
     onset_epoch: Optional[int] = None
@@ -584,7 +570,7 @@ def write_telemetry_jsonl(snapshot: Dict, path: str) -> str:
     return path
 
 
-def emit_trace_counters(snapshot: Dict, prefix: str = "fabric") -> int:
+def emit_trace_counters(snapshot: Dict) -> int:
     """Fold a telemetry window into the live trace as counter events.
 
     Emits one Chrome-trace counter sample per epoch — mean link ρ, max
@@ -612,7 +598,7 @@ def emit_trace_counters(snapshot: Dict, prefix: str = "fabric") -> int:
         mean_rho = float(busy[link_mask].sum()) / (links * cycles)
         end_cycle = snapshot["epoch_starts"][epoch] + cycles
         obs.trace_counter(
-            f"{prefix}.telemetry",
+            "fabric.telemetry",
             float(end_cycle),
             {
                 "mean_link_rho": round(mean_rho, 6),
@@ -724,6 +710,10 @@ def run_probe(
     from repro.sim.wormhole import WormholeFabric
     from repro.topology.torus import Torus
 
+    if radix < 2:
+        raise ParameterError(f"radix must be >= 2, got {radix!r}")
+    if cycles < 1:
+        raise ParameterError(f"cycles must be >= 1, got {cycles!r}")
     if telemetry is None:
         telemetry = TelemetryConfig()
     plan = probe_schedule(radix, dimensions, cycles, workload, seed=seed)

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.message import Message
@@ -126,22 +126,18 @@ class WormholeFabric:
         Callback invoked with each completed :class:`Worm` when
         its tail flit has fully arrived at the destination node (the
         worm carries the message plus hop/wait accounting).
-    stall_limit:
-        Safety net: if no worm moves for this many consecutive cycles
-        while traffic is in flight, a :class:`SimulationError` is raised
-        (this would indicate a routing-deadlock bug, which the dateline
-        VCs are there to prevent).
+
+    ``stall_limit`` is a safety net: if no worm moves for this many
+    consecutive cycles while traffic is in flight, a
+    :class:`SimulationError` is raised (this would indicate a
+    routing-deadlock bug, which the dateline VCs are there to prevent).
     """
 
-    def __init__(
-        self,
-        torus: Torus,
-        on_delivery: Callable[["Worm"], None],
-        stall_limit: int = 10000,
-    ):
+    stall_limit = 10000
+
+    def __init__(self, torus: Torus, on_delivery: Callable[["Worm"], None]):
         self.torus = torus
         self.on_delivery = on_delivery
-        self.stall_limit = stall_limit
 
         # Enumerate every channel: injection and ejection per node, two
         # virtual channels per directed link.
@@ -236,23 +232,6 @@ class WormholeFabric:
         worm = Worm(message=message, route=self._route_ids(
             message.source, message.destination
         ))
-        self._enqueue(worm, worm.route[0])
-
-    def inject_on_route(
-        self, message: Message, route_keys: Sequence[ChannelKey], cycle: int
-    ) -> None:
-        """Test hook: inject on an explicit channel-key route.
-
-        Bypasses e-cube/dateline route construction so tests can craft
-        channel-dependency patterns (e.g. a circular wait) that legal
-        routing can never produce.  The route must still start at an
-        injection channel and end at an ejection channel.
-        """
-        message.injected_at = cycle
-        index = self._channel_index
-        worm = Worm(
-            message=message, route=[index[key] for key in route_keys]
-        )
         self._enqueue(worm, worm.route[0])
 
     def _enqueue(self, worm: Worm, channel: int) -> None:

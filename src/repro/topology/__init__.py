@@ -1,7 +1,6 @@
 """Discrete torus geometry and communication-graph utilities."""
 
 from repro.topology.distance import (
-    per_dimension_random_distance,
     random_traffic_distance,
     random_traffic_distance_exact,
     random_traffic_distance_for_size,
@@ -13,5 +12,4 @@ __all__ = [
     "random_traffic_distance",
     "random_traffic_distance_exact",
     "random_traffic_distance_for_size",
-    "per_dimension_random_distance",
 ]

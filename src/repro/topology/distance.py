@@ -22,7 +22,6 @@ __all__ = [
     "random_traffic_distance",
     "random_traffic_distance_exact",
     "random_traffic_distance_for_size",
-    "per_dimension_random_distance",
 ]
 
 
@@ -65,10 +64,3 @@ def random_traffic_distance_for_size(processors: float, dimensions: int) -> floa
         raise ParameterError(f"dimensions n must be >= 1, got {dimensions!r}")
     radix = processors ** (1.0 / dimensions)
     return random_traffic_distance(radix, dimensions)
-
-
-def per_dimension_random_distance(radix: float) -> float:
-    """Mean one-way ring distance ``k / 4`` (even radix, self included)."""
-    if not radix > 0:
-        raise ParameterError(f"radix k must be positive, got {radix!r}")
-    return radix / 4.0

@@ -160,30 +160,10 @@ class CommunicationGraph:
         return zip(src.tolist(), dst.tolist(), weight.tolist())
 
     @property
-    def edge_count(self) -> int:
-        """Number of directed edges."""
-        return self._arrays[0].size
-
-    @property
     def total_weight(self) -> float:
         """Sum of all edge weights (the normalization constant):
         :meth:`edge_weight_sum`."""
         return self.edge_weight_sum()
-
-    def out_neighbors(self, thread: int) -> Iterator[Tuple[int, float]]:
-        """Destinations and weights of a thread's outgoing edges, in edge
-        order: one row of :meth:`out_csr`."""
-        if not 0 <= thread < self.threads:
-            raise TopologyError(
-                f"thread {thread!r} outside 0..{self.threads - 1}"
-            )
-        indptr, neighbors, weights = self.out_csr()
-        row = slice(indptr[thread], indptr[thread + 1])
-        return zip(neighbors[row].tolist(), weights[row].tolist())
-
-    def degree_out(self, thread: int) -> int:
-        """Number of distinct destinations a thread sends to."""
-        return sum(1 for _ in self.out_neighbors(thread))
 
     # ------------------------------------------------------------------
     # Array views (cached; the graph is frozen so they never go stale).
@@ -272,14 +252,12 @@ class CommunicationGraph:
         return rows
 
     @classmethod
-    def from_edges(
-        cls, threads: int, edges: Iterable[Edge], weight: float = 1.0
-    ) -> "CommunicationGraph":
-        """Uniformly weighted graph from an edge iterable; a repeated
-        edge accumulates its weight, in first-appearance order."""
+    def from_edges(cls, threads: int, edges: Iterable[Edge]) -> "CommunicationGraph":
+        """Unit-weight graph from an edge iterable; a repeated edge
+        accumulates its weight, in first-appearance order."""
         weights = {}
         for edge in edges:
-            weights[edge] = weights.get(edge, 0.0) + weight
+            weights[edge] = weights.get(edge, 0.0) + 1.0
         return cls(threads=threads, weights=weights)
 
     @classmethod
@@ -376,17 +354,15 @@ def torus_neighbor_graph(radix: int, dimensions: int) -> CommunicationGraph:
     )
 
 
-def ring_graph(threads: int, bidirectional: bool = True) -> CommunicationGraph:
-    """Threads arranged in a ring (a 1-D torus pattern)."""
+def ring_graph(threads: int) -> CommunicationGraph:
+    """Threads arranged in a bidirectional ring (a 1-D torus pattern)."""
     if threads < 2:
         raise TopologyError(f"a ring needs >= 2 threads, got {threads!r}")
     edges = []
     for thread in range(threads):
         succ = (thread + 1) % threads
-        if succ != thread:
-            edges.append((thread, succ))
-            if bidirectional:
-                edges.append((succ, thread))
+        edges.append((thread, succ))
+        edges.append((succ, thread))
     return CommunicationGraph.from_edges(threads, edges)
 
 
@@ -447,8 +423,8 @@ def butterfly_exchange_graph(threads: int) -> CommunicationGraph:
     return CommunicationGraph.from_edges(threads, edges)
 
 
-def star_graph(threads: int, center: int = 0) -> CommunicationGraph:
-    """Master-worker pattern: every thread exchanges with one center.
+def star_graph(threads: int) -> CommunicationGraph:
+    """Master-worker pattern: every thread exchanges with thread 0.
 
     The convergecast structure behind reductions, work queues, and
     hot locks; by construction it has no exploitable physical locality
@@ -456,15 +432,10 @@ def star_graph(threads: int, center: int = 0) -> CommunicationGraph:
     """
     if threads < 2:
         raise TopologyError(f"a star needs >= 2 threads, got {threads!r}")
-    if not 0 <= center < threads:
-        raise TopologyError(
-            f"center {center!r} outside 0..{threads - 1}"
-        )
     edges = []
-    for thread in range(threads):
-        if thread != center:
-            edges.append((thread, center))
-            edges.append((center, thread))
+    for thread in range(1, threads):
+        edges.append((thread, 0))
+        edges.append((0, thread))
     return CommunicationGraph.from_edges(threads, edges)
 
 

@@ -208,23 +208,6 @@ class Torus:
                     result.append(candidate)
         return result
 
-    def ecube_route(self, source: int, destination: int) -> List[int]:
-        """Nodes visited by e-cube routing, inclusive of both endpoints.
-
-        Dimensions are corrected in increasing order; within a dimension
-        the route takes the shorter ring direction (positive on ties).
-        """
-        self._check_node(destination)
-        route = [source]
-        coords = list(self.coordinates(source))
-        offsets = self.distance_vector(source, destination)
-        for dim, offset in enumerate(offsets):
-            step = 1 if offset > 0 else -1
-            for _ in range(abs(offset)):
-                coords[dim] = (coords[dim] + step) % self.radix
-                route.append(self.node_at(coords))
-        return route
-
     def route_hops(
         self, source: int, destination: int
     ) -> Iterator[Tuple[int, int, int]]:
@@ -241,13 +224,12 @@ class Torus:
     # Aggregate geometry.
     # ------------------------------------------------------------------
 
-    def average_pair_distance(self, include_self: bool = False) -> float:
-        """Exact mean distance over ordered node pairs.
+    def average_pair_distance(self) -> float:
+        """Exact mean distance over ordered pairs of distinct nodes.
 
-        With ``include_self=False`` (the paper's convention: "nodes never
-        send messages to themselves") the average runs over the
-        ``N * (N - 1)`` ordered pairs of distinct nodes.  Computed in
-        closed form, not by ring or pair enumeration.
+        The paper's convention ("nodes never send messages to
+        themselves"): the average runs over the ``N * (N - 1)`` ordered
+        pairs.  Computed in closed form, not by ring or pair enumeration.
         """
         # Sum of ring distances from a fixed position to all k positions
         # (including itself at 0) is the same for every position:
@@ -258,8 +240,6 @@ class Torus:
         # Each dimension contributes ring_sum * k**(n-1) per source over
         # all destinations (the other dimensions range freely).
         total = self.dimensions * ring_sum * self.radix ** (self.dimensions - 1)
-        if include_self:
-            return total / nodes
         if nodes == 1:
             raise TopologyError("no distinct pairs in a single-node torus")
         return total * nodes / (nodes * (nodes - 1))

@@ -53,16 +53,6 @@ class ClockDomain:
                 f"network_speedup must be positive, got {self.network_speedup!r}"
             )
 
-    @property
-    def processor_cycle_in_network_cycles(self) -> float:
-        """Duration of one processor cycle, expressed in network cycles."""
-        return self.network_speedup
-
-    @property
-    def network_cycle_in_processor_cycles(self) -> float:
-        """Duration of one network cycle, expressed in processor cycles."""
-        return 1.0 / self.network_speedup
-
     def to_network(self, processor_cycles: float) -> float:
         """Convert a duration from processor cycles to network cycles."""
         return processor_cycles * self.network_speedup
@@ -70,14 +60,6 @@ class ClockDomain:
     def to_processor(self, network_cycles: float) -> float:
         """Convert a duration from network cycles to processor cycles."""
         return network_cycles / self.network_speedup
-
-    def rate_to_network(self, per_processor_cycle: float) -> float:
-        """Convert a rate from events/processor-cycle to events/network-cycle."""
-        return per_processor_cycle / self.network_speedup
-
-    def rate_to_processor(self, per_network_cycle: float) -> float:
-        """Convert a rate from events/network-cycle to events/processor-cycle."""
-        return per_network_cycle * self.network_speedup
 
     def slowed(self, factor: float) -> "ClockDomain":
         """Return a domain whose network is ``factor``x slower than this one.

@@ -11,8 +11,6 @@ from repro.workload.generators import (
     HotSpotProgram,
     PermutationProgram,
     UniformRandomProgram,
-    bit_reverse_partners,
-    transpose_partners,
     uniform_random_graph_programs,
 )
 from repro.workload.scripted import ScriptedProgram
@@ -30,7 +28,5 @@ __all__ = [
     "UniformRandomProgram",
     "PermutationProgram",
     "HotSpotProgram",
-    "transpose_partners",
-    "bit_reverse_partners",
     "uniform_random_graph_programs",
 ]

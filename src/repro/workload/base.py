@@ -132,11 +132,6 @@ class NodeStream:
     def __init__(self, state: int):
         self.state = int(state) & _MASK64
 
-    @classmethod
-    def from_seed_sequence(cls, seed_seq: np.random.SeedSequence) -> "NodeStream":
-        """The stream a node's spawned ``SeedSequence`` keys."""
-        return cls(int(seed_seq.generate_state(1, np.uint64)[0]))
-
     def next64(self) -> int:
         state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
         self.state = state

@@ -22,8 +22,8 @@ protocol's fast paths while their *spatial* patterns differ.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.errors import ParameterError
 from repro.topology.graphs import CommunicationGraph
@@ -33,8 +33,6 @@ __all__ = [
     "UniformRandomProgram",
     "PermutationProgram",
     "HotSpotProgram",
-    "transpose_partners",
-    "bit_reverse_partners",
     "uniform_random_graph_programs",
 ]
 
@@ -161,53 +159,6 @@ class HotSpotProgram:
 # ----------------------------------------------------------------------
 # Partner constructions for permutation traffic.
 # ----------------------------------------------------------------------
-
-def transpose_partners(radix: int) -> List[int]:
-    """Matrix-transpose partners on a radix x radix thread grid.
-
-    Thread ``(r, c)`` partners with ``(c, r)``; diagonal threads partner
-    with their horizontal neighbor so every thread has a distinct partner.
-    """
-    if radix < 2:
-        raise ParameterError(f"transpose needs radix >= 2, got {radix!r}")
-    partners = []
-    for row in range(radix):
-        for col in range(radix):
-            if row == col:
-                partners.append(row * radix + (col + 1) % radix)
-            else:
-                partners.append(col * radix + row)
-    return partners
-
-
-def bit_reverse_partners(threads: int) -> List[int]:
-    """Bit-reversal partners (threads must be a power of two).
-
-    Palindromic indices (their own reversal) partner with their
-    complement so the result is self-partner-free.
-    """
-    bits = threads.bit_length() - 1
-    if 2**bits != threads:
-        raise ParameterError(
-            f"bit reversal needs a power-of-two thread count, got {threads}"
-        )
-
-    def reverse(value: int) -> int:
-        result = 0
-        for _ in range(bits):
-            result = (result << 1) | (value & 1)
-            value >>= 1
-        return result
-
-    partners = []
-    for thread in range(threads):
-        partner = reverse(thread)
-        if partner == thread:
-            partner = threads - 1 - thread
-            if partner == thread:  # only for threads == 1
-                raise ParameterError("cannot build partners for one thread")
-        partners.append(partner)
-    return partners
 
 
 def uniform_random_graph_programs(

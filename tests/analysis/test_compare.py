@@ -1,62 +1,16 @@
-"""Tests for system comparison and the describe card."""
+"""Tests for the describe card and the model-vs-measured contention rows."""
 
 import pytest
 
 from repro.analysis.compare import (
     ContentionComparison,
     ContentionRow,
-    compare_systems,
     contention_row,
 )
 from repro.core.network import TorusNetworkModel
 from repro.errors import ParameterError
 from repro.experiments.alewife import alewife_system
 from repro.sim.telemetry import TelemetryConfig, TelemetrySummary, run_probe
-
-
-class TestCompareSystems:
-    def test_self_comparison_is_unity(self):
-        system = alewife_system(contexts=1)
-        comparison = compare_systems(system, system, [1.0, 4.0, 16.0])
-        assert all(s == pytest.approx(1.0) for s in comparison.speedups)
-
-    def test_more_contexts_win_everywhere(self):
-        one = alewife_system(contexts=1)
-        four = alewife_system(contexts=4)
-        comparison = compare_systems(one, four, [1.0, 4.0, 16.0])
-        assert all(s > 1.0 for s in comparison.speedups)
-
-    def test_slow_network_loses_more_at_distance(self):
-        base = alewife_system(contexts=1)
-        slow = base.with_network_slowdown(4.0)
-        comparison = compare_systems(base, slow, [1.0, 16.0])
-        # Slower network always loses, and loses harder when messages
-        # travel farther.
-        assert all(s < 1.0 for s in comparison.speedups)
-        assert comparison.speedups[1] < comparison.speedups[0]
-
-    def test_clock_normalization(self):
-        # Comparing in processor cycles: a slowed network changes the
-        # candidate's clock domain; rates must still compare fairly
-        # (checked by self-vs-self across the conversion).
-        base = alewife_system(contexts=1)
-        same_machine_other_clock = base.with_network_slowdown(1.0)
-        comparison = compare_systems(base, same_machine_other_clock, [4.0])
-        assert comparison.speedups[0] == pytest.approx(1.0)
-
-    def test_render_contains_labels(self):
-        one = alewife_system(contexts=1)
-        two = alewife_system(contexts=2)
-        text = compare_systems(
-            one, two, [1.0], baseline_label="p=1", candidate_label="p=2"
-        ).render()
-        assert "p=1 r_t" in text and "p=2 r_t" in text
-        assert "speedup" in text
-
-    def test_rejects_empty_distances(self):
-        system = alewife_system(contexts=1)
-        with pytest.raises(ParameterError):
-            compare_systems(system, system, [])
 
 
 class TestDescribe:
@@ -181,6 +135,3 @@ class TestContentionComparison:
         assert "rho meas" in text and "rho model" in text
         assert "16n" in text
         assert "saturated" in text  # the past-saturation model column
-        assert comparison.max_rho_relative_error >= abs(
-            rows[0].rho_relative_error
-        )

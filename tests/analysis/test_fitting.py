@@ -22,10 +22,6 @@ class TestFitLine:
         assert 0.9 < fit.r_squared < 1.0
         assert fit.slope == pytest.approx(2.0, rel=0.05)
 
-    def test_predict(self):
-        fit = fit_line([0.0, 1.0], [1.0, 3.0])
-        assert fit.predict(2.0) == pytest.approx(5.0)
-
     def test_rejects_single_point(self):
         with pytest.raises(ParameterError):
             fit_line([1.0], [2.0])

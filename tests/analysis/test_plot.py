@@ -2,23 +2,8 @@
 
 import pytest
 
-from repro.analysis.plot import line_plot, sparkline
+from repro.analysis.plot import line_plot
 from repro.errors import ParameterError
-
-
-class TestSparkline:
-    def test_monotone_series_renders_ramp(self):
-        line = sparkline([1, 2, 3, 4, 5, 6, 7, 8])
-        assert line[0] == "▁"
-        assert line[-1] == "█"
-        assert len(line) == 8
-
-    def test_flat_series(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-
-    def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            sparkline([])
 
 
 class TestLinePlot:
@@ -36,7 +21,7 @@ class TestLinePlot:
         assert "* a" in text and "+ b" in text
 
     def test_extremes_plotted_at_corners(self):
-        text = line_plot([0, 10], {"a": [0, 10]}, width=20, height=5)
+        text = line_plot([0, 10], {"a": [0, 10]}, height=5)
         rows = [l for l in text.splitlines() if "|" in l]
         assert rows[0].rstrip().endswith("*")   # max at top right
         assert rows[-1].split("|")[1][0] == "*"  # min at bottom left
@@ -60,7 +45,7 @@ class TestLinePlot:
 
     def test_tiny_plot_area_rejected(self):
         with pytest.raises(ParameterError):
-            line_plot([1, 2], {"a": [1, 2]}, width=4, height=2)
+            line_plot([1, 2], {"a": [1, 2]}, height=2)
 
     def test_no_series_rejected(self):
         with pytest.raises(ParameterError):

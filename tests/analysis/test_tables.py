@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.tables import format_number, render_series, render_table
+from repro.analysis.tables import format_number, render_table
 
 
 class TestFormatNumber:
@@ -13,7 +13,7 @@ class TestFormatNumber:
         assert format_number(42) == "42"
 
     def test_floats_trimmed(self):
-        assert format_number(3.1400001, precision=3) == "3.14"
+        assert format_number(3.1400001) == "3.14"
 
     def test_zero(self):
         assert format_number(0.0) == "0"
@@ -42,8 +42,3 @@ class TestRenderTable:
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             render_table(["a", "b"], [(1,)])
-
-    def test_series_is_two_column_table(self):
-        text = render_series("x", "y", [(1, 2), (3, 4)])
-        assert "x" in text and "y" in text
-        assert len(text.splitlines()) == 4

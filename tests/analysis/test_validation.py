@@ -107,7 +107,7 @@ class TestSuiteParity:
             booked = counter.value - before
         finally:
             if not was_enabled:
-                obs.disable()
+                obs._STATE.enabled = False
         window = (
             quick_config.warmup_network_cycles
             + quick_config.measure_network_cycles

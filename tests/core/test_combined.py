@@ -93,12 +93,6 @@ class TestOperatingPointFields:
         point = solve(node, network, 8.0)
         assert point.issue_time == pytest.approx(3.2 * point.message_time)
 
-    def test_aggregate_performance_scales_with_processors(self, node, network):
-        point = solve(node, network, 8.0)
-        assert point.aggregate_performance(100.0) == pytest.approx(
-            100.0 * point.transaction_rate
-        )
-
     def test_distance_recorded(self, node, network):
         assert solve(node, network, 8.0).distance == 8.0
 

@@ -115,4 +115,4 @@ class TestSizeToReachFraction:
     def test_unreachable_fraction_raises(self, network):
         node = NodeModel(sensitivity=3.26, intercept=50.0)
         with pytest.raises(ParameterError):
-            size_to_reach_fraction(node, network, 0.999, max_processors=1e4)
+            size_to_reach_fraction(node, network, 0.9999)

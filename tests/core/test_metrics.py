@@ -3,17 +3,10 @@
 import pytest
 
 from repro.core.combined import solve
-from repro.core.metrics import (
-    aggregate_performance,
-    expected_gain,
-    expected_gain_for_radix,
-    performance_ratio,
-    useful_work_rate,
-)
+from repro.core.metrics import expected_gain, performance_ratio
 from repro.core.network import TorusNetworkModel
 from repro.core.node import NodeModel
 from repro.errors import ParameterError
-from repro.topology.distance import random_traffic_distance
 
 
 @pytest.fixture
@@ -27,28 +20,6 @@ def network():
 
 
 class TestBasicMetrics:
-    def test_useful_work_rate_is_grain_over_issue_time(self, node, network):
-        point = solve(node, network, 8.0)
-        grain_network = 50.0
-        assert useful_work_rate(point, grain_network) == pytest.approx(
-            grain_network / point.issue_time
-        )
-
-    def test_useful_work_rate_rejects_nonpositive_grain(self, node, network):
-        point = solve(node, network, 8.0)
-        with pytest.raises(ParameterError):
-            useful_work_rate(point, 0.0)
-
-    def test_aggregate_performance(self, node, network):
-        point = solve(node, network, 8.0)
-        assert aggregate_performance(point, 64) == pytest.approx(
-            64 * point.transaction_rate
-        )
-
-    def test_aggregate_rejects_nonpositive_processors(self, node, network):
-        point = solve(node, network, 8.0)
-        with pytest.raises(ParameterError):
-            aggregate_performance(point, 0)
 
     def test_performance_ratio_is_rate_ratio(self, node, network):
         near = solve(node, network, 2.0)
@@ -86,12 +57,6 @@ class TestExpectedGain:
         )
         assert result.gain <= latency_ratio + 1e-9
 
-    def test_distance_ratio_reported(self, node, network):
-        result = expected_gain(node, network, processors=1024)
-        assert result.distance_ratio == pytest.approx(
-            result.random_distance / result.ideal_distance
-        )
-
     def test_custom_ideal_distance(self, node, network):
         close = expected_gain(node, network, 4096, ideal_distance=1.0)
         farther = expected_gain(node, network, 4096, ideal_distance=2.0)
@@ -100,17 +65,3 @@ class TestExpectedGain:
     def test_rejects_nonpositive_ideal_distance(self, node, network):
         with pytest.raises(ParameterError):
             expected_gain(node, network, 1024, ideal_distance=0.0)
-
-
-class TestExpectedGainForRadix:
-    def test_radix_and_size_parameterizations_agree(self, node, network):
-        by_radix = expected_gain_for_radix(node, network, radix=32)
-        by_size = expected_gain(node, network, processors=1024)
-        assert by_radix.gain == pytest.approx(by_size.gain, rel=1e-9)
-        assert by_radix.processors == pytest.approx(1024.0)
-
-    def test_random_distance_matches_eq17(self, node, network):
-        result = expected_gain_for_radix(node, network, radix=8)
-        assert result.random_distance == pytest.approx(
-            random_traffic_distance(8, 2)
-        )

@@ -169,7 +169,3 @@ class TestVariants:
         assert info["T_m"] == pytest.approx(
             alewife_net.message_latency(0.01, 8.0)
         )
-
-    def test_bisection_bandwidth_per_node(self, alewife_net):
-        # Radix-8 2-D torus: 4*8 channels / 64 nodes / 0.5 = 1 flit/cycle.
-        assert alewife_net.bisection_bandwidth_per_node(8) == pytest.approx(1.0)

@@ -1,5 +1,7 @@
 """Tests for the node model (paper Section 2.3, Eq 9)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.application import ApplicationModel
@@ -53,8 +55,8 @@ class TestComposition:
         assert node.intercept == pytest.approx(100.0)
 
     def test_sensitivity_proportional_to_contexts(self, app, txn):
-        one = NodeModel.from_components(app.with_contexts(1.0), txn, EQUAL_CLOCKS)
-        four = NodeModel.from_components(app.with_contexts(4.0), txn, EQUAL_CLOCKS)
+        one = NodeModel.from_components(replace(app, contexts=1.0), txn, EQUAL_CLOCKS)
+        four = NodeModel.from_components(replace(app, contexts=4.0), txn, EQUAL_CLOCKS)
         assert four.sensitivity == pytest.approx(4.0 * one.sensitivity)
 
 
@@ -81,11 +83,6 @@ class TestMessageCurve:
     def test_rate_view_rejects_nonpositive_rate(self, node):
         with pytest.raises(ParameterError):
             node.message_latency_at_rate(0.0)
-
-    def test_zero_latency_message_time(self, node):
-        # At T_m = 0 the node is compute-bound: t_m = intercept / s.
-        tm0 = node.zero_latency_message_time
-        assert node.message_latency(tm0) == pytest.approx(0.0, abs=1e-9)
 
     def test_backoff_direction(self, node):
         # Higher observed latency -> longer inter-message time (the

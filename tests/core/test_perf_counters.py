@@ -1,5 +1,4 @@
-"""Tests for the solver's ``perf.*`` registry counters and the memoized
-solve cache."""
+"""Tests for the solver's ``perf.*`` registry counters."""
 
 import numpy as np
 import pytest
@@ -7,14 +6,12 @@ import pytest
 from repro.core import (
     NodeModel,
     TorusNetworkModel,
-    clear_solve_cache,
     solve,
     solve_batch,
-    solve_cached,
 )
 from repro.obs.metrics import REGISTRY
 
-NAMES = ("solve_calls", "cache_hits", "cache_misses", "batch_solves", "batch_points")
+NAMES = ("solve_calls", "batch_solves", "batch_points")
 
 
 def snapshot():
@@ -41,10 +38,8 @@ def models():
 
 @pytest.fixture(autouse=True)
 def clean_state():
-    clear_solve_cache()
     reset()
     yield
-    clear_solve_cache()
     reset()
 
 
@@ -75,43 +70,3 @@ class TestCounters:
         before = snapshot()
         solve(node, network, 8.0)
         assert delta(before)["solve_calls"] == 1
-
-
-class TestSolveCache:
-    def test_first_lookup_misses_then_hits(self, models):
-        node, network = models
-        before = snapshot()
-        first = solve_cached(node, network, 4.0)
-        second = solve_cached(node, network, 4.0)
-        d = delta(before)
-        assert d["cache_misses"] == 1
-        assert d["cache_hits"] == 1
-        assert first == second
-
-    def test_cached_result_matches_scalar_solve(self, models):
-        node, network = models
-        cached = solve_cached(node, network, 6.0)
-        direct = solve(node, network, 6.0)
-        assert cached.message_rate == direct.message_rate
-        assert cached.transaction_rate == direct.transaction_rate
-
-    def test_distinct_parameters_are_distinct_entries(self, models):
-        node, network = models
-        before = snapshot()
-        solve_cached(node, network, 4.0)
-        solve_cached(node, network, 5.0)
-        slower = NodeModel(
-            sensitivity=node.sensitivity, intercept=node.intercept * 2
-        )
-        solve_cached(slower, network, 4.0)
-        d = delta(before)
-        assert d["cache_misses"] == 3
-        assert d["cache_hits"] == 0
-
-    def test_clear_cache_forces_re_solve(self, models):
-        node, network = models
-        solve_cached(node, network, 4.0)
-        clear_solve_cache()
-        before = snapshot()
-        solve_cached(node, network, 4.0)
-        assert delta(before)["cache_misses"] == 1

@@ -5,12 +5,7 @@ import pytest
 
 from repro.core.application import ApplicationModel
 from repro.core.network import TorusNetworkModel
-from repro.core.sweeps import (
-    gain_curve,
-    logspace_sizes,
-    sweep_distances,
-    sweep_network_slowdowns,
-)
+from repro.core.sweeps import gain_curve, sweep_network_slowdowns
 from repro.core.system import SystemModel
 from repro.core.transaction import TransactionModel
 from repro.units import ALEWIFE_CLOCKS
@@ -30,17 +25,6 @@ def system():
     )
 
 
-class TestSweepDistances:
-    def test_one_sample_per_distance(self, system):
-        samples = sweep_distances(system, [1.0, 2.0, 4.0])
-        assert [s.distance for s in samples] == [1.0, 2.0, 4.0]
-
-    def test_samples_are_solved_points(self, system):
-        (sample,) = sweep_distances(system, [4.0])
-        direct = system.operating_point(4.0)
-        assert sample.point.message_rate == pytest.approx(direct.message_rate)
-
-
 class TestGainCurve:
     def test_curve_arrays_aligned(self, system):
         curve = gain_curve(system, [100, 1000, 10000], label="p=1")
@@ -51,15 +35,6 @@ class TestGainCurve:
     def test_gains_increase_with_size(self, system):
         curve = gain_curve(system, [100, 1000, 10000, 100000])
         assert np.all(np.diff(curve.gains) > 0)
-
-    def test_gain_at_exact_size(self, system):
-        curve = gain_curve(system, [100, 1000])
-        assert curve.gain_at(1000) == pytest.approx(curve.gains[1])
-
-    def test_gain_at_unswept_size_raises(self, system):
-        curve = gain_curve(system, [100, 1000])
-        with pytest.raises(KeyError):
-            curve.gain_at(555)
 
 
 class TestSlowdownSweep:
@@ -77,74 +52,6 @@ class TestSlowdownSweep:
         samples = sweep_network_slowdowns(system, [1, 2, 4, 8], sizes=[1000])
         gains = [s.gains_by_size[1000.0] for s in samples]
         assert all(b > a for a, b in zip(gains, gains[1:]))
-
-
-class TestContextsSweep:
-    def test_one_sample_per_level(self, system):
-        from repro.core.sweeps import sweep_contexts
-
-        samples = sweep_contexts(system, [1, 2, 4], distance=8.0)
-        assert [s.contexts for s in samples] == [1.0, 2.0, 4.0]
-
-    def test_throughput_rises_with_contexts(self, system):
-        from repro.core.sweeps import sweep_contexts
-
-        samples = sweep_contexts(system, [1, 2, 4], distance=8.0)
-        throughputs = [s.throughput for s in samples]
-        assert all(b > a for a, b in zip(throughputs, throughputs[1:]))
-
-    def test_diminishing_returns(self, system):
-        from repro.core.sweeps import sweep_contexts
-
-        samples = sweep_contexts(system, [1, 2, 4], distance=8.0)
-        first_step = samples[1].throughput / samples[0].throughput
-        second_step = samples[2].throughput / samples[1].throughput
-        assert second_step < first_step
-
-    def test_limiting_per_hop_scales_with_sensitivity(self, system):
-        from repro.core.sweeps import sweep_contexts
-
-        samples = sweep_contexts(system, [1, 4], distance=8.0)
-        assert samples[1].limiting_per_hop == pytest.approx(
-            4.0 * samples[0].limiting_per_hop
-        )
-
-
-class TestLogspaceSizes:
-    def test_default_span(self):
-        sizes = logspace_sizes()
-        assert sizes[0] == pytest.approx(10.0)
-        assert sizes[-1] == pytest.approx(1e6)
-
-    def test_count(self):
-        assert len(logspace_sizes(count=7)) == 7
-
-    def test_monotone(self):
-        assert np.all(np.diff(logspace_sizes()) > 0)
-
-
-class TestGainCurveLookup:
-    @pytest.fixture
-    def curve(self, system):
-        return gain_curve(system, [100.0, 1000.0, 10000.0], label="g=8")
-
-    def test_exact_size_hit(self, curve):
-        assert curve.gain_at(1000.0) == curve.results[1].gain
-
-    def test_tolerance_hit(self, curve):
-        # Within the default 1e-6 relative tolerance of a swept size.
-        nudged = 1000.0 * (1 + 5e-7)
-        assert curve.gain_at(nudged) == curve.results[1].gain
-
-    def test_miss_raises_key_error(self, curve):
-        with pytest.raises(KeyError):
-            curve.gain_at(777.0)
-
-    def test_index_is_not_part_of_equality(self, system):
-        a = gain_curve(system, [100.0, 1000.0], label="x")
-        b = gain_curve(system, [100.0, 1000.0], label="x")
-        a.gain_at(100.0)  # builds a's lazy index, leaves b's empty
-        assert a == b
 
 
 class TestSlowdownSampleImmutability:

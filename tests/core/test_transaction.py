@@ -51,44 +51,5 @@ class TestEq7:
             180.0
         )
 
-    def test_fixed_overhead_network_conversion(self, coherence):
-        assert coherence.fixed_overhead_network(ALEWIFE_CLOCKS) == pytest.approx(
-            160.0
-        )
-
     def test_zero_message_latency_leaves_fixed_overhead(self, coherence):
         assert coherence.transaction_latency(0.0, EQUAL_CLOCKS) == pytest.approx(80.0)
-
-
-class TestEq8:
-    def test_issue_time_is_g_times_message_time(self, coherence):
-        assert coherence.issue_time_from_message_time(10.0) == pytest.approx(32.0)
-
-    def test_message_time_inverts_issue_time(self, coherence):
-        assert coherence.message_time_from_issue_time(
-            coherence.issue_time_from_message_time(7.0)
-        ) == pytest.approx(7.0)
-
-    def test_rate_relations_mirror_time_relations(self, coherence):
-        # r_m = g * r_t and r_t = r_m / g.
-        assert coherence.message_rate_from_transaction_rate(0.01) == pytest.approx(
-            0.032
-        )
-        assert coherence.transaction_rate_from_message_rate(0.032) == pytest.approx(
-            0.01
-        )
-
-    def test_rate_and_time_views_are_consistent(self, coherence):
-        issue_time = 250.0
-        rate = 1.0 / issue_time
-        assert coherence.message_time_from_issue_time(issue_time) == pytest.approx(
-            1.0 / coherence.message_rate_from_transaction_rate(rate)
-        )
-
-
-class TestVariants:
-    def test_with_critical_messages(self, coherence):
-        widened = coherence.with_critical_messages(2.3)
-        assert widened.critical_messages == 2.3
-        assert widened.messages_per_transaction == coherence.messages_per_transaction
-        assert widened.fixed_overhead == coherence.fixed_overhead

@@ -3,16 +3,16 @@
 import pytest
 
 from repro.experiments.scaling_sim import run
-from repro.experiments.validation_data import clear_cache
+from repro.experiments.validation_data import validation_report
 
 
 @pytest.fixture(scope="module")
 def result():
-    clear_cache()
+    validation_report.cache_clear()
     try:
         yield run(quick=True)
     finally:
-        clear_cache()
+        validation_report.cache_clear()
 
 
 class TestScalingSim:
@@ -45,11 +45,11 @@ class TestScalingSim:
 class TestScalingSimTelemetry:
     @pytest.fixture(scope="class")
     def telemetry_result(self):
-        clear_cache()
+        validation_report.cache_clear()
         try:
             yield run(quick=True, telemetry=True)
         finally:
-            clear_cache()
+            validation_report.cache_clear()
 
     def test_appends_contention_table(self, telemetry_result):
         assert len(telemetry_result.tables) == 2
@@ -61,10 +61,10 @@ class TestScalingSimTelemetry:
         assert "64n radix-8" in text
 
     def test_point_estimates_unchanged_by_telemetry(self, telemetry_result):
-        clear_cache()
+        validation_report.cache_clear()
         try:
             bare = run(quick=True)
         finally:
-            clear_cache()
+            validation_report.cache_clear()
         assert telemetry_result.data["t_m_sim"] == bare.data["t_m_sim"]
         assert telemetry_result.data["rho"] == bare.data["rho"]

@@ -11,18 +11,14 @@ import pytest
 
 from repro.experiments import fig3, fig4, fig5
 from repro.experiments.ablations import run_buffering
-from repro.experiments.validation_data import (
-    clear_cache,
-    validation_config,
-    validation_report,
-)
+from repro.experiments.validation_data import validation_config, validation_report
 
 
 @pytest.fixture(scope="module", autouse=True)
 def fresh_cache():
-    clear_cache()
+    validation_report.cache_clear()
     yield
-    clear_cache()
+    validation_report.cache_clear()
 
 
 class TestValidationData:

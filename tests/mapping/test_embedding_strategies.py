@@ -1,67 +1,14 @@
-"""Tests for the embedding-oriented mapping strategies (snake/gray/shift)."""
+"""A torus shift of the mapping leaves simulated measurements unchanged."""
 
 import pytest
 
-from repro.errors import MappingError
-from repro.mapping.evaluate import average_distance
-from repro.mapping.strategies import (
-    gray_code_mapping,
-    identity_mapping,
-    rotation_mapping,
-    snake_mapping,
-)
-from repro.topology.graphs import ring_graph, torus_neighbor_graph
+from repro.mapping.base import Mapping
+from repro.mapping.strategies import identity_mapping
+from repro.topology.graphs import torus_neighbor_graph
 from repro.topology.torus import Torus
 
 
-@pytest.fixture
-def torus():
-    return Torus(radix=8, dimensions=2)
-
-
-class TestSnake:
-    def test_bijective(self, torus):
-        assert snake_mapping(torus).is_bijective
-
-    def test_embeds_a_ring_perfectly(self, torus):
-        # Boustrophedon + torus wraparound: every ring edge is one hop.
-        ring = ring_graph(64)
-        assert average_distance(ring, snake_mapping(torus), torus) == 1.0
-
-    def test_beats_row_major_for_rings(self, torus):
-        ring = ring_graph(64)
-        snake = average_distance(ring, snake_mapping(torus), torus)
-        row_major = average_distance(ring, identity_mapping(64), torus)
-        assert snake < row_major
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(MappingError):
-            snake_mapping(Torus(radix=8, dimensions=1))
-
-
-class TestGrayCode:
-    def test_bijective(self, torus):
-        assert gray_code_mapping(torus).is_bijective
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(MappingError):
-            gray_code_mapping(Torus(radix=6, dimensions=2))
-
-    def test_keeps_sequential_indices_close(self, torus):
-        # Gray order moves one ring step per index increment within a
-        # digit; average ring distance stays small for a ring workload.
-        ring = ring_graph(64)
-        gray = average_distance(ring, gray_code_mapping(torus), torus)
-        assert gray < 3.0
-
-
 class TestRotation:
-    def test_is_automorphism(self, torus):
-        graph = torus_neighbor_graph(8, 2)
-        shifted = rotation_mapping(torus, [3, 5])
-        assert shifted.is_bijective
-        assert average_distance(graph, shifted, torus) == pytest.approx(1.0)
-
     def test_translation_invariance_of_measurements(self):
         # A torus shift must not change any measured quantity: the
         # machine is homogeneous.
@@ -81,7 +28,9 @@ class TestRotation:
             return Machine(config, mapping, programs).run()
 
         base = run(identity_mapping(16))
-        shifted = run(rotation_mapping(torus, [1, 2]))
+        shift = [torus.node_at(((x + 1) % 4, (y + 2) % 4))
+                 for x, y in map(torus.coordinates, torus.nodes())]
+        shifted = run(Mapping(shift, 16))
         assert shifted.mean_message_hops == pytest.approx(
             base.mean_message_hops, abs=0.02
         )
@@ -89,10 +38,3 @@ class TestRotation:
         assert shifted.mean_message_latency == pytest.approx(
             base.mean_message_latency, rel=0.1
         )
-
-    def test_zero_offset_is_identity(self, torus):
-        assert rotation_mapping(torus, [0, 0]) == identity_mapping(64)
-
-    def test_rejects_wrong_offset_count(self, torus):
-        with pytest.raises(MappingError):
-            rotation_mapping(torus, [1])

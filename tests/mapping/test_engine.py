@@ -18,6 +18,7 @@ from repro.errors import MappingError
 from repro.mapping import engine as engine_module
 from repro.mapping.anneal import anneal_mapping
 from repro.mapping.base import Mapping
+from repro.mapping.chains import anneal_chains
 from repro.mapping.engine import SwapEngine
 from repro.mapping.evaluate import average_distance
 from repro.mapping.optimize import optimize_mapping
@@ -291,7 +292,10 @@ class TestChainParity:
         torus = Torus(radix=4, dimensions=2)
         graph = torus_neighbor_graph(4, 2)
         start = random_mapping(16, seed=3)
-        fast = anneal_mapping(graph, torus, start, 400, 2, 2.0, 0.5)
+        fast = anneal_chains(
+            graph, torus, start, chains=1, steps=400, seed=2,
+            initial_temperature=2.0, cooling=0.5,
+        ).results[0]
         assert fast == reference_anneal_mapping(graph, torus, start, 400, 2, 2.0, 0.5)
         assert fast.accepted_moves > 0
 

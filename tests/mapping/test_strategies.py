@@ -6,14 +6,11 @@ from repro.errors import MappingError
 from repro.mapping.evaluate import average_distance
 from repro.mapping.strategies import (
     bit_reversal_mapping,
-    block_collocation_mapping,
     dimension_scale_mapping,
     identity_mapping,
     random_mapping,
     shear_mapping,
-    snake_mapping,
     stride_mapping,
-    transpose_mapping,
 )
 from repro.topology.graphs import torus_neighbor_graph
 from repro.topology.torus import Torus
@@ -95,11 +92,6 @@ class TestDimensionScale:
 
 
 class TestTransposeAndShear:
-    def test_transpose_is_automorphism(self, torus, graph):
-        mapping = transpose_mapping(torus)
-        assert mapping.is_bijective
-        assert average_distance(graph, mapping, torus) == pytest.approx(1.0)
-
     def test_shear_is_bijective(self, torus):
         assert shear_mapping(torus, factor=1).is_bijective
 
@@ -118,9 +110,8 @@ class TestBitReversal:
         assert bit_reversal_mapping(torus).is_bijective
 
     def test_involution(self, torus):
-        mapping = bit_reversal_mapping(torus)
-        twice = mapping.compose(mapping)
-        assert twice == identity_mapping(64)
+        reverse = bit_reversal_mapping(torus).assignment
+        assert [reverse[node] for node in reverse] == list(range(64))
 
     def test_spreads_neighbors(self, torus, graph):
         mapping = bit_reversal_mapping(torus)
@@ -131,21 +122,6 @@ class TestBitReversal:
             bit_reversal_mapping(Torus(radix=6, dimensions=2))
 
 
-class TestBlockCollocation:
-    def test_two_threads_per_processor(self):
-        mapping = block_collocation_mapping(8, 4)
-        assert mapping.load() == {0: 2, 1: 2, 2: 2, 3: 2}
-        assert mapping.processor_of(0) == mapping.processor_of(1)
-
-    def test_rejects_non_multiple(self):
-        with pytest.raises(MappingError):
-            block_collocation_mapping(7, 4)
-
-    def test_rejects_fewer_threads_than_processors(self):
-        with pytest.raises(MappingError):
-            block_collocation_mapping(2, 4)
-
-
 def test_array_constructions_match_their_loop_definitions():
     # The strategies build int64 arrays; pin them to the per-thread
     # definitions, including a stride whose products would overflow int64.
@@ -154,14 +130,3 @@ def test_array_constructions_match_their_loop_definitions():
             (stride * i) % 64 for i in range(64)
         )
     assert identity_mapping(5).assignment == (0, 1, 2, 3, 4)
-    assert block_collocation_mapping(12, 4).assignment == tuple(
-        i // 3 for i in range(12)
-    )
-    for radix in (4, 5):
-        torus = Torus(radix=radix, dimensions=2)
-        snake = []
-        for thread in range(torus.node_count):
-            row, offset = divmod(thread, radix)
-            column = offset if row % 2 == 0 else radix - 1 - offset
-            snake.append(torus.node_at((column, row)))
-        assert snake_mapping(torus).assignment == tuple(snake)

@@ -16,10 +16,10 @@ def reset_perf_counters():
 
 @pytest.fixture(autouse=True)
 def clean_obs_state():
-    obs.disable()
+    obs._STATE.enabled = False
     obs.reset()
     reset_perf_counters()
     yield
-    obs.disable()
+    obs._STATE.enabled = False
     obs.reset()
     reset_perf_counters()

@@ -22,7 +22,8 @@ class TestCollection:
         assert len(obs.diagnostics()) == 0
 
     def test_scalar_solve_records_convergence(self):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         node, network = alewife_like_models()
         solve(node, network, distance=3.0)
         records = obs.diagnostics().records
@@ -37,7 +38,8 @@ class TestCollection:
         assert 0.0 <= record.utilization <= 1.0
 
     def test_batch_solve_records_one_per_lane(self):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         node, network = alewife_like_models()
         distances = [2.0, 3.0, 4.0, 5.0]
         solve_batch(node, network, distances)
@@ -49,7 +51,8 @@ class TestCollection:
     def test_batch_matches_scalar_branches(self):
         node, network = alewife_like_models()
         distances = [2.0, 4.0, 6.0]
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         for d in distances:
             solve(node, network, d)
         scalar = {r.distance: r for r in obs.diagnostics().records}
@@ -60,7 +63,8 @@ class TestCollection:
             assert scalar[d].branch == batch[d].branch
 
     def test_capacity_counts_drops(self):
-        diagnostics = SolveDiagnostics(capacity=2)
+        diagnostics = SolveDiagnostics()
+        diagnostics.capacity = 2
         for _ in range(5):
             diagnostics.record("scalar", "bisection", 1.0, iterations=44)
         assert len(diagnostics) == 2
@@ -135,7 +139,7 @@ class TestRendering:
         report = render_diagnosis(
             diagnostics, "figure-3",
             perf_delta={"solve_calls": 1, "batch_solves": 1,
-                        "batch_points": 1, "cache_hits": 0},
+                        "batch_points": 1},
         )
         assert "diagnose figure-3" in report
         assert "bisection 2" in report

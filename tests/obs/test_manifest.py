@@ -66,7 +66,6 @@ class TestRoundTrip:
             parameters={"quick": False, "jobs": 2},
             wall_seconds=3.25,
             cpu_seconds=3.0,
-            extra={"note": "round-trip"},
         )
         path = manifest.write(str(tmp_path / "manifest.json"))
         loaded = RunManifest.load(path)

@@ -1,11 +1,10 @@
-"""Tests for the metrics registry: counters, gauges, histograms."""
+"""Tests for the metrics registry: counters and histograms."""
 
 import pytest
 
 from repro.errors import ParameterError
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -23,14 +22,6 @@ class TestCounter:
         counter.inc(3)
         counter.reset()
         assert counter.value == 0
-
-
-class TestGauge:
-    def test_last_value_wins(self):
-        gauge = Gauge("g")
-        gauge.set(2)
-        gauge.set(7.5)
-        assert gauge.value == 7.5
 
 
 class TestHistogramBuckets:
@@ -121,18 +112,14 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(ParameterError):
-            registry.gauge("x")
-        with pytest.raises(ParameterError):
             registry.histogram("x", buckets=(1,))
 
     def test_snapshot_is_json_plain(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(2)
-        registry.gauge("g").set(1.5)
         registry.histogram("h", buckets=(1, 2)).observe(1)
         snapshot = registry.snapshot()
         assert snapshot["c"] == {"type": "counter", "value": 2}
-        assert snapshot["g"] == {"type": "gauge", "value": 1.5}
         assert snapshot["h"]["counts"] == [1, 0, 0]
         assert snapshot["h"]["buckets"] == [1.0, 2.0]
 
@@ -157,7 +144,6 @@ class TestHistogramMerge:
     def test_snapshot_histograms_excludes_other_metric_types(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(1)
-        registry.gauge("g").set(2.0)
         registry.histogram("h", buckets=(1, 2)).observe(1)
         payload = registry.snapshot_histograms()
         assert set(payload) == {"h"}

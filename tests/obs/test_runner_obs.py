@@ -8,7 +8,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.core.combined import clear_solve_cache, solve
+from repro.core.combined import solve
 from repro.core.network import TorusNetworkModel
 from repro.core.node import NodeModel
 from repro.errors import ParameterError
@@ -69,7 +69,6 @@ def _install_failing_experiment(monkeypatch):
 class TestFailureAccounting:
     def test_exception_carries_partial_perf(self, monkeypatch):
         _install_failing_experiment(monkeypatch)
-        clear_solve_cache()
         with pytest.raises(RuntimeError) as excinfo:
             run_experiment("failing")
         partial = excinfo.value.partial_perf
@@ -90,7 +89,6 @@ class TestFailureAccounting:
         # registry at call time, so the injected experiment is reachable
         # end-to-end through the real CLI.
         _install_failing_experiment(monkeypatch)
-        clear_solve_cache()
         assert main(["run", "failing", "--quick", "--verbose"]) == 1
         captured = capsys.readouterr()
         assert "experiment failing failed" in captured.err
@@ -100,7 +98,6 @@ class TestFailureAccounting:
         self, monkeypatch, capsys
     ):
         _install_failing_experiment(monkeypatch)
-        clear_solve_cache()
         assert main(["run", "failing", "--quick"]) == 1
         captured = capsys.readouterr()
         assert "experiment failing failed" in captured.err
@@ -133,16 +130,16 @@ class TestParallelTraceMerge:
     def test_jobs2_trace_matches_serial(self):
         experiments = ["table-1", "figure-7"]
 
-        obs.enable(fresh=True)
+        obs.enable()
+
+        obs.reset()
         reset_perf_counters()
-        clear_solve_cache()
         serial_results = run_all(quick=True, experiments=experiments)
         serial_spans = _span_multiset()
         serial_perf = _perf_snapshot()
 
         obs.reset()
         reset_perf_counters()
-        clear_solve_cache()
         parallel_results = run_all(
             quick=True, jobs=2, experiments=experiments
         )
@@ -159,9 +156,9 @@ class TestParallelTraceMerge:
         ]
 
     def test_jobs2_writes_one_merged_artifact_set(self, tmp_path):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         reset_perf_counters()
-        clear_solve_cache()
         run_all(quick=True, jobs=2, experiments=["table-1", "figure-7"])
         paths = obs.write_outputs(
             str(tmp_path), experiments=["table-1", "figure-7"]
@@ -180,8 +177,9 @@ class TestWorkerResults:
     def test_worker_spans_carry_worker_pid(self):
         import os
 
-        obs.enable(fresh=True)
-        clear_solve_cache()
+        obs.enable()
+
+        obs.reset()
         results = run_all(quick=True, jobs=2, experiments=["figure-7"])
         payload = results[0].obs
         assert payload, "worker must ship spans back on result.obs"

@@ -38,7 +38,8 @@ class TestDisabledMode:
 
 class TestNesting:
     def test_depth_and_parent_links(self):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         with obs.span("outer"):
             with obs.span("middle"):
                 with obs.span("inner"):
@@ -52,7 +53,8 @@ class TestNesting:
         assert records["inner"]["parent"] == records["middle"]["index"]
 
     def test_siblings_share_a_parent(self):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         with obs.span("outer"):
             with obs.span("first"):
                 pass
@@ -64,7 +66,8 @@ class TestNesting:
         assert records["first"]["depth"] == records["second"]["depth"] == 1
 
     def test_spans_carry_attrs_and_durations(self):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         with obs.span("solve", distance=4.06, lanes=12):
             pass
         (record,) = obs.trace().spans
@@ -72,7 +75,8 @@ class TestNesting:
         assert record["duration"] >= 0.0
 
     def test_span_records_even_when_body_raises(self):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         try:
             with obs.span("failing"):
                 raise RuntimeError("boom")
@@ -83,7 +87,8 @@ class TestNesting:
 
 class TestMarks:
     def test_mark_and_since(self):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         with obs.span("before"):
             pass
         mark = obs.trace_mark()
@@ -93,7 +98,8 @@ class TestMarks:
         assert [r["name"] for r in tail] == ["after"]
 
     def test_ingest_merges_foreign_records(self):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         with obs.span("local"):
             pass
         foreign = [
@@ -109,7 +115,8 @@ class TestMarks:
         assert 99999 in pids
 
     def test_reset_drops_spans_but_keeps_enabled(self):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         with obs.span("gone"):
             pass
         obs.reset()
@@ -119,7 +126,8 @@ class TestMarks:
 
 class TestExport:
     def test_chrome_trace_is_loadable_json(self, tmp_path):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         with obs.span("outer", kind="test"):
             with obs.span("inner"):
                 pass
@@ -148,7 +156,8 @@ class TestExport:
         assert [e["name"] for e in events] == ["a", "b"]
 
     def test_jsonl_one_record_per_line(self, tmp_path):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         for name in ("one", "two", "three"):
             with obs.span(name):
                 pass
@@ -166,7 +175,8 @@ class TestCounters:
         assert obs.trace().counters == []
 
     def test_counter_events_export_as_ph_c(self, tmp_path):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         obs.trace_counter("fabric.telemetry", 64.0, {"rho": 0.25, "depth": 3})
         obs.trace_counter("fabric.telemetry", 128.0, {"rho": 0.5, "depth": 7})
         with obs.span("work"):
@@ -184,7 +194,8 @@ class TestCounters:
         assert any(e["ph"] == "X" and e["name"] == "work" for e in events)
 
     def test_reset_drops_counters(self):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         obs.trace_counter("c", 1.0, {"v": 1})
         obs.reset()
         assert obs.trace().counters == []
@@ -199,7 +210,8 @@ class TestWorkerPayloads:
         }
 
     def test_merges_foreign_spans_and_histograms(self):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         obs.REGISTRY.histogram("sim.latency", buckets=(4, 8)).observe(2)
         payload = {
             "pid": 424242,
@@ -223,7 +235,8 @@ class TestWorkerPayloads:
 
     def test_own_pid_payloads_are_skipped(self):
         # A fork that shipped inherited state back must not double-count.
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         payload = {
             "pid": os.getpid(),
             "spans": [self._span_record(os.getpid())],
@@ -242,7 +255,8 @@ class TestWorkerPayloads:
         assert obs.REGISTRY.get("sim.latency.own_pid") is None
 
     def test_payloads_without_histograms_merge_spans_only(self):
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         names_before = obs.REGISTRY.names()
         payload = {"pid": 424243, "spans": [self._span_record(424243)]}
         assert obs.ingest_worker_payloads([payload]) == 1

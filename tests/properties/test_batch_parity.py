@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapping.strategies import (
-    block_collocation_mapping,
     identity_mapping,
     random_mapping,
 )
@@ -30,6 +29,7 @@ from repro.workload.generators import (
     uniform_random_graph_programs,
 )
 from repro.workload.synthetic import build_programs
+from tests.sim.mappings import block_mapping
 
 
 #: (dimensions, radix) pairs kept small enough for many examples.
@@ -102,7 +102,7 @@ def build_setup(case):
         programs = build_programs(
             graph, 1, case["compute"], config.compute_jitter
         )
-        mapping = block_collocation_mapping(nodes * config.contexts, nodes)
+        mapping = block_mapping(nodes * config.contexts, nodes)
     else:
         graph = torus_neighbor_graph(case["radix"], case["dimensions"])
         if case["family"] == "permutation":

@@ -13,15 +13,13 @@ snapshot.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mapping.strategies import (
-    block_collocation_mapping,
-    identity_mapping,
-)
+from repro.mapping.strategies import identity_mapping
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
 from repro.sim.telemetry import TelemetryConfig
 from repro.topology.graphs import ring_graph, torus_neighbor_graph
 from repro.workload.synthetic import build_programs
+from tests.sim.mappings import block_mapping
 from tests.sim.test_machine_engine import end_state
 
 
@@ -61,7 +59,7 @@ def build(engine, case):
         programs = build_programs(
             graph, 1, case["compute"], config.compute_jitter
         )
-        mapping = block_collocation_mapping(nodes * config.contexts, nodes)
+        mapping = block_mapping(nodes * config.contexts, nodes)
     else:
         graph = torus_neighbor_graph(case["radix"], case["dimensions"])
         programs = build_programs(

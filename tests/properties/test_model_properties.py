@@ -43,22 +43,6 @@ class TestApplicationModelProperties:
         low, high = sorted((a, b))
         assert model.issue_time(low) <= model.issue_time(high) + 1e-9
 
-    @given(grains, contexts, switch_times, latencies)
-    def test_floor_never_below_plain_curve_at_high_latency(
-        self, grain, p, switch, latency
-    ):
-        model = ApplicationModel(grain=grain, contexts=p, switch_time=switch)
-        floored = model.issue_time_with_floor(latency)
-        assert floored >= model.issue_time(latency) - 1e-9
-        assert floored >= model.min_issue_time - 1e-9
-
-    @given(grains, contexts, switch_times)
-    def test_masking_threshold_boundary_consistency(self, grain, p, switch):
-        model = ApplicationModel(grain=grain, contexts=p, switch_time=switch)
-        threshold = model.masking_threshold
-        assert model.masks_latency(threshold)
-        assert not model.masks_latency(threshold + 1e-6)
-
 
 class TestNodeModelProperties:
     @given(grains, contexts, st.floats(min_value=0.5, max_value=8.0),

@@ -16,7 +16,6 @@ import pytest
 from repro import obs
 from repro.errors import MappingError, ParameterError, SimulationError
 from repro.mapping.strategies import (
-    block_collocation_mapping,
     identity_mapping,
     random_mapping,
 )
@@ -25,6 +24,7 @@ from repro.sim.batch import BatchFallbackWarning, BatchMachine, run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
 from repro.sim.message import _FLITS_BY_KIND, MessageKind
+from repro.sim.replicate import run_replications
 from repro.sim.telemetry import TelemetryConfig
 from repro.topology.graphs import ring_graph, torus_neighbor_graph
 from repro.workload.generators import (
@@ -34,6 +34,7 @@ from repro.workload.generators import (
 )
 from repro.workload.scripted import ScriptedProgram
 from repro.workload.synthetic import NeighborExchangeProgram, build_programs
+from tests.sim.mappings import block_mapping
 
 
 #: Tests that construct a BatchMachine need the compiled core.
@@ -56,7 +57,7 @@ def small_setup(radix=4, dimensions=2, contexts=2, switching="cut_through",
         programs = build_programs(
             graph, 1, config.compute_cycles, config.compute_jitter
         )
-        mapping = block_collocation_mapping(nodes * contexts, nodes)
+        mapping = block_mapping(nodes * contexts, nodes)
     else:
         graph = torus_neighbor_graph(radix, dimensions)
         programs = build_programs(
@@ -139,9 +140,9 @@ class TestBatchParity:
         config, mapping, programs = small_setup()
         seeds = (config.seed, config.seed + 1)
         telemetry = TelemetryConfig(epoch_cycles=128)
-        batched = run_batch(
+        batched = run_replications(
             config, mapping, programs, seeds, telemetry=telemetry
-        )
+        ).summaries
         serial = serial_summaries(
             config, mapping, programs, seeds, telemetry=telemetry
         )
@@ -203,9 +204,9 @@ class TestEngineSelection:
         seeds = (config.seed, config.seed + 1)
         telemetry = TelemetryConfig(epoch_cycles=128)
         built = count_batch_machines(monkeypatch)
-        batched = run_batch(
+        batched = run_replications(
             config, mapping, programs, seeds, telemetry=telemetry
-        )
+        ).summaries
         assert built == []
         serial = serial_summaries(
             config, mapping, programs, seeds, telemetry=telemetry
@@ -428,6 +429,20 @@ class TestValidation:
         machine.run()
         with pytest.raises(SimulationError):
             machine.run()
+
+    @needs_core
+    @pytest.mark.parametrize("switching", ["cut_through", "wormhole"])
+    def test_negative_warmup_is_rejected_by_core_and_serial_machines(
+        self, switching
+    ):
+        config, mapping, programs = small_setup(switching=switching)
+        message = "warmup must be >= 0, got -1"
+        with pytest.raises(ParameterError, match=message):
+            run_batch(config, mapping, programs, [7], warmup=-1)
+        with pytest.raises(ParameterError, match=message):
+            Machine(config, mapping, programs).run(warmup=-1)
+        with pytest.raises(ParameterError, match="measure must be positive"):
+            run_batch(config, mapping, programs, [7], measure=0)
 
 
 class TestSeeds:

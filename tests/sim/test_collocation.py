@@ -4,16 +4,14 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.mapping.base import Mapping
-from repro.mapping.strategies import (
-    block_collocation_mapping,
-    identity_mapping,
-)
+from repro.mapping.strategies import identity_mapping
 from repro.sim.batch import run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
 from repro.sim.replicate import default_seeds
 from repro.topology.graphs import ring_graph
 from repro.workload.synthetic import build_programs
+from tests.sim.mappings import block_mapping
 
 
 def ring_machine(mapping, contexts=2, radix=4):
@@ -47,7 +45,7 @@ class TestValidation:
         graph = ring_graph(32)
         programs = build_programs(graph, 2, 8, 0.5)  # two instances: wrong
         with pytest.raises(SimulationError):
-            Machine(config, block_collocation_mapping(32, 16), programs)
+            Machine(config, block_mapping(32, 16), programs)
 
     def test_collocation_requires_balanced_load(self):
         config = SimulationConfig(radix=4, dimensions=2, contexts=2)
@@ -73,7 +71,7 @@ class TestValidation:
 
 class TestCollocationLocality:
     def test_collocated_ring_runs(self):
-        machine = ring_machine(block_collocation_mapping(32, 16))
+        machine = ring_machine(block_mapping(32, 16))
         summary = machine.run()
         assert summary.transactions > 0
 
@@ -93,7 +91,7 @@ class TestCollocationLocality:
         )
         seeds = default_seeds(config.seed, 8)
         good = run_batch(
-            config, block_collocation_mapping(32, 16), programs, seeds
+            config, block_mapping(32, 16), programs, seeds
         )
         bad = run_batch(config, shuffled_collocation(32, 16), programs, seeds)
         assert sum(s.messages_sent for s in good) < 0.85 * sum(
@@ -104,7 +102,7 @@ class TestCollocationLocality:
         # Collocated communicating threads share the node's cache, so
         # their exchanges become cache hits; total completed accesses
         # rise and processors idle less.
-        good = ring_machine(block_collocation_mapping(32, 16)).run()
+        good = ring_machine(block_mapping(32, 16)).run()
         bad = ring_machine(shuffled_collocation(32, 16)).run()
         assert (
             good.cache_hits + good.transactions
@@ -113,7 +111,7 @@ class TestCollocationLocality:
         assert good.idle_fraction < bad.idle_fraction
 
     def test_collocated_neighbors_communicate_through_the_cache(self):
-        good = ring_machine(block_collocation_mapping(32, 16)).run()
+        good = ring_machine(block_mapping(32, 16)).run()
         bad = ring_machine(shuffled_collocation(32, 16)).run()
         # Half of each thread's ring partners are on-node under blocked
         # collocation: those exchanges become hits.

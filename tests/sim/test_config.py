@@ -48,12 +48,5 @@ class TestDerived:
     def test_to_network_uses_speedup(self):
         assert SimulationConfig(network_speedup=2).to_network(5) == 10
 
-    def test_with_contexts(self):
-        assert SimulationConfig().with_contexts(4).contexts == 4
-
     def test_with_seed(self):
         assert SimulationConfig().with_seed(7).seed == 7
-
-    def test_scaled_for_testing_shrinks_windows(self):
-        scaled = SimulationConfig().scaled_for_testing()
-        assert scaled.total_network_cycles < SimulationConfig().total_network_cycles

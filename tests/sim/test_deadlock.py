@@ -3,7 +3,7 @@
 The dateline VC scheme makes routing deadlock impossible for e-cube
 routes, so the stall counter is a safety net for bugs — but a safety net
 only helps if it actually fires.  These tests craft a genuine circular
-wait with ``inject_on_route`` (two worms holding each other's next
+wait with :func:`inject_on_route` (two worms holding each other's next
 channel, a cycle e-cube routing can never produce) and check that the
 fabric raises :class:`SimulationError` at exactly ``stall_limit``
 no-progress cycles, and that *any* progressing cycle — here, an
@@ -13,12 +13,23 @@ than merely pausing it.
 
 from repro.errors import SimulationError
 from repro.sim.message import Message, MessageKind
-from repro.sim.wormhole import WormholeFabric
+from repro.sim.wormhole import Worm, WormholeFabric
 from repro.topology.torus import Torus
 
 # On the radix-4 ring: channel 0->1 and channel 1->0, both VC 0.
 FORWARD = ("link", 0, 0, 1, 0)
 BACKWARD = ("link", 1, 0, -1, 0)
+
+
+def inject_on_route(fabric, message, route_keys, cycle):
+    """Queue a worm on an explicit channel-key route, bypassing e-cube
+    and dateline route construction, so a test can build a channel
+    dependency (a circular wait) that legal routing never produces."""
+    message.injected_at = cycle
+    worm = Worm(
+        message=message, route=[fabric._channel_index[key] for key in route_keys]
+    )
+    fabric._enqueue(worm, worm.route[0])
 
 
 def control(source, destination, tag):
@@ -35,13 +46,13 @@ def circular_wait_fabric(stall_limit):
     the last progressing cycle.
     """
     torus = Torus(radix=4, dimensions=1)
-    fabric = WormholeFabric(torus, on_delivery=lambda worm: None,
-                            stall_limit=stall_limit)
-    fabric.inject_on_route(
-        control(0, 0, 0), [("inj", 0), FORWARD, BACKWARD, ("ej", 0)], 0
+    fabric = WormholeFabric(torus, on_delivery=lambda worm: None)
+    fabric.stall_limit = stall_limit
+    inject_on_route(
+        fabric, control(0, 0, 0), [("inj", 0), FORWARD, BACKWARD, ("ej", 0)], 0
     )
-    fabric.inject_on_route(
-        control(1, 1, 1), [("inj", 1), BACKWARD, FORWARD, ("ej", 1)], 0
+    inject_on_route(
+        fabric, control(1, 1, 1), [("inj", 1), BACKWARD, FORWARD, ("ej", 1)], 0
     )
     return fabric
 
@@ -50,7 +61,7 @@ def raise_cycle(fabric, inject_at=None, message=None, route=None, limit=5000):
     """Tick until the stall safety net fires; return the raising cycle."""
     for cycle in range(limit):
         if inject_at is not None and cycle == inject_at:
-            fabric.inject_on_route(message, route, cycle)
+            inject_on_route(fabric, message, route, cycle)
         try:
             fabric.tick(cycle)
         except SimulationError:

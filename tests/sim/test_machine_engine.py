@@ -11,10 +11,7 @@ The unit tests pin the calendar arithmetic the parity rests on:
 
 import pytest
 
-from repro.mapping.strategies import (
-    block_collocation_mapping,
-    identity_mapping,
-)
+from repro.mapping.strategies import identity_mapping
 from repro.sim.batch import run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.cut_through import CutThroughFabric
@@ -26,6 +23,7 @@ from repro.sim.wormhole import WormholeFabric
 from repro.topology.graphs import ring_graph, torus_neighbor_graph
 from repro.topology.torus import Torus
 from repro.workload.synthetic import build_programs
+from tests.sim.mappings import block_mapping
 
 
 def make_machine(
@@ -52,7 +50,7 @@ def make_machine(
     if collocated:
         graph = ring_graph(nodes * contexts)
         programs = build_programs(graph, 1, compute, config.compute_jitter)
-        mapping = block_collocation_mapping(nodes * contexts, nodes)
+        mapping = block_mapping(nodes * contexts, nodes)
     else:
         graph = torus_neighbor_graph(radix, dimensions)
         programs = build_programs(

@@ -64,12 +64,6 @@ class TestOverlap:
         quad = make_machine(contexts=4).run(warmup=500, measure=4000)
         assert quad.idle_fraction < single.idle_fraction
 
-    def test_blocked_context_accounting(self):
-        machine = make_machine(contexts=4)
-        machine.run(warmup=100, measure=500)
-        for processor in machine.processors:
-            assert 0 <= processor.blocked_contexts <= 4
-
 
 class TestDeterminism:
     def test_same_seed_same_results(self):

@@ -184,7 +184,8 @@ class TestTelemetry:
         seeds = default_seeds(config.seed, 2)
         telemetry = TelemetryConfig(epoch_cycles=128)
         enabled_before = obs.is_enabled()
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         obs.REGISTRY.reset()
         try:
             machines = machine_runs(
@@ -205,7 +206,7 @@ class TestTelemetry:
             obs.reset()
             obs.REGISTRY.reset()
             if not enabled_before:
-                obs.disable()
+                obs._STATE.enabled = False
         want = (
             merge_snapshots([summary.telemetry for summary in machines]),
             want_histogram,

@@ -17,10 +17,8 @@ from repro.sim.wormhole import WormholeFabric
 from repro.topology.torus import Torus
 
 
-def _wormhole(radix, dimensions, on_delivery=lambda worm: None, **kwargs):
-    return WormholeFabric(
-        Torus(radix=radix, dimensions=dimensions), on_delivery, **kwargs
-    )
+def _wormhole(radix, dimensions, on_delivery=lambda worm: None):
+    return WormholeFabric(Torus(radix=radix, dimensions=dimensions), on_delivery)
 
 
 class TestWormholeRoutes:
@@ -109,7 +107,8 @@ class TestQuiescentFastForward:
         assert fabric.quiescent()
 
     def test_stall_counter_resets_when_idle(self):
-        fabric = _wormhole(4, 2, stall_limit=5)
+        fabric = _wormhole(4, 2)
+        fabric.stall_limit = 5
         # Idle ticks must never accumulate toward the stall limit.
         for cycle in range(20):
             fabric.tick(cycle)

@@ -27,7 +27,6 @@ from repro.sim.telemetry import (
     FabricTelemetry,
     TelemetryConfig,
     TelemetrySummary,
-    detect_saturation,
     emit_trace_counters,
     merge_snapshots,
     probe_schedule,
@@ -412,16 +411,6 @@ class TestSaturation:
         assert report.onset_epoch is None and report.onset_cycle is None
         assert "no tree saturation" in report.render()
 
-    def test_threshold_override_and_validation(self):
-        result = run_probe(
-            "tree_saturation", radix=4, cycles=300,
-            telemetry=TelemetryConfig(epoch_cycles=32),
-        )
-        relaxed = detect_saturation(result.summary, threshold=10_000)
-        assert not relaxed.saturated
-        with pytest.raises(ParameterError):
-            detect_saturation(result.summary, threshold=0)
-
 
 class TestExport:
     def test_jsonl_round_trip(self, tmp_path):
@@ -444,31 +433,40 @@ class TestExport:
 
     def test_trace_counters_no_op_when_disabled(self):
         _, telemetry, _ = drive_fabric(WormholeFabric)
-        obs.disable()
+        obs._STATE.enabled = False
         assert emit_trace_counters(telemetry.snapshot()) == 0
 
     def test_trace_counters_emit_per_epoch(self):
         _, telemetry, _ = drive_fabric(WormholeFabric)
         snapshot = telemetry.snapshot()
         enabled_before = obs.is_enabled()
-        obs.enable(fresh=True)
+        obs.enable()
+        obs.reset()
         try:
-            emitted = emit_trace_counters(snapshot, prefix="probe")
+            emitted = emit_trace_counters(snapshot)
             assert emitted == len(snapshot["busy"])
             events = obs.trace().chrome_trace_events()
             counters = [e for e in events if e["ph"] == "C"]
             assert len(counters) == emitted
-            assert counters[0]["name"] == "probe.telemetry"
+            assert counters[0]["name"] == "fabric.telemetry"
             assert set(counters[0]["args"]) == {
                 "mean_link_rho", "max_queue_depth", "delivered",
             }
         finally:
             obs.reset()
             if not enabled_before:
-                obs.disable()
+                obs._STATE.enabled = False
 
 
 class TestProbe:
+    @pytest.mark.parametrize("sizes, message", [
+        ({"radix": 1}, "radix must be >= 2, got 1"),
+        ({"cycles": 0}, "cycles must be >= 1, got 0"),
+    ])
+    def test_run_probe_rejects_invalid_sizes(self, sizes, message):
+        with pytest.raises(ParameterError, match=message):
+            run_probe("uniform", **sizes)
+
     def test_probe_schedule_rejects_unknown_workload(self):
         with pytest.raises(ParameterError, match="unknown workload"):
             probe_schedule(4, 2, 10, "bogus")

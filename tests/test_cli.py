@@ -54,21 +54,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "slowdown = 8" in out
 
+    @pytest.mark.parametrize("processors", ["0", "-5"])
+    def test_gain_reports_bad_input_without_a_traceback(self, processors, capsys):
+        assert main(["gain", "--processors", processors]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gain failed: ")
+        assert "Traceback" not in err
+
     def test_symbols_command(self, capsys):
         assert main(["symbols"]) == 0
         out = capsys.readouterr().out
         assert "latency sensitivity" in out
         assert "T_h" in out
 
-    def test_report_command(self, tmp_path, capsys):
-        target = tmp_path / "out.md"
-        # Restrict to a cheap analytic experiment via direct API; the CLI
-        # writes the full registry, so here we only smoke-test the flag
-        # plumbing with the quickest acceptable configuration.
-        from repro.analysis.report import write_report
+    def test_report_command(self, tmp_path, capsys, monkeypatch):
+        # The CLI writes the whole registry; restrict it to one cheap
+        # analytic experiment to smoke-test the flag plumbing.
+        from repro.experiments import runner
 
-        write_report(str(target), ["table-1"], quick=True)
-        assert target.exists()
+        monkeypatch.setattr(
+            runner, "REGISTRY", {"table-1": runner.REGISTRY["table-1"]}
+        )
+        target = tmp_path / "out.md"
+        assert main(["report", "--output", str(target)]) == 0
+        assert "## table-1:" in target.read_text()
+        assert f"report written to {target}" in capsys.readouterr().out
 
 
 class TestRunFlags:
@@ -153,7 +163,7 @@ class TestSimCli:
         finally:
             obs.reset()
             if not enabled_before:
-                obs.disable()
+                obs._STATE.enabled = False
         for name in (
             "telemetry.jsonl", "saturation.json", "heatmap.txt",
             "trace.json", "manifest.json",
@@ -208,3 +218,25 @@ class TestSimCli:
         out = capsys.readouterr().out
         assert "telemetry" not in out
         assert "telemetry" not in json.loads(target.read_text())
+
+    @pytest.mark.parametrize("switching", ["cut_through", "wormhole"])
+    def test_replicate_rejects_negative_warmup(self, switching, capsys):
+        assert sim_main(
+            [
+                "replicate", "--radix", "4", "--seeds", "1",
+                "--warmup", "-1", "--switching", switching,
+            ]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "replicate failed: warmup must be >= 0, got -1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--radix", "1"], "radix must be >= 2, got 1"),
+        (["--cycles", "0"], "cycles must be >= 1, got 0"),
+    ])
+    def test_probe_rejects_invalid_sizes(self, flag, message, capsys):
+        assert sim_main(["probe", "--workload", "uniform", *flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"probe failed: {message}\n"
+        assert captured.out == ""

@@ -28,10 +28,6 @@ class TestClockDomainConstruction:
 
 
 class TestConversions:
-    def test_processor_cycle_lasts_speedup_network_cycles(self):
-        clocks = ClockDomain(network_speedup=2.0)
-        assert clocks.processor_cycle_in_network_cycles == 2.0
-        assert clocks.network_cycle_in_processor_cycles == 0.5
 
     def test_to_network_scales_up_durations(self):
         clocks = ClockDomain(network_speedup=2.0)
@@ -44,12 +40,6 @@ class TestConversions:
     def test_roundtrip_identity(self):
         clocks = ClockDomain(network_speedup=1.7)
         assert clocks.to_processor(clocks.to_network(13.0)) == pytest.approx(13.0)
-
-    def test_rate_conversion_is_inverse_of_duration_conversion(self):
-        clocks = ClockDomain(network_speedup=2.0)
-        # 0.1 events per processor cycle = 0.05 events per network cycle.
-        assert clocks.rate_to_network(0.1) == pytest.approx(0.05)
-        assert clocks.rate_to_processor(0.05) == pytest.approx(0.1)
 
     def test_equal_clocks_conversions_are_identity(self):
         assert EQUAL_CLOCKS.to_network(7.0) == 7.0

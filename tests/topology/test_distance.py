@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.topology.distance import (
-    per_dimension_random_distance,
     random_traffic_distance,
     random_traffic_distance_exact,
     random_traffic_distance_for_size,
@@ -82,12 +81,3 @@ class TestForSize:
     def test_rejects_sizes_at_or_below_one(self):
         with pytest.raises(ParameterError):
             random_traffic_distance_for_size(1, 2)
-
-
-class TestPerDimension:
-    def test_quarter_ring(self):
-        assert per_dimension_random_distance(8) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ParameterError):
-            per_dimension_random_distance(0)

@@ -10,8 +10,6 @@ from repro.workload.generators import (
     HotSpotProgram,
     PermutationProgram,
     UniformRandomProgram,
-    bit_reverse_partners,
-    transpose_partners,
     uniform_random_graph_programs,
 )
 
@@ -127,30 +125,6 @@ class TestHotSpot:
                 instance=0, thread=3, threads=16, hot_thread=0,
                 hot_fraction=fraction, compute_cycles_mean=8,
             )
-
-
-class TestPartnerConstructions:
-    def test_transpose_has_no_self_partners(self):
-        partners = transpose_partners(8)
-        assert all(p != t for t, p in enumerate(partners))
-
-    def test_transpose_off_diagonal_is_involution(self):
-        partners = transpose_partners(8)
-        # Off-diagonal threads: partner's partner is the thread itself.
-        for row in range(8):
-            for col in range(8):
-                if row != col:
-                    thread = row * 8 + col
-                    assert partners[partners[thread]] == thread
-
-    def test_bit_reverse_has_no_self_partners(self):
-        partners = bit_reverse_partners(16)
-        assert all(p != t for t, p in enumerate(partners))
-        assert all(0 <= p < 16 for p in partners)
-
-    def test_bit_reverse_rejects_non_power_of_two(self):
-        with pytest.raises(ParameterError):
-            bit_reverse_partners(12)
 
 
 class TestGraphSizedBuilders:

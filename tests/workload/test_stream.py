@@ -46,11 +46,6 @@ class TestSplitMix64:
             9817491932198370423,
         ]
 
-    def test_seeded_from_the_spawned_sequence(self):
-        child = np.random.SeedSequence(1992).spawn(4)[3]
-        stream = NodeStream.from_seed_sequence(child)
-        assert stream.state == int(child.generate_state(1, np.uint64)[0])
-
     def test_state_wraps_mod_2_64(self):
         stream = NodeStream(2**64 - 1)
         stream.next64()
