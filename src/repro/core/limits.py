@@ -138,7 +138,7 @@ def size_to_reach_fraction(
     low, high = 2.0, 1e9
     if per_hop(high) < target:
         raise ParameterError(
-            f"per-hop latency does not reach {fraction:.0%} of its limit "
+            f"per-hop latency does not reach {fraction:g} of its limit "
             f"by N = {high:g}"
         )
     if per_hop(low) >= target:

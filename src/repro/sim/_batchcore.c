@@ -74,7 +74,7 @@ enum { DS_UNOWNED = 0, DS_SHARED = 1, DS_MODIFIED = 2 };
 
 enum {
     OP_HANDLE = 0, OP_BEGIN = 1, OP_LAUNCH = 2, OP_REPLY = 3,
-    OP_FINISH = 4, OP_DEFER = 5, OP_NOP = 6,
+    OP_FINISH = 4, OP_DEFER = 5,
 };
 
 #define UID_STRIDE (1LL << 20)
@@ -139,15 +139,6 @@ typedef struct {
     DefItem *ditems;
     int dhead, dcount, dcap;
 } Dir;
-
-/* LRU-as-dict-order cache: append-only (block, seq) log per
- * (rep, node); an entry is live iff the block's state is non-invalid
- * and its seq matches.  Compacted when the log outgrows the live set. */
-typedef struct {
-    int *items;  /* pairs (block, seq) */
-    int start, end, cap;
-    int live, seq;
-} CacheLog;
 
 /* Per-channel FIFO of waiting transit ids: a ring whose capacity is
  * a power of two. */
@@ -222,18 +213,17 @@ typedef struct {
     i64 issued, completed, comp_last;
     int measuring;
     i64 sent, flits_sum, flits_sq, delivered, lat_total, hops_total;
-    i64 hopl_count, started, rcompleted, lcompleted, txn_lat, evictions;
+    i64 hopl_count, started, rcompleted, lcompleted, txn_lat;
     i64 hits, idle, switches;
     double hopl_total;
     int *batch;  /* ctrl- and processor-phase scratch */
-    /* Caches and directory: cache_state, cache_seq and outstanding
-     * (-1 or a Req index) are [block * N + node], dir is [block] and
-     * clog is [node]. */
+    /* Caches and directory: cache_state (a CS_* value) and
+     * outstanding (-1 or a Req index) are [block * N + node], 5 bytes
+     * a cell; dir is [block].  Caches never evict: a line leaves
+     * only through an invalidation or a fetch. */
     int8_t *cache_state;
-    int *cache_seq;
     int *outstanding;
     Dir *dir;
-    CacheLog *clog;
     /* pools */
     Msg *msgs;
     int msgs_cap, msg_free;
@@ -254,7 +244,7 @@ typedef struct {
  * run mutates lives in its Rep, so bc_advance calls on different
  * replications may run at the same time on different threads. */
 typedef struct Batch {
-    int R, N, dims, radix, capacity, channels, links;
+    int R, N, dims, radix, channels, links;
     int req_cost, recv_cost, send_cost, mem_cost;
     int contexts, speedup, hit_cycles, switch_cycles;
     int nblocks;
@@ -394,98 +384,13 @@ static void req_add_waiter(Rep *rep, int ridx, int is_write, i64 handle) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Cache (LRU-as-dict-order) over the append-only log.                 */
+/* Per-(block, node) cache state and outstanding request.              */
 /* ------------------------------------------------------------------ */
 
 #define CSTATE(b, rep, blk, node) \
     ((rep)->cache_state[(size_t)(blk) * (b)->N + (node)])
-#define CSEQ(b, rep, blk, node) \
-    ((rep)->cache_seq[(size_t)(blk) * (b)->N + (node)])
 #define OUTST(b, rep, blk, node) \
     ((rep)->outstanding[(size_t)(blk) * (b)->N + (node)])
-
-static void clog_append(const Batch *b, Rep *rep, CacheLog *cl, int node,
-                        int block, int seq) {
-    if (cl->end >= cl->cap) {
-        /* Compact first if the log is mostly stale, else grow. */
-        if (cl->end - cl->start > 4 * cl->live + 16) {
-            int w = cl->start;
-            for (int i = cl->start; i < cl->end; i++) {
-                int blk = cl->items[2 * i], sq = cl->items[2 * i + 1];
-                if (CSTATE(b, rep, blk, node) != CS_INVALID &&
-                    CSEQ(b, rep, blk, node) == sq) {
-                    cl->items[2 * w] = blk;
-                    cl->items[2 * w + 1] = sq;
-                    w++;
-                }
-            }
-            /* slide to origin */
-            memmove(cl->items, cl->items + 2 * cl->start,
-                    (size_t)(w - cl->start) * 2 * sizeof(int));
-            cl->end = w - cl->start;
-            cl->start = 0;
-        }
-        if (cl->end >= cl->cap) {
-            cl->cap = cl->cap ? cl->cap * 2 : 16;
-            cl->items = (int *)realloc(cl->items,
-                                       (size_t)cl->cap * 2 * sizeof(int));
-        }
-    }
-    cl->items[2 * cl->end] = block;
-    cl->items[2 * cl->end + 1] = seq;
-    cl->end++;
-}
-
-static int cache_get(const Batch *b, Rep *rep, int node, int block) {
-    return CSTATE(b, rep, block, node);
-}
-
-/* cache.pop(block, None): returns prior state (CS_INVALID if absent). */
-static int cache_pop(const Batch *b, Rep *rep, int node, int block) {
-    int st = CSTATE(b, rep, block, node);
-    if (st != CS_INVALID) {
-        CSTATE(b, rep, block, node) = CS_INVALID;
-        rep->clog[node].live--;
-    }
-    return st;
-}
-
-/* cache[block] = state after a pop: append to the back of LRU order. */
-static void cache_put(const Batch *b, Rep *rep, int node, int block,
-                      int state) {
-    CacheLog *cl = &rep->clog[node];
-    int seq = ++cl->seq;
-    CSTATE(b, rep, block, node) = (int8_t)state;
-    CSEQ(b, rep, block, node) = seq;
-    cl->live++;
-    clog_append(b, rep, cl, node, block, seq);
-}
-
-/* record_access: pop + reinsert (touch). */
-static void cache_touch(const Batch *b, Rep *rep, int node, int block) {
-    if (CSTATE(b, rep, block, node) == CS_INVALID) return;
-    CacheLog *cl = &rep->clog[node];
-    int seq = ++cl->seq;
-    CSEQ(b, rep, block, node) = seq;
-    clog_append(b, rep, cl, node, block, seq);
-}
-
-/* First live entry in LRU order that is neither `block` nor
- * outstanding (port of the _install victim scan over dict order). */
-static int cache_victim(const Batch *b, Rep *rep, int node, int block) {
-    CacheLog *cl = &rep->clog[node];
-    for (int i = cl->start; i < cl->end; i++) {
-        int blk = cl->items[2 * i], sq = cl->items[2 * i + 1];
-        if (CSTATE(b, rep, blk, node) == CS_INVALID ||
-            CSEQ(b, rep, blk, node) != sq) {
-            if (i == cl->start) cl->start++;
-            continue;
-        }
-        if (blk == block || OUTST(b, rep, blk, node) >= 0) continue;
-        return blk;
-    }
-    return -1;
-}
 
 /* ------------------------------------------------------------------ */
 /* Directory entries.                                                  */
@@ -785,37 +690,6 @@ static void do_run_deferred(const Batch *b, Rep *rep, int node, int block) {
                   it.requester, block, it.txn);
 }
 
-static void do_absorb_writeback(const Batch *b, Rep *rep, int node,
-                                int block, int source, int source_retains);
-static void do_evict(const Batch *b, Rep *rep, int node, int block);
-
-static void do_install(const Batch *b, Rep *rep, int node, int block,
-                       int state) {
-    cache_pop(b, rep, node, block);
-    cache_put(b, rep, node, block, state);
-    if (b->capacity <= 0) return;
-    CacheLog *cl = &rep->clog[node];
-    while (cl->live > b->capacity) {
-        int victim = cache_victim(b, rep, node, block);
-        if (victim < 0) return;
-        do_evict(b, rep, node, victim);
-        if (rep->errcode) return;
-    }
-}
-
-static void do_evict(const Batch *b, Rep *rep, int node, int block) {
-    int state = cache_pop(b, rep, node, block);
-    if (rep->measuring) rep->evictions++;
-    if (state != CS_MODIFIED) return;
-    int home = b->block_home[block];
-    if (home == node) {
-        do_absorb_writeback(b, rep, node, block, node, 0);
-        ctrl_schedule(rep, node, b->mem_cost, OP_NOP, 0, 0, 0, 0);
-    } else {
-        do_emit(b, rep, node, K_WB, home, block, -1);
-    }
-}
-
 static void do_grant_write(const Batch *b, Rep *rep, int node, int block,
                            int requester, i64 txn) {
     Dir *d = dir_entry(rep, block);
@@ -830,8 +704,7 @@ static void do_home_read(const Batch *b, Rep *rep, int node, int block,
     Dir *d = dir_entry(rep, block);
     if (d->state == DS_MODIFIED && d->owner != requester) {
         if (d->owner == node) {
-            do_install(b, rep, node, block, CS_SHARED);
-            d = dir_entry(rep, block);
+            CSTATE(b, rep, block, node) = CS_SHARED;
             d->state = DS_SHARED;
             set_reset(&d->sharers);
             set_add(&d->sharers, node);
@@ -866,7 +739,7 @@ static void do_home_write(const Batch *b, Rep *rep, int node, int block,
     Dir *d = dir_entry(rep, block);
     if (d->state == DS_MODIFIED && d->owner != requester) {
         if (d->owner == node) {
-            cache_pop(b, rep, node, block);
+            CSTATE(b, rep, block, node) = CS_INVALID;
             d->owner = requester;
             do_reply_with_data(b, rep, node, block, requester, txn);
             return;
@@ -887,7 +760,8 @@ static void do_home_write(const Batch *b, Rep *rep, int node, int block,
     int pending = 0;
     for (int i = 0; i < d->sharers.used; i++) {
         int s = d->sharers.ids[i];
-        if (s == node && node != requester) cache_pop(b, rep, node, block);
+        if (s == node && node != requester)
+            CSTATE(b, rep, block, node) = CS_INVALID;
         else if (s != requester) pending++;
     }
     if (pending) {
@@ -943,56 +817,41 @@ static void do_home_handle_ack(const Batch *b, Rep *rep, int node,
     do_run_deferred(b, rep, node, block);
 }
 
-static void do_absorb_writeback(const Batch *b, Rep *rep, int node,
-                                int block, int source, int source_retains) {
+/* The owner's answer to a FETCH or FETCH_INVALIDATE completes the
+ * transaction that fetch serves; a FETCH leaves the old owner Shared. */
+static void do_home_handle_writeback(const Batch *b, Rep *rep, int node,
+                                     int block, int source) {
     Dir *d = dir_entry(rep, block);
-    if (d->txn_active && d->txn_wb) {
-        int requester = d->txn_requester;
-        int is_write = d->txn_is_write;
-        i64 uid = d->txn_uid;
-        d->txn_active = 0;
-        d->busy = 0;
-        if (is_write) {
-            d->state = DS_MODIFIED;
-            set_reset(&d->sharers);
-            d->owner = requester;
-        } else {
-            d->state = DS_SHARED;
-            set_reset(&d->sharers);
-            set_add(&d->sharers, requester);
-            if (source_retains) set_add(&d->sharers, source);
-            d->owner = -1;
-        }
-        do_reply_with_data(b, rep, node, block, requester, uid);
-        do_run_deferred(b, rep, node, block);
+    if (!d->txn_active || !d->txn_wb) {
+        fail(rep, 2, "writeback with no fetch pending");
         return;
     }
-    if (d->txn_active) {
-        fail(rep, 2, "writeback collided with a non-fetch transaction");
-        return;
-    }
-    if (d->state != DS_MODIFIED || d->owner != source) {
-        fail(rep, 2, "eviction writeback does not match directory state");
-        return;
-    }
-    d->state = DS_UNOWNED;
+    int requester = d->txn_requester;
+    int is_write = d->txn_is_write;
+    i64 uid = d->txn_uid;
+    d->txn_active = 0;
+    d->busy = 0;
     set_reset(&d->sharers);
-    d->owner = -1;
+    if (is_write) {
+        d->state = DS_MODIFIED;
+        d->owner = requester;
+    } else {
+        d->state = DS_SHARED;
+        set_add(&d->sharers, requester);
+        set_add(&d->sharers, source);
+        d->owner = -1;
+    }
+    do_reply_with_data(b, rep, node, block, requester, uid);
     do_run_deferred(b, rep, node, block);
 }
 
 static void do_handle_fetch(const Batch *b, Rep *rep, int node, int block,
                             int source, i64 txn, int invalidate) {
-    int state = cache_get(b, rep, node, block);
-    if (state == CS_INVALID) return;
-    if (state != CS_MODIFIED) {
+    if (CSTATE(b, rep, block, node) != CS_MODIFIED) {
         fail(rep, 2, "fetch for a block not in M state");
         return;
     }
-    if (invalidate)
-        cache_pop(b, rep, node, block);
-    else
-        do_install(b, rep, node, block, CS_SHARED);
+    CSTATE(b, rep, block, node) = invalidate ? CS_INVALID : CS_SHARED;
     do_emit(b, rep, node, K_WB, source, block, txn);
 }
 
@@ -1011,7 +870,7 @@ static void do_complete_remote_miss(const Batch *b, Rep *rep, int node,
     OUTST(b, rep, block, node) = -1;
     Req *req = &rep->reqs[ridx];
     int state = req->is_write ? CS_MODIFIED : CS_SHARED;
-    do_install(b, rep, node, block, state);
+    CSTATE(b, rep, block, node) = (int8_t)state;
     if (rep->measuring) {
         rep->rcompleted++;
         rep->txn_lat += cycle - req->issued_at;
@@ -1034,7 +893,7 @@ static void do_finish_local(const Batch *b, Rep *rep, int node, int block,
     OUTST(b, rep, block, node) = -1;
     Req *req = &rep->reqs[ridx];
     int state = req->is_write ? CS_MODIFIED : CS_SHARED;
-    do_install(b, rep, node, block, state);
+    CSTATE(b, rep, block, node) = (int8_t)state;
     Dir *d = dir_entry(rep, block);
     d->busy = 0;
     int remote = req->messages > 0;
@@ -1122,7 +981,7 @@ static void do_handle(const Batch *b, Rep *rep, int node, int midx,
         do_home_handle_request(b, rep, node, block, source, 1, txn);
         break;
     case K_INV:
-        cache_pop(b, rep, node, block);
+        CSTATE(b, rep, block, node) = CS_INVALID;
         do_emit(b, rep, node, K_ACK, source, block, txn);
         break;
     case K_ACK:
@@ -1135,7 +994,7 @@ static void do_handle(const Batch *b, Rep *rep, int node, int midx,
         do_handle_fetch(b, rep, node, block, source, txn, 1);
         break;
     case K_WB:
-        do_absorb_writeback(b, rep, node, block, source, txn != -1);
+        do_home_handle_writeback(b, rep, node, block, source);
         break;
     default:
         fail(rep, 2, "unhandled message kind");
@@ -1182,8 +1041,6 @@ static void ctrl_execute(const Batch *b, Rep *rep, int node, Ev *ev,
         do_home_handle_request(b, rep, node, ev->a1, ev->a0, ev->b0,
                                ev->a2);
         do_run_deferred(b, rep, node, ev->a1);
-        break;
-    case OP_NOP:
         break;
     }
 }
@@ -1332,10 +1189,6 @@ static void proc_leave(const Batch *b, Rep *rep, Proc *p, Cx *cx, int index) {
     }
     cx[target].state = CX_COMPUTING;
     p->ready--;
-    if (b->switch_cycles == 0) {
-        p->active = target;
-        return;
-    }
     if (rep->measuring) rep->switches++;
     p->switch_left = b->switch_cycles;
     p->switch_target = target;
@@ -1384,7 +1237,6 @@ static void proc_tick(const Batch *b, Rep *rep, int node, i64 cycle) {
     int st = CSTATE(b, rep, block, node);
     if (is_write ? st == CS_MODIFIED : st != CS_INVALID) {
         if (rep->measuring) rep->hits++;
-        cache_touch(b, rep, node, block);
         c->remaining = b->hit_cycles + prog_compute(pg, &p->rng);
         return;
     }
@@ -1570,17 +1422,15 @@ i64 bc_advance(Batch *b, int r, i64 stop) {
 /* Public API.                                                         */
 /* ------------------------------------------------------------------ */
 
-Batch *bc_create(int R, int N, int dims, int radix, int capacity,
-                 int req_cost, int recv_cost, int send_cost, int mem_cost,
-                 int contexts, int speedup, int hit_cycles,
-                 int switch_cycles) {
+Batch *bc_create(int R, int N, int dims, int radix, int req_cost,
+                 int recv_cost, int send_cost, int mem_cost, int contexts,
+                 int speedup, int hit_cycles, int switch_cycles) {
     if (N >= (1 << 20) || dims > 8) return NULL;
     Batch *b = (Batch *)calloc(1, sizeof(Batch));
     b->R = R;
     b->N = N;
     b->dims = dims;
     b->radix = radix;
-    b->capacity = capacity;
     b->req_cost = req_cost;
     b->recv_cost = recv_cost;
     b->send_cost = send_cost;
@@ -1613,7 +1463,6 @@ Batch *bc_create(int R, int N, int dims, int radix, int capacity,
         rep->proc = (Proc *)calloc((size_t)N, sizeof(Proc));
         rep->cx = (Cx *)calloc((size_t)N * contexts, sizeof(Cx));
         rep->woken = (int *)malloc((size_t)N * sizeof(int));
-        rep->clog = (CacheLog *)calloc((size_t)N, sizeof(CacheLog));
         rep->msg_free = -1;
         rep->transit_free = -1;
         rep->req_free = -1;
@@ -1656,10 +1505,7 @@ void bc_destroy(Batch *b) {
             }
         }
         free(rep->dir);
-        for (int i = 0; i < b->N; i++) free(rep->clog[i].items);
-        free(rep->clog);
         free(rep->cache_state);
-        free(rep->cache_seq);
         free(rep->outstanding);
         free(rep->msgs);
         free(rep->transits);
@@ -1685,7 +1531,6 @@ int bc_add_blocks(Batch *b, int n, const int *homes) {
     for (int r = 0; r < b->R; r++) {
         Rep *rep = &b->reps[r];
         rep->cache_state = (int8_t *)calloc(cells, 1);
-        rep->cache_seq = (int *)calloc(cells, sizeof(int));
         rep->outstanding = (int *)malloc(cells * sizeof(int));
         for (size_t i = 0; i < cells; i++) rep->outstanding[i] = -1;
         rep->dir = (Dir *)calloc((size_t)n, sizeof(Dir));
@@ -1754,7 +1599,7 @@ void bc_start_measuring(Batch *b, int r) {
     rep->sent = rep->flits_sum = rep->flits_sq = 0;
     rep->delivered = rep->lat_total = rep->hops_total = 0;
     rep->hopl_count = rep->started = 0;
-    rep->rcompleted = rep->lcompleted = rep->txn_lat = rep->evictions = 0;
+    rep->rcompleted = rep->lcompleted = rep->txn_lat = 0;
     rep->hits = rep->idle = rep->switches = 0;
     rep->hopl_total = 0.0;
 }
@@ -1772,10 +1617,9 @@ void bc_get_counters(Batch *b, int r, i64 *out_i, double *out_d) {
     out_i[8] = rep->rcompleted;
     out_i[9] = rep->lcompleted;
     out_i[10] = rep->txn_lat;
-    out_i[11] = rep->evictions;
-    out_i[12] = rep->hits;
-    out_i[13] = rep->idle;
-    out_i[14] = rep->switches;
+    out_i[11] = rep->hits;
+    out_i[12] = rep->idle;
+    out_i[13] = rep->switches;
     out_d[0] = rep->hopl_total;
 }
 

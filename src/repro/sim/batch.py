@@ -42,7 +42,9 @@ ingredients:
 * **Protocol and fabric order.**  The core executes the same protocol
   events at the same occupancy boundaries in the same FIFO order as the
   serial controller, and the same grant walk and delivery scheduling as
-  the serial cut-through fabric.
+  the serial cut-through fabric.  Both engines take the occupancy, hit
+  and context-switch costs from the constants of
+  :mod:`repro.sim.config`, and neither evicts a cache line.
 
 **Concurrency contract.**  Replications share only read-only tables
 inside the core (geometry, programs, block homes); each one's caches,
@@ -88,7 +90,15 @@ from repro.core.pool import thread_count
 from repro.errors import MappingError, ParameterError, SimulationError
 from repro.mapping.base import Mapping
 from repro.sim import batchcore
-from repro.sim.config import SimulationConfig
+from repro.sim.config import (
+    HIT_CYCLES,
+    MEMORY_CYCLES,
+    RECEIVE_CYCLES,
+    REQUEST_CYCLES,
+    SEND_CYCLES,
+    SWITCH_CYCLES,
+    SimulationConfig,
+)
 from repro.sim.machine import Machine, place_programs
 from repro.sim.stats import MachineStats, MeasurementSummary
 from repro.sim.telemetry import TelemetryConfig
@@ -118,7 +128,7 @@ _COUNTERS = (
     "messages_sent message_flits message_flits_squared messages_delivered "
     "message_latency_total message_hops_total hop_latency_count "
     "remote_started remote_completed local_completed "
-    "transaction_latency_total cache_evictions_count cache_hits_count "
+    "transaction_latency_total cache_hits_count "
     "idle_cycles switches"
 ).split()
 
@@ -272,13 +282,12 @@ class BatchMachine:
         ffi, lib = loaded
         core = lib.bc_create(
             len(seeds), nodes, config.dimensions, config.radix,
-            config.cache_lines,
-            config.to_network(config.request_cycles),
-            config.to_network(config.receive_cycles),
-            config.to_network(config.send_cycles),
-            config.to_network(config.memory_cycles),
-            config.contexts, config.network_speedup, config.hit_cycles,
-            config.switch_cycles,
+            config.to_network(REQUEST_CYCLES),
+            config.to_network(RECEIVE_CYCLES),
+            config.to_network(SEND_CYCLES),
+            config.to_network(MEMORY_CYCLES),
+            config.contexts, config.network_speedup, HIT_CYCLES,
+            SWITCH_CYCLES,
         )
         if core == ffi.NULL:
             raise SimulationError("the compiled batch core refused the torus")

@@ -23,10 +23,9 @@ _SOURCE = Path(__file__).with_name("_batchcore.c")
 
 CDEF = """
 typedef struct Batch Batch;
-Batch *bc_create(int R, int N, int dims, int radix, int capacity,
-                 int req_cost, int recv_cost, int send_cost, int mem_cost,
-                 int contexts, int speedup, int hit_cycles,
-                 int switch_cycles);
+Batch *bc_create(int R, int N, int dims, int radix, int req_cost,
+                 int recv_cost, int send_cost, int mem_cost, int contexts,
+                 int speedup, int hit_cycles, int switch_cycles);
 void bc_destroy(Batch *b);
 int bc_add_blocks(Batch *b, int n, const int *homes);
 int bc_set_programs(Batch *b, const int *records, int ntable,

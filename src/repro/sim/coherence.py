@@ -15,7 +15,8 @@ transactions — the paper's ``g = 3.2``.
 
 The controller models Alewife's single CMMU: one engine per node
 processes protocol events (requests, receives, sends, memory accesses)
-serially, each with a configurable occupancy.  This serialization is what
+serially, each with a fixed occupancy (the ``*_CYCLES`` constants of
+:mod:`repro.sim.config`).  This serialization is what
 makes fixed transaction overhead grow with the number of contexts
 issuing, the effect the analytic calibration captures as ``T_f ~ p``.
 """
@@ -28,7 +29,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
-from repro.sim.config import SimulationConfig
+from repro.sim.config import (
+    MEMORY_CYCLES,
+    RECEIVE_CYCLES,
+    REQUEST_CYCLES,
+    SEND_CYCLES,
+    SimulationConfig,
+)
 from repro.sim.message import Message, MessageKind
 
 __all__ = [
@@ -110,8 +117,8 @@ class CoherenceController:
     node:
         This controller's node id.
     config:
-        Timing parameters (all ``*_cycles`` fields are processor cycles
-        and converted to network cycles here).
+        The machine's clock ratio, which converts the controller's
+        occupancies from processor to network cycles.
     home_of:
         Maps a block to its home node.
     send:
@@ -133,7 +140,6 @@ class CoherenceController:
         wake: Optional[Callable[["CoherenceController"], None]] = None,
     ):
         self.node = node
-        self.config = config
         self.home_of = home_of
         self._send_to_fabric = send
         self.stats = stats
@@ -162,17 +168,14 @@ class CoherenceController:
 
         # Engine occupancies in network cycles, precomputed (the clock
         # conversion is pure and these are read on every protocol event).
-        self._request_cost = self._cost(config.request_cycles)
-        self._receive_cost = self._cost(config.receive_cycles)
-        self._send_cost = self._cost(config.send_cycles)
-        self._memory_cost = self._cost(config.memory_cycles)
+        self._request_cost = config.to_network(REQUEST_CYCLES)
+        self._receive_cost = config.to_network(RECEIVE_CYCLES)
+        self._send_cost = config.to_network(SEND_CYCLES)
+        self._memory_cost = config.to_network(MEMORY_CYCLES)
 
     # ------------------------------------------------------------------
     # Engine: serialized event processing with occupancy.
     # ------------------------------------------------------------------
-
-    def _cost(self, processor_cycles: int) -> int:
-        return self.config.to_network(processor_cycles)
 
     def _schedule(self, cost_network: int, thunk: Callable[[int], None]) -> None:
         self._engine_queue.append((cost_network, thunk))
@@ -221,8 +224,8 @@ class CoherenceController:
     def cache_state(self, block: Block) -> CacheState:
         """Current cache state; absent lines are INVALID.
 
-        The ``cache`` dict holds only S/M lines (in LRU order: least
-        recently used first); invalidation and eviction remove entries.
+        The ``cache`` dict holds only S/M lines; invalidation removes
+        entries.  Caches are unbounded, so nothing else does.
         """
         return self.cache.get(block, CacheState.INVALID)
 
@@ -232,55 +235,6 @@ class CoherenceController:
         if is_write:
             return state is CacheState.MODIFIED
         return state in (CacheState.SHARED, CacheState.MODIFIED)
-
-    def record_access(self, block: Block) -> None:
-        """LRU bookkeeping for a cache hit (processor fast path)."""
-        state = self.cache.pop(block, None)
-        if state is not None:
-            self.cache[block] = state
-
-    # ------------------------------------------------------------------
-    # Cache installation and capacity eviction.
-    # ------------------------------------------------------------------
-
-    def _install(self, block: Block, state: CacheState) -> None:
-        """Install or update a line, evicting LRU lines if over capacity."""
-        self.cache.pop(block, None)
-        self.cache[block] = state
-        capacity = self.config.cache_lines
-        if capacity <= 0:
-            return
-        while len(self.cache) > capacity:
-            victim = self._pick_victim(exclude=block)
-            if victim is None:
-                return  # everything else is mid-transaction; overflow
-            self._evict(victim)
-
-    def _pick_victim(self, exclude: Block):
-        """Least-recently-used line that is safe to evict."""
-        for candidate in self.cache:
-            if candidate == exclude or candidate in self._outstanding:
-                continue
-            return candidate
-        return None
-
-    def _evict(self, block: Block) -> None:
-        """Drop a line: silently for S, with a writeback home for M."""
-        state = self.cache.pop(block)
-        self.stats.cache_eviction()
-        if state is not CacheState.MODIFIED:
-            # Clean lines leave silently; the home's stale sharer bit is
-            # harmless (a later invalidate to a non-holder is just acked).
-            return
-        home = self.home_of(block)
-        if home == self.node:
-            # Update the directory synchronously (a delayed update could
-            # race with a remote request observing the popped cache), and
-            # charge the memory write as plain occupancy.
-            self._home_eviction_writeback(block, self.node, cycle=0)
-            self._schedule(self._memory_cost, lambda done: None)
-        else:
-            self._emit(MessageKind.WRITEBACK, home, block, transaction=-1)
 
     def request(
         self,
@@ -440,7 +394,7 @@ class CoherenceController:
                 # The home itself holds the line modified (the common case
                 # for the synthetic application): downgrade locally and
                 # reply; memory is updated as part of the reply path.
-                self._install(block, CacheState.SHARED)
+                self.cache[block] = CacheState.SHARED
                 entry.state = DirectoryState.SHARED
                 entry.sharers = {self.node, requester}
                 entry.owner = None
@@ -566,62 +520,28 @@ class CoherenceController:
         self._run_deferred(entry)
 
     def _home_handle_writeback(self, message: Message, cycle: int) -> None:
-        """A modified line returned home: fetch response or eviction.
-
-        Eviction writebacks carry ``transaction == -1``; when one arrives
-        while a fetch for the same block is pending, it *is* the data the
-        fetch was after (the owner's copy is gone, but channels between a
-        node pair are FIFO, so the home's fetch will be silently ignored
-        at the evictor) — the pending transaction completes from it, with
-        the evictor excluded from the new sharer set.
-        """
-        self._absorb_writeback(
-            message.block,
-            message.source,
-            source_retains=message.transaction != -1,
-        )
-
-    def _home_eviction_writeback(
-        self, block: Block, source: int, cycle: int
-    ) -> None:
-        """A local (home-resident) modified line was evicted."""
-        self._absorb_writeback(block, source, source_retains=False)
-
-    def _absorb_writeback(
-        self, block: Block, source: int, source_retains: bool
-    ) -> None:
+        """The owner's answer to a FETCH or FETCH_INVALIDATE: complete
+        the transaction that fetch serves."""
+        block = message.block
         home_txn = self._home_transactions.get(block)
+        if home_txn is None or not home_txn.awaiting_writeback:
+            raise ProtocolError(
+                f"writeback for block {block} from node {message.source} "
+                f"at node {self.node} with no fetch pending"
+            )
+        del self._home_transactions[block]
         entry = self._entry(block)
-        if home_txn is not None and home_txn.awaiting_writeback:
-            del self._home_transactions[block]
-            entry.busy = False
-            if home_txn.is_write:
-                entry.state = DirectoryState.MODIFIED
-                entry.sharers = set()
-                entry.owner = home_txn.requester
-            else:
-                entry.state = DirectoryState.SHARED
-                entry.sharers = {home_txn.requester}
-                if source_retains:
-                    entry.sharers.add(source)
-                entry.owner = None
-            self._reply_with_data(block, home_txn.requester, home_txn.transaction_uid)
-            self._run_deferred(entry)
-            return
-        if home_txn is not None:
-            raise ProtocolError(
-                f"writeback for block {block} at node {self.node} collided "
-                "with a non-fetch transaction"
-            )
-        # Plain eviction: the owner gave the line up with nobody waiting.
-        if entry.state is not DirectoryState.MODIFIED or entry.owner != source:
-            raise ProtocolError(
-                f"eviction writeback for block {block} from node {source} "
-                f"but directory says {entry.state.value}/owner={entry.owner}"
-            )
-        entry.state = DirectoryState.UNOWNED
-        entry.sharers = set()
-        entry.owner = None
+        entry.busy = False
+        if home_txn.is_write:
+            entry.state = DirectoryState.MODIFIED
+            entry.sharers = set()
+            entry.owner = home_txn.requester
+        else:
+            # A FETCH leaves the old owner a Shared copy.
+            entry.state = DirectoryState.SHARED
+            entry.sharers = {home_txn.requester, message.source}
+            entry.owner = None
+        self._reply_with_data(block, home_txn.requester, home_txn.transaction_uid)
         self._run_deferred(entry)
 
     def _run_deferred(self, entry: _DirectoryEntry) -> None:
@@ -645,8 +565,6 @@ class CoherenceController:
     # --- remote sharer / owner side --------------------------------------
 
     def _handle_invalidate(self, message: Message, cycle: int) -> None:
-        # Absent lines (already evicted) are acked all the same; the
-        # directory's sharer set may run stale after silent S evictions.
         self.cache.pop(message.block, None)
         self._emit(
             MessageKind.INVALIDATE_ACK, message.source, message.block,
@@ -657,21 +575,15 @@ class CoherenceController:
         self, message: Message, cycle: int, invalidate: bool
     ) -> None:
         state = self.cache_state(message.block)
-        if state is CacheState.INVALID:
-            # Eviction race: our modified copy was evicted and its
-            # writeback is already in flight to the home (channels
-            # between a node pair are FIFO, so the home will see it and
-            # satisfy the transaction this fetch serves).  Ignore.
-            return
         if state is not CacheState.MODIFIED:
             raise ProtocolError(
                 f"fetch at node {self.node} for block {message.block} in "
-                f"state {state.value} (expected M or evicted)"
+                f"state {state.value} (expected M)"
             )
         if invalidate:
-            self.cache.pop(message.block, None)
+            del self.cache[message.block]
         else:
-            self._install(message.block, CacheState.SHARED)
+            self.cache[message.block] = CacheState.SHARED
         self._emit(
             MessageKind.WRITEBACK, message.source, message.block,
             message.transaction,
@@ -689,7 +601,7 @@ class CoherenceController:
         state = (
             CacheState.MODIFIED if record.is_write else CacheState.SHARED
         )
-        self._install(message.block, state)
+        self.cache[message.block] = state
         self.stats.transaction_completed(record.issued_at, cycle, remote=True)
         record.callback(cycle)
         self._release_waiters(record, state, cycle, remote=True)
@@ -704,7 +616,7 @@ class CoherenceController:
         state = (
             CacheState.MODIFIED if record.is_write else CacheState.SHARED
         )
-        self._install(block, state)
+        self.cache[block] = state
         entry = self._entry(block)
         entry.busy = False
         remote = record.messages > 0

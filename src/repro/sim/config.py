@@ -2,17 +2,21 @@
 
 One :class:`SimulationConfig` describes a complete machine + application
 setup: the torus shape, the clock ratio, the processor's multithreading
-parameters, the coherence controller's timing, and the measurement
-windows.  Defaults reconstruct the Alewife-like machine of Section 3.1:
-a radix-8 two-dimensional torus whose switches run twice as fast as the
-processors, four-context-capable processors with an 11-cycle context
-switch, and a full-map invalidate directory protocol.
+parameters and the measurement windows.  Defaults reconstruct the
+Alewife-like machine of Section 3.1: a radix-8 two-dimensional torus
+whose switches run twice as fast as the processors, four-context-capable
+processors, and a full-map invalidate directory protocol.
 
-Time-base convention: fields ending in ``_cycles`` are **processor**
-cycles (they describe processor/controller work); fields ending in
-``_network_cycles`` are network cycles.  The simulator itself advances in
-network cycles and converts at the boundary, exactly as the analytical
-model does.
+The context switch, the coherence controller's occupancies and the cache
+hit are fixed costs of that machine, the module constants below.  Caches
+are unbounded: the validation workload touches about five lines per
+thread, so the paper's 64 KB cache never evicts.
+
+Time-base convention: names ending in ``_CYCLES`` or ``_cycles`` are
+**processor** cycles (they describe processor/controller work); fields
+ending in ``_network_cycles`` are network cycles.  The simulator itself
+advances in network cycles and converts at the boundary, exactly as the
+analytical model does.
 """
 
 from __future__ import annotations
@@ -23,6 +27,21 @@ from typing import Optional, Tuple
 from repro.errors import ParameterError
 
 __all__ = ["SimulationConfig"]
+
+#: Sparcle's context-switch time.
+SWITCH_CYCLES = 11
+#: Coherence controller occupancies, modelling a pipelined hardware
+#: controller (Alewife's CMMU): handling a request from the local
+#: processor (miss detection, transaction setup), receiving and decoding
+#: one network message (including the home's directory lookup),
+#: composing and launching one message, and the DRAM access of a data
+#: reply or writeback merge.
+REQUEST_CYCLES = 1
+RECEIVE_CYCLES = 2
+SEND_CYCLES = 1
+MEMORY_CYCLES = 4
+#: Completing a cache hit (no transaction).
+HIT_CYCLES = 1
 
 
 @dataclass(frozen=True)
@@ -43,35 +62,12 @@ class SimulationConfig:
 
     # --- processor -----------------------------------------------------
     contexts: int = 1
-    #: Cache capacity in lines; 0 means unbounded (the validation
-    #: workload touches only ~5 lines per thread, so the paper's 64 KB
-    #: cache never evicts — finite values enable temporal-locality
-    #: experiments via LRU capacity misses).
-    cache_lines: int = 0
-    #: Sparcle's context-switch time, processor cycles.
-    switch_cycles: int = 11
     #: Mean compute run between memory accesses, processor cycles.
     compute_cycles: int = 8
     #: Half-width of the uniform jitter applied to each compute run, as a
     #: fraction of ``compute_cycles`` (0 disables jitter).  Jitter breaks
     #: the lock-step artifacts a fully deterministic workload produces.
     compute_jitter: float = 0.5
-
-    # --- coherence controller timing (processor cycles) ----------------
-    # Defaults model a pipelined hardware controller (Alewife's CMMU);
-    # raising them shifts the bottleneck from network to controller.
-    #: Handling a request from the local processor (miss detection,
-    #: transaction setup).
-    request_cycles: int = 1
-    #: Receiving and decoding one network message (includes directory
-    #: lookup at the home node).
-    receive_cycles: int = 2
-    #: Composing and launching one network message.
-    send_cycles: int = 1
-    #: DRAM access for a data reply or writeback merge.
-    memory_cycles: int = 4
-    #: Completing a cache hit (no transaction).
-    hit_cycles: int = 1
 
     # --- measurement ---------------------------------------------------
     #: Network cycles to run before statistics start accumulating.
@@ -99,14 +95,6 @@ class SimulationConfig:
             )
         if self.contexts < 1:
             raise ParameterError(f"contexts must be >= 1, got {self.contexts!r}")
-        if self.cache_lines < 0:
-            raise ParameterError(
-                f"cache_lines must be >= 0, got {self.cache_lines!r}"
-            )
-        if self.switch_cycles < 0:
-            raise ParameterError(
-                f"switch_cycles must be >= 0, got {self.switch_cycles!r}"
-            )
         if self.compute_cycles < 1:
             raise ParameterError(
                 f"compute_cycles must be >= 1, got {self.compute_cycles!r}"
@@ -115,15 +103,6 @@ class SimulationConfig:
             raise ParameterError(
                 f"compute_jitter must be in [0, 1), got {self.compute_jitter!r}"
             )
-        for name in (
-            "request_cycles",
-            "receive_cycles",
-            "send_cycles",
-            "memory_cycles",
-            "hit_cycles",
-        ):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
         if self.warmup_network_cycles < 0:
             raise ParameterError("warmup_network_cycles must be >= 0")
         if self.measure_network_cycles <= 0:

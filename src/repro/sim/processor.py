@@ -2,7 +2,7 @@
 
 Each processor has ``p`` hardware contexts, each running one application
 thread.  A context computes for its program-determined run length, then
-performs a memory access; cache hits cost one (configurable) cycle and
+performs a memory access; cache hits cost ``HIT_CYCLES`` (one) cycle and
 execution continues, while misses hand the access to the coherence
 controller and block the context.  On a miss, the processor switches to
 another runnable context if one exists, paying the ``T_s``-cycle context
@@ -33,7 +33,7 @@ from typing import List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.coherence import CoherenceController
-from repro.sim.config import SimulationConfig
+from repro.sim.config import HIT_CYCLES, SWITCH_CYCLES, SimulationConfig
 from repro.workload.base import NodeStream, ThreadProgram
 
 __all__ = ["ContextState", "HardwareContext", "Processor"]
@@ -80,7 +80,6 @@ class Processor:
                 f"{config.contexts} contexts"
             )
         self.node = node
-        self.config = config
         self.controller = controller
         self.stats = stats
         # Deterministic per-node stream, keyed by the state the root seed
@@ -151,9 +150,8 @@ class Processor:
         block, is_write = context.program.next_access(self.rng)
         if self.controller.is_hit(block, is_write):
             self.stats.cache_hit()
-            self.controller.record_access(block)
             context.remaining_cycles = (
-                self.config.hit_cycles + context.program.compute_cycles(self.rng)
+                HIT_CYCLES + context.program.compute_cycles(self.rng)
             )
             return
 
@@ -251,13 +249,8 @@ class Processor:
         if target is None or target == index:
             self._active = None
             return
-        if self.config.switch_cycles == 0:
-            self._active = target
-            self.contexts[target].state = ContextState.COMPUTING
-            self._ready_count -= 1
-            return
         self.switch_count += 1
-        self._switch_remaining = self.config.switch_cycles
+        self._switch_remaining = SWITCH_CYCLES
         self._switch_target = target
         self._active = None
         self.contexts[target].state = ContextState.COMPUTING

@@ -45,7 +45,6 @@ class MeasurementSummary:
     mean_transaction_latency: Optional[float]  # T_t
     messages_per_transaction: Optional[float]  # g
     cache_hits: int
-    cache_evictions: int
     # Processor-level
     idle_fraction: Optional[float]
     context_switches: int
@@ -105,7 +104,6 @@ class MachineStats:
         self.local_completed = 0
         self.transaction_latency_total = 0
         self.cache_hits_count = 0
-        self.cache_evictions_count = 0
         self.link_flits_at_reset: Dict = {}
         self.idle_cycles = 0
         self.switches = 0
@@ -180,11 +178,6 @@ class MachineStats:
             return
         self.cache_hits_count += 1
 
-    def cache_eviction(self) -> None:
-        if not self.measuring:
-            return
-        self.cache_evictions_count += 1
-
     # ------------------------------------------------------------------
     # Reduction.
     # ------------------------------------------------------------------
@@ -248,7 +241,6 @@ class MachineStats:
                 self.messages_sent, self.remote_completed
             ),
             cache_hits=self.cache_hits_count,
-            cache_evictions=self.cache_evictions_count,
             idle_fraction=idle_fraction,
             context_switches=self.switches,
         )

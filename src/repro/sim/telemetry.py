@@ -84,14 +84,13 @@ SNAPSHOT_VERSION = 1
 class TelemetryConfig:
     """Parameters of one telemetry attachment.
 
-    ``epoch_cycles`` is the sampling period ``L``; ``latency_buckets``
-    the histogram bounds (network cycles); ``depth_threshold`` the
-    queue depth at which a channel counts as saturated for the onset
-    detector.
+    ``epoch_cycles`` is the sampling period ``L``; ``depth_threshold``
+    the queue depth at which a channel counts as saturated for the onset
+    detector.  The latency histogram always uses
+    :data:`WORM_LATENCY_BUCKETS`.
     """
 
     epoch_cycles: int = 256
-    latency_buckets: Tuple[float, ...] = WORM_LATENCY_BUCKETS
     depth_threshold: int = 8
 
     def __post_init__(self) -> None:
@@ -108,7 +107,7 @@ class TelemetryConfig:
         """Manifest-facing parameters (recorded with traced runs)."""
         return {
             "epoch_cycles": self.epoch_cycles,
-            "latency_buckets": list(self.latency_buckets),
+            "latency_buckets": list(WORM_LATENCY_BUCKETS),
             "depth_threshold": self.depth_threshold,
         }
 
@@ -150,7 +149,7 @@ class FabricTelemetry:
         self._delivered = 0
         self._delivered_at_close = 0
         self._latency = Histogram(
-            LATENCY_METRIC, config.latency_buckets,
+            LATENCY_METRIC, WORM_LATENCY_BUCKETS,
             help="end-to-end worm latency, network cycles",
         )
         self._epoch_start = 0

@@ -114,5 +114,5 @@ class TestSizeToReachFraction:
 
     def test_unreachable_fraction_raises(self, network):
         node = NodeModel(sensitivity=3.26, intercept=50.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"reach 0\.9999 of its limit"):
             size_to_reach_fraction(node, network, 0.9999)

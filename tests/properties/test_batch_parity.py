@@ -3,8 +3,7 @@
 The directed batch tests (tests/sim/test_batch.py) pin canned shapes;
 these sample machine shapes — {1,2,3}-D tori, identity, seeded random
 and collocated mappings, neighbor, uniform-random or permutation
-programs, 1, 2 or 4 contexts with free or default-cost context switches,
-unbounded or two-line caches (which evict), both fabrics,
+programs, 1, 2 or 4 contexts, both fabrics,
 ``network_speedup ∈ {1, 2}`` — and require the
 batched path to reproduce each seed's solo ``Machine`` run bit for bit,
 whether ``run_batch`` ran the shape on the compiled core or as serial
@@ -49,9 +48,6 @@ def machine_cases(draw):
         "speedup": draw(st.sampled_from([1, 2])),
         "seed": draw(st.integers(0, 2**16)),
         "collocated": contexts > 1 and draw(st.booleans()),
-        # None keeps the config default.
-        "switch_cycles": draw(st.sampled_from([0, None])),
-        "cache_lines": draw(st.sampled_from([0, 2])),
         # Program family and mapping for the non-collocated shapes: the
         # validation suite's neighbor traffic, the uniformity ablation's
         # uniform-random traffic, or permutation traffic to the thread
@@ -82,9 +78,6 @@ def permutation_programs(threads, shift, instances, compute, jitter):
 
 
 def build_setup(case):
-    extra = {}
-    if case["switch_cycles"] is not None:
-        extra["switch_cycles"] = case["switch_cycles"]
     config = SimulationConfig(
         radix=case["radix"],
         dimensions=case["dimensions"],
@@ -93,8 +86,6 @@ def build_setup(case):
         switching=case["switching"],
         network_speedup=case["speedup"],
         seed=case["seed"],
-        cache_lines=case["cache_lines"],
-        **extra,
     )
     nodes = config.node_count
     if case["collocated"]:

@@ -250,7 +250,7 @@ class TestEngineSelection:
         ]
         for dimensions, radix in shapes:
             core = lib.bc_create(
-                1, radix**dimensions, dimensions, radix, 4,
+                1, radix**dimensions, dimensions, radix,
                 1, 1, 1, 1, 1, 1, 1, 1,
             )
             assert (core != ffi.NULL) == batchcore.fits(dimensions, radix), (

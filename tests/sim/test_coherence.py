@@ -11,7 +11,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.sim.coherence import CacheState, CoherenceController, DirectoryState
 from repro.sim.config import SimulationConfig
-from repro.sim.message import MessageKind
+from repro.sim.message import Message, MessageKind
 from repro.sim.stats import MachineStats
 
 
@@ -227,6 +227,30 @@ class TestSerialization:
         h.read(0, BLOCK)
         assert h.stats.remote_completed == 1
         assert h.stats.transaction_latency_total > 0
+
+
+class TestCraftedMessages:
+    """Caches never evict, so a line can only leave its owner through
+    the protocol: a stray WRITEBACK or FETCH is a protocol error."""
+
+    @staticmethod
+    def deliver(h, kind, source, destination):
+        h.controllers[destination].deliver(Message(
+            kind=kind, source=source, destination=destination,
+            block=BLOCK, transaction=0,
+        ))
+        h.pump()
+
+    def test_writeback_without_pending_fetch_raises(self):
+        h = Harness()
+        h.write(0, BLOCK)  # node 0 owns it; the home waits for nothing
+        with pytest.raises(ProtocolError, match="no fetch pending"):
+            self.deliver(h, MessageKind.WRITEBACK, source=0, destination=1)
+
+    def test_fetch_at_a_node_without_the_line_raises(self):
+        h = Harness()
+        with pytest.raises(ProtocolError, match="expected M"):
+            self.deliver(h, MessageKind.FETCH_INVALIDATE, source=1, destination=0)
 
 
 class TestStatsIntegration:

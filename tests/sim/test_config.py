@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ParameterError
-from repro.sim.config import SimulationConfig
+from repro.sim.config import SWITCH_CYCLES, SimulationConfig
 
 
 class TestValidation:
@@ -12,7 +12,7 @@ class TestValidation:
         assert config.radix == 8
         assert config.dimensions == 2
         assert config.network_speedup == 2
-        assert config.switch_cycles == 11
+        assert SWITCH_CYCLES == 11
         assert config.switching == "cut_through"
 
     @pytest.mark.parametrize("field,value", [
@@ -20,12 +20,9 @@ class TestValidation:
         ("dimensions", 0),
         ("network_speedup", 0),
         ("contexts", 0),
-        ("switch_cycles", -1),
         ("compute_cycles", 0),
         ("compute_jitter", 1.0),
         ("compute_jitter", -0.1),
-        ("request_cycles", -1),
-        ("memory_cycles", -2),
         ("warmup_network_cycles", -1),
         ("measure_network_cycles", 0),
         ("switching", "magic"),

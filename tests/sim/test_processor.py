@@ -12,12 +12,11 @@ from repro.topology.graphs import torus_neighbor_graph
 from repro.workload.synthetic import build_programs
 
 
-def make_machine(contexts=1, switch_cycles=11, compute=8, seed=1):
+def make_machine(contexts=1, compute=8, seed=1):
     config = SimulationConfig(
         radix=4,
         dimensions=2,
         contexts=contexts,
-        switch_cycles=switch_cycles,
         compute_cycles=compute,
         seed=seed,
         warmup_network_cycles=500,
@@ -45,11 +44,6 @@ class TestContextLifecycle:
         machine = make_machine(contexts=4)
         machine.run(warmup=200, measure=2000)
         assert sum(p.switch_count for p in machine.processors) > 0
-
-    def test_zero_switch_cost_allowed(self):
-        machine = make_machine(contexts=2, switch_cycles=0)
-        summary = machine.run(warmup=200, measure=2000)
-        assert summary.remote_transactions > 0
 
 
 class TestOverlap:

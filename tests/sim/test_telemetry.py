@@ -78,7 +78,6 @@ class TestConfig:
     def test_defaults(self):
         config = TelemetryConfig()
         assert config.epoch_cycles == 256
-        assert config.latency_buckets == WORM_LATENCY_BUCKETS
         assert config.depth_threshold == 8
 
     def test_rejects_non_positive_epoch(self):

@@ -1,5 +1,5 @@
 """Public-API hygiene: everything exported exists, is documented, and is
-reached by code that is not a test."""
+reached (or, for a config field, set) by code that is not a test."""
 
 import ast
 import importlib
@@ -238,11 +238,33 @@ def _reachability_scan():
     return definitions, uses, calls
 
 
-#: Public definitions (``module.qualname``) and optional parameters
-#: (``module.qualname(name=)``, a constructor's under its class) that no
-#: code outside tests reaches, each with the reason it stays: a console
-#: entry point, an oracle a named test compares against, the scripted
-#: protocol-test program, or a name only ``perfbench/`` uses.
+#: The frozen config dataclasses whose fields must be set outside tests.
+CONFIG_CLASSES = (
+    "repro.sim.config.SimulationConfig",
+    "repro.sim.telemetry.TelemetryConfig",
+)
+
+
+def _config_fields():
+    """``(key, class name, field)`` for every field of
+    :data:`CONFIG_CLASSES`, keyed ``module.Class.field``."""
+    for qualname in CONFIG_CLASSES:
+        module, name = qualname.rsplit(".", 1)
+        path = SRC / (module.replace(".", "/") + ".py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        (node,) = [n for n in tree.body if getattr(n, "name", None) == name]
+        for statement in node.body:
+            if isinstance(statement, ast.AnnAssign):
+                field = statement.target.id
+                yield f"{qualname}.{field}", name, field
+
+
+#: Public definitions (``module.qualname``), optional parameters
+#: (``module.qualname(name=)``, a constructor's under its class) and
+#: config fields (``module.Class.field``) that no code outside tests
+#: reaches or sets, each with the reason it stays: a console entry
+#: point, an oracle a named test compares against, the scripted
+#: protocol-test program, or a name ``perfbench/`` uses.
 KEPT_UNREACHED = {
     "repro.cli.sim_main": "console entry point (repro-sim)",
     "repro.cli.main(argv=)": "console entry point; tests pass argv",
@@ -271,6 +293,15 @@ KEPT_UNREACHED = {
     "repro.mapping.engine.SwapEngine.swap_delta": (
         "perfbench: the ledger's swap.delta row wraps it"
     ),
+    "repro.sim.config.SimulationConfig.network_speedup": (
+        "perfbench: converts simulated network cycles to processor ticks"
+    ),
+    "repro.sim.config.SimulationConfig.compute_cycles": (
+        "perfbench: sets the run length of each simulator workload"
+    ),
+    "repro.sim.config.SimulationConfig.compute_jitter": (
+        "perfbench: builds its workloads' programs with it"
+    ),
 }
 
 
@@ -289,7 +320,12 @@ class TestReachability:
             if not key.endswith(".__init__")
             and not any(used == name and key not in scope for used, scope in uses)
         }
-        kept = {key for key in KEPT_UNREACHED if not key.endswith("=)")}
+        fields = {key for key, _, _ in _config_fields()}
+        kept = {
+            key
+            for key in KEPT_UNREACHED
+            if not key.endswith("=)") and key not in fields
+        }
         assert sorted(unreached - kept) == []
         # A kept definition that gains a reference leaves the list.
         assert sorted(kept - unreached) == []
@@ -321,6 +357,25 @@ class TestReachability:
         assert sorted(unpassed - kept) == []
         # A kept parameter that gains a caller leaves the list.
         assert sorted(kept - unpassed) == []
+
+    def test_every_config_field_is_set_outside_tests(self, scan):
+        """A config field that no non-test call of its class, or of
+        ``dataclasses.replace`` (``with_seed``), passes by keyword keeps
+        its default wherever a command runs: a constant posing as a
+        knob."""
+        _, _, calls = scan
+        unset = {
+            key
+            for key, cls, field in _config_fields()
+            if not any(
+                called in (cls, "replace") and field in keywords
+                for called, _, _, keywords in calls
+            )
+        }
+        kept = {key for key, _, _ in _config_fields()} & KEPT_UNREACHED.keys()
+        assert sorted(unset - kept) == []
+        # A kept field that gains a setter leaves the list.
+        assert sorted(kept - unset) == []
 
     def test_kept_reasons_hold(self):
         """Each reason is one of four a reader can check: a console
