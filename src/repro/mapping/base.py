@@ -3,16 +3,17 @@
 A :class:`Mapping` assigns each application thread to a processor.  The
 paper's experiments (Section 3.2) use nine different bijective mappings of
 the 64-thread synthetic application onto the 64-node machine to sweep the
-average communication distance from one hop to just over six; the general
-abstraction also admits many-to-one mappings (collocation — the only form
-of physical-locality exploitation available to UCL architectures,
-Section 1.1).
+average communication distance from one hop to just over six.  The
+simulator runs bijective mappings only.  The abstraction also admits
+many-to-one mappings (collocation — the only form of physical-locality
+exploitation available to UCL architectures, Section 1.1), but only for
+evaluation: :func:`~repro.mapping.evaluate.average_distance` prices them.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -164,21 +165,6 @@ class Mapping:
             raise MappingError(f"thread {thread!r} outside 0..{self.threads - 1}")
         return assignment[thread]
 
-    def threads_on(self, processor: int) -> List[int]:
-        """Threads collocated on ``processor`` (possibly empty)."""
-        if not 0 <= processor < self.processors:
-            raise MappingError(
-                f"processor {processor!r} outside 0..{self.processors - 1}"
-            )
-        return [t for t, p in enumerate(self.assignment) if p == processor]
-
-    def load(self) -> Dict[int, int]:
-        """Thread count per occupied processor."""
-        counts: Dict[int, int] = {}
-        for processor in self.assignment:
-            counts[processor] = counts.get(processor, 0) + 1
-        return counts
-
     @property
     def is_bijective(self) -> bool:
         """One thread per processor, all processors used."""
@@ -199,11 +185,3 @@ class Mapping:
                 "processors is not a bijection"
             )
         return self
-
-    # ------------------------------------------------------------------
-    # Transformation.
-    # ------------------------------------------------------------------
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        """(thread, processor) pairs."""
-        return iter(enumerate(self.assignment))

@@ -171,8 +171,8 @@ typedef struct {
 } Heap;
 
 /* Thread programs as data (see bc_set_programs).  PK_READS reads a
- * fixed list of blocks, then writes its own (neighbor exchange,
- * permutation); PK_UNIFORM reads a uniformly random other thread's
+ * fixed list of blocks, then writes its own (neighbor exchange);
+ * PK_UNIFORM reads a uniformly random other thread's
  * block `reads` times, then writes its own. */
 enum { PK_READS = 0, PK_UNIFORM = 1 };
 #define PROG_FIELDS 9
@@ -218,9 +218,10 @@ typedef struct {
     double hopl_total;
     int *batch;  /* ctrl- and processor-phase scratch */
     /* Caches and directory: cache_state (a CS_* value) and
-     * outstanding (-1 or a Req index) are [block * N + node], 5 bytes
-     * a cell; dir is [block].  Caches never evict: a line leaves
-     * only through an invalidation or a fetch. */
+     * outstanding (a Req index plus one, 0 = none) are
+     * [block * N + node], 5 bytes a cell, both calloc'd so pages no
+     * node touches stay unmapped; dir is [block].  Caches never evict:
+     * a line leaves only through an invalidation or a fetch. */
     int8_t *cache_state;
     int *outstanding;
     Dir *dir;
@@ -389,8 +390,10 @@ static void req_add_waiter(Rep *rep, int ridx, int is_write, i64 handle) {
 
 #define CSTATE(b, rep, blk, node) \
     ((rep)->cache_state[(size_t)(blk) * (b)->N + (node)])
-#define OUTST(b, rep, blk, node) \
+#define OUTST_CELL(b, rep, blk, node) \
     ((rep)->outstanding[(size_t)(blk) * (b)->N + (node)])
+/* The outstanding Req index, or -1 if none. */
+#define OUTST(b, rep, blk, node) (OUTST_CELL(b, rep, blk, node) - 1)
 
 /* ------------------------------------------------------------------ */
 /* Directory entries.                                                  */
@@ -867,7 +870,7 @@ static void do_complete_remote_miss(const Batch *b, Rep *rep, int node,
         fail(rep, 2, "data reply with no outstanding request");
         return;
     }
-    OUTST(b, rep, block, node) = -1;
+    OUTST_CELL(b, rep, block, node) = 0;
     Req *req = &rep->reqs[ridx];
     int state = req->is_write ? CS_MODIFIED : CS_SHARED;
     CSTATE(b, rep, block, node) = (int8_t)state;
@@ -890,7 +893,7 @@ static void do_finish_local(const Batch *b, Rep *rep, int node, int block,
         fail(rep, 2, "local completion with no outstanding request");
         return;
     }
-    OUTST(b, rep, block, node) = -1;
+    OUTST_CELL(b, rep, block, node) = 0;
     Req *req = &rep->reqs[ridx];
     int state = req->is_write ? CS_MODIFIED : CS_SHARED;
     CSTATE(b, rep, block, node) = (int8_t)state;
@@ -941,7 +944,7 @@ static void request_internal(const Batch *b, Rep *rep, int node, int block,
     i64 uid = c->next_uid;
     c->next_uid = uid + UID_STRIDE;
     int ridx = req_new(rep, block, is_write, cycle, uid, handle);
-    OUTST(b, rep, block, node) = ridx;
+    OUTST_CELL(b, rep, block, node) = ridx + 1;
     if (rep->measuring) rep->started++;
     ctrl_schedule(rep, node, b->req_cost, OP_BEGIN, 0, ridx, 0, 0);
 }
@@ -1143,8 +1146,8 @@ static i64 stream_range(u64 *state, u64 n) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Programs (ports of NeighborExchangeProgram, PermutationProgram and  */
-/* UniformRandomProgram; jitter as workload.base.jittered_cycles).     */
+/* Programs (ports of NeighborExchangeProgram and                     */
+/* UniformRandomProgram; jitter as workload.base.jittered_cycles).    */
 /* ------------------------------------------------------------------ */
 
 static i64 prog_compute(const Prog *pg, u64 *rng) {
@@ -1531,8 +1534,7 @@ int bc_add_blocks(Batch *b, int n, const int *homes) {
     for (int r = 0; r < b->R; r++) {
         Rep *rep = &b->reps[r];
         rep->cache_state = (int8_t *)calloc(cells, 1);
-        rep->outstanding = (int *)malloc(cells * sizeof(int));
-        for (size_t i = 0; i < cells; i++) rep->outstanding[i] = -1;
+        rep->outstanding = (int *)calloc(cells, sizeof(int));
         rep->dir = (Dir *)calloc((size_t)n, sizeof(Dir));
     }
     return 0;

@@ -29,9 +29,9 @@ ingredients:
   rules, written once in :mod:`repro.workload.base` and ported to the
   core, so both engines draw the same values in the same order.
 * **Programs are data.**  :func:`_program_records` turns each placed
-  neighbor-exchange, permutation or uniform-random program (matched by
-  exact type) into a record the core runs; any other program runs the
-  batch as serial machines.
+  neighbor-exchange or uniform-random program (matched by exact type)
+  into a record the core runs; any other program runs the batch as
+  serial machines.
 * **The processors are in the core.**  Contexts, run lengths, context
   switches, the cache-hit check and the processor wake calendar (due
   processors, then woken ones, countdowns skipped in bulk) port
@@ -104,7 +104,7 @@ from repro.sim.stats import MachineStats, MeasurementSummary
 from repro.sim.telemetry import TelemetryConfig
 from repro.topology.torus import Torus
 from repro.workload.base import ThreadProgram, jitter_spread, node_states
-from repro.workload.generators import PermutationProgram, UniformRandomProgram
+from repro.workload.generators import UniformRandomProgram
 from repro.workload.synthetic import NeighborExchangeProgram
 
 __all__ = [
@@ -118,7 +118,7 @@ __all__ = [
 
 #: Program types the core runs, matched exactly: a subclass may change
 #: behaviour the record would not carry, so it runs serially.
-_CORE_PROGRAMS = (NeighborExchangeProgram, PermutationProgram, UniformRandomProgram)
+_CORE_PROGRAMS = (NeighborExchangeProgram, UniformRandomProgram)
 
 #: Record kinds (``PK_*`` in ``_batchcore.c``).
 _READS, _UNIFORM = 0, 1
@@ -192,11 +192,7 @@ def _program_records(
                     offset = uniform_tables[(first, threads_of)] = len(table)
                     table.extend(range(first, first + threads_of))
             else:
-                targets = (
-                    program.neighbors
-                    if kind is NeighborExchangeProgram
-                    else (program.partner,) * program.reads_per_write
-                )
+                targets = program.neighbors
                 touched = (*targets, program.thread)
                 code, reads, offset = _READS, len(targets), len(table)
                 table.extend(first + t for t in targets)
@@ -260,14 +256,13 @@ class BatchMachine:
         self.seeds = tuple(int(seed) for seed in seeds)
         # Validate the mapping/programs combination once, with the same
         # errors a solo Machine raises.
-        _, programs_at = place_programs(config, mapping, programs, nodes)
         described = _program_records(
-            [programs_at[node] for node in range(nodes)], mapping.threads
+            place_programs(config, mapping, programs, nodes), mapping.threads
         )
         if described is None:
             raise SimulationError(
-                "the compiled batch core runs neighbor-exchange, permutation "
-                "and uniform-random programs only (run_batch runs other "
+                "the compiled batch core runs neighbor-exchange and "
+                "uniform-random programs only (run_batch runs other "
                 "programs as serial machines)"
             )
         instances, records, table = described

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.errors import SimulationError
 from repro.mapping.base import Mapping
@@ -45,70 +47,43 @@ def place_programs(
     mapping: Mapping,
     programs: Sequence[Sequence[ThreadProgram]],
     node_count: int,
-) -> tuple:
+) -> List[List[ThreadProgram]]:
     """Validate a (mapping, programs) combination and place threads.
 
     Shared by :class:`Machine` and the batched replication engine
-    (:mod:`repro.sim.batch`), so both accept exactly the same two modes
-    (replicated instances vs collocation) with the same error messages.
-    Returns ``(collocated, programs_at)`` where ``programs_at[node]`` is
-    the per-context program list for that node.
+    (:mod:`repro.sim.batch`), so both accept exactly the same inputs with
+    the same error messages: a bijection of ``node_count`` threads onto
+    the nodes and one application instance per hardware context
+    (Section 3.2).  Returns ``programs_at``, where ``programs_at[node]``
+    lists thread ``mapping⁻¹(node)`` of every instance, one per context.
     """
     if mapping.processors != node_count:
         raise SimulationError(
             f"mapping targets {mapping.processors} processors; machine "
             f"has {node_count}"
         )
-    if mapping.threads == node_count:
-        mapping.require_bijective()
-        collocated = False
-        if len(programs) != config.contexts:
-            raise SimulationError(
-                f"{len(programs)} program instances for "
-                f"{config.contexts} contexts"
-            )
-    elif mapping.threads == node_count * config.contexts:
-        collocated = True
-        if len(programs) != 1:
-            raise SimulationError(
-                "collocation mode runs a single application instance; "
-                f"got {len(programs)} program instances"
-            )
-        load = mapping.load()
-        if len(load) != node_count or any(
-            count != config.contexts for count in load.values()
-        ):
-            raise SimulationError(
-                f"collocation mode needs exactly {config.contexts} "
-                "threads on every node"
-            )
-    else:
+    if mapping.threads != node_count:
         raise SimulationError(
             f"mapping covers {mapping.threads} threads; expected "
-            f"{node_count} (replicated instances) or "
-            f"{node_count * config.contexts} (collocation)"
+            f"{node_count}, one per node"
+        )
+    mapping.require_bijective()
+    if len(programs) != config.contexts:
+        raise SimulationError(
+            f"{len(programs)} program instances for "
+            f"{config.contexts} contexts"
         )
     for instance in programs:
-        if len(instance) != mapping.threads:
+        if len(instance) != node_count:
             raise SimulationError(
                 "every instance must provide one program per thread"
             )
-    if collocated:
-        programs_at = {
-            node: [programs[0][t] for t in mapping.threads_on(node)]
-            for node in range(node_count)
-        }
-    else:
-        # Bijective mapping: exactly one thread per node.
-        thread_at = {p: t for t, p in mapping.items()}
-        programs_at = {
-            node: [
-                programs[instance][thread_at[node]]
-                for instance in range(config.contexts)
-            ]
-            for node in range(node_count)
-        }
-    return collocated, programs_at
+    thread_at = np.empty(node_count, dtype=np.int64)
+    thread_at[mapping.as_array()] = np.arange(node_count)
+    return [
+        [instance[thread] for instance in programs]
+        for thread in thread_at.tolist()
+    ]
 
 
 class Machine:
@@ -121,21 +96,18 @@ class Machine:
         picks the fabric: :class:`~repro.sim.cut_through.CutThroughFabric`
         or :class:`~repro.sim.wormhole.WormholeFabric`.
     mapping:
-        Thread-to-processor assignment.  Two modes are supported:
-
-        * **replicated instances** (the paper's arrangement): the mapping
-          is a bijection over the machine's nodes and ``programs`` holds
-          one application instance per hardware context — each node runs
-          the same-numbered thread of every instance;
-        * **collocation**: the mapping places ``nodes * contexts``
-          threads of a *single* instance, exactly ``contexts`` per node —
-          the only locality lever a UCL machine has (Section 1.1), and
-          available to NUCL machines on top of placement.
+        Thread-to-processor assignment: a bijection of the machine's
+        nodes.  Each node runs the same-numbered thread of every
+        application instance (the paper's arrangement, Section 3.2).  A
+        mapping of more or fewer threads than nodes raises
+        :class:`~repro.errors.SimulationError`, and one of as many
+        threads that is not a bijection raises
+        :class:`~repro.errors.MappingError`.
     programs:
         ``programs[instance][thread]`` — one
         :class:`~repro.workload.base.ThreadProgram` per (instance,
-        thread).  ``len(programs)`` must be ``config.contexts`` in
-        replicated-instance mode and 1 in collocation mode.
+        thread), with one instance per hardware context:
+        ``len(programs)`` must be ``config.contexts``.
     engine:
         Whether :meth:`run` uses the event-calendar engine
         (:mod:`repro.sim.engine`) instead of stepping every cycle.
@@ -153,7 +125,7 @@ class Machine:
     ):
         self.config = config
         self.torus = Torus(radix=config.radix, dimensions=config.dimensions)
-        self._collocated, programs_at = place_programs(
+        programs_at = place_programs(
             config, mapping, programs, self.torus.node_count
         )
         self.mapping = mapping

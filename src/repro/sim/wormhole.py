@@ -103,17 +103,6 @@ class Worm:
         """Switch-to-switch hops (route minus injection/ejection)."""
         return len(self.route) - 2
 
-    @property
-    def at_destination(self) -> bool:
-        return self.head == len(self.route) - 1
-
-    @property
-    def delivered(self) -> bool:
-        return (
-            self.at_destination
-            and self.moves >= self.last_acquire_move + self.flits
-        )
-
 
 class WormholeFabric:
     """The complete interconnect: channels, arbitration, worm movement.
@@ -285,8 +274,8 @@ class WormholeFabric:
                 worm.moved_at = cycle
                 self._release_completed(worm)
                 progressed = True
-                # Draining worms are at destination by construction, so
-                # ``worm.delivered`` reduces to the tail-arrival check.
+                # Draining worms are at destination by construction: a
+                # worm is delivered once its tail arrives.
                 if worm.moves >= worm.last_acquire_move + worm.flits:
                     self._finish(worm, cycle)
                 else:

@@ -9,7 +9,6 @@ from repro.workload.base import (
 )
 from repro.workload.generators import (
     HotSpotProgram,
-    PermutationProgram,
     UniformRandomProgram,
     uniform_random_graph_programs,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "build_programs",
     "ScriptedProgram",
     "UniformRandomProgram",
-    "PermutationProgram",
     "HotSpotProgram",
     "uniform_random_graph_programs",
 ]

@@ -7,9 +7,6 @@ simulator under other classic communication patterns:
 * :class:`UniformRandomProgram` — every access targets a uniformly random
   remote thread's block: the zero-physical-locality baseline the model's
   random-mapping analysis assumes;
-* :class:`PermutationProgram` — each thread exchanges with one fixed
-  partner (transpose/bit-reverse style), the classic adversarial
-  *permutation traffic* that concentrates load on specific paths;
 * :class:`HotSpotProgram` — a fraction of accesses target one hot thread's
   block, modeling contended shared data (locks, reduction roots).
 
@@ -31,7 +28,6 @@ from repro.workload.base import Block, jittered_cycles
 
 __all__ = [
     "UniformRandomProgram",
-    "PermutationProgram",
     "HotSpotProgram",
     "uniform_random_graph_programs",
 ]
@@ -72,35 +68,6 @@ class UniformRandomProgram:
             if target >= self.thread:
                 target += 1
             return (self.instance, target), False
-        return (self.instance, self.thread), True
-
-
-@dataclass
-class PermutationProgram:
-    """Exchanges exclusively with one fixed partner thread."""
-
-    instance: int
-    thread: int
-    partner: int
-    compute_cycles_mean: int
-    compute_jitter: float = 0.5
-    reads_per_write: int = 4
-
-    def __post_init__(self) -> None:
-        if self.partner == self.thread:
-            raise ParameterError(
-                f"thread {self.thread} cannot partner with itself"
-            )
-        self._position = 0
-
-    def compute_cycles(self, rng: random.Random) -> int:
-        return jittered_cycles(self.compute_cycles_mean, self.compute_jitter, rng)
-
-    def next_access(self, rng: random.Random) -> Tuple[Block, bool]:
-        position = self._position
-        self._position = (position + 1) % (self.reads_per_write + 1)
-        if position < self.reads_per_write:
-            return (self.instance, self.partner), False
         return (self.instance, self.thread), True
 
 
@@ -154,11 +121,6 @@ class HotSpotProgram:
         ):
             return (self.instance, self.hot_thread), False
         return (self.instance, self._random_remote(rng)), False
-
-
-# ----------------------------------------------------------------------
-# Partner constructions for permutation traffic.
-# ----------------------------------------------------------------------
 
 
 def uniform_random_graph_programs(

@@ -116,16 +116,6 @@ class TestIntrospection:
         with pytest.raises(MappingError):
             collocated.processor_of(4)
 
-    def test_threads_on(self, collocated):
-        assert collocated.threads_on(0) == [0, 1]
-
-    def test_threads_on_rejects_bad_processor(self, collocated):
-        with pytest.raises(MappingError):
-            collocated.threads_on(2)
-
-    def test_load(self, collocated):
-        assert collocated.load() == {0: 2, 1: 2}
-
     def test_bijectivity_detection(self, collocated):
         assert not collocated.is_bijective
         assert Mapping(assignment=(1, 0), processors=2).is_bijective
@@ -141,10 +131,3 @@ class TestIntrospection:
             collocated.require_bijective()
         bijection = Mapping(assignment=(1, 0), processors=2)
         assert bijection.require_bijective() is bijection
-
-
-class TestTransformation:
-
-    def test_items(self):
-        mapping = Mapping(assignment=(2, 0), processors=3)
-        assert list(mapping.items()) == [(0, 2), (1, 0)]

@@ -1,9 +1,9 @@
 """Property tests: batched-vs-serial bit-equality over the config space.
 
 The directed batch tests (tests/sim/test_batch.py) pin canned shapes;
-these sample machine shapes — {1,2,3}-D tori, identity, seeded random
-and collocated mappings, neighbor, uniform-random or permutation
-programs, 1, 2 or 4 contexts, both fabrics,
+these sample machine shapes — {1,2,3}-D tori, identity and seeded
+random mappings, neighbor, uniform-random or permutation programs, 1, 2
+or 4 contexts, both fabrics,
 ``network_speedup ∈ {1, 2}`` — and require the
 batched path to reproduce each seed's solo ``Machine`` run bit for bit,
 whether ``run_batch`` ran the shape on the compiled core or as serial
@@ -22,13 +22,9 @@ from repro.mapping.strategies import (
 from repro.sim.batch import run_batch
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
-from repro.topology.graphs import ring_graph, torus_neighbor_graph
-from repro.workload.generators import (
-    PermutationProgram,
-    uniform_random_graph_programs,
-)
-from repro.workload.synthetic import build_programs
-from tests.sim.mappings import block_mapping
+from repro.topology.graphs import torus_neighbor_graph
+from repro.workload.generators import uniform_random_graph_programs
+from repro.workload.synthetic import NeighborExchangeProgram, build_programs
 
 
 #: (dimensions, radix) pairs kept small enough for many examples.
@@ -38,21 +34,18 @@ SHAPES = [(1, 4), (1, 8), (2, 3), (2, 4), (3, 2), (3, 3)]
 @st.composite
 def machine_cases(draw):
     dimensions, radix = draw(st.sampled_from(SHAPES))
-    contexts = draw(st.sampled_from([1, 2, 4]))
     return {
         "dimensions": dimensions,
         "radix": radix,
-        "contexts": contexts,
+        "contexts": draw(st.sampled_from([1, 2, 4])),
         "compute": draw(st.sampled_from([8, 60, 400])),
         "switching": draw(st.sampled_from(["cut_through", "wormhole"])),
         "speedup": draw(st.sampled_from([1, 2])),
         "seed": draw(st.integers(0, 2**16)),
-        "collocated": contexts > 1 and draw(st.booleans()),
-        # Program family and mapping for the non-collocated shapes: the
-        # validation suite's neighbor traffic, the uniformity ablation's
-        # uniform-random traffic, or permutation traffic to the thread
-        # ``shift`` places on, under the identity or a seeded random
-        # mapping (None).
+        # Program family and mapping: the validation suite's neighbor
+        # traffic, the uniformity ablation's uniform-random traffic, or
+        # permutation traffic to the thread ``shift`` places on, under
+        # the identity or a seeded random mapping (None).
         "family": draw(st.sampled_from(["neighbor", "uniform", "permutation"])),
         "shift": draw(st.integers(1, 2**16)),
         "mapping_seed": draw(st.one_of(st.none(), st.integers(0, 2**16))),
@@ -60,14 +53,15 @@ def machine_cases(draw):
 
 
 def permutation_programs(threads, shift, instances, compute, jitter):
-    """Every thread exchanges with the thread ``shift`` places on."""
+    """Every thread reads the thread ``shift`` places on four times per
+    write of its own."""
     shift = 1 + (shift - 1) % (threads - 1)
     return [
         [
-            PermutationProgram(
+            NeighborExchangeProgram(
                 instance=instance,
                 thread=thread,
-                partner=(thread + shift) % threads,
+                neighbors=((thread + shift) % threads,) * 4,
                 compute_cycles_mean=compute,
                 compute_jitter=jitter,
             )
@@ -88,33 +82,26 @@ def build_setup(case):
         seed=case["seed"],
     )
     nodes = config.node_count
-    if case["collocated"]:
-        graph = ring_graph(nodes * config.contexts)
-        programs = build_programs(
-            graph, 1, case["compute"], config.compute_jitter
+    if case["family"] == "permutation":
+        programs = permutation_programs(
+            nodes, case["shift"], config.contexts, case["compute"],
+            config.compute_jitter,
         )
-        mapping = block_mapping(nodes * config.contexts, nodes)
     else:
-        graph = torus_neighbor_graph(case["radix"], case["dimensions"])
-        if case["family"] == "permutation":
-            programs = permutation_programs(
-                nodes, case["shift"], config.contexts, case["compute"],
-                config.compute_jitter,
-            )
-        else:
-            family = (
-                uniform_random_graph_programs
-                if case["family"] == "uniform"
-                else build_programs
-            )
-            programs = family(
-                graph, config.contexts, case["compute"], config.compute_jitter
-            )
-        mapping = (
-            identity_mapping(nodes)
-            if case["mapping_seed"] is None
-            else random_mapping(nodes, seed=case["mapping_seed"])
+        family = (
+            uniform_random_graph_programs
+            if case["family"] == "uniform"
+            else build_programs
         )
+        programs = family(
+            torus_neighbor_graph(case["radix"], case["dimensions"]),
+            config.contexts, case["compute"], config.compute_jitter,
+        )
+    mapping = (
+        identity_mapping(nodes)
+        if case["mapping_seed"] is None
+        else random_mapping(nodes, seed=case["mapping_seed"])
+    )
     return config, mapping, programs
 
 

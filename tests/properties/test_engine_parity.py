@@ -1,9 +1,9 @@
 """Property tests: engine-vs-loop bit-equality over the config space.
 
 The directed parity tests (tests/sim/test_machine_engine.py) pin the
-canned workloads; these sample machine shapes — {1,2,3}-D tori,
-replicated and collocated mappings, both fabrics, ``network_speedup ∈
-{1, 2}``, light and saturated loads — and require the event-calendar
+canned workloads; these sample machine shapes — {1,2,3}-D tori, one
+or two contexts, both fabrics, ``network_speedup ∈ {1, 2}``, light and
+saturated loads — and require the event-calendar
 engine to reproduce the per-cycle loop bit for bit: same summary dict,
 same end state (every stats counter, each processor's stream state and
 idle/switch counts, the fabric's delivery count), same telemetry
@@ -17,9 +17,8 @@ from repro.mapping.strategies import identity_mapping
 from repro.sim.config import SimulationConfig
 from repro.sim.machine import Machine
 from repro.sim.telemetry import TelemetryConfig
-from repro.topology.graphs import ring_graph, torus_neighbor_graph
+from repro.topology.graphs import torus_neighbor_graph
 from repro.workload.synthetic import build_programs
-from tests.sim.mappings import block_mapping
 from tests.sim.test_machine_engine import end_state
 
 
@@ -30,16 +29,14 @@ SHAPES = [(1, 4), (1, 8), (2, 3), (2, 4), (3, 2), (3, 3)]
 @st.composite
 def machine_cases(draw):
     dimensions, radix = draw(st.sampled_from(SHAPES))
-    contexts = draw(st.integers(1, 2))
     return {
         "dimensions": dimensions,
         "radix": radix,
-        "contexts": contexts,
+        "contexts": draw(st.integers(1, 2)),
         "compute": draw(st.sampled_from([8, 60, 400])),
         "switching": draw(st.sampled_from(["cut_through", "wormhole"])),
         "speedup": draw(st.sampled_from([1, 2])),
         "seed": draw(st.integers(0, 2**16)),
-        "collocated": contexts == 2 and draw(st.booleans()),
     }
 
 
@@ -53,19 +50,11 @@ def build(engine, case):
         network_speedup=case["speedup"],
         seed=case["seed"],
     )
-    nodes = config.node_count
-    if case["collocated"]:
-        graph = ring_graph(nodes * config.contexts)
-        programs = build_programs(
-            graph, 1, case["compute"], config.compute_jitter
-        )
-        mapping = block_mapping(nodes * config.contexts, nodes)
-    else:
-        graph = torus_neighbor_graph(case["radix"], case["dimensions"])
-        programs = build_programs(
-            graph, config.contexts, case["compute"], config.compute_jitter
-        )
-        mapping = identity_mapping(nodes)
+    graph = torus_neighbor_graph(case["radix"], case["dimensions"])
+    programs = build_programs(
+        graph, config.contexts, case["compute"], config.compute_jitter
+    )
+    mapping = identity_mapping(config.node_count)
     machine = Machine(config, mapping, programs, engine=engine)
     telemetry = machine.attach_telemetry(TelemetryConfig(epoch_cycles=100))
     return machine, telemetry

@@ -29,12 +29,10 @@ from repro.sim.telemetry import TelemetryConfig
 from repro.topology.graphs import ring_graph, torus_neighbor_graph
 from repro.workload.generators import (
     HotSpotProgram,
-    PermutationProgram,
     uniform_random_graph_programs,
 )
 from repro.workload.scripted import ScriptedProgram
 from repro.workload.synthetic import NeighborExchangeProgram, build_programs
-from tests.sim.mappings import block_mapping
 
 
 #: Tests that construct a BatchMachine need the compiled core.
@@ -52,22 +50,15 @@ def small_setup(radix=4, dimensions=2, contexts=2, switching="cut_through",
         warmup_network_cycles=200, measure_network_cycles=800,
     )
     nodes = config.node_count
-    if mapping_kind == "collocated":
-        graph = ring_graph(nodes * contexts)
-        programs = build_programs(
-            graph, 1, config.compute_cycles, config.compute_jitter
-        )
-        mapping = block_mapping(nodes * contexts, nodes)
-    else:
-        graph = torus_neighbor_graph(radix, dimensions)
-        programs = build_programs(
-            graph, contexts, config.compute_cycles, config.compute_jitter
-        )
-        mapping = (
-            identity_mapping(nodes)
-            if mapping_kind == "identity"
-            else random_mapping(nodes, seed=radix)
-        )
+    graph = torus_neighbor_graph(radix, dimensions)
+    programs = build_programs(
+        graph, contexts, config.compute_cycles, config.compute_jitter
+    )
+    mapping = (
+        identity_mapping(nodes)
+        if mapping_kind == "identity"
+        else random_mapping(nodes, seed=radix)
+    )
     return config, mapping, programs
 
 
@@ -122,14 +113,6 @@ class TestBatchParity:
 
     def test_network_speedup_two(self):
         config, mapping, programs = small_setup(speedup=2)
-        seeds = (config.seed, config.seed + 1)
-        batched = run_batch(config, mapping, programs, seeds)
-        assert_parity(
-            batched, serial_summaries(config, mapping, programs, seeds)
-        )
-
-    def test_collocated_threads(self):
-        config, mapping, programs = small_setup(mapping_kind="collocated")
         seeds = (config.seed, config.seed + 1)
         batched = run_batch(config, mapping, programs, seeds)
         assert_parity(
@@ -298,9 +281,9 @@ def _program_family(kind, threads, contexts, compute, jitter):
 
     def make(instance, thread):
         if kind == "permutation":
-            return PermutationProgram(
+            return NeighborExchangeProgram(
                 instance=instance, thread=thread,
-                partner=(thread + threads // 2) % threads,
+                neighbors=((thread + threads // 2) % threads,) * 4,
                 compute_cycles_mean=compute, compute_jitter=jitter,
             )
         if kind == "hotspot":
@@ -321,8 +304,9 @@ def _program_family(kind, threads, contexts, compute, jitter):
 
 
 class TestProgramSelection:
-    """The core runs neighbor, permutation and uniform-random programs
-    (matched by exact type); every other program runs serially, quietly."""
+    """The core runs neighbor-exchange programs (permutation traffic is
+    one with a single partner repeated) and uniform-random programs,
+    matched by exact type; every other program runs serially, quietly."""
 
     @pytest.mark.parametrize("kind", ["hotspot", "scripted", "subclass"])
     def test_other_programs_run_serially_and_quietly(self, kind, monkeypatch):

@@ -20,10 +20,9 @@ from repro.sim.machine import Machine
 from repro.sim.message import Message, MessageKind
 from repro.sim.telemetry import TelemetryConfig
 from repro.sim.wormhole import WormholeFabric
-from repro.topology.graphs import ring_graph, torus_neighbor_graph
+from repro.topology.graphs import torus_neighbor_graph
 from repro.topology.torus import Torus
 from repro.workload.synthetic import build_programs
-from tests.sim.mappings import block_mapping
 
 
 def make_machine(
@@ -35,7 +34,6 @@ def make_machine(
     switching="cut_through",
     speedup=2,
     seed=7,
-    collocated=False,
 ):
     config = SimulationConfig(
         radix=radix,
@@ -46,17 +44,9 @@ def make_machine(
         network_speedup=speedup,
         seed=seed,
     )
-    nodes = config.node_count
-    if collocated:
-        graph = ring_graph(nodes * contexts)
-        programs = build_programs(graph, 1, compute, config.compute_jitter)
-        mapping = block_mapping(nodes * contexts, nodes)
-    else:
-        graph = torus_neighbor_graph(radix, dimensions)
-        programs = build_programs(
-            graph, contexts, compute, config.compute_jitter
-        )
-        mapping = identity_mapping(nodes)
+    graph = torus_neighbor_graph(radix, dimensions)
+    programs = build_programs(graph, contexts, compute, config.compute_jitter)
+    mapping = identity_mapping(config.node_count)
     return Machine(config, mapping, programs, engine=engine)
 
 
@@ -286,9 +276,6 @@ class TestParity:
     @pytest.mark.parametrize("contexts", [1, 2])
     def test_load_parity(self, compute, contexts):
         assert_parity(run_both(compute=compute, contexts=contexts))
-
-    def test_collocated_parity(self):
-        assert_parity(run_both(contexts=2, collocated=True, attach=True))
 
     @pytest.mark.parametrize("dimensions,radix", [(1, 8), (3, 3)])
     def test_torus_shape_parity(self, dimensions, radix):

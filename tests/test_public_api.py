@@ -2,6 +2,7 @@
 reached (or, for a config field, set) by code that is not a test."""
 
 import ast
+import enum
 import importlib
 import inspect
 import re
@@ -192,6 +193,17 @@ def _public_definitions(path):
                     yield key, name, sub, True
 
 
+def _constructible(key):
+    """Whether the class ``key`` names is built by calling it: not an
+    exception or warning, an enum or a protocol."""
+    module, name = key.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module), name)
+    return not (
+        issubclass(cls, (BaseException, enum.Enum))
+        or getattr(cls, "_is_protocol", False)
+    )
+
+
 def _optional_parameters(node, is_method):
     """``(name, position)`` of each parameter with a default; keyword-only
     parameters have position ``None``."""
@@ -329,6 +341,27 @@ class TestReachability:
         assert sorted(unreached - kept) == []
         # A kept definition that gains a reference leaves the list.
         assert sorted(kept - unreached) == []
+
+    def test_every_public_class_is_constructed_outside_tests(self, scan):
+        """A public class that no non-test code calls is never built where
+        a command runs, however many type tuples or ``isinstance`` checks
+        name it.  Exceptions, warnings, enums and protocols are raised,
+        looked up or matched rather than built, so they are exempt."""
+        definitions, _, calls = scan
+        classes, unconstructed = set(), set()
+        for key, name, node, _ in definitions:
+            if not isinstance(node, ast.ClassDef) or not _constructible(key):
+                continue
+            classes.add(key)
+            if not any(
+                called == name and key not in scope
+                for called, scope, _, _ in calls
+            ):
+                unconstructed.add(key)
+        kept = classes & KEPT_UNREACHED.keys()
+        assert sorted(unconstructed - kept) == []
+        # A kept class that gains a constructor call leaves the list.
+        assert sorted(kept - unconstructed) == []
 
     def test_every_optional_parameter_is_passed_outside_tests(self, scan):
         """An optional parameter that no non-test call passes, by keyword

@@ -8,7 +8,6 @@ from repro.errors import ParameterError
 from repro.topology.graphs import torus_neighbor_graph
 from repro.workload.generators import (
     HotSpotProgram,
-    PermutationProgram,
     UniformRandomProgram,
     uniform_random_graph_programs,
 )
@@ -61,23 +60,6 @@ class TestUniformRandom:
     def test_rejects_zero_reads_per_write(self):
         with pytest.raises(ParameterError):
             self.make(reads_per_write=0)
-
-
-class TestPermutation:
-    def test_reads_go_to_partner_only(self):
-        program = PermutationProgram(
-            instance=0, thread=2, partner=9, compute_cycles_mean=8
-        )
-        rng = random.Random(0)
-        for _ in range(10):
-            (instance, target), is_write = program.next_access(rng)
-            assert target == (2 if is_write else 9)
-
-    def test_rejects_self_partner(self):
-        with pytest.raises(ParameterError):
-            PermutationProgram(
-                instance=0, thread=2, partner=2, compute_cycles_mean=8
-            )
 
 
 class TestHotSpot:
