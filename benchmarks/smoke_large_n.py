@@ -5,9 +5,10 @@ rows plus the shared coordinate array) at every torus size, and the
 anneal runs in the compiled swap kernel, which computes distances from
 node ids.  This script is the executable form of that promise: build
 the 316^2 = 99 856-node machine, anneal a short budget, check that the
-delta backend's evaluation of the result equals the kernel's distance,
-and fail loudly if peak RSS crosses the 2 GB ceiling (an N x N distance
-table at this size would need ~20 GB on its own).
+delta backend's evaluations of the start and of the result equal the
+kernel's objective and the anneal's distance, and fail loudly if peak
+RSS crosses the 2 GB ceiling (an N x N distance table at this size
+would need ~20 GB on its own).
 Writes a JSON artifact with the measured throughput so CI uploads keep a
 trajectory of large-N performance.
 
@@ -47,6 +48,12 @@ def run() -> dict:
         raise AssertionError(
             f"delta-backend evaluation {evaluated!r} differs from the "
             f"anneal's distance {result.distance!r}"
+        )
+    evaluated = average_distance(graph, start, torus)
+    if evaluated != result.initial_distance:
+        raise AssertionError(
+            f"delta-backend evaluation {evaluated!r} of the start differs "
+            f"from the kernel objective's {result.initial_distance!r}"
         )
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {

@@ -22,7 +22,9 @@
  *
  * The torus distance is computed from the node ids' radix-k digits,
  * dimension 0 first as in Torus.coordinates, summing the ring distance
- * min(d, k - d) per dimension, so no table is needed at any size.
+ * min(d, k - d) per dimension, so no table is needed at any size.  The
+ * digits are split off by multiplying with the engine's reciprocal of
+ * k, not by dividing (see quotient), so no pricing path divides.
  * Every array is read in place through the SwapKernel the Python side
  * fills once per engine; `position` is rebound once per chain.
  *
@@ -39,6 +41,7 @@
 typedef struct {
     int64_t dims;
     int64_t radix;
+    uint64_t reciprocal;
     int64_t threads;
     const int64_t *indptr;
     const int64_t *neighbors;
@@ -153,33 +156,62 @@ static int64_t ring(int64_t radix, int64_t a, int64_t b)
     return radix - d < d ? radix - d : d;
 }
 
-static int64_t hops(const SwapKernel *k, int64_t p, int64_t q)
+/* n / k for 0 <= n < 2**32 and 2 <= k < 2**32, from the engine's
+ * reciprocal M = floor((2**64 - 1) / k) + 1: the high 64 bits of M * n
+ * (Lemire, Kaser and Kurz, "Faster Remainder by Direct Computation",
+ * 2019), which is exact for 32-bit n.  The 96-bit product is taken as
+ * two 32 x 32 products, neither of which overflows. */
+static uint64_t quotient(uint64_t reciprocal, uint64_t n)
 {
-    const int64_t radix = k->radix;
-    int64_t total = 0;
-    for (int64_t dim = 0; dim < k->dims; dim++) {
-        total += ring(radix, p % radix, q % radix);
-        p /= radix;
-        q /= radix;
+    const uint64_t high = reciprocal >> 32;
+    const uint64_t low = reciprocal & 0xffffffffU;
+    return (high * n + ((low * n) >> 32)) >> 32;
+}
+
+/* The most digits a node id has at radix >= 2: the engine takes fewer
+ * than 2**32 nodes. */
+#define MAX_DIMS 32
+
+/* Node `node`'s dims radix-k digits, dimension 0 first. */
+static void split(uint64_t reciprocal, int64_t radix, int64_t dims,
+                  int64_t node, int64_t *digits)
+{
+    uint64_t rest = (uint64_t)node;
+    for (int64_t dim = 0; dim < dims; dim++) {
+        const uint64_t next = quotient(reciprocal, rest);
+        digits[dim] = (int64_t)(rest - next * (uint64_t)radix);
+        rest = next;
     }
-    return total;
 }
 
 /* Change in the weighted hop-sum of `end`'s incident edges when it moves
  * to `partner`'s processor.  Edges to `partner` are skipped: both of
- * their endpoints move, so their length is unchanged. */
+ * their endpoints move, so their length is unchanged.  The two
+ * processors are split into digits once per call, each neighbour's once
+ * per entry. */
 static double moved(const SwapKernel *k, int64_t end, int64_t partner)
 {
+    const int64_t dims = k->dims;
+    const int64_t radix = k->radix;
+    const uint64_t reciprocal = k->reciprocal;
     const int64_t *position = k->position;
-    const int64_t here = position[end];
-    const int64_t there = position[partner];
+    int64_t here[MAX_DIMS];
+    int64_t there[MAX_DIMS];
+    int64_t at[MAX_DIMS];
+    if (radix < 2) /* one node: every length is 0, and dims may pass MAX_DIMS */
+        return 0.0;
+    split(reciprocal, radix, dims, position[end], here);
+    split(reciprocal, radix, dims, position[partner], there);
     double sum = 0.0;
     for (int64_t e = k->indptr[end]; e < k->indptr[end + 1]; e++) {
         const int64_t neighbor = k->neighbors[e];
         if (neighbor == partner)
             continue;
-        const int64_t at = position[neighbor];
-        sum += k->weights[e] * (double)(hops(k, there, at) - hops(k, here, at));
+        split(reciprocal, radix, dims, position[neighbor], at);
+        int64_t change = 0;
+        for (int64_t dim = 0; dim < dims; dim++)
+            change += ring(radix, there[dim], at[dim]) - ring(radix, here[dim], at[dim]);
+        sum += k->weights[e] * (double)change;
     }
     return sum;
 }
@@ -189,15 +221,16 @@ double sw_delta(const SwapKernel *k, int64_t a, int64_t b)
     return moved(k, a, b) + moved(k, b, a);
 }
 
-/* Each thread's digits are computed once, into a transient buffer, so
- * the edge loop does no division.  The kernel's fields are read into
- * locals first: stores to the int64 buffer could otherwise alias them.
- * Returns -1 if the buffer cannot be allocated, else 0 with the hop-sum
- * in *total. */
+/* Each thread's digits are split once, into a transient buffer, and
+ * the edge loop reads them from there.  The kernel's fields are read
+ * into locals first: stores to the int64 buffer could otherwise alias
+ * them.  Returns -1 if the buffer cannot be allocated, else 0 with the
+ * hop-sum in *total. */
 int sw_objective(const SwapKernel *k, double *total)
 {
     const int64_t dims = k->dims;
     const int64_t radix = k->radix;
+    const uint64_t reciprocal = k->reciprocal;
     const int64_t threads = k->threads;
     const int64_t edges = k->edges;
     const int64_t *position = k->position;
@@ -207,13 +240,8 @@ int sw_objective(const SwapKernel *k, double *total)
     int64_t *digits = malloc((size_t)(threads * dims) * sizeof(int64_t));
     if (digits == NULL)
         return -1;
-    for (int64_t t = 0; t < threads; t++) {
-        int64_t p = position[t];
-        for (int64_t dim = 0; dim < dims; dim++) {
-            digits[t * dims + dim] = p % radix;
-            p /= radix;
-        }
-    }
+    for (int64_t t = 0; t < threads; t++)
+        split(reciprocal, radix, dims, position[t], digits + t * dims);
     double sum = 0.0;
     for (int64_t e = 0; e < edges; e++) {
         const int64_t *a = digits + src[e] * dims;

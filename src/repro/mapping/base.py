@@ -167,11 +167,16 @@ class Mapping:
 
     @property
     def is_bijective(self) -> bool:
-        """One thread per processor, all processors used."""
-        return (
-            self.threads == self.processors
-            and int(np.bincount(self.as_array()).max()) == 1
-        )
+        """One thread per processor, all processors used.
+
+        With as many threads as processors (and every entry in range,
+        which the constructor checks), every processor is used exactly
+        when each is used at least once: one boolean scatter."""
+        if self.threads != self.processors:
+            return False
+        seen = np.zeros(self.processors, dtype=bool)
+        seen[self._array] = True
+        return bool(seen.all())
 
     def as_array(self) -> np.ndarray:
         """The assignment as the mapping's own read-only int64 array."""

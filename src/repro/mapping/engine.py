@@ -11,7 +11,9 @@ the best-state journal — as one call into a small C kernel
 graph's :meth:`~CommunicationGraph.incident_csr` and
 :meth:`~CommunicationGraph.edge_arrays` and the chain's ``position``
 array in place, and computes torus distances from the node ids' digits,
-so it needs no distance table at any machine size.
+so it needs no distance table at any machine size.  It splits the digits
+off by multiplying with one reciprocal of the radix per engine, so no
+pricing path divides; node ids must stay below :data:`DRAW_LIMIT`.
 
 The draws are the ones Python would make.  :func:`twister` hands the
 kernel a :class:`random.Random`'s Mersenne Twister state (``getstate()``:
@@ -57,6 +59,7 @@ CDEF = """
 typedef struct {
     int64_t dims;
     int64_t radix;
+    uint64_t reciprocal;
     int64_t threads;
     const int64_t *indptr;
     const int64_t *neighbors;
@@ -247,6 +250,11 @@ class SwapEngine:
     def __init__(self, graph: CommunicationGraph, torus: Torus):
         ffi, lib = _kernel()
         check_draws(graph.threads)
+        if torus.node_count >= DRAW_LIMIT:
+            raise MappingError(
+                f"a torus of {torus.node_count} nodes has ids past 32 bits; "
+                f"the swap kernel prices ids below {DRAW_LIMIT} only"
+            )
         self.graph = graph
         self.torus = torus
         self.total_weight = graph.total_weight
@@ -259,6 +267,12 @@ class SwapEngine:
         kernel = ffi.new("SwapKernel *")
         kernel.dims = torus.dimensions
         kernel.radix = torus.radix
+        # n // radix is the high 64 bits of reciprocal * n for every id
+        # n < 2**32, so the kernel never divides.  A radix-1 torus has
+        # only id 0, which the zero reciprocal (cffi's default) splits
+        # exactly.
+        if torus.radix > 1:
+            kernel.reciprocal = (2**64 - 1) // torus.radix + 1
         kernel.threads = graph.threads
         kernel.edges = src.size
         # The kernel holds raw pointers: keep every buffer alive here.

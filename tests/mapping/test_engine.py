@@ -138,6 +138,68 @@ class TestKernelParity:
         torus = Torus(radix=radix, dimensions=2)
         assert_pinned(torus_neighbor_graph(radix, 2), torus, seed=9, swaps=10)
 
+    @pytest.mark.parametrize(
+        "radix,dimensions,swaps",
+        [(65_537, 1, 5), (2**20, 1, 3), (2, 12, 10), (3, 7, 10)],
+    )
+    def test_wide_radix_and_many_dimensions(self, radix, dimensions, swaps):
+        # Radices past 16 bits, the 12-D hypercube and 3^7: shapes whose
+        # digits the multiply-shift split takes off beyond SHAPES' reach.
+        torus = Torus(radix=radix, dimensions=dimensions)
+        graph = torus_neighbor_graph(radix, dimensions)
+        assert_pinned(graph, torus, seed=radix % 97, swaps=swaps)
+
+    @pytest.mark.parametrize("radix,dimensions", [(2**32 - 1, 1), (65_535, 2)])
+    def test_node_ids_near_two_to_the_32(self, radix, dimensions):
+        # Four threads at the two largest ids of a torus just below 2**32
+        # nodes, its smallest and its middle.  No table or mapping is
+        # built.
+        torus = Torus(radix=radix, dimensions=dimensions)
+        top = torus.node_count - 1
+        position = np.array([top, 0, (top + 1) // 2, top - 1], dtype=np.int64)
+        graph = weighted_graph(4, seed=2)
+        engine = SwapEngine(graph, torus)
+        assignment = position.tolist()
+        assert engine.objective(position)[0] == loop_sum(graph, torus, assignment)
+        for a, b in ((0, 1), (0, 3), (1, 2), (2, 3)):
+            assert engine.swap_delta(position, a, b) == loop_delta(
+                graph, torus, assignment, a, b
+            )
+
+    def test_refuses_node_ids_past_32_bits(self):
+        for radix, dimensions in ((2**32, 1), (2**16, 2)):
+            with pytest.raises(MappingError, match="ids past 32 bits"):
+                SwapEngine(ring_graph(4), Torus(radix=radix, dimensions=dimensions))
+
+
+def split_quotient(p, k):
+    """``p // k`` as the kernel's ``quotient`` computes it: the high 64
+    bits of the reciprocal times ``p``, as two 32 x 32 products, each
+    checked to fit in 64 bits."""
+    reciprocal = (2**64 - 1) // k + 1
+    high, low = reciprocal >> 32, reciprocal & 0xFFFFFFFF
+    assert reciprocal < 2**64 and high * p < 2**64 and low * p < 2**64
+    total = high * p + ((low * p) >> 32)
+    assert total < 2**64
+    return total >> 32
+
+
+#: Radices for the reciprocal identity: small, the 316^2 benchmark's,
+#: around 2**16, 2**31 and 2**32, and every power of two below 2**32.
+RADICES = sorted(
+    {2, 3, 7, 316, 65_535, 65_537, 2**31 + 1, 2**32 - 1}
+    | {2**bits for bits in range(1, 32)}
+)
+
+
+@pytest.mark.parametrize("k", RADICES)
+def test_reciprocal_split_is_exact_below_two_to_the_32(k):
+    for p in sorted({0, 1, k - 1, k, k + 1, 2**32 - 1}):
+        if p >= 2**32:
+            continue
+        quotient = split_quotient(p, k)
+        assert (quotient, p - quotient * k) == (p // k, p % k), p
+
 
 class TestBinding:
     def test_chains_share_one_engine(self):
@@ -332,6 +394,11 @@ class TestChainParity:
             generator.randrange(1)
         assert (chain.accepted, chain.attempted) == (0, 0)
         assert same_state(stream, generator)
+        # A one-node torus prices 0 at any number of dimensions.
+        for dimensions in (1, 40):
+            engine = SwapEngine(graph, Torus(radix=1, dimensions=dimensions))
+            position = np.zeros(1, dtype=np.int64)
+            assert engine.swap_delta(position, 0, 0) == 0.0
 
     def test_two_threads(self):
         # The smallest machine the optimizers take.  Half of all draws
